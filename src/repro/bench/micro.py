@@ -10,8 +10,8 @@ What is compared
     The current library: ``soi_fft(..., backend="repro")`` on the
     plan-cache *hit* path — cached :class:`~repro.dft.plan.FftPlan`
     objects, iterative Stockham kernels with precomputed stage tables,
-    precomputed SOI workspaces (cached einsum contraction path,
-    reciprocal demodulation, per-thread extended-input buffers).
+    precomputed SOI workspaces (banded real-GEMM convolution kernel,
+    reciprocal demodulation, per-context extended-input buffers).
 
 ``baseline``
     A frozen, faithful copy of the pre-plan-cache implementation,

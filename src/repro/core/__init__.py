@@ -6,6 +6,7 @@ Submodules
 - :mod:`~repro.core.design` — (tau, sigma, B) search for target accuracy;
 - :mod:`~repro.core.theory` — Definition 1 operators and Theorem 1;
 - :mod:`~repro.core.plan` — :class:`SoiPlan`: frozen transform parameters;
+- :mod:`~repro.core.convolve` — the ``W x`` kernel (real banded tile GEMMs);
 - :mod:`~repro.core.soi` — the sequential SOI FFT pipeline (Eq. 6);
 - :mod:`~repro.core.matrices` — dense reference factorisations for tests;
 - :mod:`~repro.core.accuracy` — SNR / digits / error-budget metrics.

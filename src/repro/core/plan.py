@@ -9,7 +9,10 @@ A :class:`SoiPlan` freezes every design decision of one SOI transform:
 - the window design (reference window + stencil width B);
 - the precomputed *coefficient tensor* ``C[mu, B, P]`` — the
   ``mu * P * B`` distinct entries of the convolution matrix W (Fig. 4:
-  "the entire matrix has mu*P*B distinct elements"), and
+  "the entire matrix has mu*P*B distinct elements") — kept factored as
+  a real table times a unit-modulus ``(mu, P)`` phase, which is what
+  lets the convolution run as real GEMMs (:mod:`repro.core.convolve`),
+  and
 - the demodulation diagonal ``w_hat(k), k < M``.
 
 Row structure exploited (Section 4): with ``1/M' = (L/N)(nu/mu)``, row
@@ -30,6 +33,7 @@ import numpy as np
 
 from ..exectx import execution_context
 from ..utils import as_fraction, check_positive_int, require
+from .convolve import ConvolveKernel
 from .design import WindowDesign, design_window, preset_design
 from .windows import ReferenceWindow, window_from_spec
 
@@ -95,6 +99,8 @@ class SoiPlan:
     design: WindowDesign | None = field(init=False, default=None)
     ref_window: ReferenceWindow = field(init=False)
     coeffs: np.ndarray = field(init=False, repr=False)
+    coeffs_real: np.ndarray = field(init=False, repr=False)
+    coeffs_phase: np.ndarray = field(init=False, repr=False)
     demod: np.ndarray = field(init=False, repr=False)
     demod_recip: np.ndarray = field(init=False, repr=False)
 
@@ -135,25 +141,31 @@ class SoiPlan:
             f"stencil B*P={self.b * self.p} exceeds N={self.n}; "
             f"N is too small for this window (reduce B or P)",
         )
-        self.coeffs = self._coefficient_tensor()
+        # Tables are evaluated in double and rounded exactly once, so a
+        # single-precision plan loses nothing to table construction.
+        single = self.dtype == np.complex64
+        table, phase = self._coefficient_tables()
+        self.coeffs_real = np.ascontiguousarray(
+            table, dtype=np.float32 if single else np.float64
+        )
+        self.coeffs_phase = phase.astype(self.dtype)
+        self.coeffs = self.coeffs_phase[:, None, :] * self.coeffs_real
         self.demod = self.ref_window.demodulation_values(self.m, self.b)
         # Workspace: the demodulation is applied every transform; the
         # reciprocal turns the per-call complex divide into a multiply
         # (identical in both the sequential and distributed pipelines,
         # so their bit-for-bit equality is preserved).
         self.demod_recip = np.reciprocal(self.demod)
-        if self.dtype == np.complex64:
-            # Single-precision pipeline: tables are evaluated in double
-            # and rounded exactly once here, so the float32 path loses
-            # nothing to table construction.
-            self.coeffs = np.ascontiguousarray(self.coeffs.astype(np.complex64))
+        if single:
             self.demod_recip = self.demod_recip.astype(np.complex64)
         self.demod_recip.setflags(write=False)
         # Workspaces filled lazily (and thread-safely — simmpi ranks are
-        # threads sharing one plan): einsum contraction paths keyed by
-        # window-tensor shape, and per-segment modulation phase tables.
+        # threads sharing one plan): the convolution kernel with its
+        # banded table (several times the size of ``coeffs``, so plans
+        # built only for layout or error-budget queries never pay for
+        # it) and per-segment modulation phase tables.
         self._workspace_lock = threading.Lock()
-        self._conv_paths: dict[tuple[int, ...], list] = {}
+        self._kernel: ConvolveKernel | None = None
         self._segment_phases: dict[int, np.ndarray] = {}
         # Per-execution-context extended-input buffers (simmpi ranks
         # share one cached plan, so these cannot be plain attributes;
@@ -201,8 +213,8 @@ class SoiPlan:
         """
         return (self.b - self.nu) * self.p
 
-    def _coefficient_tensor(self) -> np.ndarray:
-        """The ``(mu, B, P)`` tensor of distinct convolution coefficients.
+    def _coefficient_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(mu, B, P)`` coefficient tensor as ``(real table, phase)``.
 
         ``C[r, b, p] = (1/M') * w(r/M' - (b*P + p)/N)`` — row template r
         evaluated over its aligned B*P-sample input window.  Chunk q,
@@ -211,12 +223,14 @@ class SoiPlan:
         the q-dependence cancels exactly because
         ``(q*mu)/M' == (q*nu*P)/N``.
 
-        Accuracy note: ``w(t) = M e^{i pi B/2} e^{i pi M t} H(M t + B/2)``
-        has phase arguments up to ~pi*B radians.  Evaluating them
-        naively loses ~eps*B to argument reduction (a hard ~13.5-digit
-        ceiling), so the rational ``M*t = r*nu/mu - b - p/P`` is split
-        into exact sign flips ``(-1)^b``, ``(-1)^{B/2}`` and two small
-        residual phases reduced in integer arithmetic.
+        ``w(t) = M e^{i pi B/2} e^{i pi M t} H(M t + B/2)`` with H real,
+        and the rational ``M*t = r*nu/mu - b - p/P`` splits the phase
+        into exact sign flips ``(-1)^b``, ``(-1)^{B/2}`` (absorbed into
+        the real table) and two small residual phases reduced in integer
+        arithmetic, whose product is the returned ``(mu, P)`` phase:
+        ``C[r, b, p] = phase[r, p] * table[r, b, p]``.  (Evaluating the
+        phase naively would lose ~eps*B to argument reduction, a hard
+        ~13.5-digit ceiling.)
         """
         mu, nu, b, p = self.mu, self.nu, self.b, self.p
         r = np.arange(mu, dtype=np.int64)
@@ -229,82 +243,95 @@ class SoiPlan:
             - bidx[None, :, None]
             - (pidx / p)[None, None, :]
         )
-        h = self.ref_window.h_time(s)
-        phase_r = np.exp(1j * np.pi * ((r * nu) % (2 * mu)) / mu)
         sign_b = np.where(bidx % 2 == 0, 1.0, -1.0)
-        phase_p = np.exp(-1j * np.pi * pidx / p)
         sign_half_b = 1.0 if (b // 2) % 2 == 0 else -1.0
-        c = (
+        table = (
             (self.m / self.m_over)
             * sign_half_b
-            * phase_r[:, None, None]
             * sign_b[None, :, None]
-            * phase_p[None, None, :]
-            * h
+            * self.ref_window.h_time(s)
         )
-        return np.ascontiguousarray(c)
+        phase_r = np.exp(1j * np.pi * ((r * nu) % (2 * mu)) / mu)
+        phase_p = np.exp(-1j * np.pi * pidx / p)
+        return table, phase_r[:, None] * phase_p[None, :]
 
     # ------------------------------------------------------------------
-    # Precomputed per-transform workspaces (shared by the sequential
-    # pipeline in core/soi.py and the distributed one in
-    # parallel/soi_dist.py so both execute literally the same einsum).
+    # The convolution stage, shared by the sequential pipeline in
+    # core/soi.py and every rank program in parallel/ so that all of them
+    # run literally the same kernel (repro.core.convolve).
 
-    _CONV_SUBSCRIPTS = "rbp,...qbp->...qrp"
+    def _convolver(self) -> ConvolveKernel:
+        kernel = self._kernel
+        if kernel is None:
+            with self._workspace_lock:
+                kernel = self._kernel
+                if kernel is None:
+                    kernel = self._kernel = ConvolveKernel(
+                        self.coeffs_real, self.coeffs_phase, self.nu
+                    )
+        return kernel
+
+    def _window_rows(self, winb: np.ndarray) -> np.ndarray:
+        """The ``((n-1)*nu + B, P)`` extended-input rows under a window view."""
+        n, it = winb.shape[0], winb.itemsize
+        ok = (
+            winb.ndim == 3
+            and n >= 1
+            and winb.shape[1:] == (self.b, self.p)
+            and winb.dtype == self.dtype
+            and winb.strides[1:] == (self.p * it, it)
+            and (n == 1 or winb.strides[0] == self.nu * self.p * it)
+        )
+        if not ok:
+            raise ValueError(
+                "winb must be a SoiPlan.window_view of this plan "
+                "(or a slice of one along its first axis)"
+            )
+        return np.lib.stride_tricks.as_strided(
+            winb,
+            shape=((n - 1) * self.nu + self.b, self.p),
+            strides=(self.p * it, it),
+            writeable=False,
+        )
+
+    def contract_windows_t(self, winb: np.ndarray, q0: int = 0) -> np.ndarray:
+        """Stage-1 convolution emitted pre-transposed: ``(P, q, r)`` with
+        ``z[p, q, r] = sum_b C[r, b, p] * winb[q, b, p]``.
+
+        Flattening the last two axes gives the ``(P, M')`` column layout
+        the fused ``fft_tt`` kernels consume — the convolution output
+        never passes through an explicit transpose copy.  *winb* is a
+        :meth:`window_view` (or a first-axis slice of one) and *q0* the
+        global index of its first chunk (a rank's ``rank * q_local``,
+        plus the slice start for an overlap group): the kernel anchors
+        its tiles at global chunk 0, which is what makes any sub-range
+        bit-for-bit equal to the same slice of the full call.
+        """
+        n = winb.shape[0]
+        z_t = self._convolver()(self._window_rows(winb), n, q0)
+        return z_t.reshape(self.p, n, self.mu)
 
     def contract_windows(self, winb: np.ndarray) -> np.ndarray:
-        """Stage-1 contraction ``z[.., q, r, p] = sum_b C[r,b,p] win[.., q,b,p]``.
+        """Stage-1 convolution ``z[.., q, r, p] = sum_b C[r,b,p] win[.., q,b,p]``.
 
-        The einsum contraction path is computed once per window-tensor
-        shape and cached on the plan; passing the frozen path back to
-        ``np.einsum`` performs the identical contraction order as
-        ``optimize=True`` (bit-for-bit same result) without re-running
-        the path optimiser on every transform.
+        The bitwise transpose of :meth:`contract_windows_t`, window
+        tensor by window tensor over any leading axes.
         """
-        key = winb.shape
-        path = self._conv_paths.get(key)
-        if path is None:
-            computed = np.einsum_path(
-                self._CONV_SUBSCRIPTS, self.coeffs, winb, optimize=True
-            )[0]
-            with self._workspace_lock:
-                path = self._conv_paths.setdefault(key, computed)
-        return np.einsum(self._CONV_SUBSCRIPTS, self.coeffs, winb, optimize=path)
-
-    _CONV_SUBSCRIPTS_T = "rbp,qbp->pqr"
-
-    def contract_windows_t(self, winb: np.ndarray) -> np.ndarray:
-        """Stage-1 contraction emitted pre-transposed: ``(P, q, r)``.
-
-        Same sums as :meth:`contract_windows` (2-D *winb* only) but the
-        output axes are ordered so that flattening the last two gives
-        the ``(P, M')`` column layout the fused ``fft_tt`` kernels
-        consume — the convolution output never passes through an
-        explicit transpose copy.  Each ``z[p, q, r]`` element is the
-        identical scalar sum, so values are bit-for-bit equal to the
-        transpose of the standard contraction.
-        """
-        key = ("t",) + winb.shape
-        path = self._conv_paths.get(key)
-        if path is None:
-            computed = np.einsum_path(
-                self._CONV_SUBSCRIPTS_T, self.coeffs, winb, optimize=True
-            )[0]
-            with self._workspace_lock:
-                path = self._conv_paths.setdefault(key, computed)
-        return np.einsum(self._CONV_SUBSCRIPTS_T, self.coeffs, winb, optimize=path)
+        lead = winb.shape[:-3]
+        out = np.empty(lead + (winb.shape[-3], self.mu, self.p), dtype=self.dtype)
+        for idx in np.ndindex(lead):
+            out[idx] = self.contract_windows_t(winb[idx]).transpose(1, 2, 0)
+        return out
 
     def window_view(self, vec: np.ndarray, tail: np.ndarray, nchunks: int) -> np.ndarray:
         """Stencil windows ``(nchunks, B, P)`` over ``vec ++ tail``, zero-copy.
 
-        Builds the extended input in a reusable per-thread buffer (no
+        Builds the extended input in a reusable per-context buffer (no
         allocation on the repeated-transform hot path) and returns the
         strided read-only window view the convolution contracts against:
         window q starts at sample ``q * nu * P`` and spans ``B * P``
         samples.  *tail* is the periodic wrap (sequential: the first
         ``B*P`` samples of *vec*) or the neighbour halo (distributed).
-        The view has exactly the shape and strides of the former
-        ``sliding_window_view`` construction, so the einsum it feeds is
-        bit-for-bit unchanged.
         """
         total = vec.size + tail.size
         ctx = execution_context()
@@ -357,6 +384,20 @@ class SoiPlan:
             raise IndexError(f"segment {s} out of range [0, {self.p})")
         return slice(s * self.m, (s + 1) * self.m)
 
+    @property
+    def table_bytes(self) -> int:
+        """Bytes of precomputed tables this plan holds right now (the
+        banded kernel table counts once the first contraction built it)."""
+        kernel = self._kernel
+        return (
+            self.coeffs.nbytes
+            + self.coeffs_real.nbytes
+            + self.coeffs_phase.nbytes
+            + self.demod.nbytes
+            + self.demod_recip.nbytes
+            + (kernel.table_bytes if kernel is not None else 0)
+        )
+
     def describe(self) -> str:
         """Human-readable multi-line summary (used by examples/benchmarks)."""
         lines = [
@@ -366,6 +407,8 @@ class SoiPlan:
             f"  stencil B={self.b}, halo=(B-nu)*P={self.halo} samples "
             f"({100.0 * self.halo / self.n:.4g}% of N)",
             f"  window: {self.ref_window!r}",
+            f"  tables: {self.table_bytes / 1024:.0f} KiB "
+            f"(banded kernel table {'built' if self._kernel else 'not built yet'})",
         ]
         if self.design is not None:
             lines.append(
@@ -387,7 +430,10 @@ class SoiPlan:
 # SOI plan cache — the SoiPlan analogue of repro.dft.cache.plan_for.
 # ----------------------------------------------------------------------
 
-_SOI_CACHE_MAX = 16  # plans hold the (mu, B, P) tensor; keep the set small
+# Plans hold the (mu, B, P) tables and, once used, a banded kernel table
+# several times that size (soi_plan_cache_info()["table_bytes"]); the
+# cache bounds plans, not bytes, so keep the set small.
+_SOI_CACHE_MAX = 16
 _soi_cache: "OrderedDict[tuple, SoiPlan]" = None  # type: ignore[assignment]
 _soi_lock = threading.Lock()
 _soi_hits = 0
@@ -410,8 +456,8 @@ def soi_plan_for(
     """A shared :class:`SoiPlan` for this configuration (thread-safe LRU).
 
     Repeated same-configuration transforms reuse one plan object — and
-    with it every precomputed workspace it carries (coefficient tensor,
-    reciprocal demodulation, cached einsum contraction path, per-thread
+    with it every precomputed workspace it carries (coefficient tables,
+    banded convolution kernel, reciprocal demodulation, per-context
     extended-input buffers) — instead of rebuilding them per call.  Only
     hashable window specs (preset names / target-digit floats) are
     cached; exotic specs fall through to a fresh plan.  Safe to call
@@ -460,10 +506,13 @@ def clear_soi_plan_cache() -> None:
 
 
 def soi_plan_cache_info() -> dict[str, int]:
-    """Cache statistics: entries, hits, misses, evictions, max_plans."""
+    """Cache statistics: entries, hits, misses, evictions, max_plans and
+    the table bytes the cached plans hold (:attr:`SoiPlan.table_bytes`)."""
     with _soi_lock:
+        plans = [] if _soi_cache is None else list(_soi_cache.values())
         return {
-            "plans": 0 if _soi_cache is None else len(_soi_cache),
+            "plans": len(plans),
+            "table_bytes": sum(plan.table_bytes for plan in plans),
             "hits": _soi_hits,
             "misses": _soi_misses,
             "evictions": _soi_evictions,

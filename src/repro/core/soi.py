@@ -6,11 +6,12 @@ Implements the paper's single-all-to-all factorisation
 
 as a fully vectorised four-stage pipeline:
 
-1. **Convolution** ``z = W x``: a single einsum contracting the
-   ``(mu, B, P)`` coefficient tensor against strided input windows —
-   the loop_a/loop_b/loop_c/loop_d nest of Section 6 collapsed into one
-   batched tensor contraction (the NumPy analogue of the paper's
-   unroll-and-jam + SIMD optimisation).
+1. **Convolution** ``z = W x``: the real ``(mu, B, P)`` coefficient
+   table applied to strided input windows as banded tile GEMMs, then
+   one unit-modulus phase per output (:mod:`repro.core.convolve`) —
+   the loop_a/loop_b/loop_c/loop_d nest of Section 6 blocked for BLAS
+   (the NumPy analogue of the paper's unroll-and-jam + SIMD
+   optimisation).
 2. **Small FFTs** ``(I_M' (x) F_P)``: one batched length-P transform
    over the M' rows of z.
 3. **Global reordering** ``P_perm^{P,N'}``: a transpose — the step that
@@ -95,34 +96,31 @@ def extended_input(x: np.ndarray, plan: SoiPlan) -> np.ndarray:
     return np.concatenate([arr, arr[..., : plan.b * plan.p]], axis=-1)
 
 
+def _convolve_t(vec: np.ndarray, plan: SoiPlan) -> np.ndarray:
+    """``z = W x`` of one length-N vector in the ``(P, M')`` layout:
+    periodic extension into the plan's per-context buffer, then the
+    plan's convolution kernel over all ``M / nu`` chunks."""
+    winb = plan.window_view(vec, vec[: plan.b * plan.p], plan.q_chunks)
+    return plan.contract_windows_t(winb).reshape(plan.p, plan.m_over)
+
+
 def soi_convolve(x: np.ndarray, plan: SoiPlan) -> np.ndarray:
     """Stage 1: the structured sparse product ``z = W x``, shape (..., M', P).
 
     ``z[q*mu + r, p] = sum_b C[r, b, p] * x[(q*nu*P + b*P + p) mod N]``.
 
-    Implemented as a sliding-window view (zero-copy) over the extended
-    input followed by one einsum; total work ``8 * N' * B`` real flops
-    per transform, exactly the convolution cost the performance model
-    charges.  Batched over leading axes.
+    The transpose of what the pipeline itself computes (it keeps ``z``
+    in the ``(P, M')`` layout), so values are bit-for-bit those of
+    :func:`soi_fft`'s first stage.  The performance model charges this
+    stage the paper's ``8 * N' * B`` real flops; the kernel executes
+    half of that on useful terms (see :mod:`repro.core.convolve`).
+    Batched over leading axes, one vector at a time.
     """
     arr = _as_batched(x, plan)
-    if arr.ndim == 1:
-        # Hot path: periodic extension into the plan's per-thread buffer
-        # plus a precomputed-stride window view — no allocation, same
-        # shape/strides as the generic construction (bit-identical).
-        winb = plan.window_view(arr, arr[: plan.b * plan.p], plan.q_chunks)
-        z = plan.contract_windows(winb)
-        return z.reshape(plan.m_over, plan.p)
-    xe = extended_input(arr, plan)
-    stride = plan.nu * plan.p
-    win = np.lib.stride_tricks.sliding_window_view(xe, plan.b * plan.p, axis=-1)[
-        ..., ::stride, :
-    ][..., : plan.q_chunks, :]
-    # win[..., q, :] = xe[..., q*nu*P : q*nu*P + B*P]; expose (b, p).
-    batch = xe.shape[:-1]
-    winb = win.reshape(*batch, plan.q_chunks, plan.b, plan.p)
-    z = plan.contract_windows(winb)  # cached contraction path workspace
-    return z.reshape(*batch, plan.m_over, plan.p)
+    out = np.empty(arr.shape[:-1] + (plan.m_over, plan.p), dtype=plan.dtype)
+    for idx in np.ndindex(arr.shape[:-1]):
+        out[idx] = _convolve_t(arr[idx], plan).T
+    return out
 
 
 def soi_fft(
@@ -135,7 +133,8 @@ def soi_fft(
     Returns an approximation of ``numpy.fft.fft(x, axis=-1)`` whose
     accuracy is set by the plan's window design (~14.5 digits for the
     default ``"full"`` preset; see Fig. 7 for the accuracy/speed dial).
-    Accepts batches over leading axes.
+    Accepts batches over leading axes; each vector runs the same
+    zero-transpose chain, so a batch is bit-for-bit its rows.
 
     The *backend* names the node-local FFT used as the building block
     (``"numpy"`` standing in for MKL, ``"repro"`` for this library's
@@ -143,23 +142,19 @@ def soi_fft(
     """
     be = get_backend(backend)
     arr = _as_batched(x, plan)
-    batch = arr.shape[:-1]
-    if arr.ndim == 1:
+    out = np.empty(arr.shape, dtype=plan.dtype)
+    for idx in np.ndindex(arr.shape[:-1]):
         # Zero-transpose chain: the convolution emits z pre-transposed
         # in the (P, M') segment layout, and the backend's fused fft_tt
         # transforms its columns in place of layout — stage 1 through
-        # P_perm^{P,N'} never copies through a transpose (values
-        # bit-identical to the generic path).
-        winb = plan.window_view(arr, arr[: plan.b * plan.p], plan.q_chunks)
-        z_t = plan.contract_windows_t(winb).reshape(plan.p, plan.m_over)
+        # P_perm^{P,N'} never copies through a transpose.
+        z_t = _convolve_t(arr[idx], plan)
         segments = _plan_fft_tt(be, z_t, plan)      # (I_M' (x) F_P) + P_perm
-    else:
-        z = soi_convolve(arr, plan)                 # (..., M', P)
-        v = _plan_fft(be, z, plan)                  # I_M' (x) F_P
-        segments = np.ascontiguousarray(np.swapaxes(v, -1, -2))  # P_perm
-    yt = _plan_fft(be, segments, plan)              # I_P (x) F_M'
-    y = yt[..., : plan.m] * plan.demod_recip        # P_proj + W_hat^-1
-    return y.reshape(*batch, plan.n)
+        yt = _plan_fft(be, segments, plan)          # I_P (x) F_M'
+        np.multiply(                                # P_proj + W_hat^-1
+            yt[:, : plan.m], plan.demod_recip, out=out[idx].reshape(plan.p, plan.m)
+        )
+    return out
 
 
 def soi_ifft(
@@ -171,8 +166,8 @@ def soi_ifft(
 
     Uses the conjugation identity ``ifft(y) = conj(fft(conj(y))) / N``,
     so the inverse inherits the forward transform's communication
-    structure, accuracy, and precomputed workspaces (cached contraction
-    path, reciprocal demodulation) unchanged.  The output conjugation
+    structure, accuracy, and precomputed workspaces (convolution kernel,
+    reciprocal demodulation) unchanged.  The output conjugation
     and 1/N scale are applied in place on the forward result — no extra
     temporaries beyond the forward transform's own.
     """

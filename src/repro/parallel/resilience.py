@@ -222,7 +222,7 @@ def _soi_fft_resilient(
     # -- 2./3. convolution + small FFTs: identical local math. -----------
     with comm.phase("convolve"):
         winb = plan.window_view(vec, halo, q_local)
-        z_t = plan.contract_windows_t(winb).reshape(plan.p, rows_pr)
+        z_t = plan.contract_windows_t(winb, rank * q_local).reshape(plan.p, rows_pr)
         comm.trace_compute(
             "convolve", soi_convolution_flops(rows_pr * plan.p, plan.b), kind="conv"
         )
@@ -431,7 +431,7 @@ def _recover(
             # small FFTs — the same FP schedule the dead rank would have
             # run, so the reconstruction is bit-exact.
             winb = plan.window_view(replica, dead_halo, q_local)
-            z_t = plan.contract_windows_t(winb).reshape(plan.p, rows_pr)
+            z_t = plan.contract_windows_t(winb, dead * q_local).reshape(plan.p, rows_pr)
             vt_dead = backend_fft_tt(be, z_t)
             recompute_flops = (
                 soi_convolution_flops(rows_pr * plan.p, plan.b)

@@ -237,11 +237,14 @@ def soi_fft_distributed(
 
     # -- 2. convolution: this rank's block-rows of z = W x. --------------
     q_local = layout["chunks_per_rank"]
-    # Same per-thread extended-input workspace and cached contraction
-    # path as the sequential pipeline, so both perform literally the
-    # same einsum on identically-strided windows (bit-for-bit equality).
+    # The sequential pipeline's kernel on this rank's windows; passing
+    # the rank's global chunk offset puts every output at the position
+    # of the kernel's tile grid it has in the sequential call, which is
+    # what makes the two bit-for-bit equal (see repro.core.convolve).
     winb = plan.window_view(vec, halo, q_local)
-    z_t = plan.contract_windows_t(winb).reshape(plan.p, layout["rows_per_rank"])
+    z_t = plan.contract_windows_t(winb, comm.rank * q_local).reshape(
+        plan.p, layout["rows_per_rank"]
+    )
     comm.trace_compute(
         "convolve",
         soi_convolution_flops(layout["rows_per_rank"] * plan.p, plan.b),
@@ -349,8 +352,9 @@ def _soi_fft_pipelined(
                 recv_slots.append((c0 + q0 * plan.mu, c0 + q1 * plan.mu))
 
     # Extended-input workspace with a zero tail; re-derived (same buffer,
-    # same strides) once the halo lands, so the per-window contraction is
-    # literally the blocking path's einsum on identical bytes.
+    # same strides) once the halo lands, so each group's convolution is
+    # the blocking path's kernel on identical bytes at the same global
+    # chunk offset.
     winb = plan.window_view(vec, np.zeros(plan.halo, dtype=plan.dtype), q_local)
     segs = np.empty((s_per, plan.m_over), dtype=plan.dtype)
     my0 = comm.rank * rows_pr
@@ -372,7 +376,9 @@ def _soi_fft_pipelined(
                         rounds=verify_rounds,
                     )
             winb = plan.window_view(vec, halo, q_local)
-        zg = plan.contract_windows_t(winb[q0:q1]).reshape(plan.p, -1)
+        zg = plan.contract_windows_t(
+            winb[q0:q1], comm.rank * q_local + q0
+        ).reshape(plan.p, -1)
         comm.trace_compute(
             "convolve",
             soi_convolution_flops((q1 - q0) * plan.mu * plan.p, plan.b),
@@ -468,8 +474,8 @@ def soi_ifft_distributed(
     Conjugation identity ``ifft(y) = conj(fft(conj(y))) / N`` — because
     the conjugation is elementwise and local, the inverse has exactly
     the same single-all-to-all communication structure as the forward
-    transform, and shares its precomputed workspaces (cached
-    contraction path, reciprocal demodulation).  The output conjugation
+    transform, and shares its precomputed workspaces (convolution
+    kernel, reciprocal demodulation).  The output conjugation
     and 1/N scale run in place on the forward result — no extra
     temporaries.  Collective; block layout identical to
     :func:`soi_fft_distributed`.  With ``resilience=``, a recovered

@@ -2,7 +2,7 @@
 
 This is where the service earns its keep: every kernel in the repo is
 already batched over leading axes (PR 3's Stockham tables, the SOI
-einsum contraction, pocketfft), so K same-key requests stack into one
+pipeline, pocketfft), so K same-key requests stack into one
 ``(K, n)`` array and execute as ONE Python-level dispatch.  Grouping is
 *proved* harmless — the conformance registry pins coalesced outputs
 bitwise-identical to one-at-a-time execution for every backend — so
@@ -14,9 +14,9 @@ Per backend:
   ``numpy.fft`` (``library="numpy"``, the MKL/FFTW stand-in, exactly
   the paper's "vendor library as building block" role).
 - ``soi``   — :func:`repro.core.soi.soi_fft` / ``soi_ifft`` through
-  the shared :func:`repro.core.plan.soi_plan_for` cache, row by row:
-  the fused 1-D fast path beats the generic stacked path at serving
-  sizes (SOI is compute-dominated), so one dispatch loops the batch.
+  the shared :func:`repro.core.plan.soi_plan_for` cache, one request
+  at a time (a stacked ``soi_fft`` runs its rows through the same
+  chain, so stacking the payloads would only add a copy).
 - ``transpose`` — the distributed six-step FFT, batched over leading
   axes *inside one SPMD world*: K coalesced transforms share one
   thread-world launch and THREE all-to-all epochs total (not 3K) —
@@ -102,13 +102,9 @@ def _execute_soi(requests: list[TransformRequest]) -> list[np.ndarray]:
     p = head.params
     plan = soi_plan_for(head.n, p["p"], beta=p["beta"], window=p["window"])
     fn = soi_ifft if head.direction == "inverse" else soi_fft
-    # Row loop, not a stacked call: the 1-D SOI pipeline has a fused
-    # zero-transpose fast path (window_view + fft_tt) that the generic
-    # leading-axes path cannot use, and SOI is compute-dominated at
-    # serving sizes, so per-row fused beats one stacked generic dispatch
-    # at every measured (n, K).  Coalescing still amortises scheduling
-    # and plan lookup, and per-row outputs are trivially bitwise equal
-    # to solo execution (same code path).
+    # Coalescing amortises scheduling and the plan lookup; the
+    # transforms themselves run per request, exactly as solo execution
+    # would (and as a stacked soi_fft call does internally).
     return [fn(r.payload, plan, backend=head.library) for r in requests]
 
 

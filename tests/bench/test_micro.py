@@ -12,6 +12,13 @@ import pytest
 
 from repro.bench import BENCH_SCHEMA, run_micro
 
+# Engine vs the frozen seed pipeline, max-abs over max-abs.  The seed
+# convolves with one complex einsum, the engine with real banded GEMMs
+# (repro.core.convolve): two orders of the same B-term sums, bounded by
+# 4 * eps * sqrt(B) at the full window's B = 78 (measured ~1.4e-15).
+# Kernel and seq == dist rows stay bitwise.
+DRIFT_TOL = 8e-15
+
 
 @pytest.fixture(scope="module")
 def payload():
@@ -57,7 +64,7 @@ class TestPayloadSchema:
         for row in payload["soi"]:
             assert row["engine_hit_us"] > 0
             assert row["baseline_noreuse_us"] > 0
-            assert row["engine_vs_baseline_max_rel"] < 4e-16
+            assert row["engine_vs_baseline_max_rel"] < DRIFT_TOL
 
     def test_kernel_rows_bit_identical(self, payload):
         assert payload["kernels"]
@@ -75,7 +82,7 @@ class TestPayloadSchema:
         cons = payload["consistency"]
         assert cons["kernels_bit_identical"] is True
         assert cons["dist_bitwise_equal_to_sequential"] is True
-        assert cons["engine_vs_baseline_max_rel"] < 4e-16
+        assert cons["engine_vs_baseline_max_rel"] < DRIFT_TOL
 
 
 class TestCliIntegration:

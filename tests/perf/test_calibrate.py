@@ -21,7 +21,8 @@ class TestMeasureKernelRates:
     def test_conv_rate_competitive_with_fft(self, rates):
         """The structural claim behind Section 7.4: the regular tensor
         contraction sustains a flop rate at least comparable to the FFT
-        (the paper measures 4x; BLAS-backed einsum vs pocketfft here)."""
+        (the paper measures 4x; real banded GEMMs vs pocketfft here,
+        both counted in the paper's flop model)."""
         assert rates.conv_over_fft > 0.5
 
     def test_ratio_property(self, rates):
