@@ -330,7 +330,7 @@ def _bench_micro(args: argparse.Namespace) -> dict:
     cons = payload["consistency"]
     print(
         f"consistency: max rel dev vs baseline {cons['engine_vs_baseline_max_rel']:.2e}, "
-        f"kernels bit-identical: {cons['kernels_bit_identical']}, "
+        f"kernels within 16 eps log2 n: {cons['kernels_within_tolerance']}, "
         f"dist == seq bitwise: {cons['dist_bitwise_equal_to_sequential']}"
     )
     out = getattr(args, "bench_out", None) or "BENCH_PR3.json"
@@ -546,61 +546,6 @@ def _bench_scale(args: argparse.Namespace) -> dict:
         f"every point: {head['traffic_matches_model_all_points']}"
     )
     out = getattr(args, "bench_out", None) or "BENCH_PR9.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out}")
-    print()
-    return payload
-
-
-def _bench_tune(args: argparse.Namespace) -> dict:
-    """Autotuner gate: tuned vs default kernels; writes BENCH_PR10.json."""
-    from .bench import format_table, run_tune
-
-    payload = run_tune(
-        quick=getattr(args, "bench_quick", False),
-        reps=getattr(args, "bench_reps", None),
-    )
-    rows = []
-    for r in payload["shapes"]:
-        cfg = r["config"]
-        ge, te = cfg["group_elements"], cfg["tile_elements"]
-        rows.append([
-            f"n={r['n']} b={r['nb']}",
-            f"{cfg['variant']}/g={'d' if ge is None else ge}"
-            f"/t={'d' if te is None else te}",
-            f"{r['default_us']:.0f}",
-            f"{r['tuned_us']:.0f}",
-            f"{r['ratio']:.2f}x",
-            ("reverted" if r["reverted"]
-             else ("measured" if r["measured"] else "default")),
-        ])
-    print(
-        format_table(
-            ["shape", "winning config", "default us", "tuned us",
-             "ratio", "note"],
-            rows,
-            title="bench-tune — tuned dispatch vs frozen radix-2 default",
-        )
-    )
-    head = payload["headline"]
-    print(f"headline: {head['name']}: {head['ratio']:.2f}x")
-    wire = payload["wire"]
-    print(
-        f"wire: complex64 SOI all-to-all {wire['complex64_ratio']:.2f}x, "
-        f"rfft_distributed {wire['rfft_ratio']:.2f}x of the complex128 bytes "
-        f"(criterion <= 0.55)"
-    )
-    wis = payload["wisdom"]
-    cons = payload["consistency"]
-    print(
-        f"wisdom: {wis['saved_entries']} entries, round-trip "
-        f"{wis['load_status']} (exact: {wis['roundtrip_exact']}); "
-        f"dispatch bitwise: {cons['dispatch_bitwise']}, "
-        f"all ratios >= 1.0: {cons['all_ratios_at_least_one']}"
-    )
-    out = getattr(args, "bench_out", None) or "BENCH_PR10.json"
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -842,7 +787,6 @@ SECTIONS = {
     "bench-serve": _bench_serve,
     "bench-a2a": _bench_a2a,
     "bench-scale": _bench_scale,
-    "bench-tune": _bench_tune,
     "serve": _serve,
     "check": _check,
 }
@@ -878,8 +822,7 @@ def main(argv: list[str] | None = None) -> int:
         help="bench sections: output JSON path (default BENCH_PR3.json for "
         "bench-micro, BENCH_PR5.json for bench-overlap, BENCH_PR6.json for "
         "bench-resilience, BENCH_PR7.json for bench-serve, BENCH_PR8.json "
-        "for bench-a2a, BENCH_PR9.json for bench-scale, BENCH_PR10.json "
-        "for bench-tune)",
+        "for bench-a2a, BENCH_PR9.json for bench-scale)",
     )
     parser.add_argument(
         "--bench-quick",

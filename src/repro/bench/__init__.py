@@ -6,7 +6,6 @@ from .overlap import LINK_BANDWIDTH, LINK_LATENCY, OVERLAP_BENCH_SCHEMA, run_ove
 from .resilience import RESILIENCE_BENCH_SCHEMA, run_resilience_bench
 from .scale import SCALE_BENCH_SCHEMA, run_scale_bench
 from .serve import SERVE_BENCH_SCHEMA, run_serve_bench
-from .tune import TUNE_BENCH_SCHEMA, run_tune
 from .runner import FigureResult, measured_traffic, run_figure_sweep, trace_rollups
 from .tables import bar_chart, format_series, format_table
 from .workloads import chirp_signal, multitone, noisy_tones, random_complex, random_real
@@ -24,8 +23,6 @@ __all__ = [
     "run_scale_bench",
     "SERVE_BENCH_SCHEMA",
     "run_serve_bench",
-    "TUNE_BENCH_SCHEMA",
-    "run_tune",
     "LINK_BANDWIDTH",
     "LINK_LATENCY",
     "FigureResult",

@@ -9,7 +9,7 @@ What is compared
 ``engine``
     The current library: ``soi_fft(..., backend="repro")`` on the
     plan-cache *hit* path — cached :class:`~repro.dft.plan.FftPlan`
-    objects, iterative Stockham kernels with precomputed stage tables,
+    objects, GEMM-pass Stockham kernels with precomputed tables,
     precomputed SOI workspaces (banded real-GEMM convolution kernel,
     reciprocal demodulation, per-context extended-input buffers).
 
@@ -34,10 +34,10 @@ What is compared
 Timing is min-of-reps with the variants interleaved round-robin in one
 process, which suppresses both one-off warm-up effects and slow drifts
 in machine load.  The harness also re-checks, on every run, that the
-engine and the frozen baseline still agree numerically (identical
-kernels; the only deviation is the documented reciprocal-demodulation
-multiply, a couple of ULPs) and that the distributed transform is
-bit-for-bit identical to the sequential one.
+engine and the frozen baseline still agree numerically (the kernels
+sum the same terms in another order, so rows are held to
+:data:`KERNEL_ULP_FACTOR` ``* eps * log2 n``) and that the distributed
+transform is bit-for-bit identical to the sequential one.
 
 ``python -m repro bench-micro`` runs this and writes ``BENCH_PR3.json``.
 """
@@ -60,9 +60,15 @@ from ..simmpi.runtime import run_spmd
 from ..utils import bit_reverse_indices, factorize, is_power_of_two
 from .workloads import random_complex
 
-__all__ = ["run_micro", "BENCH_SCHEMA"]
+__all__ = ["run_micro", "BENCH_SCHEMA", "KERNEL_ULP_FACTOR"]
 
-BENCH_SCHEMA = "repro-bench-micro/1"
+BENCH_SCHEMA = "repro-bench-micro/2"
+
+#: Kernel rows: engine vs the frozen seed radix-2 / mixed-radix kernel,
+#: max-abs over max-abs, must stay under this many ``eps * log2 n``.
+#: The engine's GEMM passes and the seed butterflies order the same
+#: sums differently; measured drift is ~0.1 eps log2 n.
+KERNEL_ULP_FACTOR = 16.0
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +263,8 @@ def _bench_kernel(shape: tuple[int, ...], reps: int) -> dict:
         },
         reps,
     )
-    bit_identical = bool(np.array_equal(engine(), baseline_percall()))
+    drift = _max_rel(engine(), baseline_percall())
+    tolerance = KERNEL_ULP_FACTOR * float(np.finfo(np.float64).eps) * np.log2(shape[-1])
     return {
         "shape": list(shape),
         "engine_hit_us": times["engine_hit"],
@@ -265,7 +272,9 @@ def _bench_kernel(shape: tuple[int, ...], reps: int) -> dict:
         "baseline_noreuse_us": times["baseline_noreuse"],
         "speedup_vs_noreuse": times["baseline_noreuse"] / times["engine_hit"],
         "speedup_vs_percall": times["baseline_percall"] / times["engine_hit"],
-        "bit_identical_to_baseline": bit_identical,
+        "max_rel_to_baseline": drift,
+        "tolerance": float(tolerance),
+        "within_tolerance": bool(drift < tolerance),
     }
 
 
@@ -367,11 +376,11 @@ def run_micro(quick: bool = False, reps: int | None = None) -> dict:
                 r["engine_vs_baseline_max_rel"] for r in soi_rows
             ),
             "engine_vs_baseline_note": (
-                "identical kernel arithmetic; sole deviation is the "
-                "documented reciprocal-demodulation multiply (~1 ulp)"
+                "same sums in another order: real banded GEMMs for the "
+                "convolution, GEMM passes for the FFT stages"
             ),
-            "kernels_bit_identical": all(
-                r["bit_identical_to_baseline"] for r in kernel_rows
+            "kernels_within_tolerance": all(
+                r["within_tolerance"] for r in kernel_rows
             ),
             "dist_bitwise_equal_to_sequential": dist_row[
                 "bitwise_equal_to_sequential"

@@ -50,8 +50,6 @@ from ..core.soi import soi_fft, soi_fft2, soi_ifft, soi_segment
 from ..dft import FftPlan, irfft, plan_for, rfft
 from ..dft import fft as dft_fft
 from ..dft import ifft as dft_ifft
-from ..dft import tune
-from ..dft.stockham import stockham_fft
 from ..nufft import nudft1, nudft2, nufft1, nufft2, NufftPlan
 from ..parallel.distribution import split_blocks
 from ..parallel.real_dist import rfft_distributed
@@ -88,6 +86,13 @@ _EPS = float(np.finfo(np.float64).eps)
 def exact_tolerance(n: int) -> float:
     """Relative-l2 bound for an exact (non-SOI) n-point FFT path."""
     return EXACT_ULP_FACTOR * _EPS * max(math.log2(max(n, 2)), 1.0)
+
+
+def single_tolerance(n: int) -> float:
+    """Relative-l2 bound for a complex64 path: a float32 ulp budget (the
+    Theorem-2 bound is double-precision; fp32 rounding dominates it by
+    ~4 orders)."""
+    return 64.0 * float(np.finfo(np.float32).eps) * math.log2(n)
 
 
 def soi_tolerance(plan: SoiPlan) -> float:
@@ -368,6 +373,24 @@ def _dft_rows(report: ConformanceReport) -> None:
     spec = np.fft.rfft(xr)
     _oracle_row(report, "dft.irfft[n=512]", "dft", 512, exact_tolerance(512),
                 lambda: (irfft(spec, n=512), np.fft.irfft(spec, n=512)))
+    xodd = _rng("dft.rfft[255]").standard_normal(255)
+    _oracle_row(report, "dft.rfft[n=255,odd]", "dft", 255,
+                exact_tolerance(255),
+                lambda: (rfft(xodd), np.fft.rfft(xodd)),
+                detail="odd lengths take the full-transform fallback")
+    _oracle_row(report, "dft.irfft[n=255,odd]", "dft", 255,
+                exact_tolerance(255),
+                lambda: (irfft(np.fft.rfft(xodd), n=255), xodd))
+
+    # The explicit single-precision opt-in: native complex64 kernels,
+    # held to a float32 ulp budget.
+    x64 = _signal("dft.c64[1024]", 1024).astype(np.complex64)
+    _oracle_row(
+        report, "plan_for[single].execute[n=1024]", "dft", 1024,
+        single_tolerance(1024),
+        lambda: (plan_for(1024, precision="single").execute(x64),
+                 np.fft.fft(x64.astype(np.complex128))),
+    )
 
     # Dtype normalisation at the plan-cache boundary (satellite 1): a
     # float32 caller must execute the identical complex128 kernel.
@@ -554,6 +577,54 @@ def _dist_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
             ),
             np.fft.fft(xt),
         ),
+    )
+
+    # Distributed real-input FFT: half-length packed trick vs the
+    # NumPy oracle.  The half-length plan's halo is size-independent,
+    # so small sizes only admit 2 ranks (block >= halo).
+    half = n // 2
+    hplan = SoiPlan(n=half, p=_DIST_P)
+    ranks = _DIST_RANKS if half // _DIST_RANKS >= hplan.halo else 2
+    xr = _rng(f"dist.rfft_dist[{n}]").standard_normal(n)
+    rblocks = split_blocks(xr, ranks)
+
+    def rdist() -> np.ndarray:
+        res = run_spmd(
+            ranks,
+            lambda comm: rfft_distributed(comm, rblocks[comm.rank], hplan),
+        )
+        return np.concatenate(res.values)
+
+    _oracle_row(
+        report, f"rfft_distributed[n={n},R={ranks}]", "dist", n,
+        soi_tolerance(hplan),
+        lambda: (rdist(), np.fft.rfft(xr)),
+        detail="one half-volume all-to-all plus the O(N) untangle",
+    )
+
+    # complex64 tier: held to the single-precision ulp budget.
+    tol32 = single_tolerance(n)
+    x64 = _signal(f"dist.c64[{n}]", n).astype(np.complex64)
+    oracle64 = np.fft.fft(x64.astype(np.complex128))
+    plan64 = SoiPlan(n=n, p=_DIST_P, dtype=np.complex64)
+    _oracle_row(
+        report, f"soi_fft[c64,n={n},P={_DIST_P},repro]", "dist", n, tol32,
+        lambda: (soi_fft(x64, plan64, backend="repro"), oracle64),
+    )
+    blocks64 = split_blocks(x64, _DIST_RANKS)
+
+    def dist64() -> np.ndarray:
+        res = run_spmd(
+            _DIST_RANKS,
+            lambda comm: soi_fft_distributed(
+                comm, blocks64[comm.rank], plan64, backend="repro"),
+        )
+        return np.concatenate(res.values)
+
+    _bitwise_row(
+        report, f"soi_fft_distributed[c64]==sequential[n={n}]", "dist", n,
+        lambda: (dist64(), soi_fft(x64, plan64, backend="repro")),
+        detail="the float32 wire keeps the seq==dist bitwise contract",
     )
 
 
@@ -1095,126 +1166,10 @@ def _des_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
     )
 
 
-def _tune_rows(report: ConformanceReport, n: int) -> None:
-    """Autotuner tier: tuned schedules bitwise, the low-precision and
-    real-input paths against their oracles.
-
-    The tuner's licence to race freely is that every candidate schedule
-    is *bitwise* the default radix-2 output; these rows re-prove that
-    for each kernel variant and tunable, and then again through the
-    plan cache with wisdom actually installed.  The complex64 rows are
-    held to a single-precision ulp budget (the double-precision SOI
-    bound is far below the float32 floor), and the distributed paths
-    keep the sequential-equality contract at either precision.
-    """
-    # Kernel variants and tunables: bitwise vs the default schedule.
-    xb = _signal("tune.variants[256x8]", 8 * 256).reshape(8, 256)
-    for variant in ("radix4", "split_radix"):
-        _bitwise_row(
-            report, f"stockham[{variant}]==radix2[n=256,b=8]", "tune", 256,
-            lambda variant=variant: (
-                stockham_fft(xb, -1, variant=variant), stockham_fft(xb, -1)),
-            detail="fused passes reorder no additions: schedules are bitwise",
-        )
-    for label, kwargs in (
-        ("group=0", {"group_elements": 0}),
-        ("group=4096", {"group_elements": 4096}),
-        ("tile=0", {"tile_elements": 0}),
-        ("tile=force", {"tile_elements": 1 << 19}),
-    ):
-        _bitwise_row(
-            report, f"stockham[{label}]==default[n=256,b=8]", "tune", 256,
-            lambda kwargs=kwargs: (
-                stockham_fft(xb, -1, **kwargs), stockham_fft(xb, -1)),
-            detail="cache blocking and twiddle tiling move data, not values",
-        )
-
-    # Through the plan cache: a tuned plan (wisdom installed for every
-    # variant in turn) must dispatch bitwise-identically to the default.
-    saved = tune.wisdom_entries()
-    try:
-        for variant in ("radix2", "radix4", "split_radix"):
-            cfg = {"variant": variant, "group_elements": 0,
-                   "tile_elements": 1 << 19}
-            tune.record_wisdom(256, np.complex128, tune.batch_bucket(8), cfg)
-            _bitwise_row(
-                report, f"FftPlan[tuned:{variant}]==default[n=256]", "tune",
-                256,
-                lambda: (plan_for(256).execute(xb), stockham_fft(xb, -1)),
-                detail="wisdom-dispatched execute vs the untuned kernel",
-            )
-    finally:
-        tune.clear_wisdom()
-        for (kn, kd, kb), entry in saved.items():
-            tune.record_wisdom(kn, kd, kb, entry)
-
-    # Satellite 1: rfft now accepts odd lengths (full-FFT fallback).
-    xodd = _rng("tune.rfft[255]").standard_normal(255)
-    _oracle_row(report, "dft.rfft[n=255,odd]", "tune", 255,
-                exact_tolerance(255),
-                lambda: (rfft(xodd), np.fft.rfft(xodd)),
-                detail="odd lengths take the full-transform fallback")
-
-    # Distributed real-input FFT: half-length packed trick vs the
-    # NumPy oracle.  The half-length plan's halo is size-independent,
-    # so small sizes only admit 2 ranks (block >= halo).
-    half = n // 2
-    hplan = SoiPlan(n=half, p=_DIST_P)
-    ranks = _DIST_RANKS if half // _DIST_RANKS >= hplan.halo else 2
-    xr = _rng(f"tune.rfft_dist[{n}]").standard_normal(n)
-    rblocks = split_blocks(xr, ranks)
-
-    def rdist() -> np.ndarray:
-        res = run_spmd(
-            ranks,
-            lambda comm: rfft_distributed(comm, rblocks[comm.rank], hplan),
-        )
-        return np.concatenate(res.values)
-
-    _oracle_row(
-        report, f"rfft_distributed[n={n},R={ranks}]", "tune", n,
-        soi_tolerance(hplan),
-        lambda: (rdist(), np.fft.rfft(xr)),
-        detail="one half-volume all-to-all plus the O(N) untangle",
-    )
-
-    # complex64 tier: single-precision ulp budget (the Theorem-2 bound
-    # is double-precision; fp32 rounding dominates it by ~4 orders).
-    eps32 = float(np.finfo(np.float32).eps)
-    tol32 = 64.0 * eps32 * math.log2(n)
-    x64 = _signal(f"tune.c64[{n}]", n).astype(np.complex64)
-    oracle64 = np.fft.fft(x64.astype(np.complex128))
-    _oracle_row(
-        report, f"plan_for[single].execute[n={n}]", "tune", n, tol32,
-        lambda: (plan_for(n, precision="single").execute(x64), oracle64),
-        detail="native complex64 Stockham kernels",
-    )
-    plan64 = SoiPlan(n=n, p=_DIST_P, dtype=np.complex64)
-    _oracle_row(
-        report, f"soi_fft[c64,n={n},P={_DIST_P},repro]", "tune", n, tol32,
-        lambda: (soi_fft(x64, plan64, backend="repro"), oracle64),
-    )
-    blocks64 = split_blocks(x64, _DIST_RANKS)
-
-    def dist64() -> np.ndarray:
-        res = run_spmd(
-            _DIST_RANKS,
-            lambda comm: soi_fft_distributed(
-                comm, blocks64[comm.rank], plan64, backend="repro"),
-        )
-        return np.concatenate(res.values)
-
-    _bitwise_row(
-        report, f"soi_fft_distributed[c64]==sequential[n={n}]", "tune", n,
-        lambda: (dist64(), soi_fft(x64, plan64, backend="repro")),
-        detail="the float32 wire keeps the seq==dist bitwise contract",
-    )
-
-
 #: Row-builder groups selectable via ``run_conformance(groups=...)``.
 CONFORMANCE_GROUPS = (
     "dft", "nufft", "soi", "soi-edge", "dist", "resilience", "serve", "a2a",
-    "des", "tune",
+    "des",
 )
 
 
@@ -1264,6 +1219,4 @@ def run_conformance(
         _a2a_rows(report, cfg["dist_n"], cfg["transpose_n"])
     if "des" in want:
         _des_rows(report, cfg["dist_n"], cfg["transpose_n"])
-    if "tune" in want:
-        _tune_rows(report, cfg["dist_n"])
     return report

@@ -6,24 +6,26 @@ complete, self-contained implementation:
 
 - :func:`~repro.dft.naive.dft` / :func:`~repro.dft.naive.idft` — the
   O(N^2) reference transform used as ground truth in tests.
-- :func:`~repro.dft.radix2.fft_radix2` — iterative, in-order
-  (bit-reversal + butterflies) power-of-two FFT, fully vectorised across
-  butterfly groups and across batches.
-- :func:`~repro.dft.mixed_radix.fft_mixed_radix` — recursive
-  Cooley–Tukey for arbitrary smooth sizes.
+- :mod:`~repro.dft.engine` — the kernel every smooth size runs: a
+  generalized Stockham transform whose three or four passes are BLAS-3
+  matrix products (``F_R @ X`` for radices up to 32).
+- :func:`~repro.dft.radix2.fft_radix2` — the elementwise radix-2
+  Stockham network, self-sorting and batched; plans keep it for
+  power-of-two lengths up to 64 and tests keep it as the frozen
+  reference.
+- :func:`~repro.dft.mixed_radix.fft_mixed_radix` — one-shot over the
+  engine for arbitrary smooth sizes.
 - :func:`~repro.dft.bluestein.fft_bluestein` — chirp-z algorithm for
-  arbitrary (including prime) sizes via power-of-two convolution.
+  arbitrary (including prime) sizes via a smooth-length convolution on
+  the engine.
 - :func:`~repro.dft.real.rfft` / :func:`~repro.dft.real.irfft` — real
   input transforms via the half-size complex trick.
 - :class:`~repro.dft.plan.FftPlan` — size-dispatching plan with
-  precomputed twiddle/schedule tables, batched execution, and flop
+  precomputed radix schedule and tables, batched execution, and flop
   accounting.
 - :func:`~repro.dft.cache.plan_for` — the process-wide, thread-safe
   LRU plan cache every hot path (backend, one-shots, SOI pipeline)
   routes through.
-- :mod:`~repro.dft.tune` — FFTW-style autotuner: races the Stockham
-  kernel variants/tunables per shape and records winners as persistent,
-  hostname-keyed wisdom that cached plans dispatch automatically.
 - :mod:`~repro.dft.backends` — registry so every higher-level algorithm
   can run on either this library or ``numpy.fft`` interchangeably.
 
@@ -48,14 +50,6 @@ from .cache import (
 )
 from .backends import FftBackend, get_backend, register_backend, available_backends
 from .flops import fft_flops, fft_gflops_rate
-from .tune import (
-    autotune,
-    clear_wisdom,
-    load_wisdom,
-    save_wisdom,
-    tune_shape,
-    wisdom_info,
-)
 
 __all__ = [
     "dft",
@@ -83,10 +77,4 @@ __all__ = [
     "available_backends",
     "fft_flops",
     "fft_gflops_rate",
-    "autotune",
-    "tune_shape",
-    "save_wisdom",
-    "load_wisdom",
-    "clear_wisdom",
-    "wisdom_info",
 ]

@@ -5,10 +5,13 @@ The paper's implementation uses Intel MKL FFTs "as building blocks"
 used.  We mirror that by routing every local transform in
 :mod:`repro.core` and :mod:`repro.parallel` through a named backend:
 
-- ``"repro"`` — this library's own kernels (:mod:`repro.dft`), the
-  default, standing in for a vendor library built from scratch;
+- ``"repro"`` — this library's own kernels (:mod:`repro.dft`),
+  standing in for a vendor library built from scratch; the serve
+  layer's default library;
 - ``"numpy"`` — ``numpy.fft`` (pocketfft), standing in for MKL/FFTW as
-  an independent high-quality implementation.
+  an independent high-quality implementation; the default of
+  ``soi_fft`` / ``soi_fft_distributed`` and the other pipeline entry
+  points.
 
 Tests run the full pipeline under both backends; agreement between them
 is itself a strong correctness check.
@@ -44,7 +47,7 @@ class FftBackend:
     ``fft_t`` is an optional fused kernel: given a 2-D ``(rows, n)``
     array it returns the forward transform of each row *transposed*, as
     a contiguous ``(n, rows)`` array.  Backends whose internal layout is
-    already transposed (the Stockham kernel) provide it to skip a
+    already transposed (the radix-2 network) provide it to skip a
     transpose copy; others leave it ``None`` and callers fall back to
     ``fft`` + explicit transpose via :func:`backend_fft_t`.  Either way
     the returned values must be bit-identical to the fallback.
@@ -75,7 +78,7 @@ def backend_fft_tt(backend: FftBackend, xt: np.ndarray) -> np.ndarray:
 
     The zero-transpose pipeline step: the SOI convolution can emit its
     output pre-transposed (one transform per column), which is exactly
-    the layout the Stockham kernel consumes and produces natively.
+    the layout the radix-2 network consumes and produces natively.
     Backends without a fused ``fft_tt`` pay the two transposes the
     unfused pipeline always paid (values bit-identical either way).
     """

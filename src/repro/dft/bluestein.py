@@ -5,87 +5,92 @@ Rewrites the DFT as a linear convolution via the identity
 
     ``X_k = e^(-i*pi*k^2/n) * sum_j (x_j e^(-i*pi*j^2/n)) * e^(+i*pi*(k-j)^2/n)``
 
-The convolution is evaluated circularly at a padded power-of-two length
-``L >= 2n-1`` using the radix-2 kernel, giving O(n log n) for any n.
+The convolution is evaluated circularly at the smallest 7-smooth length
+``L >= 2n-1`` (8232 for ``n = 4099``, where the next power of two is
+16384) with the GEMM-pass engine of :mod:`repro.dft.engine`, giving
+O(n log n) for any n.  Both padded transforms are *forward* transforms:
+the inverse one is the forward result read index-reversed, fused into
+the final chirp multiply, and its ``1/L`` is folded into the kernel
+spectrum — so a size carries one engine, one chirp and one spectrum.
 
 Chirp phases are computed from ``j^2 mod 2n`` (exact integer arithmetic)
 rather than ``j^2/n`` in floating point — for n in the millions the
 naive form loses several digits to argument reduction, which would
 poison the SOI accuracy experiments.
-
-The per-size set-up — the chirp vector and the forward FFT of the
-padded convolution kernel — is cached (LRU, thread-safe), so repeated
-transforms through a cached plan pay only the two data-dependent FFTs.
-The cached pieces are the same values the per-call path computed, so
-outputs are bit-for-bit unchanged.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+from functools import lru_cache
 
 import numpy as np
 
-from ..utils import next_power_of_two
-from .radix2 import _radix2_core
+from .engine import GemmStockham, inverse_from_forward
 
-__all__ = ["fft_bluestein"]
-
-
-def _chirp(n: int, sign: int) -> np.ndarray:
-    """``exp(sign * i*pi*j^2/n)`` for j = 0..n-1, with exact reduction."""
-    j = np.arange(n, dtype=np.int64)
-    # j^2 fits in int64 for n < 2^31; guard anyway.
-    if n >= (1 << 31):
-        raise ValueError("bluestein: n too large for exact chirp reduction")
-    jj = (j * j) % (2 * n)
-    return np.exp(sign * 1j * np.pi * jj / n)
+__all__ = ["fft_bluestein", "ChirpZ"]
 
 
-_SETUP_CACHE_MAX = 32
-_setup_cache: OrderedDict[tuple[int, int], tuple] = OrderedDict()
-_setup_lock = threading.Lock()
+def _padded_length(n: int) -> int:
+    """Smallest ``2^a 3^b 5^c 7^d >= n``."""
+    best = 1 << (n - 1).bit_length()
+    p7 = 1
+    while p7 < best:
+        p5 = p7
+        while p5 < best:
+            p3 = p5
+            while p3 < best:
+                # The smallest power of two lifting p3 to >= n.
+                lift = (-(-n // p3) - 1).bit_length()
+                best = min(best, p3 << lift)
+                p3 *= 3
+            p5 *= 5
+        p7 *= 7
+    return best
 
 
-def _setup(n: int, sign: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Cached ``(chirp, fft(kernel), L)`` for one (size, direction)."""
-    key = (n, sign)
-    with _setup_lock:
-        hit = _setup_cache.get(key)
-        if hit is not None:
-            _setup_cache.move_to_end(key)
-            return hit
-    a = _chirp(n, sign)  # e^(sign*i*pi*j^2/n)
-    L = next_power_of_two(2 * n - 1)
-    # Kernel v_j = conj-chirp, laid out circularly for negative lags.
-    v = np.zeros(L, dtype=np.complex128)
-    b = np.conj(a)
-    v[:n] = b
-    v[L - n + 1 :] = b[1:][::-1]
-    fv = _radix2_core(v, -1)
-    a.setflags(write=False)
-    fv.setflags(write=False)
-    entry = (a, fv, L)
-    with _setup_lock:
-        _setup_cache[key] = entry
-        _setup_cache.move_to_end(key)
-        while len(_setup_cache) > _SETUP_CACHE_MAX:
-            _setup_cache.popitem(last=False)
-    return entry
+class ChirpZ:
+    """Forward chirp-z transform of length ``n >= 2`` at dtype *ctype*."""
+
+    def __init__(self, n: int, ctype: np.dtype) -> None:
+        # j^2 must fit in int64 for the exact chirp reduction.
+        if n >= (1 << 31):
+            raise ValueError("bluestein: n too large for exact chirp reduction")
+        self.n = n
+        self.ctype = np.dtype(ctype)
+        self.length = _padded_length(2 * n - 1)
+        j = np.arange(n, dtype=np.int64)
+        chirp = np.exp(-1j * np.pi * ((j * j) % (2 * n)) / n)
+        self._engine = GemmStockham(self.length, self.ctype)
+        # Kernel v_j = conj-chirp, laid out circularly for negative lags.
+        v = np.zeros((1, self.length), dtype=self.ctype)
+        v[0, :n] = np.conj(chirp)
+        v[0, self.length - n + 1 :] = np.conj(chirp[:0:-1])
+        self.kernel_spectrum = self._engine.forward(v)[0] / self.length
+        self.chirp = chirp.astype(self.ctype)
+        self.kernel_spectrum.setflags(write=False)
+        self.chirp.setflags(write=False)
+
+    def forward(self, x2: np.ndarray) -> np.ndarray:
+        """Unscaled forward transform of each row of ``(rows, n)`` *x2*."""
+        n, length = self.n, self.length
+        padded = np.empty((x2.shape[0], length), dtype=self.ctype)
+        np.multiply(x2, self.chirp, out=padded[:, :n])
+        padded[:, n:] = 0
+        spec = self._engine.forward(padded)
+        spec *= self.kernel_spectrum
+        # L * ifft(spec)[k] is the forward transform at index -k mod L.
+        conv = self._engine.forward(spec)
+        out = np.empty((x2.shape[0], n), dtype=self.ctype)
+        np.multiply(conv[:, :1], self.chirp[:1], out=out[:, :1])
+        np.multiply(conv[:, : length - n : -1], self.chirp[1:], out=out[:, 1:])
+        return out
 
 
-def _bluestein_core(x: np.ndarray, sign: int) -> np.ndarray:
-    """Unscaled transform over the last axis; sign=-1 forward, +1 inverse."""
-    n = x.shape[-1]
-    if n == 1:
-        return x.copy()
-    a, fv, L = _setup(n, sign)
-    u = x * a
-    up = np.zeros(x.shape[:-1] + (L,), dtype=np.complex128)
-    up[..., :n] = u
-    conv = _radix2_core(_radix2_core(up, -1) * fv, +1) / L
-    return conv[..., :n] * a
+@lru_cache(maxsize=8)
+def _chirpz_for(n: int) -> ChirpZ:
+    """fft_bluestein's own small cache; an FftPlan owns its ChirpZ
+    outright, so dropping a plan drops its tables."""
+    return ChirpZ(n, np.dtype(np.complex128))
 
 
 def fft_bluestein(x: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -98,7 +103,9 @@ def fft_bluestein(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     n = arr.shape[-1]
     if n == 0:
         raise ValueError("transform length must be positive")
-    out = _bluestein_core(arr, sign=+1 if inverse else -1)
+    if n == 1:
+        return arr.copy()
+    out = _chirpz_for(n).forward(arr.reshape(-1, n))
     if inverse:
-        out = out / n
-    return out
+        out = inverse_from_forward(out)
+    return out.reshape(arr.shape)

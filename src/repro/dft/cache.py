@@ -10,14 +10,15 @@ length and compute dtype that the ``"repro"`` backend, the one-shot
 :func:`repro.dft.fft` / :func:`repro.dft.ifft` helpers and therefore the
 whole SOI pipeline route through.
 
-Dtype soundness: every kernel computes in complex128, and
-:class:`FftPlan` normalises inputs to that compute dtype at its own
-boundary.  The cache key therefore carries the *compute* dtype a plan
-was built for — today every caller dtype (float32, complex64, ...) maps
-to the one complex128 compute dtype, so mixed-dtype callers share one
-plan *by construction* rather than by accidental collision, and a
-future reduced-precision compute path would get distinct cache entries
-instead of corrupting double-precision callers.
+Dtype soundness: a plan computes in one dtype — complex128, or
+complex64 for the explicit ``precision="single"`` opt-in — and
+:class:`FftPlan` normalises inputs to it at its own boundary.  The
+cache key carries that *compute* dtype, never the caller's: every
+caller dtype (float32, complex64, ...) maps to the complex128 plan
+unless single precision is asked for by name, so mixed-dtype callers
+share one plan *by construction* rather than by accidental collision,
+and the two precisions get distinct entries instead of corrupting each
+other.
 
 Thread safety is a hard requirement, not hygiene: :func:`repro.simmpi.run_spmd`
 ranks are *threads*, so a distributed FFT has every rank hammering this
@@ -42,6 +43,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..utils import check_positive_int
 from .plan import FftPlan
 
 __all__ = [
@@ -60,7 +62,7 @@ SHAPES_SCHEMA = "repro.dft.plan_cache_shapes/1"
 
 _DEFAULT_MAX_PLANS = 64
 
-#: The one dtype every kernel computes in (see FftPlan._as_compute).
+#: The default compute dtype (see FftPlan._as_compute).
 _COMPUTE_DTYPE = np.dtype(np.complex128)
 
 #: Name of the lock guarding the cache, declared to the HB checker.
@@ -117,7 +119,7 @@ def plan_for(n: int, dtype: Any = None, precision: str | None = None) -> FftPlan
     if obs is not None:
         obs("dft.plan_cache", "rw", _GUARD)
     compute = _compute_dtype(dtype, precision)
-    key = (int(n), compute.str)
+    key = (check_positive_int(n, "n"), compute.str)
     with _lock:
         plan = _plans.get(key)
         if plan is not None:
@@ -149,25 +151,15 @@ def clear_plan_cache() -> None:
 
 
 def plan_cache_info() -> dict[str, int]:
-    """Cache statistics: entries, hits, misses, evictions, max_plans,
-    plus the autotuner's wisdom counters (``wisdom_entries``,
-    ``wisdom_hits`` — plan executions served a tuned config — vs.
-    ``races_run`` — fresh measurements paid this process)."""
-    from . import tune  # lazy: tune imports the kernel, not the cache
-
+    """Cache statistics: entries, hits, misses, evictions, max_plans."""
     with _lock:
-        info = {
+        return {
             "entries": len(_plans),
             "hits": _hits,
             "misses": _misses,
             "evictions": _evictions,
             "max_plans": _max_plans,
         }
-    winfo = tune.wisdom_info()
-    info["wisdom_entries"] = winfo["entries"]
-    info["wisdom_hits"] = winfo["wisdom_hits"]
-    info["races_run"] = winfo["races_run"]
-    return info
 
 
 def set_plan_cache_limit(max_plans: int) -> int:
@@ -204,14 +196,14 @@ def warm_plan_cache(shapes: Any) -> dict[str, int]:
         else:
             n, dtype = shape, None
         requested += 1
-        key = (int(n), _compute_dtype(dtype).str)
+        key = (check_positive_int(n, "n"), _compute_dtype(dtype).str)
         with _lock:
             warm = key in _plans
         if warm:
             already += 1
         else:
             built += 1
-        plan_for(int(n), dtype)
+        plan_for(n, dtype)
     return {"requested": requested, "built": built, "already": already}
 
 

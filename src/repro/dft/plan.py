@@ -3,12 +3,24 @@
 A :class:`FftPlan` mirrors how production FFT libraries (FFTW, MKL —
 the substrates in the paper's Fig. 2) are used: create a plan for a
 size once, execute it many times, possibly over batches.  The plan
-pre-selects the kernel (radix-2 / mixed-radix / Bluestein) and
-precomputes everything size-dependent at construction time — the
-Stockham per-stage twiddle tables, the mixed-radix factor schedule
-(dense prime matrices + per-level twiddle tables), or the Bluestein
-chirp and kernel spectrum — so ``execute`` does no factorisation and
-no trigonometry, only the transform itself.
+picks its kernel from ``n`` alone and precomputes everything
+size-dependent at construction time, so ``execute`` does no
+factorisation and no trigonometry, only the transform itself:
+
+- power-of-two ``n <= 64`` (the SOI segment counts ``P``): the
+  elementwise radix-2 network of :mod:`repro.dft.stockham`, in all
+  three entry points;
+- every other smooth ``n``: the GEMM-pass engine of
+  :mod:`repro.dft.engine` (its radix schedule, DFT matrices and
+  twiddle blocks are the plan's tables);
+- a prime factor above 61: Bluestein's chirp-z
+  (:mod:`repro.dft.bluestein`), whose padded transforms run on the same
+  engine at a smooth length.
+
+Row and column layouts agree bitwise for every ``n``: the network is
+elementwise (a column's bits depend on that column only), and for every
+other size ``execute_t`` / ``execute_tt`` transpose into the engine's
+row layout, so the two layouts share one arithmetic by construction.
 
 Plans are thread-safe: execution touches no shared mutable state
 except the flop-accounting counter, which is lock-protected because
@@ -26,13 +38,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..utils import check_positive_int, factorize, is_power_of_two
-from .bluestein import fft_bluestein, _setup as _bluestein_setup
+from ..utils import check_positive_int, is_power_of_two
+from .bluestein import ChirpZ
+from .engine import GemmStockham, inverse_from_forward, is_smooth
 from .flops import fft_flops
-from .mixed_radix import fft_mixed_radix, mixed_radix_schedule, _MAX_DENSE_PRIME
-from .stockham import stage_twiddles
+from .stockham import stage_twiddles, stockham_fft, stockham_fft_t, stockham_fft_tt
 
 __all__ = ["FftPlan", "fft", "ifft"]
+
+#: Largest power of two that stays on the elementwise radix-2 network.
+#: These are the SOI segment counts, transformed down the columns of a
+#: ``(P, M')`` array: a GEMM pass there would be one matrix-vector
+#: product per row, and the network's native column layout needs no
+#: transposes.
+NETWORK_MAX = 64
 
 
 @dataclass
@@ -55,8 +74,8 @@ class FftPlan:
     Attributes
     ----------
     kernel:
-        Which kernel the size dispatched to: ``"radix2"``,
-        ``"mixed_radix"`` or ``"bluestein"``.
+        The size class of ``n``: ``"radix2"`` (powers of two),
+        ``"mixed_radix"`` (other smooth sizes) or ``"bluestein"``.
     executions:
         Number of transforms executed through this plan (batch entries
         count individually), for flop accounting.  Updated under a lock
@@ -79,31 +98,24 @@ class FftPlan:
             np.complex64 if self.precision == "single" else np.complex128
         )
         self._count_lock = threading.Lock()
-        # Autotuner memo: (wisdom generation, {batch count -> config}).
-        # Revalidated against repro.dft.tune's generation counter so a
-        # late wisdom load (server warm-up, bench racing) reaches plans
-        # that are already cached and executing.
-        self._tune_memo: tuple[int, dict] | None = None
-        if self.n == 1 or is_power_of_two(self.n):
+        if is_power_of_two(self.n):
             self.kernel = "radix2"
-        elif max(factorize(self.n)) <= _MAX_DENSE_PRIME:
+        elif is_smooth(self.n):
             self.kernel = "mixed_radix"
         else:
             self.kernel = "bluestein"
         # Precompute every size-dependent table so the first execute()
         # is not an outlier in timing loops (plans in FFTW/MKL do the
-        # same).  Each warm-up populates a shared, thread-safe cache.
-        if self.kernel == "radix2" and self.n > 1:
+        # same).  Both directions run the forward tables: the inverse is
+        # the forward result read index-reversed.
+        self._network = self.kernel == "radix2" and self.n <= NETWORK_MAX
+        if self._network:
             stage_twiddles(self.n, -1, self.compute_dtype)
-            stage_twiddles(self.n, +1, self.compute_dtype)
-        elif self.kernel == "mixed_radix":
-            schedule = mixed_radix_schedule(self.n)
-            if schedule.tail == "radix2" and schedule.tail_n > 1:
-                stage_twiddles(schedule.tail_n, -1)
-                stage_twiddles(schedule.tail_n, +1)
+            self._forward = lambda x2: stockham_fft(x2, -1)
         elif self.kernel == "bluestein":
-            _bluestein_setup(self.n, -1)
-            _bluestein_setup(self.n, +1)
+            self._forward = ChirpZ(self.n, self.compute_dtype).forward
+        else:
+            self._forward = GemmStockham(self.n, self.compute_dtype).forward
 
     #: The default compute dtype; a plan's actual dtype is
     #: ``self.compute_dtype`` (complex64 for ``precision="single"``).
@@ -120,151 +132,80 @@ class FftPlan:
         """
         return np.ascontiguousarray(arr, dtype=self.compute_dtype)
 
-    def _tuned_config(self, nb: int) -> dict | None:
-        """The autotuned kernel config for a batch of *nb*, memoised.
-
-        Consults :mod:`repro.dft.tune` wisdom once per (batch count,
-        wisdom generation); ``None`` means the default radix-2 config.
-        """
-        if self.n <= 1:
-            return None
-        from . import tune
-
-        gen = tune.wisdom_generation()
-        with self._count_lock:
-            memo = self._tune_memo
-            if memo is None or memo[0] != gen:
-                memo = (gen, {})
-                self._tune_memo = memo
-        cfgs = memo[1]
-        if nb not in cfgs:
-            cfgs[nb] = tune.tuned_config_for(self.n, self.compute_dtype, nb)
-        return cfgs[nb]
-
-    def _execute_pow2(self, arr: np.ndarray, inverse: bool) -> np.ndarray:
-        """Power-of-two transform via the (possibly tuned) Stockham kernel."""
-        from .stockham import stockham_fft
-
-        nb = int(np.prod(arr.shape[:-1], dtype=np.int64)) or 1
-        cfg = self._tuned_config(nb)
-        sign = +1 if inverse else -1
-        if cfg is None:
-            out = stockham_fft(arr, sign)
-        else:
-            out = stockham_fft(
-                arr,
-                sign,
-                variant=cfg["variant"],
-                group_elements=cfg["group_elements"],
-                tile_elements=cfg["tile_elements"],
+    def _check_axis(self, arr: np.ndarray, axis: int, which: str) -> None:
+        if arr.shape[axis] != self.n:
+            raise ValueError(
+                f"plan is for length {self.n}, input {which} axis is {arr.shape[axis]}"
             )
-        if inverse:
-            out = out / self.n
-        return out
+
+    def _count(self, transforms: int) -> None:
+        with self._count_lock:
+            self.executions += transforms
 
     def execute(self, x: np.ndarray, inverse: bool | None = None) -> np.ndarray:
         """Transform *x* over its last axis; length must equal ``self.n``.
 
         Returns a new array; the input is never modified.  Any numeric
-        input dtype/layout is accepted and computed in complex128.
+        input dtype/layout is accepted and computed at the plan's
+        precision.  A stacked call is bitwise its rows transformed one
+        at a time.
         """
         arr = np.asarray(x)
-        if arr.shape[-1] != self.n:
+        if arr.ndim == 0:
             raise ValueError(
-                f"plan is for length {self.n}, input last axis is {arr.shape[-1]}"
+                f"plan is for length {self.n}, input has shape () — "
+                "need at least one axis"
             )
+        self._check_axis(arr, -1, "last")
         arr = self._as_compute(arr)
-        inv = self.inverse if inverse is None else inverse
-        if self.kernel == "mixed_radix":
-            # Non-pow2 kernels compute in double; single-precision plans
-            # round once at the boundary (strictly more accurate than a
-            # native c64 recursion, and the wire dtype is what matters).
-            out = fft_mixed_radix(arr, inverse=inv)
-        elif self.kernel == "bluestein":
-            out = fft_bluestein(arr, inverse=inv)
-        else:
-            out = self._execute_pow2(arr, inv)
-        if out.dtype != self.compute_dtype:
-            out = out.astype(self.compute_dtype)
-        batch = int(np.prod(arr.shape[:-1], dtype=np.int64)) or 1
-        with self._count_lock:
-            self.executions += batch
-        return out
+        rows = arr.reshape(-1, self.n)
+        if rows.shape[0] == 0:
+            return np.empty(arr.shape, dtype=self.compute_dtype)
+        out = self._forward(rows)
+        if self.inverse if inverse is None else inverse:
+            out = inverse_from_forward(out)
+        self._count(rows.shape[0])
+        return out.reshape(arr.shape)
 
     def execute_t(self, x2: np.ndarray) -> np.ndarray:
         """Forward-transform the rows of 2-D *x2*, returned as ``(n, rows)``.
 
-        Bit-identical to ``execute(x2).T`` made contiguous, but the
-        radix-2 kernel produces this layout natively (the Stockham
-        network's internal orientation), so the transpose copy is
-        skipped.  Backends use this for pipeline stages that consume
-        the transposed layout anyway (the SOI segment reorder).
+        Bit-identical to ``execute(x2).T`` made contiguous.  The radix-2
+        network produces this layout natively (its internal
+        orientation), so for ``n <= 64`` the transpose copy is skipped.
+        Backends use this for pipeline stages that consume the
+        transposed layout anyway (the SOI segment reorder).
         """
         arr = np.asarray(x2)
         if arr.ndim != 2:
             raise ValueError(f"execute_t needs a 2-D array, got shape {arr.shape}")
-        if arr.shape[-1] != self.n:
-            raise ValueError(
-                f"plan is for length {self.n}, input last axis is {arr.shape[-1]}"
-            )
-        if self.kernel != "radix2" or self.n == 1:
+        self._check_axis(arr, -1, "last")
+        if not self._network:
             # execute() does the flop accounting on this path.
-            return np.ascontiguousarray(
-                np.swapaxes(self.execute(arr, inverse=False), -1, -2)
-            )
-        from .stockham import stockham_fft_t
-
-        cfg = self._tuned_config(arr.shape[0])
-        if cfg is None:
-            out = stockham_fft_t(self._as_compute(arr), -1)
-        else:
-            out = stockham_fft_t(
-                self._as_compute(arr),
-                -1,
-                variant=cfg["variant"],
-                group_elements=cfg["group_elements"],
-                tile_elements=cfg["tile_elements"],
-            )
-        with self._count_lock:
-            self.executions += arr.shape[0]
+            return np.ascontiguousarray(self.execute(arr, inverse=False).T)
+        out = stockham_fft_t(self._as_compute(arr), -1)
+        self._count(arr.shape[0])
         return out
 
     def execute_tt(self, xt: np.ndarray) -> np.ndarray:
         """Forward-transform the *columns* of 2-D *xt*; output ``(n, cols)``.
 
         The fully fused layout: input and output both column-major per
-        transform (the Stockham internal orientation), so neither an
-        entry nor an exit transpose is paid on the radix-2 path.
-        Bit-identical to ``execute(xt.T).T`` made contiguous.
+        transform (the network's internal orientation), so for
+        ``n <= 64`` neither an entry nor an exit transpose is paid.
+        Bit-identical to ``execute(xt.T).T`` made contiguous — which is
+        literally what every other size runs, so a slice of the columns
+        gets the bits the whole array gets.
         """
         arr = np.asarray(xt)
         if arr.ndim != 2:
             raise ValueError(f"execute_tt needs a 2-D array, got shape {arr.shape}")
-        if arr.shape[0] != self.n:
-            raise ValueError(
-                f"plan is for length {self.n}, input first axis is {arr.shape[0]}"
-            )
-        if self.kernel != "radix2" or self.n == 1:
+        self._check_axis(arr, 0, "first")
+        if not self._network:
             # execute() does the flop accounting on this path.
-            out = self.execute(
-                np.ascontiguousarray(np.swapaxes(arr, 0, 1)), inverse=False
-            )
-            return np.ascontiguousarray(np.swapaxes(out, 0, 1))
-        from .stockham import stockham_fft_tt
-
-        cfg = self._tuned_config(arr.shape[1])
-        if cfg is None:
-            out = stockham_fft_tt(self._as_compute(arr), -1)
-        else:
-            out = stockham_fft_tt(
-                self._as_compute(arr),
-                -1,
-                variant=cfg["variant"],
-                group_elements=cfg["group_elements"],
-                tile_elements=cfg["tile_elements"],
-            )
-        with self._count_lock:
-            self.executions += arr.shape[1]
+            return np.ascontiguousarray(self.execute(arr.T, inverse=False).T)
+        out = stockham_fft_tt(self._as_compute(arr), -1)
+        self._count(arr.shape[1])
         return out
 
     def __call__(self, x: np.ndarray, inverse: bool | None = None) -> np.ndarray:
@@ -279,17 +220,20 @@ class FftPlan:
         return f"FftPlan(n={self.n}, kernel={self.kernel!r}, executions={self.executions})"
 
 
-def fft(x: np.ndarray) -> np.ndarray:
-    """One-shot forward FFT over the last axis (any length, cached plan)."""
+def _one_shot(x: np.ndarray, inverse: bool) -> np.ndarray:
     from .cache import plan_for  # local import: cache.py imports FftPlan
 
     arr = np.asarray(x)
-    return plan_for(arr.shape[-1], arr.dtype).execute(arr, inverse=False)
+    if arr.ndim == 0:
+        raise ValueError(f"transform needs at least one axis, got shape {arr.shape}")
+    return plan_for(arr.shape[-1], arr.dtype).execute(arr, inverse=inverse)
+
+
+def fft(x: np.ndarray) -> np.ndarray:
+    """One-shot forward FFT over the last axis (any length, cached plan)."""
+    return _one_shot(x, inverse=False)
 
 
 def ifft(y: np.ndarray) -> np.ndarray:
     """One-shot inverse FFT over the last axis (any length, cached plan)."""
-    from .cache import plan_for  # local import: cache.py imports FftPlan
-
-    arr = np.asarray(y)
-    return plan_for(arr.shape[-1], arr.dtype).execute(arr, inverse=True)
+    return _one_shot(y, inverse=True)

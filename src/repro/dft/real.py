@@ -10,8 +10,7 @@ complex transform, keeping the non-redundant bins.  Both directions
 route their internal complex transforms through the plan cache
 (:func:`repro.dft.cache.plan_for`), so repeated real transforms of one
 size ride the create-once/execute-many hot path like the complex
-one-shots — including any autotuned kernel config wisdom has for the
-packed length.
+one-shots.
 """
 
 from __future__ import annotations
@@ -59,9 +58,10 @@ def rfft(x: np.ndarray) -> np.ndarray:
 def irfft(spec: np.ndarray, n: int | None = None) -> np.ndarray:
     """Inverse of :func:`rfft`: real signal from ``n//2 + 1`` bins.
 
-    *n* defaults to ``2 * (spec.shape[-1] - 1)``.  The routine assumes
-    (and, for safety, enforces numerically via the final ``.real``) the
-    Hermitian symmetry that makes the output real.
+    *n* defaults to the even length ``2 * (bins - 1)``; pass the odd
+    ``2 * bins - 1`` to invert an odd-length :func:`rfft`.  The routine
+    assumes (and, for safety, enforces numerically via the final
+    ``.real``) the Hermitian symmetry that makes the output real.
     """
     s = np.ascontiguousarray(spec, dtype=np.complex128)
     bins = s.shape[-1]
@@ -69,8 +69,18 @@ def irfft(spec: np.ndarray, n: int | None = None) -> np.ndarray:
         raise ValueError("irfft needs at least two spectrum bins")
     if n is None:
         n = 2 * (bins - 1)
-    if n != 2 * (bins - 1):
-        raise ValueError(f"n={n} inconsistent with {bins} spectrum bins")
+    if n not in (2 * (bins - 1), 2 * bins - 1):
+        raise ValueError(
+            f"n={n} inconsistent with {bins} spectrum bins "
+            f"(expected {2 * (bins - 1)} or {2 * bins - 1})"
+        )
+    if n % 2:
+        # Odd length: rebuild the redundant bins X_{n-k} = conj(X_k) and
+        # invert the full spectrum (the mirror of rfft's odd fallback).
+        full = np.concatenate([s, np.conj(s[..., :0:-1])], axis=-1)
+        return np.ascontiguousarray(
+            plan_for(n, full.dtype).execute(full, inverse=True).real
+        )
     half = n // 2
     srev = np.conj(s[..., ::-1])
     fe = 0.5 * (s + srev)

@@ -1,4 +1,4 @@
-"""Iterative batched Stockham kernel with racing-selectable pass schedules.
+"""Iterative batched radix-2 Stockham network (elementwise ufunc passes).
 
 The decimation-in-time butterfly network here is *operation-for-operation
 identical* to the classic bit-reversal kernel this module replaced —
@@ -19,45 +19,20 @@ the decimated subsequence ``x[i, k::K]``.  The first stage is a pure
 reshape (``m = 1`` DFTs are the samples themselves) and the last stage
 (``K = 1``) leaves the transform in natural order — self-sorting.
 
-Kernel variants (the autotuner's racing dimension, see
-:mod:`repro.dft.tune`): the ``log2(n)`` radix-2 stages can be walked by
-three *pass schedules* —
-
-- ``"radix2"`` — one buffer pass per stage (the historical default);
-- ``"radix4"`` — consecutive stage pairs fused into one radix-4 pass
-  (stage A's output never round-trips through a full stage buffer
-  handoff; an odd trailing stage runs as a single radix-2 pass);
-- ``"split_radix"`` — radix-2 passes for the small-``m`` head (where
-  per-call overhead dominates and the simple pass is cheapest) and
-  fused radix-4 passes for the large-``m`` tail (the memory-bound
-  regime) — an L-shaped split schedule.
-
-All three walk the *same* butterfly network: a fused radix-4 pass
-performs the identical scalar multiplies, adds and subtracts of its two
-radix-2 stages in the identical order (the stage-B columns decompose
-exactly into the stage-A quadrant sums), so every variant is **bitwise
-identical** to ``"radix2"``.  They differ only in data movement and
-ufunc call granularity — which is precisely what makes racing them per
-``(n, dtype, batch)`` meaningful.  True split-radix arithmetic (shared
-``w^k * w^{2k}`` products) is *not* used: it reassociates floating-point
-operations and would break the repo-wide bitwise invariants
-(sequential == distributed SOI, DES == threads, coalesced == solo).
-
-Two further tunables ride along, both bit-neutral:
-
-- ``group_elements`` — the cache-blocking bound over the batch axis
-  (``0`` disables grouping, ``None`` keeps the built-in default);
-- ``tile_elements`` — the bound below which per-stage twiddle rows are
-  batch-expanded (``np.repeat(w, nb)``) so multiplies run on fully
-  contiguous operands (``0`` disables tiling, ``None`` the default).
+Role: :class:`~repro.dft.plan.FftPlan` runs this network for
+power-of-two ``n <= 64`` — the SOI segment counts ``P``, where a GEMM
+pass would degenerate to one matrix-vector product per row and where
+the column layout (one transform per column, the network's native
+orientation) is the hot one.  Because the arithmetic is elementwise, a
+column's bits depend on nothing but that column: row, transposed and
+column entry points agree bitwise, and a rank's share of the columns
+gets the bits the whole array gets.  Larger and non-power-of-two sizes
+run :mod:`repro.dft.engine`; this network stays as the frozen
+reference the engine is measured against.
 
 Per-stage twiddle tables (``exp(sign*2j*pi*k/2m)``, ``k < m``) are
-precomputed once per (size, dtype) and cached;
-:class:`~repro.dft.plan.FftPlan` warms them at plan-construction time so
-plan execution never pays trig.  The kernel computes natively in either
-``complex128`` or ``complex64`` (the dtype of the input array): the
-single-precision path is the engine of the float32 wire pipeline —
-half the bytes per element end to end.
+precomputed once per (size, dtype) and cached.  The kernel computes
+natively in ``complex128`` or ``complex64`` (the dtype of the input).
 """
 
 from __future__ import annotations
@@ -75,13 +50,9 @@ __all__ = [
     "stockham_fft_t",
     "stockham_fft_tt",
     "stage_twiddles",
-    "pass_schedule",
     "clear_stage_cache",
-    "KERNEL_VARIANTS",
+    "context_scratch",
 ]
-
-#: The pass schedules the autotuner may race (all bitwise-identical).
-KERNEL_VARIANTS = ("radix2", "radix4", "split_radix")
 
 _STAGE_CACHE_MAX = 256
 _stage_cache: OrderedDict[tuple, tuple] = OrderedDict()
@@ -91,26 +62,24 @@ _stage_lock = threading.Lock()
 # fully contiguous ufunc passes even for small batch counts, where the
 # broadcast multiply's inner loop would be short.  They cost n*nb
 # complex values per (size, batch) pair, so only modest problems are
-# tiled by default; larger ones use the broadcast path (bit-identical
-# either way — the same value pairs are multiplied).  The threshold is a
-# tunable: the autotuner races it per shape.
+# tiled; larger ones use the broadcast path (bit-identical either way —
+# the same value pairs are multiplied).
 _TILE_MAX_ELEMENTS = 1 << 17
 _TILE_CACHE_MAX = 32
 _tile_cache: OrderedDict[tuple, tuple] = OrderedDict()
 _tile_lock = threading.Lock()
 
-# Ping-pong scratch reuse: the kernel's stage buffers plus the
-# twiddle-product temporary are fully overwritten every pass, so they
-# can be recycled across calls of the same (n, nb) — repeated same-size
-# transforms (the plan-cache hit path) then allocate nothing.  Pools are
-# keyed on :func:`repro.exectx.execution_context` — NOT the OS thread —
-# because the DES engine recycles a finished rank's thread as the vessel
-# for a later rank: a thread-keyed pool would silently hand one rank's
-# scratch to another, breaking rank isolation (plain threads degrade to
-# per-thread keys, exactly the old behaviour).  Each context keeps a
-# tiny LRU of recent problem sizes.
+# Scratch reuse: kernel work buffers are fully overwritten every call,
+# so they can be recycled across calls of the same size — repeated
+# same-size transforms (the plan-cache hit path) then allocate nothing.
+# Pools are keyed on :func:`repro.exectx.execution_context` — NOT the OS
+# thread — because the DES engine recycles a finished rank's thread as
+# the vessel for a later rank: a thread-keyed pool would silently hand
+# one rank's scratch to another, breaking rank isolation (plain threads
+# degrade to per-thread keys).  Each context keeps a tiny LRU of recent
+# sizes.
 _SCRATCH_PER_CONTEXT = 4
-_SCRATCH_MAX_ELEMENTS = 1 << 18  # ~10 MiB per pooled entry; beyond that, allocate
+_SCRATCH_MAX_ELEMENTS = 5 << 17  # 10 MiB of complex128; beyond that, allocate
 _scratch_tls = threading.local()
 
 
@@ -120,8 +89,7 @@ def _kernel_ctype(arr: np.ndarray) -> np.dtype:
     ``complex64`` inputs stay single precision (the float32 pipeline);
     everything else is the historical ``complex128`` contract.
     """
-    dt = arr.dtype
-    if dt == np.complex64:
+    if arr.dtype == np.complex64:
         return np.dtype(np.complex64)
     return np.dtype(np.complex128)
 
@@ -143,31 +111,24 @@ def _scratch_pool() -> OrderedDict:
     return pool
 
 
-def _scratch_buffers(
-    total: int, ctype: np.dtype = np.dtype(np.complex128)
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two length-*total* stage buffers + a half-length temp (recycled)."""
-    if total > _SCRATCH_MAX_ELEMENTS:
-        return (
-            np.empty(total, dtype=ctype),
-            np.empty(total, dtype=ctype),
-            np.empty(total // 2, dtype=ctype),
-        )
+def context_scratch(elements: int, ctype: np.dtype) -> np.ndarray:
+    """A flat work buffer of *elements* values, recycled per context.
+
+    The contents are undefined on entry and may be handed to the same
+    context's next same-size call — never return a view of it.
+    """
+    if elements > _SCRATCH_MAX_ELEMENTS:
+        return np.empty(elements, dtype=ctype)
     pool = _scratch_pool()
-    key = (total, ctype.char)
-    bufs = pool.get(key)
-    if bufs is None:
-        bufs = (
-            np.empty(total, dtype=ctype),
-            np.empty(total, dtype=ctype),
-            np.empty(total // 2, dtype=ctype),
-        )
-        pool[key] = bufs
+    key = (elements, ctype.char)
+    buf = pool.get(key)
+    if buf is None:
+        buf = pool[key] = np.empty(elements, dtype=ctype)
         while len(pool) > _SCRATCH_PER_CONTEXT:
             pool.popitem(last=False)
     else:
         pool.move_to_end(key)
-    return bufs
+    return buf
 
 
 def stage_twiddles(n: int, sign: int, ctype: np.dtype | None = None) -> tuple:
@@ -242,328 +203,95 @@ def _tiled_twiddles(n: int, sign: int, nb: int, ctype: np.dtype) -> tuple:
     return table
 
 
-def pass_schedule(n: int, variant: str = "radix2") -> tuple[str, ...]:
-    """The pass tags (``"r2"`` / ``"r4"``) walking the ``log2(n)`` stages.
-
-    - ``radix2``: every stage its own pass.
-    - ``radix4``: stage pairs fused from stage 0; an odd trailing stage
-      runs as a final radix-2 pass.
-    - ``split_radix``: radix-2 passes for the first (small-``m``) stages,
-      fused radix-4 passes for the rest; the head length absorbs the
-      parity so the tail pairs cleanly.
-
-    A fused pass consumes exactly two stage tables and performs their
-    scalar operations unchanged — schedules are data-flow variants of
-    one butterfly network, never arithmetic variants.
-    """
-    s = max(n.bit_length() - 1, 0)
-    if variant == "radix2":
-        return ("r2",) * s
-    if variant == "radix4":
-        return ("r4",) * (s // 2) + ("r2",) * (s % 2)
-    if variant == "split_radix":
-        head = 2 if s >= 4 else s
-        head += (s - head) % 2
-        return ("r2",) * head + ("r4",) * ((s - head) // 2)
-    raise ValueError(f"unknown kernel variant {variant!r}; choose from {KERNEL_VARIANTS}")
-
-
-def _run_network(
-    src: np.ndarray,
-    srcbuf: np.ndarray | None,
-    free: list,
-    out: np.ndarray,
-    tmp: np.ndarray,
-    n: int,
-    nb: int,
-    sign: int,
-    schedule: tuple[str, ...],
-    stages: tuple,
-    tiles: tuple | None,
-) -> np.ndarray:
-    """Execute *schedule* over the ``(K, m, nb)`` views of flat buffers.
-
-    *src* is the stage-0 ``(n, 1, nb)`` view (read-only — possibly the
-    caller's array); *srcbuf* the flat buffer backing it (``None`` when
-    it is the caller's).  *free* holds the flat scratch buffers currently
-    not carrying live data; the last pass must land in *out*, so *out*
-    is only picked as a destination on the final pass (earlier fused
-    passes may use it as the quadrant spare — its contents die within
-    the pass).  Buffer choice never affects values: every pass performs
-    the same ufunc calls on the same operands wherever they live.
-    """
-    total = n * nb
-    npass = len(schedule)
-    m, big_k, si = 1, n, 0
-    for pi, tag in enumerate(schedule):
-        last = pi == npass - 1
-        dst_i = 0
-        for i, b in enumerate(free):
-            if (b is out) == last:
-                dst_i = i
-                break
-        dstbuf = free.pop(dst_i)
-        half = big_k // 2
-        e = src[:half]
-        o = src[half:]
-        if tag == "r2":
-            dst = dstbuf[:total].reshape(half, 2 * m, nb)
-            stage = stages[si]
-            if stage is None:
-                t = o
-            else:
-                t = tmp[: total // 2].reshape(half, m, nb)
-                if tiles is not None:
-                    np.multiply(
-                        o.reshape(half, m * nb),
-                        tiles[si],
-                        out=t.reshape(half, m * nb),
-                    )
-                else:
-                    np.multiply(o, stage[1], out=t)
-            np.add(e, t, out=dst[:, :m])
-            np.subtract(e, t, out=dst[:, m:])
-            m *= 2
-            si += 1
-            big_k = half
-        else:  # fused radix-4: two stages, same scalar ops, one handoff
-            q = big_k // 4
-            quarter = total // 4
-            stage_a = stages[si]
-            stage_b = stages[si + 1]
-            spare = free[0]  # scratch for the stage-A quadrants
-            uv = spare[:total].reshape(4, q, m, nb)
-            u0, u1, v0, v1 = uv[0], uv[1], uv[2], uv[3]
-            a = src[:q]
-            b = src[q:half]
-            c = src[half : half + q]
-            d = src[half + q :]
-            if stage_a is None:
-                t1, t2 = c, d
-            else:
-                t = tmp[: total // 2].reshape(half, m, nb)
-                if tiles is not None:
-                    np.multiply(
-                        o.reshape(half, m * nb),
-                        tiles[si],
-                        out=t.reshape(half, m * nb),
-                    )
-                else:
-                    np.multiply(o, stage_a[1], out=t)
-                t1, t2 = t[:q], t[q:]
-            # Stage A, split by destination quadrant: (a;b) +- (t1;t2).
-            np.add(a, t1, out=u0)
-            np.subtract(a, t1, out=u1)
-            np.add(b, t2, out=v0)
-            np.subtract(b, t2, out=v1)
-            # Stage B twiddle halves scale the odd quadrants (t1/t2 are
-            # dead by now, so tmp is reused for the products).
-            p0 = tmp[:quarter].reshape(q, m, nb)
-            p1 = tmp[quarter : 2 * quarter].reshape(q, m, nb)
-            if tiles is not None:
-                tile_b = tiles[si + 1]
-                np.multiply(
-                    v0.reshape(q, m * nb), tile_b[: m * nb], out=p0.reshape(q, m * nb)
-                )
-                np.multiply(
-                    v1.reshape(q, m * nb), tile_b[m * nb :], out=p1.reshape(q, m * nb)
-                )
-            else:
-                wb = stage_b[1]  # (2m, 1) column table
-                np.multiply(v0, wb[:m], out=p0)
-                np.multiply(v1, wb[m:], out=p1)
-            dst = dstbuf[:total].reshape(q, 4 * m, nb)
-            np.add(u0, p0, out=dst[:, :m])
-            np.add(u1, p1, out=dst[:, m : 2 * m])
-            np.subtract(u0, p0, out=dst[:, 2 * m : 3 * m])
-            np.subtract(u1, p1, out=dst[:, 3 * m :])
-            m *= 4
-            si += 2
-            big_k = q
-        if srcbuf is not None:
-            free.append(srcbuf)
-        srcbuf = dstbuf
-        src = dst
-    return out[:total]
-
-
-def _stockham_core(
-    x2: np.ndarray,
-    n: int,
-    sign: int,
-    variant: str = "radix2",
-    tile_elements: int | None = None,
-) -> np.ndarray:
+def _network(x: np.ndarray, n: int, sign: int, columns: bool) -> np.ndarray:
     """Butterfly network in the ``(K, m, nb)`` layout, batch on the fast axis.
 
-    Returns the transform in its natural internal layout — a contiguous
-    ``(n, nb)`` array whose column ``i`` is the transform of row ``i`` of
-    *x2*.  Callers that want the conventional ``(nb, n)`` result pay one
-    transpose copy (:func:`_stockham_batched`); callers that want the
-    transposed layout anyway (the SOI pipeline's segment stage, the
-    mixed-radix output interleave) use this directly and skip it.
+    *x* holds one transform per column (``columns``: shape ``(n, nb)``,
+    read in place and never written — strided column slices work) or per
+    row (shape ``(nb, n)``, transposed into scratch first).  Returns a
+    fresh contiguous ``(n, nb)`` array whose column ``i`` is transform
+    ``i`` — the network's natural output.  Buffer choice never affects
+    values: every pass performs the same ufunc calls on the same
+    operands wherever they live.
     """
-    nb = x2.shape[0]
-    ctype = _kernel_ctype(x2)
-    tmax = _TILE_MAX_ELEMENTS if tile_elements is None else tile_elements
-    tiles = _tiled_twiddles(n, sign, nb, ctype) if n * nb <= tmax else None
-    stages = stage_twiddles(n, sign, ctype)
-    schedule = pass_schedule(n, variant)
+    nb = x.shape[1] if columns else x.shape[0]
+    ctype = _kernel_ctype(x)
     total = n * nb
-    out = np.empty(total, dtype=ctype)
-    hold, ping, tmp = _scratch_buffers(total, ctype)
-    np.copyto(hold.reshape(n, nb), x2.T)  # the layout transpose, into scratch
-    src = hold.reshape(n, 1, nb)
-    result = _run_network(
-        src, hold, [ping, out], out, tmp, n, nb, sign, schedule, stages, tiles
-    )
-    return result.reshape(n, nb)
-
-
-def _stockham_core_t(
-    xt: np.ndarray,
-    n: int,
-    sign: int,
-    variant: str = "radix2",
-    tile_elements: int | None = None,
-) -> np.ndarray:
-    """Core network for input already in the ``(n, nb)`` column layout.
-
-    *xt* holds one transform per column — exactly the internal Stockham
-    orientation — so the entry transpose of :func:`_stockham_core`
-    disappears entirely: pass 0 reads *xt* in place (it is never
-    written) and the remaining passes rotate through scratch.
-    Output identical to ``_stockham_core(xt.T, ...)`` bit for bit.
-    """
-    nb = xt.shape[1]
-    ctype = _kernel_ctype(xt)
-    tmax = _TILE_MAX_ELEMENTS if tile_elements is None else tile_elements
-    tiles = _tiled_twiddles(n, sign, nb, ctype) if n * nb <= tmax else None
     stages = stage_twiddles(n, sign, ctype)
-    schedule = pass_schedule(n, variant)
-    total = n * nb
+    tiles = _tiled_twiddles(n, sign, nb, ctype) if total <= _TILE_MAX_ELEMENTS else None
     out = np.empty(total, dtype=ctype)
-    hold, ping, tmp = _scratch_buffers(total, ctype)
-    src = xt[:, None, :]  # (n, 1, nb) view, works for strided column slices
-    result = _run_network(
-        src, None, [ping, hold, out], out, tmp, n, nb, sign, schedule, stages, tiles
-    )
-    return result.reshape(n, nb)
-
-
-def _stockham_single(
-    x2: np.ndarray, n: int, sign: int, variant: str = "radix2"
-) -> np.ndarray:
-    """Single-transform path: one length-*n* vector, batch axis of one."""
-    return _stockham_core_t(x2.reshape(n, 1), n, sign, variant).reshape(n)
+    buf = context_scratch(2 * total + total // 2, ctype)
+    hold, ping, tmp = buf[:total], buf[total : 2 * total], buf[2 * total :]
+    if columns:
+        src = x[:, None, :]
+    else:
+        np.copyto(hold.reshape(n, nb), x.T)  # the layout transpose, into scratch
+        src = hold.reshape(n, 1, nb)
+    m, big_k = 1, n
+    for si, stage in enumerate(stages):
+        half = big_k // 2
+        # Pass si writes ping, hold, ping, ... (never the buffer it
+        # reads) and the last pass lands in the result.
+        dstbuf = out if half == 1 else (ping, hold)[si % 2]
+        dst = dstbuf.reshape(half, 2 * m, nb)
+        e, o = src[:half], src[half:]
+        if stage is None:
+            t = o
+        else:
+            t = tmp.reshape(half, m, nb)
+            if tiles is not None:
+                np.multiply(
+                    o.reshape(half, m * nb), tiles[si], out=t.reshape(half, m * nb)
+                )
+            else:
+                np.multiply(o, stage[1], out=t)
+        np.add(e, t, out=dst[:, :m])
+        np.subtract(e, t, out=dst[:, m:])
+        m *= 2
+        big_k = half
+        src = dst
+    return out.reshape(n, nb)
 
 
 # Cache blocking: one transform's ping-pong working set is ~2.5 * n * nb
 # complex values; past this element count it overflows L2 and every
-# butterfly pass streams from L3/DRAM.  Batch rows are independent, so
-# large batches are processed in groups small enough to keep the stage
-# passes cache-resident.  Grouping changes which SIMD lane computes each
-# element, never the operands — outputs are bit-identical.  The bound is
-# a tunable raced by the autotuner (0 disables grouping outright).
+# butterfly pass streams from L3/DRAM.  Batch columns are independent,
+# so large batches are processed in groups small enough to keep the
+# stage passes cache-resident.  Grouping changes which SIMD lane
+# computes each element, never the operands — outputs are bit-identical.
 _GROUP_MAX_ELEMENTS = 1 << 15
 
 
-def _group_bound(group_elements: int | None) -> int:
-    return _GROUP_MAX_ELEMENTS if group_elements is None else group_elements
-
-
-def _stockham_core_grouped(
-    x2: np.ndarray,
-    n: int,
-    sign: int,
-    variant: str = "radix2",
-    group_elements: int | None = None,
-    tile_elements: int | None = None,
-) -> np.ndarray:
-    """Core network, cache-blocked over the batch axis; output ``(n, nb)``."""
-    nb = x2.shape[0]
-    gmax = _group_bound(group_elements)
-    if gmax <= 0 or n * nb <= gmax or gmax // n == 0:
-        return _stockham_core(x2, n, sign, variant, tile_elements)
-    g = gmax // n
-    out = np.empty((n, nb), dtype=_kernel_ctype(x2))
+def _network_grouped(x: np.ndarray, n: int, sign: int, columns: bool) -> np.ndarray:
+    """:func:`_network`, cache-blocked over the batch; output ``(n, nb)``."""
+    nb = x.shape[1] if columns else x.shape[0]
+    g = _GROUP_MAX_ELEMENTS // n
+    if n * nb <= _GROUP_MAX_ELEMENTS or g == 0:
+        return _network(x, n, sign, columns)
+    out = np.empty((n, nb), dtype=_kernel_ctype(x))
     for s in range(0, nb, g):
-        out[:, s : s + g] = _stockham_core(x2[s : s + g], n, sign, variant, tile_elements)
+        part = x[:, s : s + g] if columns else x[s : s + g]
+        out[:, s : s + g] = _network(part, n, sign, columns)
     return out
 
 
-def _stockham_core_t_grouped(
-    xt: np.ndarray,
-    n: int,
-    sign: int,
-    variant: str = "radix2",
-    group_elements: int | None = None,
-    tile_elements: int | None = None,
-) -> np.ndarray:
-    """Column-layout core, cache-blocked over the batch axis."""
-    nb = xt.shape[1]
-    gmax = _group_bound(group_elements)
-    if gmax <= 0 or n * nb <= gmax or gmax // n == 0:
-        return _stockham_core_t(xt, n, sign, variant, tile_elements)
-    g = gmax // n
-    out = np.empty((n, nb), dtype=_kernel_ctype(xt))
-    for s in range(0, nb, g):
-        out[:, s : s + g] = _stockham_core_t(
-            xt[:, s : s + g], n, sign, variant, tile_elements
-        )
-    return out
-
-
-def _stockham_batched(
-    x2: np.ndarray,
-    n: int,
-    sign: int,
-    variant: str = "radix2",
-    group_elements: int | None = None,
-    tile_elements: int | None = None,
-) -> np.ndarray:
-    """Batched path: core network plus the transpose back to ``(nb, n)``."""
-    return np.ascontiguousarray(
-        _stockham_core_grouped(x2, n, sign, variant, group_elements, tile_elements).T
-    )
-
-
-def stockham_fft_tt(
-    xt: np.ndarray,
-    sign: int,
-    *,
-    variant: str = "radix2",
-    group_elements: int | None = None,
-    tile_elements: int | None = None,
-) -> np.ndarray:
+def stockham_fft_tt(xt: np.ndarray, sign: int) -> np.ndarray:
     """Transform each *column* of 2-D *xt*, returned as ``(n, nb)``.
 
     The fully fused variant: input already column-major per transform
-    (the Stockham internal layout) and output in the same orientation —
+    (the network's internal layout) and output in the same orientation —
     neither the entry nor the exit transpose of :func:`stockham_fft` is
-    paid.  Values are bit-identical to ``stockham_fft(xt.T, sign).T``
-    for every (variant, grouping, tiling) choice.
+    paid.  Values are bit-identical to ``stockham_fft(xt.T, sign).T``.
     """
-    n, nb = xt.shape
-    ctype = _kernel_ctype(np.asarray(xt))
+    xt = np.asarray(xt)
+    n = xt.shape[0]
+    xt = np.asarray(xt, dtype=_kernel_ctype(xt))
     if n == 1:
-        return np.array(xt, dtype=ctype, copy=True)
-    if nb == 1:
-        flat = np.ascontiguousarray(xt.reshape(n), dtype=ctype)
-        return _stockham_single(flat, n, sign, variant).reshape(n, 1)
-    return _stockham_core_t_grouped(
-        np.asarray(xt, dtype=ctype), n, sign, variant, group_elements, tile_elements
-    )
+        return xt.copy()
+    return _network_grouped(xt, n, sign, columns=True)
 
 
-def stockham_fft_t(
-    x2: np.ndarray,
-    sign: int,
-    *,
-    variant: str = "radix2",
-    group_elements: int | None = None,
-    tile_elements: int | None = None,
-) -> np.ndarray:
+def stockham_fft_t(x2: np.ndarray, sign: int) -> np.ndarray:
     """Transform each row of 2-D *x2*, returned transposed as ``(n, nb)``.
 
     Column ``i`` of the result is the transform of row ``i`` — the same
@@ -571,24 +299,15 @@ def stockham_fft_t(
     (a pure data-movement saving, so consumers of either layout see
     bit-identical numbers).
     """
-    nb, n = x2.shape
-    ctype = _kernel_ctype(np.asarray(x2))
+    x2 = np.asarray(x2)
+    n = x2.shape[1]
+    x2 = np.asarray(x2, dtype=_kernel_ctype(x2))
     if n == 1:
-        return np.ascontiguousarray(x2.T, dtype=ctype)
-    x2 = np.ascontiguousarray(x2, dtype=ctype)
-    if nb == 1:
-        return _stockham_single(x2.reshape(n), n, sign, variant).reshape(n, 1)
-    return _stockham_core_grouped(x2, n, sign, variant, group_elements, tile_elements)
+        return np.ascontiguousarray(x2.T)
+    return _network_grouped(x2, n, sign, columns=False)
 
 
-def stockham_fft(
-    x: np.ndarray,
-    sign: int,
-    *,
-    variant: str = "radix2",
-    group_elements: int | None = None,
-    tile_elements: int | None = None,
-) -> np.ndarray:
+def stockham_fft(x: np.ndarray, sign: int) -> np.ndarray:
     """Unscaled radix-2 transform over the last axis of *x*.
 
     *x* must be complex with a power-of-two last dimension; complex64
@@ -600,13 +319,5 @@ def stockham_fft(
     n = x.shape[-1]
     if n == 1:
         return x.copy()
-    batch = x.shape[:-1]
-    nb = 1
-    for dim in batch:
-        nb *= dim
-    x2 = np.ascontiguousarray(x).reshape(nb, n)
-    if nb == 1:
-        out = _stockham_single(x2.reshape(n), n, sign, variant)
-    else:
-        out = _stockham_batched(x2, n, sign, variant, group_elements, tile_elements)
-    return out.reshape(*batch, n)
+    x2 = x.reshape(-1, n)
+    return np.ascontiguousarray(stockham_fft_t(x2, sign).T).reshape(x.shape)

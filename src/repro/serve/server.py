@@ -70,13 +70,6 @@ class ServeConfig:
     warmup_path: str | None = None
     #: SOI configurations ``(n, p)`` to warm the SOI plan cache with.
     warm_soi: Sequence[tuple[int, int]] = ()
-    #: Optional autotuner wisdom file (see ``repro.dft.tune``): loaded
-    #: at start so every shape with a recorded winner dispatches its
-    #: tuned kernel from the first request on, and the plans for those
-    #: shapes are pre-built warm.  A missing/corrupt/stale file is
-    #: reported in ``warmup_info()`` and otherwise ignored — the server
-    #: falls back to default kernel configs, never to an error.
-    wisdom_path: str | None = None
     #: Default all-to-all schedule for distributed (transpose) requests
     #: (``"pairwise"``/``"bruck"``/``"hierarchical"``); per-request
     #: ``algorithm=`` overrides.  Bitwise-identical results either way —
@@ -135,23 +128,6 @@ class TransformServer:
 
     def _warm(self) -> None:
         info: dict[str, Any] = {}
-        if self.config.wisdom_path:
-            from ..dft import tune
-
-            status = tune.load_wisdom(self.config.wisdom_path)
-            # Pre-build a plan per tuned shape so the first request for
-            # it is a warm-cache hit that dispatches the tuned config.
-            warmed = 0
-            if status["status"] == "ok":
-                for (n, dtype_name, _bucket) in tune.wisdom_entries():
-                    from ..dft.cache import plan_for
-
-                    plan_for(
-                        n,
-                        precision="single" if dtype_name == "complex64" else None,
-                    )
-                    warmed += 1
-            info["wisdom"] = {**status, "plans_warmed": warmed}
         if self.config.warmup_path:
             info["file"] = warm_plan_cache_from_file(self.config.warmup_path)
         if self.config.warm_shapes:

@@ -8,15 +8,19 @@ consistency block that guards the numerical contract.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.bench import BENCH_SCHEMA, run_micro
+from repro.bench.micro import KERNEL_ULP_FACTOR
 
 # Engine vs the frozen seed pipeline, max-abs over max-abs.  The seed
 # convolves with one complex einsum, the engine with real banded GEMMs
 # (repro.core.convolve): two orders of the same B-term sums, bounded by
-# 4 * eps * sqrt(B) at the full window's B = 78 (measured ~1.4e-15).
-# Kernel and seq == dist rows stay bitwise.
+# 4 * eps * sqrt(B) at the full window's B = 78 (measured ~1.4e-15);
+# the FFT stages' GEMM passes add well under an ulp to that.  Kernel
+# rows carry their own 16 * eps * log2 n tolerance; seq == dist stays
+# bitwise.
 DRIFT_TOL = 8e-15
 
 
@@ -66,10 +70,14 @@ class TestPayloadSchema:
             assert row["baseline_noreuse_us"] > 0
             assert row["engine_vs_baseline_max_rel"] < DRIFT_TOL
 
-    def test_kernel_rows_bit_identical(self, payload):
+    def test_kernel_rows_match_frozen_baseline(self, payload):
         assert payload["kernels"]
+        eps = np.finfo(np.float64).eps
         for row in payload["kernels"]:
-            assert row["bit_identical_to_baseline"] is True
+            assert row["tolerance"] == pytest.approx(
+                KERNEL_ULP_FACTOR * eps * np.log2(row["shape"][-1])
+            )
+            assert row["max_rel_to_baseline"] < row["tolerance"]
             assert row["engine_hit_us"] > 0
 
     def test_distributed_row(self, payload):
@@ -80,7 +88,7 @@ class TestPayloadSchema:
 
     def test_consistency_block(self, payload):
         cons = payload["consistency"]
-        assert cons["kernels_bit_identical"] is True
+        assert cons["kernels_within_tolerance"] is True
         assert cons["dist_bitwise_equal_to_sequential"] is True
         assert cons["engine_vs_baseline_max_rel"] < DRIFT_TOL
 

@@ -70,8 +70,6 @@ class TestCacheBasics:
         assert info["hits"] == 0
         assert info["misses"] == 0
         assert info["evictions"] == 0
-        # The wisdom counters ride along (tuned-kernel tier).
-        assert {"wisdom_entries", "wisdom_hits", "races_run"} <= info.keys()
 
 
 class TestCachedOutputs:
@@ -148,6 +146,22 @@ class TestDtypeKeying:
     def test_non_numeric_dtype_rejected(self):
         with pytest.raises(TypeError, match="dtype"):
             plan_for(64, np.dtype("U8"))
+
+    @pytest.mark.parametrize("n", [2.5, True, "8", None, np.float64(8.0)])
+    def test_non_integer_length_rejected(self, n):
+        """The cache key used to be ``int(n)``: 2.5 planned length 2,
+        True length 1 and "8" length 8 before validation ever ran."""
+        with pytest.raises(TypeError, match="n must be an integer"):
+            plan_for(n)
+        assert plan_cache_info()["entries"] == 0
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_non_positive_length_rejected(self, n):
+        with pytest.raises(ValueError, match="positive"):
+            plan_for(n)
+
+    def test_numpy_integer_length_shares_the_python_int_entry(self):
+        assert plan_for(np.int64(64)) is plan_for(64)
 
 
 class TestWarmupPersistence:

@@ -61,6 +61,14 @@ class TestExecution:
         with pytest.raises(ValueError):
             FftPlan(0)
 
+    def test_zero_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(\)"):
+            fft(np.float64(3.0))
+        with pytest.raises(ValueError, match=r"shape \(\)"):
+            ifft(3.0)
+        with pytest.raises(ValueError, match=r"shape \(\)"):
+            FftPlan(1).execute(np.float64(3.0))
+
 
 class TestAccounting:
     def test_execution_counter(self, rng):
@@ -68,6 +76,13 @@ class TestAccounting:
         plan.execute(rng.standard_normal(8))
         plan.execute(rng.standard_normal((3, 8)))
         assert plan.executions == 4  # 1 + 3 batch rows
+
+    @pytest.mark.parametrize("n", [8, 1280, 97])
+    def test_empty_batch_counts_nothing(self, n):
+        plan = FftPlan(n)
+        out = plan.execute(np.zeros((0, n)))
+        assert out.shape == (0, n) and out.dtype == np.complex128
+        assert plan.executions == 0
 
     def test_flops_per_execution(self):
         assert FftPlan(1024).flops_per_execution == fft_flops(1024)

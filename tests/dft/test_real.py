@@ -58,9 +58,26 @@ class TestIrfft:
         x = rng.standard_normal(32)
         np.testing.assert_allclose(irfft(rfft(x), n=32), x, atol=1e-10)
 
+    @pytest.mark.parametrize("n", [3, 9, 255, 1001])
+    def test_odd_n_inverts_an_odd_rfft(self, n, rng):
+        x = rng.standard_normal((2, n))
+        spec = rfft(x)
+        np.testing.assert_allclose(irfft(spec, n=n), x, atol=1e-10)
+        np.testing.assert_allclose(
+            irfft(spec, n=n), np.fft.irfft(spec, n=n), atol=1e-11
+        )
+
     def test_inconsistent_n_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
             irfft(np.zeros(9, dtype=complex), n=10)
+
+    @pytest.mark.parametrize("n", [15, 18])
+    def test_only_the_two_lengths_with_that_many_bins_accepted(self, n):
+        # 9 bins come from a length-16 or a length-17 signal only.
+        spec = np.zeros(9, dtype=complex)
+        assert irfft(spec, n=16).shape == (16,) and irfft(spec, n=17).shape == (17,)
+        with pytest.raises(ValueError, match="inconsistent"):
+            irfft(spec, n=n)
 
     def test_too_few_bins_rejected(self):
         with pytest.raises(ValueError):

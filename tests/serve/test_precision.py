@@ -1,17 +1,14 @@
-"""Tests for the serve-layer float32 wire and wisdom warm-up.
+"""Tests for the serve-layer float32 wire.
 
 Batch keys carry the payload dtype, so a coalesced batch is always
 precision-homogeneous and complex64 requests ride the single-precision
 kernels end to end — half the payload bytes on the wire and in the
-batcher.  ``ServeConfig.wisdom_path`` loads autotuner wisdom at start
-and pre-builds the tuned plans, so the first request already dispatches
-the raced configuration.
+batcher.
 """
 
 import numpy as np
 import pytest
 
-from repro.dft import tune
 from repro.serve import ServeConfig, TransformServer
 from repro.serve.batcher import batch_bytes
 from repro.serve.request import TransformRequest, Ticket
@@ -61,41 +58,3 @@ class TestSinglePrecisionRequests:
             out = srv.submit(x, library="repro").result(timeout=10.0)
         assert out.dtype == np.complex128
 
-
-class TestWisdomWarmup:
-    @pytest.fixture(autouse=True)
-    def fresh_wisdom(self):
-        tune.clear_wisdom()
-        yield
-        tune.clear_wisdom()
-
-    def test_loads_and_warms_plans(self, tmp_path):
-        tune.record_wisdom(
-            256, np.complex128, 1,
-            {"variant": "radix4", "group_elements": None, "tile_elements": None},
-        )
-        path = tmp_path / "wisdom.json"
-        tune.save_wisdom(str(path))
-        tune.clear_wisdom()
-        with TransformServer(ServeConfig(workers=1, wisdom_path=str(path))) as srv:
-            info = srv.warmup_info()
-            assert info["wisdom"]["status"] == "ok"
-            assert info["wisdom"]["loaded"] == 1
-            assert info["wisdom"]["plans_warmed"] == 1
-            # The loaded entry is live wisdom for request execution.
-            assert tune.tuned_config_for(256, np.complex128, 1) is not None
-            x = _signal(256, seed=9)
-            out = srv.submit(x, library="repro").result(timeout=10.0)
-        assert np.allclose(out, np.fft.fft(x))
-
-    def test_corrupt_wisdom_file_does_not_block_start(self, tmp_path):
-        path = tmp_path / "wisdom.json"
-        path.write_text("{broken", encoding="utf-8")
-        with TransformServer(ServeConfig(workers=1, wisdom_path=str(path))) as srv:
-            assert srv.warmup_info()["wisdom"]["status"] == "corrupt"
-            out = srv.submit(_signal(128, seed=10)).result(timeout=10.0)
-        assert out.shape == (128,)
-
-    def test_no_wisdom_path_reports_nothing(self):
-        with TransformServer(ServeConfig(workers=1)) as srv:
-            assert "wisdom" not in srv.warmup_info()

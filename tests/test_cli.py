@@ -59,7 +59,6 @@ class TestCli:
             "bench-serve",
             "bench-a2a",
             "bench-scale",
-            "bench-tune",
             "serve",
             "check",
             "fig5",
