@@ -296,264 +296,6 @@ def _trace(args: argparse.Namespace) -> dict:
     return payload
 
 
-def _bench_micro(args: argparse.Namespace) -> dict:
-    """Measured wall-clock microbenchmarks; writes BENCH_PR3.json."""
-    from .bench import format_table, run_micro
-
-    payload = run_micro(
-        quick=getattr(args, "bench_quick", False),
-        reps=getattr(args, "bench_reps", None),
-    )
-    rows = [
-        [
-            f"N=2^{r['n'].bit_length() - 1} P={r['p']}",
-            f"{r['engine_hit_us']:.0f}",
-            f"{r['baseline_noreuse_us']:.0f}",
-            f"{r['baseline_percall_us']:.0f}",
-            f"{r['speedup_vs_noreuse']:.2f}x",
-            f"{r['speedup_vs_percall']:.2f}x",
-        ]
-        for r in payload["soi"]
-    ]
-    print(
-        format_table(
-            ["case", "engine us", "no-reuse us", "warm us", "speedup", "vs warm"],
-            rows,
-            title="bench-micro — repro-backend soi_fft, measured wall clock",
-        )
-    )
-    head = payload["headline"]
-    print(
-        f"headline: {head['name']}: {head['speedup']:.2f}x vs no-reuse baseline "
-        f"({head['speedup_vs_warm_baseline']:.2f}x vs warm baseline)"
-    )
-    cons = payload["consistency"]
-    print(
-        f"consistency: max rel dev vs baseline {cons['engine_vs_baseline_max_rel']:.2e}, "
-        f"kernels within 16 eps log2 n: {cons['kernels_within_tolerance']}, "
-        f"dist == seq bitwise: {cons['dist_bitwise_equal_to_sequential']}"
-    )
-    out = getattr(args, "bench_out", None) or "BENCH_PR3.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out}")
-    print()
-    return payload
-
-
-def _bench_overlap(args: argparse.Namespace) -> dict:
-    """Pipelined vs blocking distributed SOI; writes BENCH_PR5.json."""
-    from .bench import format_table, run_overlap_bench
-
-    payload = run_overlap_bench(
-        quick=getattr(args, "bench_quick", False),
-        reps=getattr(args, "bench_reps", None),
-    )
-    head = payload["headline"]
-    zl = payload["zero_link"]
-    print(
-        format_table(
-            ["regime", "blocking us", "pipelined us", "speedup"],
-            [
-                [
-                    "5 MB/s + 300 us link",
-                    f"{head['blocking_us']:.0f}",
-                    f"{head['pipelined_us']:.0f}",
-                    f"{head['speedup']:.2f}x",
-                ],
-                [
-                    "no link model",
-                    f"{zl['blocking_us']:.0f}",
-                    f"{zl['pipelined_us']:.0f}",
-                    f"{zl['speedup']:.2f}x",
-                ],
-            ],
-            title="bench-overlap — distributed SOI, measured wall clock",
-        )
-    )
-    print(
-        f"headline: {head['name']}: {head['speedup']:.2f}x, "
-        f"bitwise equal to blocking: {head['bitwise_equal']}"
-    )
-    depth = payload["request_depth"].get("alltoall", {})
-    vr = payload["virtual_replay"]
-    print(
-        f"in-flight: max {depth.get('max_outstanding', 0)} outstanding "
-        f"requests in the alltoall phase; virtual critical-path alltoall "
-        f"stall {vr['blocking']['critical_path_stall_us'].get('alltoall', 0.0):.0f} us "
-        f"(blocking) vs "
-        f"{vr['pipelined']['critical_path_stall_us'].get('alltoall', 0.0):.0f} us "
-        f"(pipelined), strictly less: {vr['alltoall_stall_strictly_less']}"
-    )
-    out = getattr(args, "bench_out", None) or "BENCH_PR5.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out}")
-    print()
-    return payload
-
-
-def _bench_resilience(args: argparse.Namespace) -> dict:
-    """ABFT overhead, recovery latency, chaos soak; writes BENCH_PR6.json."""
-    from .bench import format_table, run_resilience_bench
-
-    payload = run_resilience_bench(
-        quick=getattr(args, "bench_quick", False),
-        reps=getattr(args, "bench_reps", None),
-    )
-    ov = payload["fault_free_overhead"]
-    rec = payload["recovery"]
-    print(
-        format_table(
-            ["case", "us", "note"],
-            [
-                ["blocking, fault-free", f"{ov['blocking_us']:.0f}", ""],
-                [
-                    "resilience=, fault-free",
-                    f"{ov['resilient_us']:.0f}",
-                    f"overhead {ov['overhead_fraction'] * 100:+.1f}% "
-                    f"(<=10%: {ov['meets_10pct_budget']})",
-                ],
-                [
-                    "resilience=, kill@alltoall",
-                    f"{rec['killed_run_us']:.0f}",
-                    f"recovery {rec['recovery_bytes']} B / "
-                    f"{rec['recovery_flops']} flops, "
-                    f"bitwise recovered: {rec['bitwise_recovered']}",
-                ],
-            ],
-            title="bench-resilience — survivable SOI, measured wall clock",
-        )
-    )
-    soak = payload["chaos_soak"]
-    print(
-        f"chaos soak: {soak['scenarios']} seeded (phase x victim x schedule "
-        f"x nranks) scenarios — {soak['recovered']} recovered, "
-        f"{soak['structured_failures']} structured failures "
-        f"(kill@replicate only), {soak['hangs']} hangs, "
-        f"{soak['total_wall_s']:.1f}s total"
-    )
-    out = getattr(args, "bench_out", None) or "BENCH_PR6.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out}")
-    print()
-    return payload
-
-
-def _bench_a2a(args: argparse.Namespace) -> dict:
-    """All-to-all schedule sweep over node shapes; writes BENCH_PR8.json."""
-    from .bench import format_table, run_a2a_bench
-
-    payload = run_a2a_bench(
-        quick=getattr(args, "bench_quick", False),
-        reps=getattr(args, "bench_reps", None),
-    )
-    rows = []
-    for shape in payload["shapes"]:
-        label = f"{shape['nodes']}x{shape['ranks_per_node']}"
-        cell = shape["cells"][-1]
-        for algorithm in payload["config"]["algorithms"]:
-            t = cell[algorithm]
-            rows.append([
-                label,
-                algorithm,
-                t["inter_node_messages"],
-                t["inter_node_bytes"],
-                f"{t['modelled_fat_tree_us']:.1f}",
-            ])
-    print(
-        format_table(
-            ["shape", "algorithm", "inter msgs", "inter bytes", "fat-tree us"],
-            rows,
-            title=(
-                f"bench-a2a — P={payload['config']['nranks']} all-to-all, "
-                f"largest message size, measured traffic + modelled fabric"
-            ),
-        )
-    )
-    head = payload["headline"]
-    for label, h in head["per_shape"].items():
-        print(
-            f"  {label}: hierarchical vs pairwise — "
-            f"{h['inter_node_messages_ratio']:.0f}x fewer inter-node messages, "
-            f"{h['inter_node_bytes_ratio']:.3f}x wire bytes, "
-            f"{h['modelled_time_ratio']:.2f}x modelled fat-tree time "
-            f"(wins: {h['hierarchical_wins']})"
-        )
-    soi = payload["soi"]
-    print(
-        f"  SOI N={soi['n']}, {soi['nranks']} ranks: hierarchical wins "
-        f"{soi['hierarchical_wins']} "
-        f"({soi['pairwise']['alltoall_phase_inter_node_messages']} -> "
-        f"{soi['hierarchical']['alltoall_phase_inter_node_messages']} "
-        f"inter-node messages in the alltoall phase)"
-    )
-    out = getattr(args, "bench_out", None) or "BENCH_PR8.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out}")
-    print()
-    return payload
-
-
-def _bench_scale(args: argparse.Namespace) -> dict:
-    """DES weak-scaling sweep to thousand-rank SOI; writes BENCH_PR9.json."""
-    from .bench import format_table, run_scale_bench
-
-    payload = run_scale_bench(
-        quick=getattr(args, "bench_quick", False),
-        reps=getattr(args, "bench_reps", None),
-    )
-    rows = []
-    for run in payload["runs"]:
-        t = run["traffic"]
-        rows.append([
-            run["nranks"],
-            f"{run['nodes']}x{run['ranks_per_node']}",
-            f"{run['cold_wall_s']:.2f}",
-            f"{run['steady_wall_s']:.2f}",
-            f"{run['virtual_time_s'] * 1e3:.2f}",
-            f"{t['inter_node_messages']} ({'ok' if t['messages_match_model'] else 'MISMATCH'})",
-            f"{t['inter_node_bytes']} ({'ok' if t['bytes_match_model'] else 'MISMATCH'})",
-        ])
-    print(
-        format_table(
-            ["P", "shape", "cold s", "steady s", "virtual ms",
-             "inter msgs", "inter bytes"],
-            rows,
-            title=(
-                "bench-scale — executed SOI on the DES engine, hierarchical "
-                "all-to-all, traffic vs the Section 7.4 model"
-            ),
-        )
-    )
-    anchor = payload["engine_anchor"]
-    print(
-        f"  engine anchor P={anchor['nranks']}: DES == threads bitwise "
-        f"{anchor['bitwise_equal']}, stats equal {anchor['stats_equal']}, "
-        f"wall ratio {anchor['des_over_thread_wall_ratio']:.2f}x"
-    )
-    head = payload["headline"]
-    print(
-        f"  headline: {head['name']} — cold {head['cold_wall_s']:.2f}s, "
-        f"steady {head['steady_wall_s']:.2f}s, virtual "
-        f"{head['virtual_time_s'] * 1e3:.2f}ms; traffic matches model at "
-        f"every point: {head['traffic_matches_model_all_points']}"
-    )
-    out = getattr(args, "bench_out", None) or "BENCH_PR9.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out}")
-    print()
-    return payload
-
-
 def _serve(args: argparse.Namespace) -> dict:
     """Demo the transform service: mixed load, then the SLO report."""
     import threading
@@ -620,68 +362,6 @@ def _serve(args: argparse.Namespace) -> dict:
         "warmup": warmup,
         "report": report,
     }
-
-
-def _bench_serve(args: argparse.Namespace) -> dict:
-    """Serving throughput, overload, cache, consistency; writes BENCH_PR7.json."""
-    from .bench import format_table, run_serve_bench
-
-    payload = run_serve_bench(
-        quick=getattr(args, "bench_quick", False),
-        reps=getattr(args, "bench_reps", None),
-    )
-    rows = [
-        [
-            c["name"],
-            f"{c['serial']['throughput_rps']:.0f}",
-            f"{c['batched']['throughput_rps']:.0f}",
-            f"{c['batched']['mean_batch_size']:.1f}",
-            f"{c['speedup']:.2f}x",
-        ]
-        for c in payload["cases"]
-    ]
-    print(
-        format_table(
-            ["case", "serial rps", "batched rps", "mean batch", "speedup"],
-            rows,
-            title=(
-                f"bench-serve — {payload['config']['clients']}-client closed "
-                "loop, measured wall clock"
-            ),
-        )
-    )
-    head = payload["headline"]
-    print(
-        f"headline: {head['name']}: {head['speedup']:.2f}x "
-        f"(>=3x: {head['meets_3x']}) — coalesced distributed transforms share "
-        "one SPMD launch and three all-to-all epochs per batch"
-    )
-    ov = payload["overload"]
-    print(
-        f"overload: {ov['submitted']} submitted -> {ov['outcomes']['ok']} ok, "
-        f"{ov['rejected_sync']} rejected, {ov['outcomes']['shed']} shed, "
-        f"{ov['outcomes']['deadline']} deadline-expired; hangs: {ov['hangs']}, "
-        f"all resolved: {ov['all_resolved']}, counters match: "
-        f"{ov['counters_match']}"
-    )
-    cache = payload["cache"]
-    print(
-        f"cache: {cache['served_requests']} requests on warmed shapes "
-        f"{cache['warm_shapes']} -> {cache['hits_during_serving']} hits, "
-        f"{cache['misses_during_serving']} misses (all hits: {cache['all_hits']})"
-    )
-    cons = payload["consistency"]
-    print(
-        f"consistency: {len(cons['rows'])} zero-tolerance serve rows, "
-        f"coalesced == solo bitwise: {cons['bitwise_ok']}"
-    )
-    out = getattr(args, "bench_out", None) or "BENCH_PR7.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out}")
-    print()
-    return payload
 
 
 def _check(args: argparse.Namespace) -> dict:
@@ -781,12 +461,6 @@ SECTIONS = {
     "fig7": _fig7,
     "fig8": lambda args: _fig_sweeps(["fig8"])["fig8"],
     "fig9": _fig9,
-    "bench-micro": _bench_micro,
-    "bench-overlap": _bench_overlap,
-    "bench-resilience": _bench_resilience,
-    "bench-serve": _bench_serve,
-    "bench-a2a": _bench_a2a,
-    "bench-scale": _bench_scale,
     "serve": _serve,
     "check": _check,
 }
@@ -814,27 +488,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         default=None,
         help="trace section: write the SOI run as Chrome trace-event JSON to PATH",
-    )
-    parser.add_argument(
-        "--bench-out",
-        metavar="PATH",
-        default=None,
-        help="bench sections: output JSON path (default BENCH_PR3.json for "
-        "bench-micro, BENCH_PR5.json for bench-overlap, BENCH_PR6.json for "
-        "bench-resilience, BENCH_PR7.json for bench-serve, BENCH_PR8.json "
-        "for bench-a2a, BENCH_PR9.json for bench-scale)",
-    )
-    parser.add_argument(
-        "--bench-quick",
-        action="store_true",
-        help="bench sections: small sizes / few reps (CI smoke mode)",
-    )
-    parser.add_argument(
-        "--bench-reps",
-        metavar="N",
-        type=int,
-        default=None,
-        help="bench sections: repetitions / iterations per timed variant",
     )
     parser.add_argument(
         "--schedules",

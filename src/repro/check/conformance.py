@@ -707,7 +707,7 @@ def _serve_rows(report: ConformanceReport, n: int) -> None:
     :class:`~repro.serve.TransformServer` under a batch-formation
     window, checks that coalescing actually happened, and compares the
     served outputs against direct execution and against a
-    ``coalesce=False`` server (the one-at-a-time baseline).
+    ``max_batch=1`` server (the one-at-a-time baseline).
     """
     from ..dft import plan_for
     from ..serve import ServeConfig, TransformServer
@@ -807,11 +807,11 @@ def _serve_rows(report: ConformanceReport, n: int) -> None:
         detail="shared-plan dispatch group == per-request nufft1 calls",
     )
 
-    def served(coalesce: bool):
+    def served(batched: bool):
         xs = [_signal(f"serve-live-{i}", n) for i in range(6)]
         cfg = ServeConfig(
-            workers=1, max_batch=16, coalesce=coalesce,
-            batch_linger_s=0.05 if coalesce else 0.0,
+            workers=1, max_batch=16 if batched else 1,
+            batch_linger_s=0.05 if batched else 0.0,
             default_library="repro",
         )
         with TransformServer(cfg) as srv:
@@ -855,7 +855,7 @@ def _serve_rows(report: ConformanceReport, n: int) -> None:
     _bitwise_row(
         report, f"serve.server[coalesce_on==off,K=6][n={n}]", "serve", n,
         onoff_compute,
-        detail="coalesce=True server == coalesce=False one-at-a-time baseline",
+        detail="coalescing server == max_batch=1 one-at-a-time baseline",
     )
 
 

@@ -25,6 +25,7 @@ loop_b structure in Section 6).
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -357,6 +358,21 @@ class SoiPlan:
             writeable=False,
         )
 
+    def _segment_index(self, s) -> int:
+        """*s* as a Python ``int`` in ``[0, P)``: integers (NumPy ones
+        included) only, never a bool or a float."""
+        if isinstance(s, bool):
+            raise TypeError("segment must be an integer, got bool")
+        try:
+            s = operator.index(s)
+        except TypeError:
+            raise TypeError(
+                f"segment must be an integer, got {type(s).__name__}"
+            ) from None
+        if not 0 <= s < self.p:
+            raise IndexError(f"segment {s} out of range [0, {self.p})")
+        return s
+
     def segment_phase(self, s: int) -> np.ndarray:
         """Cached modulation phases ``exp(-2j*pi*s*k/P)`` for segment *s*.
 
@@ -364,8 +380,7 @@ class SoiPlan:
         ``Phi_s`` diagonal has period P); cached because segment-of-
         interest workloads re-extract the same few segments repeatedly.
         """
-        if not 0 <= s < self.p:
-            raise IndexError(f"segment {s} out of range [0, {self.p})")
+        s = self._segment_index(s)
         phase = self._segment_phases.get(s)
         if phase is None:
             computed = np.exp(-2j * np.pi * s * np.arange(self.p) / self.p)
@@ -380,8 +395,7 @@ class SoiPlan:
 
     def segment_slice(self, s: int) -> slice:
         """Output index range of segment *s*: ``[s*M, (s+1)*M)``."""
-        if not 0 <= s < self.p:
-            raise IndexError(f"segment {s} out of range [0, {self.p})")
+        s = self._segment_index(s)
         return slice(s * self.m, (s + 1) * self.m)
 
     @property

@@ -218,15 +218,13 @@ def soi_segment(
     one segment costs only the convolution plus ONE length-M' FFT —
     this is the "direct pursuit of a segment of interest" of Fig. 1.
     """
-    if not 0 <= s < plan.p:
-        raise IndexError(f"segment {s} out of range [0, {plan.p})")
+    phase = plan.segment_phase(s)    # validates s; cached length-P table
     be = get_backend(backend)
     vec = as_complex_vector(x)
     if vec.size != plan.n:
         raise ValueError(f"plan is for N={plan.n}, input has {vec.size} points")
     if vec.dtype != plan.dtype:
         vec = vec.astype(plan.dtype)
-    phase = plan.segment_phase(s)    # cached length-P modulation table
     modulated = (vec.reshape(plan.m, plan.p) * phase).reshape(plan.n)
     z = soi_convolve(modulated, plan)
     x_tilde = z.sum(axis=1)          # DFT bin 0 across the P-axis

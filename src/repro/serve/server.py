@@ -47,16 +47,14 @@ __all__ = ["ServeConfig", "TransformServer"]
 class ServeConfig:
     """Frozen server configuration.
 
-    ``coalesce=False`` caps every batch at one request — the
-    one-request-at-a-time baseline ``bench-serve`` compares against;
-    everything else (admission, metrics, workers) stays identical, so
-    the measured difference is purely the batching.
+    ``max_batch=1, batch_linger_s=0.0`` serves strictly one request at
+    a time; everything else (admission, metrics, workers) is the same
+    as a coalescing server, so the two differ only in the batching.
     """
 
     workers: int = 2
     max_queue: int = 256
     max_batch: int = 64
-    coalesce: bool = True
     #: Batch-formation window: with fewer than ``max_batch`` requests
     #: queued, a worker waits up to this long for more arrivals before
     #: dispatching.  Trades bounded per-batch latency for larger
@@ -288,9 +286,8 @@ class TransformServer:
 
     # -- worker loop --------------------------------------------------
     def _worker_loop(self, worker: int) -> None:
-        cfg = self.config
-        max_batch = cfg.max_batch if cfg.coalesce else 1
-        linger = cfg.batch_linger_s if cfg.coalesce else 0.0
+        max_batch = self.config.max_batch
+        linger = self.config.batch_linger_s
         while True:
             with self._cond:
                 while not len(self._admission):

@@ -156,3 +156,25 @@ class TestSoiSegment:
     def test_wrong_length(self, full_plan):
         with pytest.raises(ValueError):
             soi_segment(np.zeros(10, dtype=complex), full_plan, 0)
+
+    @pytest.mark.parametrize("entry", ["soi_segment", "segment_phase", "segment_slice"])
+    @pytest.mark.parametrize("s", [1.5, 1.0, np.float64(1.0), True, np.True_, "1", None])
+    def test_non_integer_segment_rejected(self, full_plan, entry, s):
+        x = random_complex(full_plan.n, 19)
+        call = {
+            "soi_segment": lambda: soi_segment(x, full_plan, s),
+            "segment_phase": lambda: full_plan.segment_phase(s),
+            "segment_slice": lambda: full_plan.segment_slice(s),
+        }[entry]
+        with pytest.raises(TypeError, match="segment must be an integer"):
+            call()
+
+    def test_numpy_integer_segment_accepted(self, full_plan):
+        x = random_complex(full_plan.n, 20)
+        s = np.int64(3)
+        np.testing.assert_array_equal(
+            soi_segment(x, full_plan, s), soi_segment(x, full_plan, 3)
+        )
+        assert full_plan.segment_phase(s) is full_plan.segment_phase(3)
+        assert full_plan.segment_slice(s) == full_plan.segment_slice(3)
+        assert type(full_plan.segment_slice(s).start) is int

@@ -30,6 +30,11 @@ RANKS = 4
 #: Kill boundaries that must be SURVIVED (bit-exact recovery).
 SURVIVABLE_PHASES = ("convolve", "fft-p", "alltoall", "fft-m", "commit")
 
+#: Kill phases of the chaos soak.  ``replicate`` is the designed-
+#: unrecoverable boundary (the input dies with the rank before any copy
+#: exists); every later phase must be survived.
+SOAK_PHASES = ("replicate", *SURVIVABLE_PHASES)
+
 #: Hard per-run wall guard: a hang is a contract violation, not a retry.
 WALL_GUARD_S = 30.0
 
@@ -194,13 +199,10 @@ class TestChaosSoak:
 
     Every scenario must either recover within the conformance tolerance
     or raise a structured failure (the ``replicate`` boundary only) —
-    zero hangs, under a hard wall-clock guard.  This is the acceptance
-    sweep; the measured twin lives in ``repro.bench.resilience``.
+    zero hangs, under a hard wall-clock guard.
     """
 
     def test_soak(self):
-        from repro.bench.resilience import SOAK_PHASES
-
         plans = {
             4: SoiPlan(n=2048, p=8, window="digits6"),
             8: SoiPlan(n=4096, p=8, window="digits6"),

@@ -4,7 +4,7 @@
 executing each request alone, for every backend and direction — the
 contract that lets the batcher group purely for throughput.  The live
 server tests then pin that the linger window actually forms multi-
-request batches and that ``coalesce=False`` really is the
+request batches and that ``max_batch=1`` really is the
 one-at-a-time baseline.
 """
 
@@ -107,10 +107,10 @@ class TestExecuteBatchBitwise:
 
 
 class TestLiveServerCoalescing:
-    def _serve(self, coalesce):
+    def _serve(self, batched):
         cfg = ServeConfig(
-            workers=1, max_batch=16, coalesce=coalesce,
-            batch_linger_s=0.05 if coalesce else 0.0,
+            workers=1, max_batch=16 if batched else 1,
+            batch_linger_s=0.05 if batched else 0.0,
             default_library="numpy",
         )
         xs = _signals(6, 256)
@@ -122,13 +122,13 @@ class TestLiveServerCoalescing:
         return xs, outs, sizes
 
     def test_lingering_server_forms_multi_request_batches(self):
-        xs, outs, sizes = self._serve(coalesce=True)
+        xs, outs, sizes = self._serve(batched=True)
         assert max(sizes) >= 2  # the linger window actually coalesced
         for x, out in zip(xs, outs):
             np.testing.assert_array_equal(out, np.fft.fft(x))
 
     def test_coalesce_off_is_strictly_one_at_a_time(self):
-        xs, outs, sizes = self._serve(coalesce=False)
+        xs, outs, sizes = self._serve(batched=False)
         assert sizes and max(sizes) == 1
         for x, out in zip(xs, outs):
             np.testing.assert_array_equal(out, np.fft.fft(x))

@@ -6,6 +6,8 @@ test mutates server state — margins are hundreds of milliseconds, not
 scheduler luck.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,58 @@ class TestOverloadPaths:
             assert exc.value.deadline_s == pytest.approx(0.005)
             assert exc.value.waited_s > 0.0
         assert [s.status for s in srv.metrics.spans()] == ["deadline"]
+
+    @pytest.fixture(scope="class")
+    def burst(self):
+        """A burst far past queue capacity, every ticket then claimed.
+        Returns (submitted, synchronous rejections, outcomes, counters)."""
+        cfg = ServeConfig(
+            workers=1, max_queue=16, max_batch=8, batch_linger_s=0.002,
+            default_library="numpy",
+        )
+        xs = [_signal(1024, seed=i) for i in range(2)]
+        prios = ("interactive", "batch", "best_effort")
+        submitted, rejected_sync, tickets = 120, 0, []
+        with TransformServer(cfg) as srv:
+            for i in range(submitted):
+                # Every sixth request (all interactive) carries a deadline
+                # shorter than one linger window: admitted ahead of the
+                # capacity sheds, then expired in the queue.
+                kwargs = {"deadline_s": 0.001} if i % 6 == 0 else {}
+                try:
+                    ticket = srv.submit(xs[i % 2], priority=prios[i % 3], **kwargs)
+                    tickets.append(ticket)
+                except AdmissionRejected:
+                    rejected_sync += 1
+                if i % 64 == 63:
+                    time.sleep(0.002)  # let the worker serve between sub-bursts
+            outcomes = {"ok": 0, "shed": 0, "deadline": 0}
+            for ticket in tickets:
+                try:
+                    ticket.result(timeout=60.0)
+                    outcomes["ok"] += 1
+                except AdmissionRejected:
+                    outcomes["shed"] += 1
+                except DeadlineExceeded:
+                    outcomes["deadline"] += 1
+            counters = srv.admission_counters()
+        return submitted, rejected_sync, outcomes, counters
+
+    def test_burst_resolves_every_ticket_typed(self, burst):
+        """Every submission ends as exactly one of ok / synchronous
+        rejection / shed / deadline, and no ticket hangs."""
+        submitted, rejected_sync, outcomes, _ = burst
+        assert rejected_sync + sum(outcomes.values()) == submitted
+
+    def test_burst_admission_counters_match_ticket_outcomes(self, burst):
+        _, rejected_sync, outcomes, counters = burst
+        assert counters["rejected"] == rejected_sync
+        assert counters["shed_capacity"] == outcomes["shed"]
+        assert counters["shed_deadline"] == outcomes["deadline"]
+
+    def test_burst_actually_overloads(self, burst):
+        _, rejected_sync, outcomes, _ = burst
+        assert rejected_sync + outcomes["shed"] > 0
 
 
 class TestObservability:

@@ -134,6 +134,31 @@ class TestMessageCountModel:
         assert predicted_inter_node_messages(16, 4, "pairwise") == 192
         assert predicted_inter_node_messages(16, 4, "hierarchical") == 12
 
+    @pytest.mark.parametrize(
+        "rpn,pair_msgs,hier_msgs", [(4, 192, 12), (2, 224, 56)], ids=["4x4", "8x2"]
+    )
+    def test_hierarchical_wins_measured(self, rpn, pair_msgs, hier_msgs):
+        """P=16 as 4x4 and as 8x2: measured messages collapse to node
+        pairs, fewer header bytes cross the fabric, and the fat-tree
+        model prices the hierarchical exchange below pairwise."""
+        from repro.cluster.topology import FatTree
+
+        fabric, nnodes = FatTree(), 16 // rpn
+        pair_out, pair = _exchange(16, rpn, "pairwise", elems=1024)
+        hier_out, hier = _exchange(16, rpn, "hierarchical", elems=1024)
+        assert np.array_equal(hier_out, pair_out)
+        assert pair.total_inter_node_messages == pair_msgs
+        assert hier.total_inter_node_messages == hier_msgs
+        assert hier.total_inter_node_bytes < pair.total_inter_node_bytes
+
+        def modelled(st):
+            return fabric.alltoall_time(
+                st.total_inter_node_bytes, nnodes,
+                messages=st.total_inter_node_messages,
+            )
+
+        assert modelled(hier) < modelled(pair)
+
     def test_payload_volume_is_algorithm_invariant(self):
         # Every off-node element crosses the fabric exactly once under
         # pairwise and hierarchical; headers are the only byte delta.

@@ -53,12 +53,6 @@ class TestCli:
             "snr",
             "traffic",
             "trace",
-            "bench-micro",
-            "bench-overlap",
-            "bench-resilience",
-            "bench-serve",
-            "bench-a2a",
-            "bench-scale",
             "serve",
             "check",
             "fig5",

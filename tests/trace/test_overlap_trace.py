@@ -2,6 +2,7 @@
 in-flight depth profiling, and stall attribution on the critical path."""
 
 import numpy as np
+import pytest
 
 from repro.simmpi import run_spmd
 from repro.trace import (
@@ -193,6 +194,55 @@ class TestStallAttribution:
         # contributes (almost) nothing — unlike a blocking send, which
         # would put its whole wire time on the path.
         assert stall.get("exchange", 0.0) < 0.1 * cost.wire_time(1024 * KB)
+
+    @pytest.fixture(scope="class")
+    def soi_replay(self):
+        """Blocking and pipelined distributed SOI, each replayed under a
+        5 MB/s injection NIC plus 300 us latency. Maps ``overlap`` to
+        (makespan, all-to-all stall on the critical path, in-flight
+        max depth of the all-to-all)."""
+        from repro.bench.workloads import random_complex
+        from repro.cluster.topology import FatTree
+        from repro.core import SoiPlan
+        from repro.parallel import soi_fft_distributed
+
+        cost = TraceCostModel(
+            fabric=FatTree(link_gbit=0.04, taper=1.0, alltoall_efficiency=1.0),
+            latency_s=300e-6,
+        )
+        plan, nranks = SoiPlan(n=4096, p=4), 4
+        blocks = random_complex(plan.n, seed=plan.n % 9973).reshape(nranks, -1)
+        replay = {}
+        for overlap in (False, True):
+            rec = TraceRecorder()
+            run_spmd(
+                nranks,
+                lambda comm: soi_fft_distributed(
+                    comm, blocks[comm.rank], plan,
+                    overlap=overlap, overlap_groups=2,
+                ),
+                trace=rec,
+            )
+            tl = rec.timeline(cost)
+            replay[overlap] = (
+                tl.makespan,
+                critical_path(tl).wait_by_phase_s().get("alltoall", 0.0),
+                inflight_profile(tl)["alltoall"]["max_depth"],
+            )
+        return replay
+
+    def test_pipelined_soi_stalls_less_than_blocking(self, soi_replay):
+        """The pipelined SOI's critical path spends strictly less time
+        stalled in the all-to-all than the blocking one."""
+        blk_span, blk_stall, _ = soi_replay[False]
+        ovl_span, ovl_stall, _ = soi_replay[True]
+        assert blk_span > 0 and ovl_span > 0
+        assert ovl_stall < blk_stall
+
+    def test_pipelined_soi_replay_shows_inflight_depth(self, soi_replay):
+        """The pipelined path really has all-to-all messages in flight
+        together."""
+        assert soi_replay[True][2] > 1
 
     def test_rollup_exports_wait_by_phase(self):
         rec = TraceRecorder()
