@@ -21,6 +21,21 @@ Per step (a range of ``p`` and a band of chunks) the kernel
 4. interleaves the two planes, applies the phase and writes straight
    into the ``(P, M')`` layout the fused ``fft_tt`` kernels consume.
 
+**The fft-p panel.**  Given the plan's column transform (``fft_p``,
+the ``I_M' (x) F_P`` stage), the kernel also runs that stage while the
+convolution output is still in cache: each step's phase-multiplied band
+goes into a pooled ``(P, panel_cols)`` panel of whole steps, and a full
+panel is transformed and copied into the ``(P, M')`` result.  A
+column transform over the whole ``(64, 20480)`` array at N = 2^20 is
+~2x slower than over panels: its rows sit ``5 * 2^16`` bytes apart,
+which maps a column onto a handful of cache sets.  When the whole
+output fits one panel, or a step does not cover all ``P`` columns, the
+output array is the panel and ``fft_p`` runs once at the end — the
+unfused sequence.  Either way the values equal ``fft_p`` of the whole
+unfused output bit for bit, because the transform is computed column by
+column: a column slice gets the bits the whole array gets (a contract
+of :class:`~repro.dft.backends.FftBackend`, re-proved by the tests).
+
 **Bitwise equality of sub-ranges, by construction.**  Every GEMM call
 has the same ``(2H, K) @ (K, G*mu)`` shape whatever the caller's chunk
 count, and tiles sit on a grid of ``G*H``-chunk cells anchored at
@@ -36,16 +51,17 @@ NaN or Inf there turns the zero into NaN, so a non-finite input can
 poison up to ``G`` chunks around it rather than only those that read
 it; the result is non-finite either way.)
 
-Group width, step shape and pool size are derived from the plan's
-``(B, nu, mu, P, itemsize)``, a fixed scratch budget and the CPU count;
-the output is a fresh array, so nothing a caller holds aliases pooled
-memory.
+Group width, step shape, panel width and pool size are derived from the
+plan's ``(B, nu, mu, P, itemsize)``, a fixed scratch budget and the CPU
+count; the output is a fresh array, so nothing a caller holds aliases
+pooled memory.
 """
 
 from __future__ import annotations
 
 import os
 import queue
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -62,6 +78,10 @@ _TILE_ROWS = 8
 #: costs ~7% single-threaded and doubles a rank's steps).
 _SCRATCH_BUDGET = 1 << 20
 _P_SPLIT = 4
+#: The fft-p panel holds as many whole steps of output as fit in this
+#: many scratch budgets (6 steps at N = 2^20, P = 64; panels of 1 to 6
+#: steps measured alike there, 12 steps ~10% slower).
+_PANEL_BUDGETS = 2
 
 
 def _usable_cpus() -> int:
@@ -78,11 +98,12 @@ class _Workspace:
     ``rows`` holds the transposed input, ``tiles`` its stencil windows
     split into planes, ``prod`` the GEMM output and ``band`` the same
     values interleaved; ``tile_src`` and ``band_planes`` are the strided
-    views that make each of those copies one call.
+    views that make each of those copies one call.  ``panel`` (the fft-p
+    panel) is built on first use, as only large calls need it.
     """
 
     __slots__ = ("rows", "tile_src", "tiles", "gemm_in", "prod", "gemm_out",
-                 "band_planes", "band")
+                 "band_planes", "band", "panel")
 
     def __init__(self, k: "ConvolveKernel") -> None:
         real, it = k.banded.dtype, k.phase.itemsize
@@ -108,6 +129,7 @@ class _Workspace:
             shape=self.prod.shape,
             strides=(self.band.strides[0], h * k.tile_n * it, it // 2, it),
         )
+        self.panel: np.ndarray | None = None
 
 
 class ConvolveKernel:
@@ -142,6 +164,10 @@ class ConvolveKernel:
         fit = max(1, _SCRATCH_BUDGET // per_cell)
         self.p_step = -(-p // -(-p // (_P_SPLIT * fit)))
         self.cells = max(1, fit // p)
+        # fft-p panel: whole steps of P rows, as many as fit the panel budget.
+        step_cols = self.cells * self.grid * mu
+        step_bytes = p * step_cols * phase.itemsize
+        self.panel_cols = step_cols * max(1, _PANEL_BUDGETS * _SCRATCH_BUDGET // step_bytes)
         # banded[p, i*nu + b, i*mu + r] = T[r, b, p] for every chunk i < G
         self.banded = np.zeros((p, self.tile_k, self.tile_n), dtype=table.dtype)
         by_p = table.transpose(2, 1, 0)
@@ -159,22 +185,40 @@ class ConvolveKernel:
     def table_bytes(self) -> int:
         return self.banded.nbytes + self.phase.nbytes
 
-    def __call__(self, src: np.ndarray, nchunks: int, q0: int) -> np.ndarray:
+    def __call__(
+        self,
+        src: np.ndarray,
+        nchunks: int,
+        q0: int,
+        fft_p: Callable[[np.ndarray], np.ndarray] | None = None,
+    ) -> np.ndarray:
         """``z_t`` of shape ``(P, nchunks*mu)`` for the chunks starting at
         global chunk *q0*; *src* is the ``((nchunks-1)*nu + B, P)`` block
-        of extended-input rows those chunks read."""
+        of extended-input rows those chunks read.  With *fft_p* (a
+        column transform of 2-D arrays) the result is ``fft_p(z_t)``,
+        computed panel by panel when it spans more than one panel."""
         mu, nu, grid = self.mu, self.nu, self.grid
         out = np.empty((self.p, nchunks * mu), dtype=self.phase.dtype)
+        paneled = (
+            fft_p is not None
+            and self.p_step == self.p
+            and nchunks * mu > self.panel_cols
+        )
         ws = self._slots.get()
         try:
             if ws is None:
                 ws = _Workspace(self)
+            if paneled and ws.panel is None:
+                ws.panel = np.empty((self.p, self.panel_cols), dtype=out.dtype)
+            # Unpaneled, the output is the panel and never fills.
+            panel = ws.panel if paneled else out
             # p outermost: one step's banded tables stay cached across
             # all of the caller's bands.
             for p0 in range(0, self.p, self.p_step):
                 p1 = min(p0 + self.p_step, self.p)
                 n = p1 - p0
                 tables, phase = self.banded[p0:p1, None], self.phase[p0:p1]
+                pa = 0  # first chunk the panel holds
                 # c0: local index of the chunk a band starts at (negative
                 # when the global grid starts the band before this caller).
                 for c0 in range(-(q0 % grid), nchunks, self.cells * grid):
@@ -194,8 +238,18 @@ class ConvolveKernel:
                     a = (lo - c0) * mu
                     b = a + (hi - lo) * mu
                     np.multiply(
-                        ws.band[:n, a:b], phase[:, a:b], out=out[p0:p1, lo * mu : hi * mu]
+                        ws.band[:n, a:b],
+                        phase[:, a:b],
+                        out=panel[p0:p1, (lo - pa) * mu : (hi - pa) * mu],
                     )
+                    if paneled and (
+                        hi == nchunks
+                        or (hi - pa + self.cells * grid) * mu > self.panel_cols
+                    ):
+                        out[:, pa * mu : hi * mu] = fft_p(panel[:, : (hi - pa) * mu])
+                        pa = hi
         finally:
             self._slots.put(ws)
+        if fft_p is not None and not paneled:
+            out = fft_p(out)
         return out

@@ -32,6 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ..dft.backends import FftBackend, backend_fft_tt, get_backend
 from ..exectx import execution_context
 from ..utils import as_fraction, check_positive_int, require
 from .convolve import ConvolveKernel
@@ -66,8 +67,8 @@ class SoiPlan:
     window:
         One of: a :class:`~repro.core.design.WindowDesign` (fully
         resolved), a preset name (e.g. ``"full"``, ``"digits10"``), a
-        target-digit float, or a bare :class:`ReferenceWindow` combined
-        with an explicit ``b``.
+        target-digit number (float or int, never bool), or a bare
+        :class:`ReferenceWindow` combined with an explicit ``b``.
     b:
         Stencil width override; required only with a bare window.
     dtype:
@@ -184,8 +185,8 @@ class SoiPlan:
             self.design = spec
         elif isinstance(spec, str):
             self.design = preset_design(spec, beta=beta_f)
-        elif isinstance(spec, float) and not isinstance(spec, bool):
-            self.design = design_window(spec, beta=beta_f)
+        elif isinstance(spec, (float, int)) and not isinstance(spec, bool):
+            self.design = design_window(float(spec), beta=beta_f)
         elif isinstance(spec, ReferenceWindow):
             require(
                 self.b is not None,
@@ -311,6 +312,23 @@ class SoiPlan:
         n = winb.shape[0]
         z_t = self._convolver()(self._window_rows(winb), n, q0)
         return z_t.reshape(self.p, n, self.mu)
+
+    def convolve_fft_p(
+        self, winb: np.ndarray, q0: int = 0, backend: "str | FftBackend" = "numpy"
+    ) -> np.ndarray:
+        """Stages 1 and 2 in one pass: ``(I (x) F_P)`` applied to the
+        columns of :meth:`contract_windows_t`, shape ``(P, q * mu)``.
+
+        Bit for bit ``_plan_fft_tt(backend, contract_windows_t(winb, q0))``
+        (the staged reference), but large calls transform each panel of
+        convolution output while it is still in cache and never hold the
+        untransformed ``z`` (see :mod:`repro.core.convolve`).
+        """
+        be = get_backend(backend)
+        return self._convolver()(
+            self._window_rows(winb), winb.shape[0], q0,
+            lambda zt: _plan_fft_tt(be, zt, self),
+        )
 
     def contract_windows(self, winb: np.ndarray) -> np.ndarray:
         """Stage-1 convolution ``z[.., q, r, p] = sum_b C[r,b,p] win[.., q,b,p]``.
@@ -440,6 +458,17 @@ class SoiPlan:
         )
 
 
+def _plan_fft_tt(be: FftBackend, xt: np.ndarray, plan: SoiPlan) -> np.ndarray:
+    """Column-wise forward FFT (fused layout) at the plan's precision."""
+    if plan.dtype != np.complex64:
+        return backend_fft_tt(be, xt)
+    if be.name == "repro":
+        from ..dft.cache import plan_for
+
+        return plan_for(xt.shape[0], precision="single").execute_tt(xt)
+    return backend_fft_tt(be, xt).astype(np.complex64)
+
+
 # ----------------------------------------------------------------------
 # SOI plan cache — the SoiPlan analogue of repro.dft.cache.plan_for.
 # ----------------------------------------------------------------------
@@ -473,7 +502,7 @@ def soi_plan_for(
     with it every precomputed workspace it carries (coefficient tables,
     banded convolution kernel, reciprocal demodulation, per-context
     extended-input buffers) — instead of rebuilding them per call.  Only
-    hashable window specs (preset names / target-digit floats) are
+    hashable window specs (preset names / target-digit numbers) are
     cached; exotic specs fall through to a fresh plan.  Safe to call
     concurrently from simmpi rank threads.
     """
@@ -483,6 +512,8 @@ def soi_plan_for(
     obs = _soi_observer
     if obs is not None:
         obs("core.soi_plan_cache", "rw", _SOI_GUARD)
+    if not isinstance(window, str):
+        window = float(window)  # 14 and 14.0 are one design and one key
     key = (n, p, as_fraction(beta), window, b, np.dtype(dtype).str)
     with _soi_lock:
         if _soi_cache is None:

@@ -12,13 +12,18 @@ as a fully vectorised four-stage pipeline:
    the loop_a/loop_b/loop_c/loop_d nest of Section 6 blocked for BLAS
    (the NumPy analogue of the paper's unroll-and-jam + SIMD
    optimisation).
-2. **Small FFTs** ``(I_M' (x) F_P)``: one batched length-P transform
-   over the M' rows of z.
+2. **Small FFTs** ``(I_M' (x) F_P)``: length-P transforms of the M'
+   rows of z, each independent of the others — so the convolution
+   kernel runs them on each cache-sized panel of z as soon as the panel
+   is written, and the whole untransformed z never exists
+   (:meth:`SoiPlan.convolve_fft_p`; small calls transform once at the
+   end, bit for bit the same).
 3. **Global reordering** ``P_perm^{P,N'}``: a transpose — the step that
    becomes THE single all-to-all in the distributed version.
-4. **Segment FFTs + demodulation**: P batched length-M' transforms,
-   keep the first M bins of each, multiply by the plan's precomputed
-   ``1 / w_hat(k)`` diagonal.
+4. **Segment FFTs + demodulation**: P batched length-M' transforms
+   (in place in the segments array when the backend has
+   ``fft_into``), keep the first M bins of each, multiply by the plan's
+   precomputed ``1 / w_hat(k)`` diagonal.
 
 The sequential code is the reference the distributed implementation in
 :mod:`repro.parallel.soi_dist` must match bit-for-bit (it performs the
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dft.backends import FftBackend, backend_fft_tt, get_backend
+from ..dft.backends import FftBackend, get_backend
 from ..utils import as_complex_vector
 from .plan import SoiPlan
 
@@ -54,34 +59,29 @@ def _as_batched(x: np.ndarray, plan: SoiPlan) -> np.ndarray:
     return arr
 
 
-def _plan_fft(be: FftBackend, z: np.ndarray, plan: SoiPlan) -> np.ndarray:
+def _plan_fft(
+    be: FftBackend, z: np.ndarray, plan: SoiPlan, out: np.ndarray | None = None
+) -> np.ndarray:
     """Backend forward FFT over the last axis at the plan's precision.
 
     Double-precision plans use the backend verbatim (the historical
-    bit-exact path).  For complex64 plans the repro backend executes a
-    native single-precision kernel plan; other backends compute at
-    their own precision and round once to complex64 — the distributed
-    pipeline routes through this same helper, so sequential and
-    distributed stay bit-for-bit equal at either precision.
+    bit-exact path), writing into *out* (which may be *z* itself) when
+    the backend has ``fft_into``; the result array is returned either
+    way.  For complex64 plans the repro backend executes a native
+    single-precision kernel plan; other backends compute at their own
+    precision and round once to complex64 — the distributed pipeline
+    routes through this same helper, so sequential and distributed stay
+    bit-for-bit equal at either precision.
     """
     if plan.dtype != np.complex64:
+        if out is not None and be.fft_into is not None:
+            return be.fft_into(z, out)
         return be.fft(z)
     if be.name == "repro":
         from ..dft.cache import plan_for
 
         return plan_for(z.shape[-1], precision="single").execute(z, inverse=False)
     return be.fft(z).astype(np.complex64)
-
-
-def _plan_fft_tt(be: FftBackend, xt: np.ndarray, plan: SoiPlan) -> np.ndarray:
-    """Column-wise forward FFT (fused layout) at the plan's precision."""
-    if plan.dtype != np.complex64:
-        return backend_fft_tt(be, xt)
-    if be.name == "repro":
-        from ..dft.cache import plan_for
-
-        return plan_for(xt.shape[0], precision="single").execute_tt(xt)
-    return backend_fft_tt(be, xt).astype(np.complex64)
 
 
 def extended_input(x: np.ndarray, plan: SoiPlan) -> np.ndarray:
@@ -96,12 +96,10 @@ def extended_input(x: np.ndarray, plan: SoiPlan) -> np.ndarray:
     return np.concatenate([arr, arr[..., : plan.b * plan.p]], axis=-1)
 
 
-def _convolve_t(vec: np.ndarray, plan: SoiPlan) -> np.ndarray:
-    """``z = W x`` of one length-N vector in the ``(P, M')`` layout:
-    periodic extension into the plan's per-context buffer, then the
-    plan's convolution kernel over all ``M / nu`` chunks."""
-    winb = plan.window_view(vec, vec[: plan.b * plan.p], plan.q_chunks)
-    return plan.contract_windows_t(winb).reshape(plan.p, plan.m_over)
+def _windows(vec: np.ndarray, plan: SoiPlan) -> np.ndarray:
+    """All ``M / nu`` stencil windows of one length-N vector, over its
+    periodic extension in the plan's per-context buffer."""
+    return plan.window_view(vec, vec[: plan.b * plan.p], plan.q_chunks)
 
 
 def soi_convolve(x: np.ndarray, plan: SoiPlan) -> np.ndarray:
@@ -119,7 +117,8 @@ def soi_convolve(x: np.ndarray, plan: SoiPlan) -> np.ndarray:
     arr = _as_batched(x, plan)
     out = np.empty(arr.shape[:-1] + (plan.m_over, plan.p), dtype=plan.dtype)
     for idx in np.ndindex(arr.shape[:-1]):
-        out[idx] = _convolve_t(arr[idx], plan).T
+        z_t = plan.contract_windows_t(_windows(arr[idx], plan))
+        out[idx] = z_t.reshape(plan.p, plan.m_over).T
     return out
 
 
@@ -145,13 +144,13 @@ def soi_fft(
     out = np.empty(arr.shape, dtype=plan.dtype)
     for idx in np.ndindex(arr.shape[:-1]):
         # Zero-transpose chain: the convolution emits z pre-transposed
-        # in the (P, M') segment layout, and the backend's fused fft_tt
-        # transforms its columns in place of layout — stage 1 through
-        # P_perm^{P,N'} never copies through a transpose.
-        z_t = _convolve_t(arr[idx], plan)
-        segments = _plan_fft_tt(be, z_t, plan)      # (I_M' (x) F_P) + P_perm
-        yt = _plan_fft(be, segments, plan)          # I_P (x) F_M'
-        np.multiply(                                # P_proj + W_hat^-1
+        # in the (P, M') segment layout and transforms its columns panel
+        # by panel — stage 1 through P_perm^{P,N'} never copies through
+        # a transpose, and fft-m overwrites the segments where it can.
+        winb = _windows(arr[idx], plan)
+        segments = plan.convolve_fft_p(winb, 0, be)         # W x, (I_M' (x) F_P) + P_perm
+        yt = _plan_fft(be, segments, plan, out=segments)    # I_P (x) F_M'
+        np.multiply(                                        # P_proj + W_hat^-1
             yt[:, : plan.m], plan.demod_recip, out=out[idx].reshape(plan.p, plan.m)
         )
     return out

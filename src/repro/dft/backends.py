@@ -51,6 +51,18 @@ class FftBackend:
     transpose copy; others leave it ``None`` and callers fall back to
     ``fft`` + explicit transpose via :func:`backend_fft_t`.  Either way
     the returned values must be bit-identical to the fallback.
+
+    ``fft_tt`` is the column-layout twin: the forward transform of each
+    column of a 2-D ``(n, cols)`` array, in the same layout.  Every
+    backend's column transform (fused or the :func:`backend_fft_tt`
+    fallback) must compute each column on its own: a column slice must
+    get exactly the bits the whole array gets.  The SOI convolution
+    relies on that to run this stage panel by panel
+    (:mod:`repro.core.convolve`).
+
+    ``fft_into`` is optional too: ``fft_into(x, out)`` writes ``fft(x)``
+    into *out* (which may be *x* itself) and returns *out*, bit-identical
+    to ``fft``.  The SOI pipeline runs its segment FFTs in place with it.
     """
 
     name: str
@@ -58,6 +70,7 @@ class FftBackend:
     ifft: Callable[[np.ndarray], np.ndarray]
     fft_t: Callable[[np.ndarray], np.ndarray] | None = None
     fft_tt: Callable[[np.ndarray], np.ndarray] | None = None
+    fft_into: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 def backend_fft_t(backend: FftBackend, x2: np.ndarray) -> np.ndarray:
@@ -150,5 +163,12 @@ register_backend(
         # pocketfft along axis 0 runs the same per-vector kernel as
         # axis -1 plus transpose (bit-identical, verified in tests).
         fft_tt=lambda xt: np.fft.fft(np.asarray(xt, dtype=np.complex128), axis=0),
+        # numpy >= 2.0 takes out= (and copies each input vector into the
+        # output before transforming it there, so out=x is exact).
+        fft_into=(
+            (lambda x, out: np.fft.fft(x, axis=-1, out=out))
+            if np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+            else None
+        ),
     )
 )

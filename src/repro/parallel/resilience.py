@@ -62,7 +62,7 @@ import threading
 import numpy as np
 
 from ..core.plan import SoiPlan
-from ..dft.backends import FftBackend, backend_fft_tt
+from ..dft.backends import FftBackend
 from ..dft.flops import fft_flops, soi_convolution_flops
 from ..simmpi.comm import Communicator, _payload_bytes
 from ..simmpi.errors import RankFailedError, VerificationError
@@ -220,14 +220,14 @@ def _soi_fft_resilient(
     )
 
     # -- 2./3. convolution + small FFTs: identical local math. -----------
+    # One call runs both stages; each phase keeps its own compute charge.
     with comm.phase("convolve"):
         winb = plan.window_view(vec, halo, q_local)
-        z_t = plan.contract_windows_t(winb, rank * q_local).reshape(plan.p, rows_pr)
+        v_t = plan.convolve_fft_p(winb, rank * q_local, be)
         comm.trace_compute(
             "convolve", soi_convolution_flops(rows_pr * plan.p, plan.b), kind="conv"
         )
     with comm.phase("fft-p"):
-        v_t = backend_fft_tt(be, z_t)
         comm.trace_compute("fft-p", rows_pr * fft_flops(plan.p))
 
     # -- 4. tolerant all-to-all with checksum columns. --------------------
@@ -431,8 +431,7 @@ def _recover(
             # small FFTs — the same FP schedule the dead rank would have
             # run, so the reconstruction is bit-exact.
             winb = plan.window_view(replica, dead_halo, q_local)
-            z_t = plan.contract_windows_t(winb, dead * q_local).reshape(plan.p, rows_pr)
-            vt_dead = backend_fft_tt(be, z_t)
+            vt_dead = plan.convolve_fft_p(winb, dead * q_local, be)
             recompute_flops = (
                 soi_convolution_flops(rows_pr * plan.p, plan.b)
                 + rows_pr * fft_flops(plan.p)

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..core.accuracy import error_budget
 from ..core.plan import SoiPlan
-from ..core.soi import _plan_fft, _plan_fft_tt
+from ..core.soi import _plan_fft
 from ..dft.backends import FftBackend, get_backend
 from ..dft.flops import fft_flops, soi_convolution_flops
 from ..simmpi.comm import Communicator, waitall, waitany
@@ -235,28 +235,24 @@ def soi_fft_distributed(
         else:
             halo = comm.sendrecv(vec[: plan.halo], dest=left, source=right)
 
-    # -- 2. convolution: this rank's block-rows of z = W x. --------------
+    # -- 2./3. convolution + small local FFTs: this rank's block-rows of
+    # z = W x, then (I_M' (x) F_P) on them, in one call. ------------------
     q_local = layout["chunks_per_rank"]
     # The sequential pipeline's kernel on this rank's windows; passing
     # the rank's global chunk offset puts every output at the position
     # of the kernel's tile grid it has in the sequential call, which is
     # what makes the two bit-for-bit equal (see repro.core.convolve).
+    # The kernel emits z pre-transposed, (P, rows), and transforms its
+    # columns in that layout: exactly the segment-major orientation the
+    # all-to-all delivers, so neither the transform nor packing pays a
+    # copy.  Each stage keeps its own compute charge.
     winb = plan.window_view(vec, halo, q_local)
-    z_t = plan.contract_windows_t(winb, comm.rank * q_local).reshape(
-        plan.p, layout["rows_per_rank"]
-    )
+    v_t = plan.convolve_fft_p(winb, comm.rank * q_local, be)
     comm.trace_compute(
         "convolve",
         soi_convolution_flops(layout["rows_per_rank"] * plan.p, plan.b),
         kind="conv",
     )
-
-    # -- 3. small local FFTs: (I_M' (x) F_P) on local rows. ---------------
-    # The convolution already emitted z pre-transposed, (P, rows), and
-    # the fused fft_tt keeps that layout: exactly the segment-major
-    # orientation the all-to-all delivers, so neither the transform nor
-    # packing pays a copy (values bit-identical to fft + transposes).
-    v_t = _plan_fft_tt(be, z_t, plan)
     comm.trace_compute("fft-p", layout["rows_per_rank"] * fft_flops(plan.p))
 
     # -- 4. THE all-to-all: deliver segment rows to their owners. ---------
@@ -376,15 +372,14 @@ def _soi_fft_pipelined(
                         rounds=verify_rounds,
                     )
             winb = plan.window_view(vec, halo, q_local)
-        zg = plan.contract_windows_t(
-            winb[q0:q1], comm.rank * q_local + q0
-        ).reshape(plan.p, -1)
+        vg = plan.convolve_fft_p(
+            winb[q0:q1], comm.rank * q_local + q0, be
+        ).reshape(comm.size, s_per, -1)
         comm.trace_compute(
             "convolve",
             soi_convolution_flops((q1 - q0) * plan.mu * plan.p, plan.b),
             kind="conv",
         )
-        vg = _plan_fft_tt(be, zg, plan).reshape(comm.size, s_per, -1)
         comm.trace_compute("fft-p", (q1 - q0) * plan.mu * fft_flops(plan.p))
         with comm.phase("alltoall"):
             slot = g % 2

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.core import SoiPlan, design_window
+from repro.core import SoiPlan, clear_soi_plan_cache, design_window, soi_plan_cache_info, soi_plan_for
 from repro.core.windows import TauSigmaWindow
 
 
@@ -81,6 +81,25 @@ class TestWindowResolution:
         plan = SoiPlan(n=2048, p=4, window=9.0)
         assert plan.design is not None
         assert plan.design.predicted_digits >= 8.5
+
+    def test_int_target_is_the_float_target(self):
+        as_int = SoiPlan(n=2048, p=4, window=9)
+        as_float = SoiPlan(n=2048, p=4, window=9.0)
+        assert as_int.b == as_float.b
+        assert as_int.design == as_float.design
+
+    def test_int_target_shares_the_float_targets_cache_entry(self):
+        clear_soi_plan_cache()
+        plan = soi_plan_for(2048, 4, window=9)
+        assert soi_plan_for(2048, 4, window=9.0) is plan
+        assert soi_plan_cache_info()["plans"] == 1
+        assert plan.b == SoiPlan(n=2048, p=4, window=9.0).b
+
+    def test_bool_target_rejected(self):
+        with pytest.raises(TypeError, match="window spec"):
+            SoiPlan(n=2048, p=4, window=True)
+        with pytest.raises(TypeError, match="window spec"):
+            soi_plan_for(2048, 4, window=True)
 
     def test_design_object(self):
         des = design_window(8.0)
