@@ -11,7 +11,7 @@ compute what they claim, identically, under every interleaving):
   caches) via vector clocks.
 - :mod:`repro.check.conformance` — a differential registry running
   every transform entry point (one-shot/planned, forward/inverse,
-  sequential/distributed, ``verify=``/``trace=``) against its NumPy
+  sequential/distributed, transport/``trace=``) against its NumPy
   oracle and the Theorem-2 accuracy budget.
 
 ``python -m repro check`` runs both and emits one JSON report; the CI

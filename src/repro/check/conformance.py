@@ -2,14 +2,15 @@
 
 The repo's transform surface has grown to many entry points — one-shot
 and planned, forward and inverse, three execute layouts, sequential and
-distributed, ``verify=`` and ``trace=`` on and off.  Each one carries
-the same promise: it approximates the NumPy oracle within a *modelled*
-bound (Theorem 2 for SOI paths, an ulp budget for the exact-FFT
-kernels), and the distributed paths are additionally *bitwise* equal to
-their sequential counterparts.  This module turns that promise into a
-machine-checkable registry: :func:`run_conformance` executes every
-registered entry point against its oracle and emits a JSON-safe report
-(``python -m repro check`` and the CI ``check-smoke`` job consume it).
+distributed, the reliable transport and ``trace=`` on and off.  Each
+one carries the same promise: it approximates the NumPy oracle within a
+*modelled* bound (Theorem 2 for SOI paths, an ulp budget for the
+exact-FFT kernels), and the distributed paths are additionally
+*bitwise* equal to their sequential counterparts.  This module turns
+that promise into a machine-checkable registry: :func:`run_conformance`
+executes every registered entry point against its oracle and emits a
+JSON-safe report (``python -m repro check`` and the CI ``check-smoke``
+job consume it).
 
 Tolerances
 ----------
@@ -29,7 +30,7 @@ windows x beta x odd segment counts at minimal N is 4.73 (digits6,
 beta=1/4, P=7), so 10x passes every legitimate geometry with ~2x
 headroom while still failing on any systematic accuracy regression.
 
-Bitwise rows (seq vs dist, ``verify=``/``trace=`` transparency, dtype
+Bitwise rows (seq vs dist, transport/``trace=`` transparency, dtype
 normalisation) record ``error 0.0, tolerance 0.0`` — equality is the
 contract, not closeness.
 """
@@ -56,6 +57,7 @@ from ..parallel.real_dist import rfft_distributed
 from ..parallel.resilience import SoiResilience
 from ..parallel.soi_dist import soi_fft_distributed, soi_ifft_distributed
 from ..parallel.transpose import transpose_fft_distributed
+from ..simmpi.comm import TransportPolicy
 from ..simmpi.faults import FaultPlan
 from ..simmpi.runtime import run_spmd
 from ..trace import TraceRecorder
@@ -448,10 +450,11 @@ def _dist_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
     x = _signal(f"dist.soi[{n}]", n)
     blocks = split_blocks(x, _DIST_RANKS)
 
-    def dist(fn, **kwargs):
+    def dist(fn, transport=None, **kwargs):
         res = run_spmd(
             _DIST_RANKS,
             lambda comm: fn(comm, blocks[comm.rank], plan, **kwargs),
+            transport=transport,
         )
         return np.concatenate(res.values)
 
@@ -476,9 +479,12 @@ def _dist_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
     )
     baseline = dist(soi_fft_distributed)
     _bitwise_row(
-        report, f"soi_fft_distributed[verify=True][n={n}]", "dist", n,
-        lambda: (dist(soi_fft_distributed, verify=True), baseline),
-        detail="self-verification is bit-transparent",
+        report, f"soi_fft_distributed[transport=TransportPolicy()][n={n}]",
+        "dist", n,
+        lambda: (
+            dist(soi_fft_distributed, transport=TransportPolicy()), baseline
+        ),
+        detail="the reliable transport is bit-transparent",
     )
 
     def traced():
@@ -495,7 +501,8 @@ def _dist_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
 
     # Pipelined (overlap=True) path: the restructured schedule must be
     # bit-for-bit the blocking pipeline — same flops in the same order —
-    # and stay transparent under verify=/trace= and equal in traffic.
+    # and stay transparent under the transport and trace= and equal in
+    # traffic.
     for backend in ("numpy", "repro"):
         _bitwise_row(
             report,
@@ -515,10 +522,14 @@ def _dist_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
         detail="pipelined inverse == blocking inverse",
     )
     _bitwise_row(
-        report, f"soi_fft_distributed[overlap=True,verify=True][n={n}]",
+        report,
+        f"soi_fft_distributed[overlap=True,transport=TransportPolicy()][n={n}]",
         "dist", n,
-        lambda: (dist(soi_fft_distributed, overlap=True, verify=True), baseline),
-        detail="self-verification is bit-transparent on the pipelined path",
+        lambda: (
+            dist(soi_fft_distributed, overlap=True, transport=TransportPolicy()),
+            baseline,
+        ),
+        detail="the reliable transport is bit-transparent on the pipelined path",
     )
 
     def traced_overlap():
@@ -866,7 +877,7 @@ def _a2a_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
     the zero-copy intra-node path move the *same payload references*
     through different message patterns, so every row here is
     zero-tolerance: raw exchanges, SOI's one all-to-all, all three
-    six-step transposes, and the ``verify=``/``trace=`` compositions
+    six-step transposes, and the transport/``trace=`` compositions
     must be bit-for-bit the pairwise reference.  One analytic row pins
     the measured inter-node message counts to the schedule model
     (:func:`repro.simmpi.predicted_inter_node_messages`) — the quantity
@@ -926,7 +937,7 @@ def _a2a_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
     blocks = split_blocks(x, _DIST_RANKS)
     rpn = 2  # 4 ranks as 2 nodes x 2 ranks
 
-    def dist(algorithm=None, ranks_per_node=rpn, **kwargs):
+    def dist(algorithm=None, ranks_per_node=rpn, transport=None, **kwargs):
         res = run_spmd(
             _DIST_RANKS,
             lambda comm: soi_fft_distributed(
@@ -934,6 +945,7 @@ def _a2a_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
                 alltoall_algorithm=algorithm, **kwargs,
             ),
             ranks_per_node=ranks_per_node,
+            transport=transport,
         )
         return np.concatenate(res.values)
 
@@ -952,9 +964,10 @@ def _a2a_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
         )
     _bitwise_row(
         report,
-        f"soi_fft_distributed[hierarchical,verify=True][n={n}]", "a2a", n,
-        lambda: (dist("hierarchical", verify=True), baseline),
-        detail="CRC verification composes with the hierarchical schedule",
+        f"soi_fft_distributed[hierarchical,transport=TransportPolicy()][n={n}]",
+        "a2a", n,
+        lambda: (dist("hierarchical", transport=TransportPolicy()), baseline),
+        detail="the reliable transport composes with the hierarchical schedule",
     )
 
     def traced():
@@ -1005,7 +1018,7 @@ def _des_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
     bitwise-identical outputs AND byte-identical per-phase traffic
     accounting (pair maps, intra/inter-node counters, rounds — the full
     :meth:`TrafficStats.as_dict`) to the thread engine, for every
-    all-to-all schedule and for the ``verify=``/``trace=``/``overlap=``
+    all-to-all schedule and for the transport/``trace=``/``overlap=``
     compositions.  The trace row additionally requires the per-rank
     span *structure* to match event-for-event: the two engines may
     interleave ranks differently in wall time, but each rank's logical
@@ -1028,7 +1041,8 @@ def _des_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
             [np.ascontiguousarray(out).view(np.uint8), _stats_bytes(res.stats)]
         )
 
-    def soi(engine, algorithm=None, fn=soi_fft_distributed, **kwargs):
+    def soi(engine, algorithm=None, fn=soi_fft_distributed, transport=None,
+            **kwargs):
         res = run_spmd(
             _DIST_RANKS,
             lambda comm: fn(
@@ -1037,6 +1051,7 @@ def _des_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
             ),
             ranks_per_node=rpn,
             engine=engine,
+            transport=transport,
         )
         return np.concatenate(res.values), res
 
@@ -1053,16 +1068,17 @@ def _des_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
             detail="bitwise outputs + byte-identical TrafficStats across engines",
         )
 
-    # -- compositions: verify=, overlap= -------------------------------
-    def verified():
-        got, rd = soi("des", "hierarchical", verify=True)
-        ref, rt = soi("thread", "hierarchical", verify=True)
+    # -- compositions: the reliable transport, overlap= ----------------
+    def reliable():
+        got, rd = soi("des", "hierarchical", transport=TransportPolicy())
+        ref, rt = soi("thread", "hierarchical", transport=TransportPolicy())
         return _with_stats(got, rd), _with_stats(ref, rt)
 
     _bitwise_row(
-        report, f"soi_fft[des==thread,hierarchical,verify=True][n={n}]",
-        "des", n, verified,
-        detail="CRC verification traffic is engine-invariant",
+        report,
+        f"soi_fft[des==thread,hierarchical,transport=TransportPolicy()][n={n}]",
+        "des", n, reliable,
+        detail="transport control traffic is engine-invariant",
     )
 
     def overlapped():

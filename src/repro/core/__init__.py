@@ -22,6 +22,7 @@ from .accuracy import (
     snr_from_digits,
     relative_l2_error,
     error_budget,
+    parseval_check,
 )
 
 # Re-exported under the name used in the package docstring examples.
@@ -52,4 +53,5 @@ __all__ = [
     "snr_from_digits",
     "relative_l2_error",
     "error_budget",
+    "parseval_check",
 ]

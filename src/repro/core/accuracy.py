@@ -18,6 +18,7 @@ __all__ = [
     "snr_from_digits",
     "relative_l2_error",
     "error_budget",
+    "parseval_check",
 ]
 
 
@@ -85,3 +86,26 @@ def error_budget(plan) -> dict[str, float]:
         "modelled_digits": -math.log10(total),
         "modelled_snr_db": -20.0 * math.log10(total),
     }
+
+
+def parseval_check(x: np.ndarray, y: np.ndarray, plan) -> bool:
+    """Whether ``y`` passes the Parseval screen for ``y ≈ fft(x)`` under *plan*.
+
+    For an exact DFT ``sum |y|^2 = N * sum |x|^2``.  The screen accepts a
+    relative energy error up to 100x the plan's modelled error budget
+    (the energy error is about twice the amplitude error, so honest
+    outputs sit far inside it), or 1e-8 for a bare-window plan with no
+    budget.  Corruption that no message checksum could see, such as
+    damage done before framing, moves the energy by orders of magnitude
+    and fails it, as do NaN/Inf outputs.  Distributed callers pass the
+    gathered input and output.
+    """
+    try:
+        tol = max(1e-12, 100.0 * error_budget(plan)["modelled_relative_error"])
+    except ValueError:
+        tol = 1e-8
+    e_in = float(np.sum(np.abs(x) ** 2))
+    e_out = float(np.sum(np.abs(y) ** 2))
+    if e_in == 0.0:
+        return e_out == 0.0
+    return abs(e_out - plan.n * e_in) / (plan.n * e_in) <= tol

@@ -21,12 +21,10 @@ from .distribution import (
 )
 from .real_dist import rfft_distributed
 from .resilience import SoiResilience
-from .selfcheck import parseval_check, verified_alltoall, verified_sendrecv
 from .soi_dist import (
     soi_fft_distributed,
     soi_ifft_distributed,
     soi_rank_layout,
-    soi_verify_tolerance,
 )
 from .transpose import choose_grid, distributed_transpose, transpose_fft_distributed
 
@@ -37,15 +35,11 @@ __all__ = [
     "concat_result",
     "scatter_blocks",
     "split_blocks",
-    "parseval_check",
-    "verified_alltoall",
-    "verified_sendrecv",
     "SoiResilience",
     "rfft_distributed",
     "soi_fft_distributed",
     "soi_ifft_distributed",
     "soi_rank_layout",
-    "soi_verify_tolerance",
     "choose_grid",
     "distributed_transpose",
     "transpose_fft_distributed",

@@ -29,23 +29,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.accuracy import error_budget
 from ..core.plan import SoiPlan
 from ..core.soi import _plan_fft
 from ..dft.backends import FftBackend, get_backend
 from ..dft.flops import fft_flops, soi_convolution_flops
+from ..simmpi.alltoall import resolve_algorithm
 from ..simmpi.comm import Communicator, waitall, waitany
 from ..trace.spans import TraceRecorder
 from ..utils import require
 from .resilience import SoiResilience, _soi_fft_resilient
-from .selfcheck import (
-    DEFAULT_VERIFY_ROUNDS,
-    confirm_alltoall_slices,
-    confirm_sendrecv,
-    parseval_check,
-    verified_alltoall,
-    verified_sendrecv,
-)
 
 __all__ = [
     "SoiResilience",
@@ -53,28 +45,12 @@ __all__ = [
     "soi_ifft_distributed",
     "soi_overlap_spans",
     "soi_rank_layout",
-    "soi_verify_tolerance",
 ]
 
 # Tags of the pipelined path's nonblocking exchanges (positive: user
 # range; the collectives use negative tags).
 PIECE_TAG = 7
 HALO_TAG = 8
-
-
-def soi_verify_tolerance(plan: SoiPlan) -> float:
-    """Parseval tolerance for ``verify=True``, from the plan's error model.
-
-    The Section-4 budget bounds the relative output error; the relative
-    *energy* error is roughly twice that.  A generous safety factor
-    keeps honest runs far from the bound while corrupted outputs (which
-    blow the energy by orders of magnitude) still trip it.
-    """
-    try:
-        budget = error_budget(plan)["modelled_relative_error"]
-    except ValueError:
-        return 1e-8  # bare-window plan: no model, fall back to a loose screen
-    return max(1e-12, 100.0 * budget)
 
 
 def soi_rank_layout(plan: SoiPlan, nranks: int) -> dict[str, int]:
@@ -136,8 +112,6 @@ def soi_fft_distributed(
     x_local: np.ndarray,
     plan: SoiPlan,
     backend: str | FftBackend = "numpy",
-    verify: bool = False,
-    verify_rounds: int = DEFAULT_VERIFY_ROUNDS,
     trace: TraceRecorder | None = None,
     overlap: bool = False,
     overlap_groups: int = 2,
@@ -162,14 +136,12 @@ def soi_fft_distributed(
     *overlap_groups* (they are collective parameters, like counts in
     MPI).
 
-    With ``verify=True`` the transform self-checks (phase ``verify`` in
-    the traffic stats): the halo and every all-to-all slice are
-    confirmed by CRC32 exchange with selective retransmission of
-    corrupted pieces, and the output energy is screened against the
-    plan's modelled accuracy (Parseval) — SOI pays this for its ONE
-    global exchange where the six-step baseline pays it three times.
-    Raises :class:`~repro.simmpi.errors.VerificationError` instead of
-    returning a corrupted result.
+    Message integrity is the runtime's job, not this function's: run
+    under ``run_spmd(transport=TransportPolicy(...))`` and every halo
+    and all-to-all message, blocking or pipelined, is CRC- and
+    sequence-checked and retransmitted on loss or corruption.  The
+    output is bitwise the fault-free one.  :func:`repro.core.parseval_check`
+    screens a gathered result against the plan's error budget.
 
     With ``trace=`` (a shared :class:`~repro.trace.TraceRecorder`, or
     one already attached via ``run_spmd(trace=...)``) every phase lands
@@ -184,16 +156,18 @@ def soi_fft_distributed(
     recovery — see :mod:`repro.parallel.resilience`.  Fault-free output
     is bit-identical to the blocking path; the extra traffic is the
     input replication ring plus one checksum column per all-to-all
-    block.  Mutually exclusive with ``overlap=`` and ``verify=``.
+    block.  Mutually exclusive with ``overlap=``.
 
     ``alltoall_algorithm`` selects the exchange schedule of step 4
     (``"pairwise"``/``"bruck"``/``"hierarchical"``; ``None`` defers to
     the world default) — collective, like every other parameter here.
-    All schedules are bitwise-identical in output.  The pipelined
-    ``overlap=True`` path keeps its own isend/irecv piece schedule and
-    ignores the algorithm (its sends ARE the exchange).
+    All schedules are bitwise-identical in output.  The name is
+    validated on every path, but the pipelined ``overlap=True`` path
+    keeps its own isend/irecv piece schedule (its sends ARE the
+    exchange) and ``resilience=`` its own checksummed one.
     """
     be = get_backend(backend)
+    algorithm = resolve_algorithm(alltoall_algorithm, comm.world)
     if trace is not None:
         trace.attach(comm.world)
     layout = soi_rank_layout(plan, comm.size)
@@ -206,7 +180,6 @@ def soi_fft_distributed(
     )
     if resilience is not None:
         require(not overlap, "resilience= and overlap= are mutually exclusive")
-        require(not verify, "resilience= and verify= are mutually exclusive")
         require(
             plan.dtype == np.dtype(np.complex128),
             "resilience= requires a complex128 plan (ABFT checksums are double)",
@@ -214,9 +187,7 @@ def soi_fft_distributed(
         if comm.size > 1:
             return _soi_fft_resilient(comm, vec, plan, be, layout, resilience)
     if overlap and comm.size > 1:
-        return _soi_fft_pipelined(
-            comm, vec, plan, be, layout, verify, verify_rounds, overlap_groups
-        )
+        return _soi_fft_pipelined(comm, vec, plan, be, layout, overlap_groups)
 
     # -- 1. halo: the forward-neighbour samples the last chunks read. ----
     # The halo send is zero-copy (the substrate passes references and
@@ -227,11 +198,6 @@ def soi_fft_distributed(
         right = (comm.rank + 1) % comm.size
         if comm.size == 1:
             halo = vec[: plan.halo]
-        elif verify:
-            halo = verified_sendrecv(
-                comm, vec[: plan.halo], dest=left, source=right,
-                rounds=verify_rounds,
-            )
         else:
             halo = comm.sendrecv(vec[: plan.halo], dest=left, source=right)
 
@@ -260,19 +226,12 @@ def soi_fft_distributed(
         # Zero-copy packing: rank d owns segments [d*S, (d+1)*S), which
         # are contiguous row blocks of the transposed transform — one
         # reshape yields every destination slice as a view.
+        # Matrix form: the packed sendbuf is already one contiguous
+        # (P, S, rows) array, so the exchange moves whole-node row
+        # batches instead of P² block objects (same bytes, same
+        # messages, bitwise-identical rows — see exchange_matrix).
         sendbuf3 = v_t.reshape(comm.size, s_per, -1)
-        if verify:
-            pieces = verified_alltoall(
-                comm, list(sendbuf3), rounds=verify_rounds,
-                algorithm=alltoall_algorithm,
-            )
-            mat = np.stack(pieces)
-        else:
-            # Matrix form: the packed sendbuf is already one contiguous
-            # (P, S, rows) array, so the exchange moves whole-node row
-            # batches instead of P² block objects (same bytes, same
-            # messages, bitwise-identical rows — see exchange_matrix).
-            mat = comm.alltoall_matrix(sendbuf3, algorithm=alltoall_algorithm)
+        mat = comm.alltoall_matrix(sendbuf3, algorithm=algorithm)
     # mat[src] is (S, rows_per_rank): my segments, src's row range.
 
     # -- 5. segment FFTs + demodulation (in-order output). ----------------
@@ -282,17 +241,7 @@ def soi_fft_distributed(
     yt = _plan_fft(be, segs, plan)
     comm.trace_compute("fft-m", s_per * fft_flops(plan.m_over))
     y_local = yt[:, : plan.m] * plan.demod_recip[None, :]
-    y_local = y_local.reshape(block)
-    if verify:
-        parseval_check(
-            comm,
-            float(np.sum(np.abs(vec) ** 2)),
-            y_local,
-            plan.n,
-            soi_verify_tolerance(plan),
-            "soi_fft_distributed",
-        )
-    return y_local
+    return y_local.reshape(block)
 
 
 def _soi_fft_pipelined(
@@ -301,8 +250,6 @@ def _soi_fft_pipelined(
     plan: SoiPlan,
     be: FftBackend,
     layout: dict[str, int],
-    verify: bool,
-    verify_rounds: int,
     groups: int,
 ) -> np.ndarray:
     """The ``overlap=True`` rank program (same math, pipelined schedule).
@@ -356,21 +303,13 @@ def _soi_fft_pipelined(
     my0 = comm.rank * rows_pr
     halo = None
     pool: list[tuple | None] = [None, None]
-    group_pieces: list[list] | None = [[] for _ in range(comm.size)] if verify else None
 
     for g, (q0, q1) in enumerate(spans):
         if halo is None and (q1 - 1) * plan.nu * plan.p + plan.b * plan.p > block:
             # This group's last window reads past the local block: the
-            # halo must have landed.  Same program point on every rank
-            # (spans depend only on the layout), so the verify confirm
-            # stays collectively ordered.
+            # halo must have landed.
             with comm.phase("halo"):
                 halo = halo_req.wait()
-                if verify:
-                    halo = confirm_sendrecv(
-                        comm, vec[: plan.halo], halo, dest=left, source=right,
-                        rounds=verify_rounds,
-                    )
             winb = plan.window_view(vec, halo, q_local)
         vg = plan.convolve_fft_p(
             winb[q0:q1], comm.rank * q_local + q0, be
@@ -395,18 +334,10 @@ def _soi_fft_pipelined(
                 else:
                     sends.append(comm.isend(vg[dst], dst, tag=PIECE_TAG))
             pool[slot] = (vg, sends)
-            if group_pieces is not None:
-                for dst in range(comm.size):
-                    group_pieces[dst].append(vg[dst])
 
     if halo is None:  # every window was halo-free: collect the halo anyway
         with comm.phase("halo"):
-            halo = halo_req.wait()
-            if verify:
-                halo = confirm_sendrecv(
-                    comm, vec[: plan.halo], halo, dest=left, source=right,
-                    rounds=verify_rounds,
-                )
+            halo_req.wait()
 
     with comm.phase("alltoall"):
         outstanding = len(recv_reqs)
@@ -420,35 +351,10 @@ def _soi_fft_pipelined(
             if pool[slot] is not None:
                 waitall(pool[slot][1])
 
-    if verify:
-        # Rebuild the blocking path's per-destination slices from the
-        # retained group pieces and run the identical CRC confirm.
-        sendbufs = [np.concatenate(group_pieces[d], axis=1) for d in range(comm.size)]
-        pieces = [
-            segs[:, s * rows_pr : (s + 1) * rows_pr]
-            if s != comm.rank
-            else sendbufs[comm.rank]
-            for s in range(comm.size)
-        ]
-        fixed = confirm_alltoall_slices(comm, sendbufs, pieces, rounds=verify_rounds)
-        for s in range(comm.size):
-            if s != comm.rank and fixed[s] is not pieces[s]:
-                segs[:, s * rows_pr : (s + 1) * rows_pr] = fixed[s]
-
     yt = _plan_fft(be, segs, plan)
     comm.trace_compute("fft-m", s_per * fft_flops(plan.m_over))
     y_local = yt[:, : plan.m] * plan.demod_recip[None, :]
-    y_local = y_local.reshape(block)
-    if verify:
-        parseval_check(
-            comm,
-            float(np.sum(np.abs(vec) ** 2)),
-            y_local,
-            plan.n,
-            soi_verify_tolerance(plan),
-            "soi_fft_distributed",
-        )
-    return y_local
+    return y_local.reshape(block)
 
 
 def soi_ifft_distributed(
@@ -456,8 +362,6 @@ def soi_ifft_distributed(
     y_local: np.ndarray,
     plan: SoiPlan,
     backend: str | FftBackend = "numpy",
-    verify: bool = False,
-    verify_rounds: int = DEFAULT_VERIFY_ROUNDS,
     trace: TraceRecorder | None = None,
     overlap: bool = False,
     overlap_groups: int = 2,
@@ -480,8 +384,7 @@ def soi_ifft_distributed(
     """
     vec = np.ascontiguousarray(y_local, dtype=plan.dtype)
     forward = soi_fft_distributed(
-        comm, np.conj(vec), plan, backend=backend,
-        verify=verify, verify_rounds=verify_rounds, trace=trace,
+        comm, np.conj(vec), plan, backend=backend, trace=trace,
         overlap=overlap, overlap_groups=overlap_groups,
         resilience=resilience, alltoall_algorithm=alltoall_algorithm,
     )

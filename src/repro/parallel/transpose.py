@@ -26,8 +26,6 @@ order is to be preserved".
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..dft.backends import FftBackend, get_backend
@@ -35,7 +33,6 @@ from ..dft.flops import fft_flops
 from ..simmpi.comm import Communicator
 from ..trace.spans import TraceRecorder
 from ..utils import check_positive_int, require
-from .selfcheck import DEFAULT_VERIFY_ROUNDS, parseval_check, verified_alltoall
 
 __all__ = ["transpose_fft_distributed", "distributed_transpose", "choose_grid"]
 
@@ -75,8 +72,6 @@ def distributed_transpose(
     local: np.ndarray,
     rows: int,
     cols: int,
-    verify: bool = False,
-    verify_rounds: int = DEFAULT_VERIFY_ROUNDS,
     alltoall_algorithm: str | None = None,
 ) -> np.ndarray:
     """Transpose a row-distributed ``rows x cols`` matrix (one all-to-all).
@@ -92,9 +87,6 @@ def distributed_transpose(
     are identical to K separate calls, but K-1 synchronisation rounds
     are saved.  This is what lets the transform server coalesce
     distributed FFTs (see :mod:`repro.serve`).
-
-    With ``verify=True`` the slices are CRC-confirmed and selectively
-    re-exchanged (see :mod:`repro.parallel.selfcheck`).
     """
     r = comm.size
     require(rows % r == 0 and cols % r == 0, "ranks must divide both dims")
@@ -108,12 +100,7 @@ def distributed_transpose(
         np.ascontiguousarray(local[..., :, d * cloc : (d + 1) * cloc])
         for d in range(r)
     ]
-    if verify:
-        pieces = verified_alltoall(
-            comm, sendbufs, rounds=verify_rounds, algorithm=alltoall_algorithm
-        )
-    else:
-        pieces = comm.alltoall(sendbufs, algorithm=alltoall_algorithm)
+    pieces = comm.alltoall(sendbufs, algorithm=alltoall_algorithm)
     # pieces[src]: (..., rloc, cloc) block of rows src*rloc.., my columns.
     return np.concatenate([np.swapaxes(p, -1, -2) for p in pieces], axis=-1)
 
@@ -124,8 +111,6 @@ def transpose_fft_distributed(
     n: int,
     backend: str | FftBackend = "numpy",
     grid: tuple[int, int] | None = None,
-    verify: bool = False,
-    verify_rounds: int = DEFAULT_VERIFY_ROUNDS,
     trace: TraceRecorder | None = None,
     alltoall_algorithm: str | None = None,
 ) -> np.ndarray:
@@ -143,10 +128,10 @@ def transpose_fft_distributed(
     as a solo call, so results are bitwise identical — the property the
     serve conformance rows pin down.
 
-    With ``verify=True`` all THREE transposes are CRC-confirmed with
-    selective slice retransmission and the output is screened by a
-    Parseval check — three verification rounds where SOI needs one,
-    which is exactly the paper's communication argument extended to
+    Under ``run_spmd(transport=TransportPolicy(...))`` all THREE
+    transposes travel CRC- and sequence-checked, so the reliable
+    transport's control traffic is three exchanges' worth where SOI
+    pays one: the paper's communication argument extended to
     reliability cost.
 
     With ``trace=`` the run lands on a virtual timeline whose three
@@ -180,8 +165,7 @@ def transpose_fft_distributed(
     # 1. transpose-1: rows j2, columns j1.
     with comm.phase("transpose-1"):
         at = distributed_transpose(
-            comm, a, n1, n2, verify=verify, verify_rounds=verify_rounds,
-            alltoall_algorithm=alltoall_algorithm,
+            comm, a, n1, n2, alltoall_algorithm=alltoall_algorithm
         )  # (n2/r, n1)
 
     # 2. length-N1 FFTs over j1.
@@ -198,8 +182,7 @@ def transpose_fft_distributed(
     # 4. transpose-2: back to rows k1.
     with comm.phase("transpose-2"):
         c = distributed_transpose(
-            comm, bt, n2, n1, verify=verify, verify_rounds=verify_rounds,
-            alltoall_algorithm=alltoall_algorithm,
+            comm, bt, n2, n1, alltoall_algorithm=alltoall_algorithm
         )  # (n1/r, n2)
 
     # 5. length-N2 FFTs over j2.
@@ -209,20 +192,6 @@ def transpose_fft_distributed(
     # 6. transpose-3: natural order y[k1 + N1*k2] -> rows k2.
     with comm.phase("transpose-3"):
         dt = distributed_transpose(
-            comm, d, n1, n2, verify=verify, verify_rounds=verify_rounds,
-            alltoall_algorithm=alltoall_algorithm,
+            comm, d, n1, n2, alltoall_algorithm=alltoall_algorithm
         )  # (n2/r, n1)
-    y_local = dt.reshape(*batch, block)
-    if verify:
-        # Exact-FFT Parseval tolerance: double rounding amplified by the
-        # transform depth, with generous headroom.
-        tol = max(1e-10, 1e3 * np.finfo(np.float64).eps * math.log2(max(n, 2)))
-        parseval_check(
-            comm,
-            float(np.sum(np.abs(vec) ** 2)),
-            y_local,
-            n,
-            tol,
-            "transpose_fft_distributed",
-        )
-    return y_local
+    return dt.reshape(*batch, block)

@@ -7,7 +7,7 @@ every blocked receiver immediately).  The API follows mpi4py's
 lower-case object interface restricted to what the FFT algorithms need:
 point-to-point ``send``/``recv``/``sendrecv``, and the collectives
 ``barrier``, ``bcast``, ``gather``, ``allgather``, ``scatter``,
-``alltoall``, ``alltoallv``, ``reduce``, ``allreduce``.
+``alltoall``, ``reduce``, ``allreduce``.
 
 Every transfer is recorded in the shared :class:`TrafficStats`; NumPy
 payloads are counted by ``nbytes`` (they are handed over zero-copy —
@@ -33,7 +33,11 @@ built from point-to-point sends cannot deadlock against the recovery
 machinery.  Retransmission triggers are simulation-exact — a receiver
 asks for redelivery only when the expected sequence number was
 physically transmitted and is neither queued nor delayed in flight —
-which keeps retry counts bit-reproducible for a given fault seed.
+which keeps retry counts bit-reproducible for a given fault seed.  One
+receive step (:meth:`Communicator._reliable_step`) serves every receive
+path — blocking ``recv``, request waits and :func:`waitany`'s poll — and
+the retry budget lives on the channel, so a waiting rank recovers a
+lost or corrupt message whichever call it is blocked in.
 
 Nonblocking layer (MPI's request model, used by the pipelined SOI path):
 
@@ -43,9 +47,9 @@ Nonblocking layer (MPI's request model, used by the pipelined SOI path):
   performs ALL wire effects at post time (fault injection, transport
   framing, traffic accounting, trace recording) — only *completion* is
   deferred, so per-channel FIFO order, the fault indices and the byte
-  accounting are identical to the blocking calls.  Chunked
-  :meth:`Communicator.ialltoall` / :meth:`Communicator.ialltoallv`
-  build the global exchange from these primitives.
+  accounting are identical to the blocking calls.  The chunked
+  :meth:`Communicator.ialltoall` builds the global exchange from these
+  primitives.
 - An optional **link model** (``link_latency_s`` / ``link_bandwidth``
   on the :class:`World`) serialises off-rank messages through a
   per-sender NIC and delays delivery by a wire latency, using one
@@ -60,12 +64,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import threading
 import time
 import zlib
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -180,6 +185,22 @@ class _Envelope:
     payload: Any
     crc: int | None  # CRC32 of payload bytes; None when checksums are off
     nbytes: int  # declared payload size (truncation detector)
+
+
+@dataclass(eq=False)
+class _RecvState:
+    """Receiver side of one reliable channel (touched only by its receiver).
+
+    The retry budget sits here rather than in a call's locals so that
+    every receive path spends and resets the same one; it resets when
+    the expected envelope is accepted.
+    """
+
+    patience: float  # current patience before a retransmit request, seconds
+    expected: int = 0  # next in-sequence envelope
+    stash: dict = field(default_factory=dict)  # seq -> early envelope
+    attempts: int = 0  # retransmits requested for ``expected``
+    since: float | None = None  # clock() when the patience window opened
 
 
 class _LinkPump:
@@ -322,7 +343,7 @@ class World:
         self._state_lock = threading.Lock()
         self._send_seq: dict[tuple, int] = {}
         self._unacked: dict[tuple, list] = {}  # (src,dst,tag,seq) -> [env, attempts]
-        self._recv_state: dict[tuple, dict] = {}  # (src,dst,tag) -> {expected, stash}
+        self._recv_state: dict[tuple, _RecvState] = {}  # (src,dst,tag) -> state
         # Nonblocking-layer state (all guarded by _cv unless noted):
         # activity ticks wake request waiters whenever anything that could
         # complete a request happens (delivery, consumption, an ack).
@@ -761,12 +782,12 @@ class World:
         if self._pump is not None:
             self._pump.stop()
 
-    def recv_state(self, src: int, dst: int, tag: Any) -> dict:
+    def recv_state(self, src: int, dst: int, tag: Any) -> _RecvState:
         with self._state_lock:
             key = (src, dst, tag)
             st = self._recv_state.get(key)
             if st is None:
-                st = self._recv_state[key] = {"expected": 0, "stash": {}}
+                st = self._recv_state[key] = _RecvState(self.transport.retry_timeout)
             return st
 
     def comm(self, rank: int) -> "Communicator":
@@ -840,7 +861,7 @@ class Request:
             # receives (as MPI progress does inside MPI_Wait).  Without
             # this, two ranks blocked on each other's *consumption* —
             # e.g. both retiring send buffers — would deadlock.
-            self._comm._progress()
+            wake = self._comm._progress()
             ok, val = self._poll()
             if ok:
                 self._claim(val)
@@ -848,13 +869,15 @@ class Request:
             dead = self._dead_peers()
             if dead:
                 raise RankFailedError(dead, where=f"wait on {self!r}")
-            remaining = deadline - world.clock()
-            if remaining <= 0:
+            now = world.clock()
+            if now >= deadline:
                 raise DeadlockError(
                     f"rank {self._comm.rank}: request.wait timed out "
                     f"after {budget}s ({self!r})"
                 )
-            world._await_activity(self._comm.rank, ticks, remaining)
+            world._await_activity(
+                self._comm.rank, ticks, min(deadline, wake) - now
+            )
 
 
 class SendRequest(Request):
@@ -942,10 +965,7 @@ class RecvRequest(Request):
 
     def _poll(self) -> tuple[bool, Any]:
         if not self._fulfilled:
-            if self._world.transport is not None:
-                self._comm._drain_pending_reliable(self._key, self._source, self._tag)
-            else:
-                self._comm._drain_pending(self._key)
+            self._comm._drain_pending(self._key)
         return self._fulfilled, self._rvalue
 
     def _dead_peers(self) -> tuple[int, ...]:
@@ -961,28 +981,6 @@ class RecvRequest(Request):
                 return (self._source,)
         return ()
 
-    def wait(self, timeout: float | None = None) -> Any:
-        if self._done:
-            return self._value
-        if self._world.transport is None:
-            return super().wait(timeout=timeout)
-        # Reliable transport: drive the blocking receive machinery (which
-        # owns the retransmit-request logic) until this request's turn in
-        # the channel FIFO comes up.
-        world = self._world
-        while not self._fulfilled:
-            self._comm._progress()
-            if self._fulfilled:
-                break
-            with world._cv:
-                head = world._pending_recvs[self._key][0]
-            payload = self._comm._recv_reliable(self._source, self._tag, timeout=timeout)
-            with world._cv:
-                world._pending_recvs[self._key].popleft()
-            head._finish(payload)
-        self._claim(self._rvalue)
-        return self._value
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"RecvRequest({self._source}->{self._comm.rank}, "
@@ -991,7 +989,7 @@ class RecvRequest(Request):
 
 
 class _CollectiveRequest:
-    """Aggregate request of ``ialltoall``/``ialltoallv`` (duck-typed).
+    """Aggregate request of ``ialltoall`` (duck-typed).
 
     Wraps the member send/receive requests; ``wait`` assembles the
     received list exactly as the blocking collective returns it.  Not a
@@ -1089,7 +1087,7 @@ def waitany(
         world.check_abort()
         with world._cv:
             ticks = world._activity
-        comm._progress()  # service this rank's posted receives while waiting
+        wake = comm._progress()  # service this rank's posted receives
         for i, r in live:
             if r.completed:
                 continue  # claimed through an alias while we swept
@@ -1102,13 +1100,13 @@ def waitany(
                 dead.update(r._dead_peers())
         if dead:
             raise RankFailedError(sorted(dead), where="waitany")
-        remaining = deadline - world.clock()
-        if remaining <= 0:
+        now = world.clock()
+        if now >= deadline:
             raise DeadlockError(
                 f"waitany timed out after {budget}s "
                 f"({len(live)} requests outstanding)"
             )
-        world._await_activity(comm.rank, ticks, remaining)
+        world._await_activity(comm.rank, ticks, min(deadline, wake) - now)
 
 
 class Communicator:
@@ -1242,13 +1240,13 @@ class Communicator:
             # Posted irecvs on this channel queue ahead of us (MPI's
             # nonovertaking rule): join the FIFO instead of stealing.
             return self.irecv(source, tag).wait(timeout=budget)
-        if self.world.transport is not None:
-            payload = self._recv_reliable(source, tag, timeout=budget)
-            return self._trace_recv(source, tag, payload)
-        key = (source, self.rank, tag)
         deadline = self.world.clock() + budget
-        item = self.world._get(key, deadline)
-        if item is _TIMEOUT:
+        if self.world.transport is not None:
+            got, item = self._reliable_step(source, tag, deadline)
+        else:
+            item = self.world._get((source, self.rank, tag), deadline)
+            got = item is not _TIMEOUT
+        if not got:
             raise DeadlockError(
                 f"rank {self.rank} timed out receiving from {source} "
                 f"(tag={tag}) after {budget}s"
@@ -1265,52 +1263,46 @@ class Communicator:
             )
         return payload
 
-    def _recv_reliable(
-        self, source: int, tag: int, timeout: float | None = None
-    ) -> Any:
-        """Receive the next in-sequence payload, recovering wire faults."""
+    def _reliable_step(
+        self, source: int, tag: int, wait_until: float, fail_dead: bool = True
+    ) -> tuple[bool, Any]:
+        """The reliable receive on ``source -> self``: ``(got, payload)``.
+
+        The one receive step of the transport, shared by blocking
+        :meth:`recv` (*wait_until* = its deadline) and the progress
+        engine's poll (*wait_until* = 0.0, i.e. never wait).  Consumes
+        what has arrived — acking the in-sequence envelope, discarding
+        duplicates and junk, stashing early envelopes — and recovers:
+        a corrupt head, or a gap older than the channel's patience whose
+        envelope was sent and is not in flight, requests a retransmit
+        and spends the channel's retry budget.  Returns ``(False, None)``
+        once *wait_until* passes on :meth:`World.clock`.
+        """
         world = self.world
         policy = world.transport
         key = (source, self.rank, tag)
         st = world.recv_state(source, self.rank, tag)
-        attempts = 0
-        patience = policy.retry_timeout
-        budget = world.timeout if timeout is None else timeout
-        deadline = world.clock() + budget
-
-        def bump_attempts() -> None:
-            nonlocal attempts, patience
-            attempts += 1
-            patience *= policy.backoff
-            if attempts > policy.max_retries:
-                raise RetryExhaustedError(
-                    source, self.rank, tag, st["expected"], attempts - 1
-                )
-
         while True:
-            expected = st["expected"]
-            env = st["stash"].pop(expected, None)
+            expected = st.expected
+            env = st.stash.pop(expected, None)
             if env is None:
-                wait_until = min(world.clock() + patience, deadline)
-                got = world._get(key, wait_until)
+                if st.since is None:
+                    st.since = world.clock()
+                patience_end = st.since + st.patience
+                got = world._get(key, min(patience_end, wait_until), fail_dead)
                 if got is _TIMEOUT:
-                    if world.clock() >= deadline:
-                        raise DeadlockError(
-                            f"rank {self.rank} timed out receiving from {source} "
-                            f"(tag={tag}) after {budget}s"
-                        )
+                    if world.clock() < patience_end:
+                        return False, None
+                    st.since = world.clock()
                     if world._in_flight(key, expected):
                         continue  # queued or delayed: patience, not loss
                     if not world.has_unacked(source, self.rank, tag, expected):
                         continue  # not sent yet: the sender is simply behind
-                    if policy.max_retries == 0:
-                        raise RetryExhaustedError(source, self.rank, tag, expected, 0)
-                    bump_attempts()
-                    world.request_retransmit(source, self.rank, tag, expected)
+                    self._request_redelivery(st, source, tag)
                     continue
                 if not isinstance(got, _Envelope):
                     # Framing destroyed beyond recognition: drop the junk;
-                    # the sequence gap is recovered via the timeout path.
+                    # the sequence gap is recovered via the patience path.
                     world.stats.record_corrupt(self._phase)
                     continue
                 env = got
@@ -1318,19 +1310,31 @@ class Communicator:
                     world.stats.record_duplicate(env.phase)
                     continue
                 if env.seq > expected:
-                    st["stash"][env.seq] = env  # reorder buffer
+                    st.stash[env.seq] = env  # reorder buffer
                     continue
             reason = self._integrity_failure(env)
             if reason is not None:
                 world.stats.record_corrupt(env.phase)
                 if policy.max_retries == 0:
                     raise CorruptMessageError(source, self.rank, tag, env.seq, reason)
-                bump_attempts()
-                world.request_retransmit(source, self.rank, tag, expected)
+                self._request_redelivery(st, source, tag)
                 continue
             world.ack(source, self.rank, tag, env)
-            st["expected"] = expected + 1
-            return env.payload
+            st.expected = expected + 1
+            st.attempts, st.patience, st.since = 0, policy.retry_timeout, None
+            return True, env.payload
+
+    def _request_redelivery(self, st: _RecvState, source: int, tag: int) -> None:
+        """Spend one unit of the channel's retry budget on ``st.expected``."""
+        policy = self.world.transport
+        st.attempts += 1
+        st.patience *= policy.backoff
+        if st.attempts > policy.max_retries:
+            raise RetryExhaustedError(
+                source, self.rank, tag, st.expected, st.attempts - 1
+            )
+        self.world.request_retransmit(source, self.rank, tag, st.expected)
+        st.since = self.world.clock()
 
     def _integrity_failure(self, env: _Envelope) -> str | None:
         if _payload_bytes(env.payload) != env.nbytes:
@@ -1404,15 +1408,20 @@ class Communicator:
             ).append(req)
         return req
 
-    def _drain_pending(self, key: tuple) -> None:
+    def _drain_pending(self, key: tuple) -> float:
         """Fulfil posted irecvs on *key* head-first from available items.
 
-        Raw substrate only.  Fulfilment happens under ``_cv`` (so FIFO
-        order is atomic with channel pops); trace recording runs after
-        release, still in fulfilment order — all of a channel's requests
-        belong to one rank thread, so no interleaving can reorder them.
+        Returns the :meth:`World.clock` instant by which the channel
+        wants another poll: its patience deadline under the reliable
+        transport, ``inf`` on the raw substrate.  Raw fulfilment happens
+        under ``_cv`` (so FIFO order is atomic with channel pops); trace
+        recording runs after release, still in fulfilment order — all of
+        a channel's requests belong to one rank thread, so no
+        interleaving can reorder them.
         """
         world = self.world
+        if world.transport is not None:
+            return self._drain_pending_reliable(key)
         ready: list[tuple[RecvRequest, Any]] = []
         with world._cv:
             if world.abort_event.is_set():
@@ -1431,82 +1440,42 @@ class Communicator:
                 ready.append((pending.popleft(), item))
         for req, item in ready:
             req._finish(item)
+        return math.inf
 
-    def _drain_pending_reliable(self, key: tuple, source: int, tag: int) -> None:
-        """Transport variant of :meth:`_drain_pending` (nonblocking poll).
-
-        Never requests retransmission — recovery decisions belong to the
-        blocking path (:meth:`RecvRequest.wait`), which owns the
-        patience/backoff state.
-        """
+    def _drain_pending_reliable(self, key: tuple) -> float:
+        """Transport branch of :meth:`_drain_pending`: poll-mode steps."""
         world = self.world
+        source, _, tag = key
         while True:
             with world._cv:
                 pending = world._pending_recvs.get(key)
                 if not pending:
-                    return
+                    return math.inf
                 head = pending[0]
-            ok, payload = self._try_recv_reliable(source, tag)
+            ok, payload = self._reliable_step(source, tag, 0.0, fail_dead=False)
             if not ok:
-                return
+                st = world.recv_state(source, self.rank, tag)
+                return st.since + st.patience
             with world._cv:
                 world._pending_recvs[key].popleft()
             head._finish(payload)
 
-    def _progress(self) -> None:
+    def _progress(self) -> float:
         """Service every posted receive of this rank (the progress engine).
 
         Called from request wait loops so that a rank blocked on one
         request keeps consuming messages destined for its other posted
         irecvs — the property that makes "completion = consumption" send
-        semantics deadlock-free, just like MPI's progress rule.
+        semantics deadlock-free, just like MPI's progress rule.  Returns
+        the earliest instant a serviced channel wants another poll, so
+        waiters wake for a due retransmit even when nothing arrives.
         """
         world = self.world
         with world._cv:
             keys = [
                 k for k, q in world._pending_recvs.items() if q and k[1] == self.rank
             ]
-        for key in keys:
-            if world.transport is None:
-                self._drain_pending(key)
-            else:
-                self._drain_pending_reliable(key, key[0], key[2])
-
-    def _try_recv_reliable(self, source: int, tag: int) -> tuple[bool, Any]:
-        """One nonblocking step of the reliable receive: ``(got, payload)``.
-
-        Consumes whatever is already queued (acking in-sequence data,
-        discarding duplicates and junk, stashing reordered envelopes)
-        but never waits and never triggers retransmission.
-        """
-        world = self.world
-        key = (source, self.rank, tag)
-        st = world.recv_state(source, self.rank, tag)
-        while True:
-            expected = st["expected"]
-            env = st["stash"].pop(expected, None)
-            if env is None:
-                got = world._get(key, 0.0, fail_dead=False)  # poll only
-                if got is _TIMEOUT:
-                    return False, None
-                if not isinstance(got, _Envelope):
-                    world.stats.record_corrupt(self._phase)
-                    continue
-                env = got
-                if env.seq < expected:
-                    world.stats.record_duplicate(env.phase)
-                    continue
-                if env.seq > expected:
-                    st["stash"][env.seq] = env
-                    continue
-            if self._integrity_failure(env) is not None:
-                # Put it back for the blocking path, which owns the retry
-                # budget and will request redelivery.
-                st["stash"][expected] = env
-                return False, None
-            world.ack(source, self.rank, tag, env)
-            st["expected"] = expected + 1
-            return True, env.payload
+        return min((self._drain_pending(key) for key in keys), default=math.inf)
 
     def ialltoall(self, objs: Sequence[Any], chunks: int = 1) -> _CollectiveRequest:
         """Nonblocking chunked personalised all-to-all (tag ``-7``).
@@ -1543,49 +1512,6 @@ class Communicator:
         recvs = {
             src: [self.irecv(src, tag=-7) for _ in range(chunks)]
             for src in range(self.size)
-            if src != self.rank
-        }
-        return _CollectiveRequest(self, sends, recvs, out, chunks)
-
-    def ialltoallv(
-        self,
-        objs: Sequence[Any],
-        sources: Sequence[int] | None = None,
-        chunks: int = 1,
-    ) -> _CollectiveRequest:
-        """Nonblocking chunked :meth:`alltoallv` (tag ``-8``).
-
-        ``objs[d] is None`` sends nothing to rank d; *sources* names the
-        ranks to receive from (default: all).  Sender and receiver must
-        agree on *chunks* for each exchanged pair, as in MPI counts.
-        """
-        if len(objs) != self.size:
-            raise ValueError(f"ialltoallv needs exactly {self.size} send items")
-        if chunks < 1:
-            raise ValueError(f"chunks must be >= 1, got {chunks}")
-        if self.rank == 0:
-            self.stats.record_alltoall(self._phase)
-        src_list = list(range(self.size)) if sources is None else list(sources)
-        for src in src_list:
-            self._check_peer(src, "source")
-        out: list[Any] = [None] * self.size
-        if objs[self.rank] is not None:
-            self.stats.record_message(
-                self._phase,
-                self.world_rank,
-                self.world_rank,
-                _payload_bytes(objs[self.rank]),
-            )
-            out[self.rank] = objs[self.rank]
-        sends: list[SendRequest] = []
-        for dst in range(self.size):
-            if dst == self.rank or objs[dst] is None:
-                continue
-            for part in self._split_chunks(objs[dst], chunks):
-                sends.append(self.isend(part, dst, tag=-8))
-        recvs = {
-            src: [self.irecv(src, tag=-8) for _ in range(chunks)]
-            for src in src_list
             if src != self.rank
         }
         return _CollectiveRequest(self, sends, recvs, out, chunks)
@@ -1788,54 +1714,6 @@ class Communicator:
                     f"rank {self.rank}: {what}", timeout, waiting_on=f"rank {src}"
                 ) from exc
             raise
-
-    def alltoallv(
-        self,
-        objs: Sequence[Any],
-        sources: Sequence[int] | None = None,
-        timeout: float | None = None,
-    ) -> list[Any]:
-        """Variable-count personalised all-to-all (MPI's ``alltoallv``).
-
-        Like :meth:`alltoall`, but pairs may exchange *nothing*:
-        ``objs[d] is None`` sends no message to rank d (a zero count),
-        and *sources* names the ranks this rank expects data from
-        (default: every rank).  As in MPI, the receive counts must be
-        known a priori — when any send entry is None, the matching
-        receivers must pass a *sources* list that excludes the silent
-        senders, or they will wait for a message that never comes.
-
-        Collective: every rank must call it, even with all-None sends.
-        Counted as one all-to-all round.  Used where segment counts are
-        uneven — e.g. the selective slice retransmission of the
-        distributed FFTs' ``verify`` mode.
-        """
-        if len(objs) != self.size:
-            raise ValueError(f"alltoallv needs exactly {self.size} send items")
-        if self.rank == 0:
-            self.stats.record_alltoall(self._phase)
-        src_list = list(range(self.size)) if sources is None else list(sources)
-        for src in src_list:
-            self._check_peer(src, "source")
-        with self._traced_collective("alltoallv"):
-            for dst in range(self.size):
-                if dst != self.rank and objs[dst] is not None:
-                    self.send(objs[dst], dst, tag=-6)
-            out = [None] * self.size
-            if objs[self.rank] is not None:
-                self.stats.record_message(
-                    self._phase,
-                self.world_rank,
-                self.world_rank,
-                _payload_bytes(objs[self.rank]),
-                )
-                out[self.rank] = objs[self.rank]
-            for src in src_list:
-                if src != self.rank:
-                    out[src] = self._collective_recv(
-                        src, tag=-6, timeout=timeout, what="alltoallv"
-                    )
-            return out
 
     def reduce(self, obj: Any, op: Callable[[Any, Any], Any] = None, root: int = 0):
         """Reduce with *op* (default elementwise +) onto *root*."""
@@ -2146,38 +2024,6 @@ class ShrunkCommunicator(Communicator):
         sendbuf = np.asarray(sendbuf)
         return np.stack(self.alltoall(list(sendbuf), timeout=timeout))
 
-    def alltoallv(
-        self,
-        objs: Sequence[Any],
-        sources: Sequence[int] | None = None,
-        timeout: float | None = None,
-    ) -> list[Any]:
-        if len(objs) != self.size:
-            raise ValueError(f"alltoallv needs exactly {self.size} send items")
-        if self.rank == self.members[0]:
-            self.stats.record_alltoall(self._phase)
-        src_list = list(self.members) if sources is None else list(sources)
-        for src in src_list:
-            self._check_member(src, "source")
-        with self._traced_collective("alltoallv"):
-            tag = self._ctag(-6)
-            me = self.members.index(self.rank)
-            for i, m in enumerate(self.members):
-                if m != self.rank and objs[i] is not None:
-                    self.send(objs[i], m, tag=tag)
-            out: list[Any] = [None] * self.size
-            if objs[me] is not None:
-                self.stats.record_message(
-                    self._phase, self.rank, self.rank, _payload_bytes(objs[me])
-                )
-                out[me] = objs[me]
-            for src in src_list:
-                if src != self.rank:
-                    out[self.members.index(src)] = self._collective_recv(
-                        src, tag=tag, timeout=timeout, what="alltoallv(shrunk)"
-                    )
-            return out
-
     def reduce(
         self,
         obj: Any,
@@ -2199,16 +2045,6 @@ class ShrunkCommunicator(Communicator):
         return self.bcast(result)
 
     def ialltoall(self, objs: Sequence[Any], chunks: int = 1):
-        raise NotImplementedError(
-            "shrunk communicators support blocking collectives only"
-        )
-
-    def ialltoallv(
-        self,
-        objs: Sequence[Any],
-        sources: Sequence[int] | None = None,
-        chunks: int = 1,
-    ):
         raise NotImplementedError(
             "shrunk communicators support blocking collectives only"
         )

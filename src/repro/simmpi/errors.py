@@ -154,10 +154,12 @@ class RetryExhaustedError(SimMpiError):
 
 
 class VerificationError(SimMpiError):
-    """An algorithm-level self-check failed.
+    """An ABFT checksum did not match its block.
 
-    Raised by the ``verify=True`` mode of the distributed FFTs when
-    per-slice checksum repair could not converge or the final output
-    violates the plan's modelled accuracy bound — a corrupted result is
-    never returned silently.
+    Raised by the ``resilience=`` rank program of
+    :func:`repro.parallel.soi_fft_distributed` when a received
+    all-to-all block disagrees with the checksum vector that travelled
+    beside it, so a corrupted result is never returned silently.
+    Message-level corruption is the reliable transport's to repair
+    (:class:`CorruptMessageError`, :class:`RetryExhaustedError`).
     """

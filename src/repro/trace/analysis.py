@@ -34,9 +34,6 @@ __all__ = [
     "wait_attribution",
 ]
 
-#: Collective span names that constitute one global exchange epoch.
-_ALLTOALL_NAMES = frozenset({"alltoall", "alltoallv"})
-
 
 def alltoall_epochs(tl: VirtualTimeline) -> int:
     """Number of all-to-all epochs on the timeline.
@@ -48,7 +45,7 @@ def alltoall_epochs(tl: VirtualTimeline) -> int:
     """
     per_rank: dict[int, int] = defaultdict(int)
     for s in tl.spans:
-        if s.kind == "collective" and not s.leaf and s.name in _ALLTOALL_NAMES:
+        if s.kind == "collective" and not s.leaf and s.name == "alltoall":
             per_rank[s.rank] += 1
     return max(per_rank.values(), default=0)
 

@@ -118,7 +118,7 @@ def ascii_timeline(tl: VirtualTimeline, width: int = 72) -> str:
     # Header row: all-to-all epochs (union over ranks).
     header = [" "] * width
     for s in tl.spans:
-        if s.kind == "collective" and not s.leaf and s.name in ("alltoall", "alltoallv"):
+        if s.kind == "collective" and not s.leaf and s.name == "alltoall":
             for i in range(bucket(s.t0), bucket(s.t1) + 1):
                 header[i] = "A"
     rows = [f"{'a2a':>8} {''.join(header)}"]

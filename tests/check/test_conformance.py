@@ -97,19 +97,19 @@ class TestRegistry:
     def test_execute_layout_variants_covered(self, report):
         names = " ".join(r.name for r in report.rows)
         for needle in ("execute_t", "execute_tt", "inverse", "rfft", "irfft",
-                       "verify=True", "trace=", "float32"):
+                       "TransportPolicy", "trace=", "float32"):
             assert needle in names, f"registry lost coverage of {needle}"
 
     def test_overlap_rows_covered(self, report):
         """The pipelined path is pinned bitwise in the registry: forward
-        (both backends), inverse, verify=/trace= transparency, and the
+        (both backends), inverse, transport/trace= transparency, and the
         per-phase traffic-totals row."""
         names = " ".join(r.name for r in report.rows)
         for needle in (
             "soi_fft_distributed[overlap=True,numpy]",
             "soi_fft_distributed[overlap=True,repro]",
             "soi_ifft_distributed[overlap=True]",
-            "soi_fft_distributed[overlap=True,verify=True]",
+            "soi_fft_distributed[overlap=True,transport=TransportPolicy()]",
             "soi_fft_distributed[overlap=True,trace=]",
             "soi_overlap_traffic==blocking",
         ):

@@ -75,8 +75,9 @@ class SeqDistHarness:
     ):
         """Assert dist == seq bit-for-bit; returns (output, stats).
 
-        *dist_kwargs* (``verify=``, ``trace=``...) go only to the
-        distributed side — they are exactly the knobs whose
+        *dist_kwargs* (``overlap=``, ``trace=``...) go only to the
+        distributed side, and *run_kwargs* (``transport=``...) to
+        ``run_spmd`` — they are exactly the knobs whose
         bit-transparency this assertion pins.
         """
         from repro.core.soi import soi_fft, soi_ifft

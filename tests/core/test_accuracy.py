@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import SoiPlan
+from repro.core import SoiPlan, soi_fft
 from repro.core.accuracy import (
     digits_from_snr,
     error_budget,
+    parseval_check,
     relative_l2_error,
     snr_db,
     snr_from_digits,
@@ -80,3 +81,36 @@ class TestErrorBudget:
         assert budget["modelled_snr_db"] == pytest.approx(
             20.0 * budget["modelled_digits"]
         )
+
+
+class TestParsevalCheck:
+    """The output screen that survives ``verify=``: a pure post-condition."""
+
+    def _pair(self, plan, seed=0):
+        gen = np.random.default_rng(seed)
+        x = gen.standard_normal(plan.n) + 1j * gen.standard_normal(plan.n)
+        return x, soi_fft(x, plan)
+
+    def test_honest_output_passes(self, full_plan):
+        assert parseval_check(*self._pair(full_plan), full_plan)
+
+    def test_one_flipped_exponent_bit_fails(self, full_plan):
+        x, y = self._pair(full_plan)
+        bad = y.copy()
+        bad.view(np.uint64)[0] ^= np.uint64(1 << 54)
+        assert not parseval_check(x, bad, full_plan)
+
+    def test_non_finite_output_fails(self, full_plan):
+        x, y = self._pair(full_plan)
+        y[3] = np.nan
+        assert not parseval_check(x, y, full_plan)
+
+    def test_zero_input_needs_zero_output(self, full_plan):
+        zeros = np.zeros(full_plan.n, dtype=complex)
+        assert parseval_check(zeros, zeros, full_plan)
+        assert not parseval_check(zeros, zeros + 1e-3, full_plan)
+
+    def test_bare_window_plan_is_screened_without_a_budget(self):
+        plan = SoiPlan(n=1024, p=4, window=TauSigmaWindow(0.7, 100.0), b=24)
+        x, y = self._pair(plan)
+        assert not parseval_check(x, 2.0 * y, plan)

@@ -1,11 +1,14 @@
 """Acceptance sweep for the chaos-hardened runtime (ISSUE: robustness).
 
 Every fault kind, in every communication phase of BOTH distributed FFT
-algorithms, with the reliable transport enabled, must yield output
-bit-identical to the fault-free run — or a typed error — never a silent
-wrong answer.  The same chaos seed must reproduce the same fault
-sequence and the same recovery cost.
+algorithms — the SOI program blocking and pipelined (``overlap=True``),
+on the thread and discrete-event engines — with the reliable transport
+enabled, must yield output bit-identical to the fault-free run — or a
+typed error — never a silent wrong answer or a hang.  The same chaos
+seed must reproduce the same fault sequence and the same recovery cost.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -18,11 +21,12 @@ from repro.parallel import (
 )
 from repro.simmpi import (
     ChaosSchedule,
+    DeadlockError,
     FaultPlan,
     RankFailure,
+    RetryExhaustedError,
     SimMpiError,
     TransportPolicy,
-    VerificationError,
     run_spmd,
 )
 
@@ -40,19 +44,33 @@ QUICK = TransportPolicy(retry_timeout=0.03, max_retries=8)
 SOI_PHASES = ("halo", "alltoall")
 SIXSTEP_PHASES = ("transpose-1", "transpose-2", "transpose-3")
 WIRE_KINDS = ("drop", "duplicate", "delay", "truncate", "bitflip")
+ENGINES = ("thread", "des")
+
+#: World timeout of the pipelined and DES runs.  A recovered fault costs
+#: milliseconds; a receive that never asks for a retransmit waits out
+#: this budget and fails as DeadlockError.
+GUARD_S = 5.0
 
 
-def _soi_prog(comm, verify=False):
-    return soi_fft_distributed(comm, BLOCKS[comm.rank], PLAN, verify=verify)
+def _soi_prog(comm):
+    return soi_fft_distributed(comm, BLOCKS[comm.rank], PLAN)
 
 
-def _sixstep_prog(comm, verify=False):
-    return transpose_fft_distributed(comm, BLOCKS[comm.rank], N, verify=verify)
+def _soi_overlap_prog(comm):
+    return soi_fft_distributed(comm, BLOCKS[comm.rank], PLAN, overlap=True)
+
+
+def _sixstep_prog(comm):
+    return transpose_fft_distributed(comm, BLOCKS[comm.rank], N)
 
 
 def _run(prog, **kw):
     res = run_spmd(RANKS, prog, **kw)
     return np.concatenate(res.values), res
+
+
+def _control_bytes(stats):
+    return sum(stats.phase(p).control_bytes for p in stats.phases())
 
 
 @pytest.fixture(scope="module")
@@ -76,14 +94,18 @@ def _plan_for(kind, phase):
     return builder(phase=phase, src=1, dst=0, delay_s=0.01)
 
 
+def _assert_recovered(kind, y, y_ref, res):
+    np.testing.assert_array_equal(y, y_ref)
+    if kind in ("drop", "truncate", "bitflip"):
+        assert res.stats.total_retransmits >= 1
+
+
 class TestTransportRecoversEveryKindEveryPhase:
     @pytest.mark.parametrize("kind", WIRE_KINDS)
     @pytest.mark.parametrize("phase", SOI_PHASES)
     def test_soi(self, kind, phase, y_soi):
         y, res = _run(_soi_prog, faults=_plan_for(kind, phase), transport=QUICK, timeout=60)
-        np.testing.assert_array_equal(y, y_soi)
-        if kind in ("drop", "truncate", "bitflip"):
-            assert res.stats.total_retransmits >= 1
+        _assert_recovered(kind, y, y_soi, res)
 
     @pytest.mark.parametrize("kind", WIRE_KINDS)
     @pytest.mark.parametrize("phase", SIXSTEP_PHASES)
@@ -91,9 +113,37 @@ class TestTransportRecoversEveryKindEveryPhase:
         y, res = _run(
             _sixstep_prog, faults=_plan_for(kind, phase), transport=QUICK, timeout=60
         )
-        np.testing.assert_array_equal(y, y_sixstep)
-        if kind in ("drop", "truncate", "bitflip"):
-            assert res.stats.total_retransmits >= 1
+        _assert_recovered(kind, y, y_sixstep, res)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("kind", WIRE_KINDS)
+    @pytest.mark.parametrize("phase", SOI_PHASES)
+    def test_soi_overlap(self, engine, kind, phase, y_soi):
+        """The pipelined path's receives are request waits and waitany
+        polls; they recover exactly like the blocking recv."""
+        y, res = _run(
+            _soi_overlap_prog, faults=_plan_for(kind, phase), transport=QUICK,
+            engine=engine, timeout=GUARD_S,
+        )
+        _assert_recovered(kind, y, y_soi, res)
+
+    @pytest.mark.parametrize("kind", WIRE_KINDS)
+    @pytest.mark.parametrize("phase", SOI_PHASES)
+    def test_soi_des(self, kind, phase, y_soi):
+        y, res = _run(
+            _soi_prog, faults=_plan_for(kind, phase), transport=QUICK,
+            engine="des", timeout=GUARD_S,
+        )
+        _assert_recovered(kind, y, y_soi, res)
+
+    @pytest.mark.parametrize("kind", WIRE_KINDS)
+    @pytest.mark.parametrize("phase", SIXSTEP_PHASES)
+    def test_sixstep_des(self, kind, phase, y_sixstep):
+        y, res = _run(
+            _sixstep_prog, faults=_plan_for(kind, phase), transport=QUICK,
+            engine="des", timeout=GUARD_S,
+        )
+        _assert_recovered(kind, y, y_sixstep, res)
 
 
 def _chaos(seed, phases=None):
@@ -125,6 +175,20 @@ class TestChaosSweep:
         else:
             np.testing.assert_array_equal(y, y_ref)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_overlap_bit_identical_or_typed_error(self, engine, seed, y_soi):
+        try:
+            y, _ = _run(
+                _soi_overlap_prog, faults=_chaos(seed), transport=QUICK,
+                engine=engine, timeout=GUARD_S,
+            )
+        except RankFailure as failure:
+            assert isinstance(failure.original, SimMpiError)
+            assert not isinstance(failure.original, DeadlockError)  # no hang
+        else:
+            np.testing.assert_array_equal(y, y_soi)
+
     def test_same_seed_same_cost_and_sequence(self, y_soi):
         outputs, retrans, logs = [], [], []
         for _ in range(2):
@@ -141,6 +205,24 @@ class TestChaosSweep:
         assert logs[0] == logs[1]
         assert logs[0]  # chaos actually struck
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_overlap_same_seed_same_cost_and_sequence(self, engine, y_soi):
+        retrans, logs = [], []
+        for _ in range(2):
+            sched = _chaos(21)
+            y, res = _run(
+                _soi_overlap_prog, faults=sched, transport=QUICK,
+                engine=engine, timeout=GUARD_S,
+            )
+            np.testing.assert_array_equal(y, y_soi)
+            retrans.append(
+                (res.stats.total_retransmits, res.stats.total_retransmit_bytes)
+            )
+            logs.append(sorted(sched.log))
+        assert retrans[0] == retrans[1]
+        assert retrans[0][0] >= 1  # the pipelined program really recovered
+        assert logs[0] == logs[1]
+
     def test_different_seed_different_sequence(self):
         logs = []
         for seed in (21, 22):
@@ -150,47 +232,59 @@ class TestChaosSweep:
         assert logs[0] != logs[1]
 
 
-class TestVerifyMode:
-    """Algorithm-level self-checking WITHOUT the reliable transport: per-slice
-    CRC exchange and selective retransmission repair payload corruption."""
+class TestTransportCoversTheFormerSelfCheck:
+    """The cases the algorithm-level ``verify=`` mode used to repair, now
+    repaired (or refused) by the reliable transport alone."""
 
-    def test_verify_clean_run_is_bit_identical(self, y_soi):
-        y, res = _run(_soi_prog, verify=True)
-        np.testing.assert_array_equal(y, y_soi)
-        assert "verify" in res.stats.phases()
-
-    def test_verify_repairs_alltoall_bitflips(self, y_soi):
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("prog", [_soi_prog, _soi_overlap_prog])
+    def test_repairs_alltoall_bitflips(self, prog, engine, y_soi):
         plan = FaultPlan().bitflip(phase="alltoall", times=3)
-        y, _ = _run(_soi_prog, faults=plan, verify=True, timeout=60)
+        y, res = _run(prog, faults=plan, transport=QUICK, engine=engine, timeout=GUARD_S)
         np.testing.assert_array_equal(y, y_soi)
+        assert res.stats.total_retransmits == 3
 
-    def test_verify_repairs_halo_corruption(self, y_soi):
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("prog", [_soi_prog, _soi_overlap_prog])
+    def test_repairs_halo_corruption(self, prog, engine, y_soi):
         sched = ChaosSchedule(seed=5, p_bitflip=0.4, phases=("halo",))
-        y, _ = _run(_soi_prog, faults=sched, verify=True, timeout=60)
+        y, res = _run(prog, faults=sched, transport=QUICK, engine=engine, timeout=GUARD_S)
         np.testing.assert_array_equal(y, y_soi)
         assert sched.log  # faults really fired on the halo
+        assert res.stats.total_retransmits == len(sched.log)
 
-    def test_verify_repairs_sixstep_transpose(self, y_sixstep):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_repairs_sixstep_transpose(self, engine, y_sixstep):
         plan = FaultPlan().bitflip(phase="transpose-2", times=2)
-        y, _ = _run(_sixstep_prog, faults=plan, verify=True, timeout=60)
+        y, res = _run(
+            _sixstep_prog, faults=plan, transport=QUICK, engine=engine, timeout=GUARD_S
+        )
         np.testing.assert_array_equal(y, y_sixstep)
+        assert res.stats.total_retransmits == 2
 
-    def test_verify_detects_unrepairable_link(self):
-        # Every array 0->1 is corrupted in EVERY phase (including the
-        # verify-phase resends): repair cannot converge and must say so.
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("prog", [_soi_prog, _soi_overlap_prog])
+    def test_permanently_corrupt_link_exhausts_retries(self, prog, engine):
+        # Every array 0->1 is corrupted in every phase, retransmissions
+        # included: recovery cannot converge and must say so, long
+        # before the world timeout would turn it into a DeadlockError.
         plan = FaultPlan().bitflip(src=0, dst=1, times=None)
+        t0 = time.perf_counter()
         with pytest.raises(RankFailure) as info:
-            _run(_soi_prog, faults=plan, verify=True, timeout=60)
-        assert isinstance(info.value.original, VerificationError)
+            _run(prog, faults=plan, transport=QUICK, engine=engine, timeout=60)
+        assert isinstance(info.value.original, RetryExhaustedError)
+        assert info.value.original.attempts == QUICK.max_retries
+        assert time.perf_counter() - t0 < 20.0
 
-    def test_soi_verification_cheaper_than_sixstep(self):
-        """The paper's communication advantage extends to reliability cost:
-        SOI confirms ONE exchange where the six-step baseline confirms three."""
-        _, res_soi = _run(_soi_prog, verify=True)
-        _, res_six = _run(_sixstep_prog, verify=True)
-        soi_cost = res_soi.stats.phase("verify").offnode_bytes()
-        six_cost = res_six.stats.phase("verify").offnode_bytes()
-        assert 0 < soi_cost < six_cost
+    def test_soi_transport_control_cheaper_than_sixstep(self, y_soi, y_sixstep):
+        """The paper's one-versus-three exchanges, priced on the surviving
+        integrity mechanism: a clean SOI run acks fewer bytes than six-step."""
+        y, res_soi = _run(_soi_prog, transport=TransportPolicy())
+        np.testing.assert_array_equal(y, y_soi)
+        y, res_six = _run(_sixstep_prog, transport=TransportPolicy())
+        np.testing.assert_array_equal(y, y_sixstep)
+        assert res_soi.stats.total_retransmits == res_six.stats.total_retransmits == 0
+        assert 0 < _control_bytes(res_soi.stats) < _control_bytes(res_six.stats)
 
 
 class TestRankRestart:

@@ -114,18 +114,30 @@ class TestFaultFree:
         ref = run_spmd(1, lambda c: soi_fft_distributed(c, x, plan))
         assert np.array_equal(out.values[0], ref.values[0])
 
-    def test_mutually_exclusive_with_overlap_and_verify(self, plan, blocks):
-        for kw in ({"overlap": True}, {"verify": True}):
-            res = SoiResilience()
-            with pytest.raises(SpmdError, match="mutually exclusive"):
-                run_spmd(
-                    RANKS,
-                    lambda c: soi_fft_distributed(
-                        c, blocks[c.rank], plan, resilience=res, **kw
-                    ),
-                    resilient=True,
-                    timeout=WALL_GUARD_S,
-                )
+    def test_mutually_exclusive_with_overlap(self, plan, blocks):
+        res = SoiResilience()
+        with pytest.raises(SpmdError, match="mutually exclusive"):
+            run_spmd(
+                RANKS,
+                lambda c: soi_fft_distributed(
+                    c, blocks[c.rank], plan, resilience=res, overlap=True
+                ),
+                resilient=True,
+                timeout=WALL_GUARD_S,
+            )
+
+    def test_unknown_alltoall_algorithm_rejected(self, plan, blocks):
+        res = SoiResilience()
+        with pytest.raises(SpmdError, match="unknown alltoall algorithm 'bogus'"):
+            run_spmd(
+                RANKS,
+                lambda c: soi_fft_distributed(
+                    c, blocks[c.rank], plan, resilience=res,
+                    alltoall_algorithm="bogus",
+                ),
+                resilient=True,
+                timeout=WALL_GUARD_S,
+            )
 
 
 class TestSingleFailureRecovery:

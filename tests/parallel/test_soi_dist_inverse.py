@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.bench.workloads import random_complex
-from repro.core import snr_db, soi_ifft
+from repro.core import parseval_check, snr_db, soi_fft, soi_ifft
 from repro.parallel import soi_fft_distributed, soi_ifft_distributed, split_blocks
-from repro.simmpi import InjectedFault, RankFailure, run_spmd
+from repro.simmpi import InjectedFault, RankFailure, TransportPolicy, run_spmd
 
 
 class TestDistributedInverse:
@@ -76,7 +76,9 @@ class TestFailureModes:
 
     def test_corrupted_alltoall_detected_by_accuracy(self, full_plan):
         """Zeroing one all-to-all payload silently corrupts exactly the
-        affected segment — the SNR check catches it."""
+        affected segment — the SNR check catches it.  The damage is done
+        before framing, so the transport's CRC sees an intact message;
+        the Parseval screen is what flags the output."""
 
         def zero_one_block(src, dst, tag, payload):
             if (src, dst, tag) == (0, 1, -5):
@@ -90,8 +92,12 @@ class TestFailureModes:
             nranks,
             lambda comm: soi_fft_distributed(comm, blocks[comm.rank], full_plan),
             fault_hook=zero_one_block,
+            transport=TransportPolicy(),
         )
+        assert res.stats.total_retransmits == 0  # nothing for the CRC to see
         y = np.concatenate(res.values)
+        assert not parseval_check(x, y, full_plan)
+        assert parseval_check(x, soi_fft(x, full_plan), full_plan)
         ref = np.fft.fft(x)
         block = n // nranks
         # rank 1's segments are damaged...

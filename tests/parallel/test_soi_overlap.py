@@ -2,7 +2,7 @@
 
 The contract under test: the pipelined path is a pure *scheduling*
 transformation — outputs, traffic byte totals, and composition with
-verify=/trace= are bit-for-bit identical to the blocking path; only
+the reliable transport and trace= are bit-for-bit identical to the blocking path; only
 message granularity and timing change.
 """
 
@@ -14,7 +14,7 @@ from repro.check import fuzz_distributed_soi
 from repro.core import SoiPlan
 from repro.parallel import soi_fft_distributed, soi_rank_layout, split_blocks
 from repro.parallel.soi_dist import soi_overlap_spans
-from repro.simmpi import run_spmd
+from repro.simmpi import SpmdError, TransportPolicy, run_spmd
 from repro.trace import TraceRecorder
 
 
@@ -70,12 +70,31 @@ class TestBitwise:
 
 
 class TestComposition:
-    def test_verify_is_bit_transparent(self, seq_dist, full_plan):
+    def test_transport_is_bit_transparent(self, seq_dist, full_plan):
         x = random_complex(full_plan.n, 21)
         (y_blk, _), (y_ovl, _) = _both(x, full_plan, 4, seq_dist)
-        y_ver, _ = seq_dist.distributed(x, full_plan, 4, overlap=True, verify=True)
-        np.testing.assert_array_equal(y_ver, y_ovl)
-        np.testing.assert_array_equal(y_ver, y_blk)
+        y_rel, stats = seq_dist.distributed(
+            x, full_plan, 4, overlap=True,
+            run_kwargs={"transport": TransportPolicy()},
+        )
+        np.testing.assert_array_equal(y_rel, y_ovl)
+        np.testing.assert_array_equal(y_rel, y_blk)
+        assert stats.phase("alltoall").acks > 0  # the transport really ran
+        assert stats.total_retransmits == 0
+
+    def test_unknown_alltoall_algorithm_rejected(self, full_plan):
+        """The pipelined path keeps its own piece schedule, but the name
+        is validated exactly as on the blocking path."""
+        blocks = split_blocks(random_complex(full_plan.n, 23), 4)
+        with pytest.raises(SpmdError, match="unknown alltoall algorithm 'bogus'"):
+            run_spmd(
+                4,
+                lambda comm: soi_fft_distributed(
+                    comm, blocks[comm.rank], full_plan, overlap=True,
+                    alltoall_algorithm="bogus",
+                ),
+                timeout=10,
+            )
 
     def test_trace_is_bit_transparent_and_sees_isends(self, seq_dist, full_plan):
         x = random_complex(full_plan.n, 22)

@@ -207,26 +207,6 @@ class TestComposition:
         tl = rec.timeline()
         assert any(s.kind == "collective" for s in tl.spans)
 
-    @pytest.mark.parametrize("algorithm", ["bruck", "hierarchical"])
-    def test_verified_alltoall_accepts_algorithm(self, algorithm):
-        from repro.parallel.selfcheck import verified_alltoall
-
-        def body(comm, algorithm=algorithm):
-            sendbufs = [
-                np.full(8, 10 * comm.rank + d, dtype=np.complex128)
-                for d in range(4)
-            ]
-            return np.stack(
-                verified_alltoall(comm, sendbufs, algorithm=algorithm)
-            )
-
-        res = run_spmd(4, body, ranks_per_node=2)
-        for rank, got in enumerate(res.values):
-            ref = np.stack([
-                np.full(8, 10 * s + rank, dtype=np.complex128) for s in range(4)
-            ])
-            np.testing.assert_array_equal(got, ref)
-
     def test_alltoall_rounds_counted_once_per_exchange(self):
         def body(comm):
             objs = [np.zeros(2) for _ in range(4)]

@@ -182,77 +182,6 @@ class TestCollectives:
         assert run_spmd(5, prog).values == [10] * 5
 
 
-class TestAlltoallv:
-    def test_dense_alltoallv_matches_alltoall(self):
-        def prog(comm):
-            send = [comm.rank * 100 + d for d in range(comm.size)]
-            return comm.alltoallv(send)
-
-        res = run_spmd(4, prog)
-        for r in range(4):
-            assert res[r] == [src * 100 + r for src in range(4)]
-
-    def test_uneven_counts(self):
-        """Pairs exchange differently sized arrays — the v in alltoallv."""
-
-        def prog(comm):
-            send = [
-                np.full(comm.rank + d + 1, comm.rank, dtype=np.float64)
-                for d in range(comm.size)
-            ]
-            return comm.alltoallv(send)
-
-        res = run_spmd(3, prog)
-        for r in range(3):
-            for src in range(3):
-                np.testing.assert_array_equal(
-                    res[r][src], np.full(src + r + 1, src, dtype=np.float64)
-                )
-
-    def test_none_entries_with_sources(self):
-        """Sparse exchange: only rank 0 sends, everyone else stays silent."""
-
-        def prog(comm):
-            send = [None] * comm.size
-            if comm.rank == 0:
-                send = [f"to-{d}" for d in range(comm.size)]
-            got = comm.alltoallv(send, sources=[0])
-            return got
-
-        res = run_spmd(3, prog)
-        for r in range(1, 3):
-            assert res[r][0] == f"to-{r}"
-            assert res[r][1] is None and res[r][2] is None
-
-    def test_all_none_is_a_valid_collective(self):
-        def prog(comm):
-            return comm.alltoallv([None] * comm.size, sources=[])
-
-        assert run_spmd(3, prog).values == [[None] * 3] * 3
-
-    def test_self_entry_none_skips_local_copy(self):
-        def prog(comm):
-            send = ["x"] * comm.size
-            send[comm.rank] = None
-            return comm.alltoallv(send)[comm.rank]
-
-        assert run_spmd(2, prog).values == [None, None]
-
-    def test_wrong_count_rejected(self):
-        def prog(comm):
-            return comm.alltoallv([1])  # size is 2
-
-        with pytest.raises(Exception, match="exactly"):
-            run_spmd(2, prog, timeout=5)
-
-    def test_counts_one_alltoall_round(self):
-        def prog(comm):
-            comm.alltoallv([np.ones(2)] * comm.size)
-
-        res = run_spmd(2, prog)
-        assert res.stats.alltoall_rounds == 1
-
-
 class TestPayloadAccounting:
     @staticmethod
     def _bytes_sent(payload):

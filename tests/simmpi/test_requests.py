@@ -165,28 +165,6 @@ class TestNonblockingCollectives:
 
         assert all(run_spmd(nranks, prog).values)
 
-    def test_ialltoallv_with_holes_matches_blocking(self):
-        nranks = 3
-
-        def prog(comm):
-            objs = [
-                None
-                if dst == (comm.rank + 1) % nranks
-                else np.full(4, comm.rank * 10 + dst, dtype=np.float64)
-                for dst in range(nranks)
-            ]
-            sources = [
-                src for src in range(nranks) if comm.rank != (src + 1) % nranks
-            ]
-            got = comm.ialltoallv(objs, sources=sources).wait()
-            ref = comm.alltoallv(objs, sources=sources)
-            return all(
-                (g is None and r is None) or np.array_equal(g, r)
-                for g, r in zip(got, ref)
-            )
-
-        assert all(run_spmd(nranks, prog).values)
-
     def test_chunked_requires_arrays(self):
         def prog(comm):
             comm.ialltoall(["not-an-array"] * comm.size, chunks=2).wait()
