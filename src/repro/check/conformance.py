@@ -648,7 +648,8 @@ def _resilience_rows(report: ConformanceReport, n: int) -> None:
     to the fault-free run, the buddy's reconstructed block must be
     bitwise the casualty's fault-free block (same FP schedule replayed),
     and the assembled full spectrum must still meet the same Theorem-2
-    oracle bound as the fault-free transform.
+    oracle bound as the fault-free transform.  The ``overlap=True`` rows
+    hold the same contract on the pipelined chunk-group exchange.
     """
     plan = SoiPlan(n=n, p=_DIST_P)
     x = _signal(f"dist.soi[{n}]", n)  # same signal family as _dist_rows
@@ -661,12 +662,12 @@ def _resilience_rows(report: ConformanceReport, n: int) -> None:
         ).values
     )
 
-    def resilient(faults=None):
+    def resilient(faults=None, overlap=False):
         res = SoiResilience()
         out = run_spmd(
             _DIST_RANKS,
             lambda comm: soi_fft_distributed(
-                comm, blocks[comm.rank], plan, resilience=res
+                comm, blocks[comm.rank], plan, resilience=res, overlap=overlap
             ),
             resilient=True,
             faults=faults,
@@ -681,8 +682,8 @@ def _resilience_rows(report: ConformanceReport, n: int) -> None:
         detail="ABFT replication/checksums are bit-transparent fault-free",
     )
 
-    def recovered(kill_phase: str):
-        out, res = resilient(FaultPlan().kill(1, phase=kill_phase))
+    def recovered(kill_phase: str, overlap: bool = False):
+        out, res = resilient(FaultPlan().kill(1, phase=kill_phase), overlap)
         if not out.degraded or [f[0] for f in out.failures] != [1]:
             raise RuntimeError(f"expected rank 1 casualty, got {out.failures!r}")
         if 1 not in res.recovered_blocks:
@@ -699,6 +700,21 @@ def _resilience_rows(report: ConformanceReport, n: int) -> None:
             lambda kill_phase=kill_phase: (recovered(kill_phase), baseline),
             detail="survivors + reconstructed block == fault-free run",
         )
+    # The ABFT hook rides the per-group piece exchange, so it composes
+    # with overlap=: pipelined chunk groups, same bits, same recovery.
+    _bitwise_row(
+        report, f"soi_fft_distributed[resilience=,overlap=True,fault-free][n={n}]",
+        "resilience", n,
+        lambda: (np.concatenate(resilient(overlap=True)[0].values), baseline),
+        detail="resilience= composes with overlap=, bit-transparent fault-free",
+    )
+    _bitwise_row(
+        report,
+        f"soi_fft_distributed[resilience=,overlap=True,kill@alltoall][n={n}]",
+        "resilience", n,
+        lambda: (recovered("alltoall", overlap=True), baseline),
+        detail="pipelined survivors + reconstructed block == fault-free run",
+    )
     _oracle_row(
         report,
         f"soi_fft_distributed[resilience=,kill@alltoall,oracle][n={n}]",

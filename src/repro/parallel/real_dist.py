@@ -35,14 +35,9 @@ from ..dft.backends import FftBackend
 from ..dft.twiddle import twiddles
 from ..simmpi.comm import Communicator
 from ..utils import require
-from .soi_dist import soi_fft_distributed, soi_rank_layout
+from .soi_dist import TAGS, soi_fft_distributed, soi_rank_layout
 
 __all__ = ["rfft_distributed"]
-
-# Tags of the untangle exchanges (clear of the SOI pipeline's 7/8).
-MIRROR_TAG = 11
-EDGE_TAG = 12
-NYQUIST_TAG = 13
 
 
 def rfft_distributed(
@@ -98,23 +93,25 @@ def rfft_distributed(
         if partner == rank:
             z_mirror = z_local
         else:
-            z_mirror = comm.sendrecv(z_local, dest=partner, source=partner, tag=MIRROR_TAG)
+            z_mirror = comm.sendrecv(
+                z_local, dest=partner, source=partner, tag=TAGS["mirror"]
+            )
         edge_peer = (nranks - rank) % nranks
         if edge_peer == rank:
             z_edge = z_local[0]
         else:
             z_edge = comm.sendrecv(
-                z_local[0:1], dest=edge_peer, source=edge_peer, tag=EDGE_TAG
+                z_local[0:1], dest=edge_peer, source=edge_peer, tag=TAGS["edge"]
             )[0]
         z_nyq = None
         if rank == nranks - 1:
             z_nyq = (
                 z_local[0]
                 if nranks == 1
-                else comm.recv(0, tag=NYQUIST_TAG)[0]
+                else comm.recv(0, tag=TAGS["nyquist"])[0]
             )
         if rank == 0 and nranks > 1:
-            comm.send(z_local[0:1], nranks - 1, tag=NYQUIST_TAG)
+            comm.send(z_local[0:1], nranks - 1, tag=TAGS["nyquist"])
 
     # Mirror vector for the local bins: zrev[t] = Z[(N/2 - (a+t)) % N/2].
     zrev = np.empty(hblk, dtype=plan.dtype)

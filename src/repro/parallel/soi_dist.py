@@ -7,7 +7,8 @@ paper runs S = 8):
   (``N/R = M*S`` samples);
 - output: rank i owns ``y`` over the same index range — in-order.
 
-Pipeline per rank (communication phases labelled for the traffic stats):
+One rank program; its phases (:data:`SOI_PHASES`) label the traffic
+stats and are the fault plan's kill boundaries on every path:
 
 1. ``halo``       — receive ``(B - nu) * P`` samples from the next rank
                     (wrapping), the only neighbour traffic; the paper
@@ -21,11 +22,19 @@ Pipeline per rank (communication phases labelled for the traffic stats):
                     volume N' = (1+beta) N points.
 5. ``fft-m``      — S batched length-M' FFTs + demodulation, local.
 
+Steps 2-4 run per chunk group, and step 4 has two strategies: one
+collective, or pieces posted per group and drained ``waitany``-first
+(see :func:`soi_fft_distributed`).  ``resilience=`` is a hook on the
+piece strategy (:mod:`repro.parallel.resilience`): ``replicate``
+replaces ``halo``, and ``commit`` / ``recover`` follow ``fft-m``.
+
 The floating-point operations are identical to the sequential
 :func:`repro.core.soi.soi_fft` — tests assert bit-for-bit equality.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,23 +43,44 @@ from ..core.soi import _plan_fft
 from ..dft.backends import FftBackend, get_backend
 from ..dft.flops import fft_flops, soi_convolution_flops
 from ..simmpi.alltoall import resolve_algorithm
-from ..simmpi.comm import Communicator, waitall, waitany
+from ..simmpi.comm import Communicator, _payload_bytes, waitall, waitany
+from ..simmpi.errors import RankFailedError
 from ..trace.spans import TraceRecorder
 from ..utils import require
-from .resilience import SoiResilience, _soi_fft_resilient
+
+if TYPE_CHECKING:
+    from .resilience import SoiResilience
 
 __all__ = [
-    "SoiResilience",
+    "SOI_PHASES",
+    "TAGS",
     "soi_fft_distributed",
     "soi_ifft_distributed",
     "soi_overlap_spans",
     "soi_rank_layout",
 ]
 
-# Tags of the pipelined path's nonblocking exchanges (positive: user
-# range; the collectives use negative tags).
-PIECE_TAG = 7
-HALO_TAG = 8
+#: The rank program's phases in program order.  A path enters a
+#: subsequence (the piece strategy once per chunk group for convolve,
+#: fft-p and alltoall), so ``FaultPlan().kill(rank, phase=...)`` — a
+#: death at the first entry — means the same point on every path.
+SOI_PHASES = (
+    "halo", "replicate", "convolve", "fft-p", "alltoall", "fft-m", "commit", "recover",
+)
+
+#: Every point-to-point tag of :mod:`repro.parallel`, in one table so
+#: no two exchanges share a channel by accident.  The collectives own
+#: the negative range.
+TAGS = {
+    "piece": 7,  # one chunk group's all-to-all piece
+    "halo": 8,
+    "recover": 9,  # buddy -> survivor blocks; the casualty's halo -> buddy
+    "recover-out": 10,  # survivor -> buddy: blocks destined for the casualty
+    "replica": 11,  # the input-block ring of resilience=
+    "mirror": 12,  # rfft_distributed's untangle exchanges
+    "edge": 13,
+    "nyquist": 14,
+}
 
 
 def soi_rank_layout(plan: SoiPlan, nranks: int) -> dict[str, int]:
@@ -123,18 +153,19 @@ def soi_fft_distributed(
     Must be called collectively by all ranks of *comm* with a plan whose
     ``p`` is a multiple of ``comm.size``.
 
-    With ``overlap=True`` the rank program is restructured for
-    communication/computation overlap (see :func:`soi_overlap_spans`):
-    the halo travels as an ``isend`` while the halo-free window prefix
-    is convolved, each chunk group's all-to-all pieces are posted the
-    moment the group's column block is transformed, and arriving pieces
-    are drained ``waitany``-first into the preallocated segment buffer.
-    The floating-point schedule is unchanged — outputs and per-phase
-    traffic byte totals are bit-for-bit identical to the blocking path
-    (the conformance suite pins this); only message granularity and
-    timing differ.  All ranks must pass the same *overlap* and
-    *overlap_groups* (they are collective parameters, like counts in
-    MPI).
+    By default the front half runs as one chunk group and the exchange
+    is one ``alltoall_matrix`` collective.  With ``overlap=True`` the
+    rank program is pipelined for communication/computation overlap
+    (see :func:`soi_overlap_spans`): the halo travels as an ``isend``
+    while the halo-free window prefix is convolved, each chunk group's
+    all-to-all pieces are posted the moment the group's column block is
+    transformed, and arriving pieces are drained ``waitany``-first into
+    the preallocated segment buffer.  The floating-point schedule is
+    unchanged — outputs and per-phase traffic byte totals are
+    bit-for-bit identical to the blocking path (the conformance suite
+    pins this); only message granularity and timing differ.  All ranks
+    must pass the same *overlap* and *overlap_groups* (they are
+    collective parameters, like counts in MPI).
 
     Message integrity is the runtime's job, not this function's: run
     under ``run_spmd(transport=TransportPolicy(...))`` and every halo
@@ -153,18 +184,18 @@ def soi_fft_distributed(
     With ``resilience=`` (a shared :class:`SoiResilience`, one instance
     passed by every rank; requires ``resilient=True`` on ``run_spmd``)
     the transform survives a single rank death via checksummed ABFT
-    recovery — see :mod:`repro.parallel.resilience`.  Fault-free output
+    recovery — see :mod:`repro.parallel.resilience`.  It runs the piece
+    exchange (one group unless ``overlap=True``).  Fault-free output
     is bit-identical to the blocking path; the extra traffic is the
-    input replication ring plus one checksum column per all-to-all
-    block.  Mutually exclusive with ``overlap=``.
+    input replication ring plus one checksum vector per all-to-all
+    piece.
 
     ``alltoall_algorithm`` selects the exchange schedule of step 4
     (``"pairwise"``/``"bruck"``/``"hierarchical"``; ``None`` defers to
     the world default) — collective, like every other parameter here.
     All schedules are bitwise-identical in output.  The name is
-    validated on every path, but the pipelined ``overlap=True`` path
-    keeps its own isend/irecv piece schedule (its sends ARE the
-    exchange) and ``resilience=`` its own checksummed one.
+    validated on every path, but the piece exchange keeps its own
+    isend/irecv schedule (its sends ARE the exchange).
     """
     be = get_backend(backend)
     algorithm = resolve_algorithm(alltoall_algorithm, comm.world)
@@ -172,189 +203,200 @@ def soi_fft_distributed(
         trace.attach(comm.world)
     layout = soi_rank_layout(plan, comm.size)
     block = layout["block"]
-    s_per = layout["segments_per_rank"]
     vec = np.ascontiguousarray(x_local, dtype=plan.dtype)
     require(
         vec.shape == (block,),
         f"rank {comm.rank}: expected local block of {block} samples, got {vec.shape}",
     )
-    if resilience is not None:
-        require(not overlap, "resilience= and overlap= are mutually exclusive")
-        require(
-            plan.dtype == np.dtype(np.complex128),
-            "resilience= requires a complex128 plan (ABFT checksums are double)",
-        )
-        if comm.size > 1:
-            return _soi_fft_resilient(comm, vec, plan, be, layout, resilience)
-    if overlap and comm.size > 1:
-        return _soi_fft_pipelined(comm, vec, plan, be, layout, overlap_groups)
-
-    # -- 1. halo: the forward-neighbour samples the last chunks read. ----
-    # The halo send is zero-copy (the substrate passes references and
-    # receivers only read): ``vec`` is private to this rank and never
-    # mutated, so no defensive copy is needed.
-    with comm.phase("halo"):
-        left = (comm.rank - 1) % comm.size
-        right = (comm.rank + 1) % comm.size
-        if comm.size == 1:
-            halo = vec[: plan.halo]
-        else:
-            halo = comm.sendrecv(vec[: plan.halo], dest=left, source=right)
-
-    # -- 2./3. convolution + small local FFTs: this rank's block-rows of
-    # z = W x, then (I_M' (x) F_P) on them, in one call. ------------------
+    if comm.size == 1:
+        overlap, resilience = False, None
+    r = _Rank(comm, plan, be, layout, vec, resilience)
     q_local = layout["chunks_per_rank"]
-    # The sequential pipeline's kernel on this rank's windows; passing
-    # the rank's global chunk offset puts every output at the position
-    # of the kernel's tile grid it has in the sequential call, which is
-    # what makes the two bit-for-bit equal (see repro.core.convolve).
-    # The kernel emits z pre-transposed, (P, rows), and transforms its
-    # columns in that layout: exactly the segment-major orientation the
-    # all-to-all delivers, so neither the transform nor packing pays a
-    # copy.  Each stage keeps its own compute charge.
-    winb = plan.window_view(vec, halo, q_local)
-    v_t = plan.convolve_fft_p(winb, comm.rank * q_local, be)
-    comm.trace_compute(
-        "convolve",
-        soi_convolution_flops(layout["rows_per_rank"] * plan.p, plan.b),
-        kind="conv",
-    )
-    comm.trace_compute("fft-p", layout["rows_per_rank"] * fft_flops(plan.p))
-
-    # -- 4. THE all-to-all: deliver segment rows to their owners. ---------
-    with comm.phase("alltoall"):
-        # Zero-copy packing: rank d owns segments [d*S, (d+1)*S), which
-        # are contiguous row blocks of the transposed transform — one
-        # reshape yields every destination slice as a view.
-        # Matrix form: the packed sendbuf is already one contiguous
-        # (P, S, rows) array, so the exchange moves whole-node row
-        # batches instead of P² block objects (same bytes, same
-        # messages, bitwise-identical rows — see exchange_matrix).
-        sendbuf3 = v_t.reshape(comm.size, s_per, -1)
-        mat = comm.alltoall_matrix(sendbuf3, algorithm=algorithm)
-    # mat[src] is (S, rows_per_rank): my segments, src's row range.
-
-    # -- 5. segment FFTs + demodulation (in-order output). ----------------
-    # (S, M'), rows in src order — identical element order to
-    # np.concatenate(list(mat), axis=1).
-    segs = np.ascontiguousarray(mat.transpose(1, 0, 2)).reshape(s_per, -1)
-    yt = _plan_fft(be, segs, plan)
-    comm.trace_compute("fft-m", s_per * fft_flops(plan.m_over))
-    y_local = yt[:, : plan.m] * plan.demod_recip[None, :]
-    return y_local.reshape(block)
-
-
-def _soi_fft_pipelined(
-    comm: Communicator,
-    vec: np.ndarray,
-    plan: SoiPlan,
-    be: FftBackend,
-    layout: dict[str, int],
-    groups: int,
-) -> np.ndarray:
-    """The ``overlap=True`` rank program (same math, pipelined schedule).
-
-    Three overlaps, all hiding wire time behind the convolution:
-
-    - the halo ``isend`` departs before any compute, and the halo
-      ``irecv`` is only waited when the first halo-dependent window
-      group comes up — the halo-free prefix convolves during flight;
-    - each group's all-to-all pieces are ``isend``-posted as soon as
-      that column block is transformed, so early groups travel while
-      later groups compute;
-    - piece receives are posted up front and drained ``waitany``-first
-      (arrival order, not source order) into the segment buffer.
-
-    A two-slot send-buffer pool bounds outstanding send memory: posting
-    group g first completes group g-2's sends (payloads travel
-    zero-copy, so a buffer must stay untouched until consumed).
-    """
-    block = layout["block"]
-    s_per = layout["segments_per_rank"]
-    q_local = layout["chunks_per_rank"]
-    rows_pr = layout["rows_per_rank"]
-    left = (comm.rank - 1) % comm.size
-    right = (comm.rank + 1) % comm.size
-    spans, _ = soi_overlap_spans(plan, block, groups)
-
-    with comm.phase("halo"):
-        halo_send = comm.isend(vec[: plan.halo], left, tag=HALO_TAG)
-        halo_req = comm.irecv(right, tag=HALO_TAG)
-
-    with comm.phase("alltoall"):
-        if comm.rank == 0:
-            comm.stats.record_alltoall("alltoall")
-        recv_reqs = []
-        recv_slots = []
-        for src in range(comm.size):
-            if src == comm.rank:
-                continue
-            c0 = src * rows_pr
-            for q0, q1 in spans:
-                recv_reqs.append(comm.irecv(src, tag=PIECE_TAG))
-                recv_slots.append((c0 + q0 * plan.mu, c0 + q1 * plan.mu))
-
-    # Extended-input workspace with a zero tail; re-derived (same buffer,
-    # same strides) once the halo lands, so each group's convolution is
-    # the blocking path's kernel on identical bytes at the same global
-    # chunk offset.
-    winb = plan.window_view(vec, np.zeros(plan.halo, dtype=plan.dtype), q_local)
-    segs = np.empty((s_per, plan.m_over), dtype=plan.dtype)
-    my0 = comm.rank * rows_pr
-    halo = None
-    pool: list[tuple | None] = [None, None]
-
-    for g, (q0, q1) in enumerate(spans):
-        if halo is None and (q1 - 1) * plan.nu * plan.p + plan.b * plan.p > block:
-            # This group's last window reads past the local block: the
-            # halo must have landed.
-            with comm.phase("halo"):
-                halo = halo_req.wait()
-            winb = plan.window_view(vec, halo, q_local)
-        vg = plan.convolve_fft_p(
-            winb[q0:q1], comm.rank * q_local + q0, be
-        ).reshape(comm.size, s_per, -1)
-        comm.trace_compute(
-            "convolve",
-            soi_convolution_flops((q1 - q0) * plan.mu * plan.p, plan.b),
-            kind="conv",
-        )
-        comm.trace_compute("fft-p", (q1 - q0) * plan.mu * fft_flops(plan.p))
-        with comm.phase("alltoall"):
-            slot = g % 2
-            if pool[slot] is not None:
-                waitall(pool[slot][1])  # double-buffer: retire g-2's sends
-            sends = []
-            for dst in range(comm.size):
-                if dst == comm.rank:
-                    segs[:, my0 + q0 * plan.mu : my0 + q1 * plan.mu] = vg[dst]
-                    comm.stats.record_message(
-                        "alltoall", comm.rank, comm.rank, vg[dst].nbytes
-                    )
-                else:
-                    sends.append(comm.isend(vg[dst], dst, tag=PIECE_TAG))
-            pool[slot] = (vg, sends)
-
-    if halo is None:  # every window was halo-free: collect the halo anyway
+    missing: set[int] = set()
+    if overlap or resilience is not None:
+        spans = [(0, q_local)]
+        if overlap:
+            spans = soi_overlap_spans(plan, block, overlap_groups)[0]
+        missing = r.exchange_pieces(spans)
+    else:
+        # -- 1. halo: the forward-neighbour samples the last chunks read.
+        # The send is zero-copy (the substrate passes references and
+        # receivers only read): ``vec`` is private to this rank and
+        # never mutated, so no defensive copy is needed.
         with comm.phase("halo"):
-            halo_req.wait()
+            halo = vec[: plan.halo]
+            if comm.size > 1:
+                left = (comm.rank - 1) % comm.size
+                right = (comm.rank + 1) % comm.size
+                halo = comm.sendrecv(halo, left, right, tag=TAGS["halo"])
+        v_t = r.front_half(vec, halo, comm.rank * q_local, 0, q_local)
+        # -- 4. THE all-to-all, as one collective in matrix form: rank d
+        # owns segments [d*S, (d+1)*S), contiguous row blocks of the
+        # transposed transform, so the packed sendbuf is one (P, S, rows)
+        # view and the exchange moves whole-node row batches instead of
+        # P² block objects (same bytes, same messages, bitwise-identical
+        # rows — see exchange_matrix).  mat[src] is (S, rows_per_rank):
+        # my segments, src's row range; (S, M') rows in src order.
+        with comm.phase("alltoall"):
+            mat = comm.alltoall_matrix(
+                v_t.reshape(comm.size, r.s_per, -1), algorithm=algorithm
+            )
+        r.segs = np.ascontiguousarray(mat.transpose(1, 0, 2)).reshape(r.s_per, -1)
 
-    with comm.phase("alltoall"):
-        outstanding = len(recv_reqs)
-        while outstanding:
-            i, piece = waitany(recv_reqs)
-            a, b = recv_slots[i]
-            segs[:, a:b] = piece
-            outstanding -= 1
-        halo_send.wait()
-        for slot in (0, 1):
-            if pool[slot] is not None:
-                waitall(pool[slot][1])
+    # -- 5. segment FFTs + demodulation (in-order output); a rank that
+    # lost a casualty's pieces runs it after the recovery instead. -------
+    y_local = None
+    with comm.phase("fft-m"):
+        if not missing:
+            y_local = r.fft_m(r.segs)
+    if resilience is None:
+        return y_local
+    return resilience.commit(r, missing, y_local)
 
-    yt = _plan_fft(be, segs, plan)
-    comm.trace_compute("fft-m", s_per * fft_flops(plan.m_over))
-    y_local = yt[:, : plan.m] * plan.demod_recip[None, :]
-    return y_local.reshape(block)
+
+class _Rank:
+    """One rank's pass through the program: the state its phases share.
+
+    The ``resilience=`` hook reads it too: the buddy rebuilds a
+    casualty's share with :meth:`front_half` and :meth:`fft_m`, the
+    calls the casualty itself made.
+    """
+
+    def __init__(self, comm, plan, be, layout, vec, res) -> None:
+        self.comm, self.plan, self.be, self.vec, self.res = comm, plan, be, vec, res
+        self.layout = layout
+        self.s_per = layout["segments_per_rank"]
+        self.replica: np.ndarray | None = None
+        self.slabs: list[np.ndarray] = []  # (R, S, cols) per chunk group
+        self.segs: np.ndarray | None = None  # (S, M'): my segments
+
+    def front_half(self, vec, tail, first_chunk, q0, q1) -> np.ndarray:
+        """Steps 2-3, convolution + small FFTs, over windows ``[q0, q1)``.
+
+        *vec* ++ *tail* is a block and the halo after it (zeros will do
+        while every window in the span is halo-free).  Passing the
+        block's global chunk offset *first_chunk* puts every output at
+        the position of the kernel's tile grid it has in the sequential
+        call, which is what makes the two bit-for-bit equal (see
+        repro.core.convolve) at any ``[q0, q1)`` cut.  The kernel emits
+        z pre-transposed, ``(P, rows)``, and transforms its columns in
+        that layout: exactly the segment-major orientation the
+        all-to-all delivers, so neither the transform nor packing pays
+        a copy.  Each stage keeps its own compute charge.
+        """
+        plan, comm = self.plan, self.comm
+        winb = plan.window_view(vec, tail, q1)
+        rows = (q1 - q0) * plan.mu
+        with comm.phase("convolve"):
+            v_t = plan.convolve_fft_p(winb[q0:q1], first_chunk + q0, self.be)
+            comm.trace_compute(
+                "convolve", soi_convolution_flops(rows * plan.p, plan.b), kind="conv"
+            )
+        with comm.phase("fft-p"):
+            comm.trace_compute("fft-p", rows * fft_flops(plan.p))
+        return v_t
+
+    def fft_m(self, segs: np.ndarray) -> np.ndarray:
+        """Segment FFTs + demodulation: the in-order output block."""
+        plan = self.plan
+        yt = _plan_fft(self.be, segs, plan)
+        self.comm.trace_compute("fft-m", self.s_per * fft_flops(plan.m_over))
+        return (yt[:, : plan.m] * plan.demod_recip[None, :]).reshape(-1)
+
+    def exchange_pieces(self, spans: list[tuple[int, int]]) -> set[int]:
+        """Steps 1-4 with THE all-to-all as per-group pieces (see
+        :func:`soi_fft_distributed`); returns the sources found dead.
+
+        The piece receives are posted with the first group.  Posting
+        group g first retires group g-2's sends, bounding outstanding
+        send memory.  Under ``resilience=`` the halo is the whole-block
+        replica, each piece travels with its checksum, and the drain
+        collects dead sources instead of raising.
+        """
+        comm, plan, res = self.comm, self.plan, self.res
+        rank, size = comm.rank, comm.size
+        rows_pr = self.layout["rows_per_rank"]
+        q_local = self.layout["chunks_per_rank"]
+        with comm.phase("halo" if res is None else "replicate"):
+            tag = TAGS["halo" if res is None else "replica"]
+            out = self.vec[: plan.halo] if res is None else self.vec
+            halo_reqs = (
+                comm.isend(out, (rank - 1) % size, tag=tag),
+                comm.irecv((rank + 1) % size, tag=tag),
+            )
+        halo = None
+        self.segs = np.empty((self.s_per, plan.m_over), dtype=plan.dtype)
+        recvs: list[tuple] = []  # (src, col0, col1, request)
+        sends: list[list] = []  # per group
+        for g, (q0, q1) in enumerate(spans):
+            last_read = (q1 - 1) * plan.nu * plan.p + plan.b * plan.p
+            if halo is None and last_read > self.layout["block"]:
+                halo = self._land_halo(halo_reqs[1])  # this group reads it
+            tail = np.zeros(plan.halo, dtype=plan.dtype) if halo is None else halo
+            slab = self.front_half(self.vec, tail, rank * q_local, q0, q1)
+            slab = slab.reshape(size, self.s_per, -1)
+            self.slabs.append(slab)
+            with comm.phase("alltoall"):
+                if g == 0:
+                    if rank == 0:
+                        comm.stats.record_alltoall("alltoall")
+                    recvs = [
+                        (src, src * rows_pr + a * plan.mu, src * rows_pr + b * plan.mu,
+                         comm.irecv(src, tag=TAGS["piece"]))
+                        for src in range(size) if src != rank for a, b in spans
+                    ]
+                if g >= 2:
+                    waitall(sends[g - 2])
+                msgs = list(slab) if res is None else [res.wrap(pc) for pc in slab]
+                c0 = rank * rows_pr
+                self.segs[:, c0 + q0 * plan.mu : c0 + q1 * plan.mu] = slab[rank]
+                comm.stats.record_message(
+                    "alltoall", rank, rank, _payload_bytes(msgs[rank])
+                )
+                sends.append([
+                    comm.isend(msgs[d], d, tag=TAGS["piece"])
+                    for d in range(size) if d != rank
+                ])
+        if halo is None:  # every window was halo-free: collect the halo anyway
+            self._land_halo(halo_reqs[1])
+
+        missing: set[int] = set()
+        with comm.phase("alltoall"):
+            while True:
+                live = [p for p in recvs if p[0] not in missing and not p[3].completed]
+                if not live:
+                    break
+                try:
+                    i, got = waitany([p[3] for p in live])
+                except RankFailedError as exc:
+                    if res is None:
+                        raise
+                    missing.update(exc.ranks)
+                    res.note(comm, "alltoall", exc.ranks)
+                    continue
+                src, a, b, _ = live[i]
+                self.segs[:, a:b] = got if res is None else res.unwrap(comm, got, src)
+            halo_reqs[0].wait()
+            for group in sends[-2:]:
+                waitall(group)
+        return missing
+
+    def _land_halo(self, req) -> np.ndarray:
+        """Wait for the halo.  Under ``resilience=`` keep the replica it
+        is the prefix of, or note its sender dead and go on with zeros
+        (the commit then finds the replica lost)."""
+        comm, plan, res = self.comm, self.plan, self.res
+        with comm.phase("halo" if res is None else "replicate"):
+            try:
+                got = req.wait()
+            except RankFailedError as exc:
+                if res is None:
+                    raise
+                res.note(comm, "replicate", exc.ranks)
+                return np.zeros(plan.halo, dtype=plan.dtype)
+        if res is not None:
+            self.replica = got
+        return got[: plan.halo]
 
 
 def soi_ifft_distributed(

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..exectx import reset_execution_context, set_execution_context
+from ..utils import check_positive_int
 from .comm import Communicator, TransportPolicy, World
 from .errors import InjectedFault, RankFailedError, SimMpiError, SpmdError
 from .faults import FaultPlan
@@ -115,7 +116,8 @@ def run_spmd(
     Parameters
     ----------
     nranks:
-        World size.
+        World size: a positive ``int`` (NumPy integers too; ``bool``,
+        ``float`` and ``str`` raise :class:`TypeError`).
     fn:
         The rank program; receives its :class:`Communicator` first.
     timeout:
@@ -214,6 +216,7 @@ def run_spmd(
     exception and formatted traceback (``failures``/``tracebacks``),
     with ``rank``/``original`` still naming the selected root cause.
     """
+    nranks = check_positive_int(nranks, "nranks")
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
     can_restart = restartable if restartable is not None else _default_restartable

@@ -111,15 +111,24 @@ class TestDistributed:
         b128 = bytes_for(x128, plan128)
         assert b64 * 2 == b128
 
-    def test_resilience_requires_double(self, plan64, x64):
+    @pytest.mark.parametrize("backend", ["numpy", "repro"])
+    def test_resilience_keeps_the_single_precision_bits(self, plan64, x64, backend):
+        """ABFT checksums are summed in the plan's dtype, so resilience=
+        runs on a complex64 plan and still equals the sequential call."""
         from repro.parallel import SoiResilience
 
+        seq = soi_fft(x64, plan64, backend=backend)
         blocks = split_blocks(x64, 4)
-        with pytest.raises(Exception, match="ABFT"):
-            run_spmd(
-                4,
-                lambda comm: soi_fft_distributed(
-                    comm, blocks[comm.rank], plan64,
-                    resilience=SoiResilience(),
-                ),
-            )
+        res = SoiResilience()
+        out = run_spmd(
+            4,
+            lambda comm: soi_fft_distributed(
+                comm, blocks[comm.rank], plan64, backend=backend, resilience=res
+            ),
+            resilient=True,
+            timeout=30,
+        )
+        dist = np.concatenate(out.values)
+        assert dist.dtype == np.complex64
+        assert np.array_equal(dist, seq)
+        assert not res.degraded

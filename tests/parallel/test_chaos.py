@@ -1,11 +1,12 @@
-"""Acceptance sweep for the chaos-hardened runtime (ISSUE: robustness).
+"""Acceptance sweep for the chaos-hardened runtime.
 
 Every fault kind, in every communication phase of BOTH distributed FFT
 algorithms — the SOI program blocking and pipelined (``overlap=True``),
-on the thread and discrete-event engines — with the reliable transport
-enabled, must yield output bit-identical to the fault-free run — or a
-typed error — never a silent wrong answer or a hang.  The same chaos
-seed must reproduce the same fault sequence and the same recovery cost.
+also under ``resilience=``, on the thread and discrete-event engines —
+with the reliable transport enabled, must yield output bit-identical to
+the fault-free run — or a typed error — never a silent wrong answer or
+a hang.  The same chaos seed must reproduce the same fault sequence and
+the same recovery cost.
 """
 
 import time
@@ -15,6 +16,7 @@ import pytest
 
 from repro.core.plan import SoiPlan
 from repro.parallel import (
+    SoiResilience,
     soi_fft_distributed,
     split_blocks,
     transpose_fft_distributed,
@@ -26,6 +28,7 @@ from repro.simmpi import (
     RankFailure,
     RetryExhaustedError,
     SimMpiError,
+    SpmdError,
     TransportPolicy,
     run_spmd,
 )
@@ -285,6 +288,55 @@ class TestTransportCoversTheFormerSelfCheck:
         np.testing.assert_array_equal(y, y_sixstep)
         assert res_soi.stats.total_retransmits == res_six.stats.total_retransmits == 0
         assert 0 < _control_bytes(res_soi.stats) < _control_bytes(res_six.stats)
+
+
+def _resilient(overlap, **kw):
+    """One ``resilience=`` run (fresh shared state): (output parts, res)."""
+    res = SoiResilience()
+    out = run_spmd(
+        RANKS,
+        lambda c: soi_fft_distributed(
+            c, BLOCKS[c.rank], PLAN, resilience=res, overlap=overlap
+        ),
+        resilient=True,
+        **kw,
+    )
+    return list(out.values), res
+
+
+class TestComposedModes:
+    """``resilience=`` composed with ``overlap=`` and the transport: wire
+    faults are the transport's to repair (bitwise, no ABFT recovery), and
+    a rank death under chaos is the ABFT hook's — recovered bitwise or a
+    typed failure, never a hang."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("overlap", [False, True])
+    @pytest.mark.parametrize("kind", WIRE_KINDS)
+    def test_wire_faults_repaired_under_resilience(self, kind, overlap, engine, y_soi):
+        parts, res = _resilient(
+            overlap, faults=_plan_for(kind, "alltoall"), transport=QUICK,
+            engine=engine, timeout=GUARD_S,
+        )
+        np.testing.assert_array_equal(np.concatenate(parts), y_soi)
+        assert not res.degraded
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_kill_under_chaos_recovers_or_is_typed(self, seed, overlap, y_soi):
+        sched = _chaos(seed).kill(2, phase="alltoall")
+        t0 = time.perf_counter()
+        try:
+            parts, res = _resilient(
+                overlap, faults=sched, transport=QUICK, timeout=GUARD_S
+            )
+        except SpmdError as exc:
+            assert all(isinstance(e, SimMpiError) for _, e in exc.failures)
+        else:
+            assert res.failed == (2,)
+            parts[2] = res.recovered_blocks[2][1]
+            np.testing.assert_array_equal(np.concatenate(parts), y_soi)
+        assert time.perf_counter() - t0 < 20.0
 
 
 class TestRankRestart:

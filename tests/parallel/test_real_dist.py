@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from repro.core import SoiPlan
-from repro.parallel import rfft_distributed, soi_fft_distributed, split_blocks
+from repro.parallel import (
+    SoiResilience,
+    rfft_distributed,
+    soi_fft_distributed,
+    split_blocks,
+)
 from repro.simmpi import run_spmd
 
 N = 8192  # full (real) length; the half-length plan transforms N/2
@@ -72,6 +77,26 @@ class TestCorrectness:
         y_block, _ = run_rfft(x, half_plan, 4)
         y_over, _ = run_rfft(x, half_plan, 4, overlap=True)
         assert np.array_equal(y_over, y_block)
+
+    @pytest.mark.parametrize("nranks", [2, 4])
+    def test_resilience_passthrough_is_bit_transparent(self, half_plan, nranks):
+        """Fault-free, the replica ring and the untangle's mirror swap run
+        side by side on their own tags (at R=2 both go to the same
+        neighbour) and the spectrum keeps every bit."""
+        x = random_real(N, seed=16)
+        y_plain, _ = run_rfft(x, half_plan, nranks)
+        blocks = split_blocks(x, nranks)
+        res = SoiResilience()
+        out = run_spmd(
+            nranks,
+            lambda comm: rfft_distributed(
+                comm, blocks[comm.rank], half_plan, resilience=res
+            ),
+            resilient=True,
+            timeout=30,
+        )
+        assert np.array_equal(np.concatenate(out.values), y_plain)
+        assert not res.degraded
 
     def test_complex64_plan(self):
         plan = SoiPlan(n=N // 2, p=P, dtype=np.complex64)

@@ -1,10 +1,12 @@
 """Tests for the ABFT ``resilience=`` mode of the distributed SOI FFT.
 
-The survivable-SOI contract (ISSUE: robustness): a single rank death at
-any phase boundary after ``replicate`` is survived with BIT-EXACT
-recovery of the full spectrum; a death at ``replicate`` (the input dies
-with the rank before any copy exists) raises a structured
-:class:`RankFailedError` on every survivor; and nothing — ever — hangs.
+The survivable-SOI contract: a single rank death at any phase boundary
+after ``replicate`` is survived with BIT-EXACT recovery of the full
+spectrum; a death at ``replicate`` (the input dies with the rank before
+any copy exists) raises a structured :class:`RankFailedError` on every
+survivor; and nothing — ever — hangs.  The contract holds on both
+exchange strategies (one group, and ``overlap=True`` chunk groups), on
+both engines, and at both precisions.
 """
 
 import time
@@ -57,16 +59,61 @@ def baseline(plan, blocks):
     return np.concatenate(out.values)
 
 
-def _resilient_run(plan, blocks, nranks, **kwargs):
+@pytest.fixture(scope="module")
+def plan64():
+    return SoiPlan(n=2048, p=8, window="digits6", dtype=np.complex64)
+
+
+@pytest.fixture(scope="module")
+def blocks64(plan64):
+    return split_blocks(random_complex(plan64.n, 77).astype(np.complex64), RANKS)
+
+
+@pytest.fixture(scope="module")
+def baseline64(plan64, blocks64):
+    out = run_spmd(
+        RANKS, lambda c: soi_fft_distributed(c, blocks64[c.rank], plan64)
+    )
+    return np.concatenate(out.values)
+
+
+def _resilient_run(plan, blocks, nranks, overlap=False, **kwargs):
     res = SoiResilience()
     out = run_spmd(
         nranks,
-        lambda c: soi_fft_distributed(c, blocks[c.rank], plan, resilience=res),
+        lambda c: soi_fft_distributed(
+            c, blocks[c.rank], plan, resilience=res, overlap=overlap
+        ),
         resilient=True,
         timeout=WALL_GUARD_S,
         **kwargs,
     )
     return out, res
+
+
+class _KillOnVisit(FaultPlan):
+    """Kill *rank* on its *visit*-th entry into *phase* (the plain plan
+    kills on the first)."""
+
+    def __init__(self, rank, phase, visit):
+        super().__init__()
+        self._target, self._visit, self._seen = (rank, phase), visit, 0
+
+    def should_kill(self, rank, phase):
+        if (rank, phase) != self._target:
+            return super().should_kill(rank, phase)
+        self._seen += 1
+        return self._seen == self._visit
+
+
+def _assert_recovered(out, res, victim, baseline):
+    assert out.degraded and res.degraded
+    assert res.failed == (victim,)
+    holder, y_dead = res.recovered_blocks[victim]
+    assert holder == (victim - 1) % len(out.values)  # the buddy rebuilt it
+    parts = list(out.values)
+    parts[victim] = y_dead
+    assert np.array_equal(np.concatenate(parts), baseline)
 
 
 class TestFaultFree:
@@ -76,6 +123,24 @@ class TestFaultFree:
         assert not res.degraded
         assert not out.degraded
         assert res.detections == []
+
+    def test_overlap_bitwise_identical_to_blocking(self, plan, blocks, baseline):
+        """resilience= composes with overlap=: the ABFT hook rides the
+        pipelined chunk groups without changing a bit."""
+        out, res = _resilient_run(plan, blocks, RANKS, overlap=True)
+        assert np.array_equal(np.concatenate(out.values), baseline)
+        assert not res.degraded
+        assert res.detections == []
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_complex64_bitwise_identical_to_blocking(
+        self, plan64, blocks64, baseline64, overlap
+    ):
+        out, res = _resilient_run(plan64, blocks64, RANKS, overlap=overlap)
+        got = np.concatenate(out.values)
+        assert got.dtype == np.complex64
+        assert np.array_equal(got, baseline64)
+        assert not res.degraded
 
     def test_inverse_bitwise_identical(self, plan, baseline):
         spec_blocks = split_blocks(baseline, RANKS)
@@ -114,18 +179,6 @@ class TestFaultFree:
         ref = run_spmd(1, lambda c: soi_fft_distributed(c, x, plan))
         assert np.array_equal(out.values[0], ref.values[0])
 
-    def test_mutually_exclusive_with_overlap(self, plan, blocks):
-        res = SoiResilience()
-        with pytest.raises(SpmdError, match="mutually exclusive"):
-            run_spmd(
-                RANKS,
-                lambda c: soi_fft_distributed(
-                    c, blocks[c.rank], plan, resilience=res, overlap=True
-                ),
-                resilient=True,
-                timeout=WALL_GUARD_S,
-            )
-
     def test_unknown_alltoall_algorithm_rejected(self, plan, blocks):
         res = SoiResilience()
         with pytest.raises(SpmdError, match="unknown alltoall algorithm 'bogus'"):
@@ -140,24 +193,64 @@ class TestFaultFree:
             )
 
 
+def _kill_recovers(
+    plan, blocks, baseline, phase, victim, overlap=False, engine="thread"
+):
+    t0 = time.perf_counter()
+    out, res = _resilient_run(
+        plan, blocks, RANKS, overlap=overlap, engine=engine,
+        faults=FaultPlan().kill(victim, phase=phase),
+    )
+    assert time.perf_counter() - t0 < WALL_GUARD_S
+    _assert_recovered(out, res, victim, baseline)
+
+
 class TestSingleFailureRecovery:
     @pytest.mark.parametrize("phase", SURVIVABLE_PHASES)
     @pytest.mark.parametrize("victim", range(RANKS))
-    def test_kill_recovers_bit_exactly(
-        self, plan, blocks, baseline, phase, victim
+    def test_kill_recovers_bit_exactly(self, plan, blocks, baseline, phase, victim):
+        _kill_recovers(plan, blocks, baseline, phase, victim)
+
+    @pytest.mark.parametrize(
+        "overlap,engine", [(False, "des"), (True, "thread"), (True, "des")]
+    )
+    @pytest.mark.parametrize("phase", SURVIVABLE_PHASES)
+    @pytest.mark.parametrize("victim", range(RANKS))
+    def test_kill_recovers_bit_exactly_on_every_strategy_and_engine(
+        self, plan, blocks, baseline, phase, victim, overlap, engine
     ):
-        t0 = time.perf_counter()
+        """The rest of the (strategy x engine) grid of the test above."""
+        _kill_recovers(plan, blocks, baseline, phase, victim, overlap, engine)
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    @pytest.mark.parametrize("victim", range(RANKS))
+    def test_complex64_kill_at_alltoall_recovers_bit_exactly(
+        self, plan64, blocks64, baseline64, victim, overlap
+    ):
+        """The checksums are summed in the plan's dtype, so the
+        single-precision wire recovers bitwise too."""
         out, res = _resilient_run(
-            plan, blocks, RANKS, faults=FaultPlan().kill(victim, phase=phase)
+            plan64, blocks64, RANKS, overlap=overlap,
+            faults=FaultPlan().kill(victim, phase="alltoall"),
         )
-        assert time.perf_counter() - t0 < WALL_GUARD_S
-        assert out.degraded and res.degraded
-        assert res.failed == (victim,)
-        holder, y_dead = res.recovered_blocks[victim]
-        assert holder == (victim - 1) % RANKS  # the buddy rebuilt it
-        parts = list(out.values)
-        parts[victim] = y_dead
-        assert np.array_equal(np.concatenate(parts), baseline)
+        _assert_recovered(out, res, victim, baseline64)
+
+    @pytest.mark.parametrize("groups", [3, 5])
+    def test_overlap_groups_recover_bit_exactly(self, plan, blocks, baseline, groups):
+        """A casualty that dies between chunk groups has sent some pieces
+        and not others; its buddy's whole-block resend replaces them all."""
+        res = SoiResilience()
+        out = run_spmd(
+            RANKS,
+            lambda c: soi_fft_distributed(
+                c, blocks[c.rank], plan, resilience=res, overlap=True,
+                overlap_groups=groups,
+            ),
+            resilient=True,
+            timeout=WALL_GUARD_S,
+            faults=_KillOnVisit(1, "convolve", visit=2),
+        )
+        _assert_recovered(out, res, 1, baseline)
 
     def test_recovery_traffic_and_detections_charged(self, plan, blocks):
         out, _ = _resilient_run(
@@ -191,19 +284,25 @@ class TestSingleFailureRecovery:
             assert observer != 2
 
 
+def _replicate_kill_is_structured(plan, blocks, overlap):
+    t0 = time.perf_counter()
+    with pytest.raises(SpmdError) as ei:
+        _resilient_run(
+            plan, blocks, RANKS, overlap=overlap,
+            faults=FaultPlan().kill(1, phase="replicate"),
+        )
+    assert time.perf_counter() - t0 < WALL_GUARD_S
+    survivors = [e for _, e in ei.value.failures if isinstance(e, RankFailedError)]
+    assert survivors, "survivors must unwind with RankFailedError"
+    assert any("replica" in str(e) for e in survivors)
+
+
 class TestUnrecoverable:
     def test_replicate_kill_is_structured_not_a_hang(self, plan, blocks):
-        t0 = time.perf_counter()
-        with pytest.raises(SpmdError) as ei:
-            _resilient_run(
-                plan, blocks, RANKS, faults=FaultPlan().kill(1, phase="replicate")
-            )
-        assert time.perf_counter() - t0 < WALL_GUARD_S
-        survivors = [
-            e for _, e in ei.value.failures if isinstance(e, RankFailedError)
-        ]
-        assert survivors, "survivors must unwind with RankFailedError"
-        assert any("replica" in str(e) for e in survivors)
+        _replicate_kill_is_structured(plan, blocks, overlap=False)
+
+    def test_replicate_kill_under_overlap_is_structured_not_a_hang(self, plan, blocks):
+        _replicate_kill_is_structured(plan, blocks, overlap=True)
 
 
 class TestChaosSoak:
@@ -215,6 +314,13 @@ class TestChaosSoak:
     """
 
     def test_soak(self):
+        self._soak(overlap=False)
+
+    def test_soak_overlap(self):
+        self._soak(overlap=True)
+
+    @staticmethod
+    def _soak(overlap):
         plans = {
             4: SoiPlan(n=2048, p=8, window="digits6"),
             8: SoiPlan(n=4096, p=8, window="digits6"),
@@ -242,6 +348,7 @@ class TestChaosSoak:
                     plan_r,
                     blocks,
                     nranks,
+                    overlap=overlap,
                     faults=FaultPlan().kill(victim, phase=phase),
                     schedule=ScheduleController(seed=1000 + i),
                 )

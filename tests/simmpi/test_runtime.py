@@ -37,6 +37,21 @@ class TestResults:
         assert run_spmd(2, prog).values == [True, True]
 
 
+class TestWorldSizeBoundary:
+    """``nranks`` is checked where it enters, with a message that names it."""
+
+    @pytest.mark.parametrize("bad", [2.0, True, "2"], ids=["float", "bool", "str"])
+    def test_non_integer_sizes_rejected(self, bad):
+        with pytest.raises(TypeError, match="nranks"):
+            run_spmd(bad, lambda comm: comm.size)
+
+    @pytest.mark.parametrize("size", [2, np.int64(2)], ids=["int", "np.int64"])
+    def test_integer_sizes_accepted(self, size):
+        res = run_spmd(size, lambda comm: comm.size)
+        assert res.values == [2, 2]
+        assert all(type(v) is int for v in res.values)
+
+
 class TestFailurePropagation:
     def test_original_exception_surfaces(self):
         def prog(comm):
