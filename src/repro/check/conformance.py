@@ -345,28 +345,24 @@ def _dft_rows(report: ConformanceReport) -> None:
             lambda plan=plan, x=x: (plan.execute(x, inverse=True), np.fft.ifft(x)),
         )
 
-    # Transposed layouts: oracle accuracy plus the documented bitwise
-    # equivalence to execute() with explicit transposes.
-    plan128 = FftPlan(128)
-    x2 = _signal("dft.execute_t[128]", 4 * 128).reshape(4, 128)
-    _oracle_row(
-        report, "FftPlan.execute_t[n=128,radix2]", "dft", 128,
-        exact_tolerance(128),
-        lambda: (plan128.execute_t(x2), np.fft.fft(x2).T),
-    )
-    _bitwise_row(
-        report, "FftPlan.execute_t==execute().T[n=128]", "dft", 128,
-        lambda: (
-            plan128.execute_t(x2),
-            np.ascontiguousarray(plan128.execute(x2).T),
-        ),
-    )
-    xt = np.ascontiguousarray(x2.T)
-    _oracle_row(
-        report, "FftPlan.execute_tt[n=128,radix2]", "dft", 128,
-        exact_tolerance(128),
-        lambda: (plan128.execute_tt(xt), np.fft.fft(xt.T).T),
-    )
+    # Column layout: oracle accuracy plus the documented bitwise
+    # equivalence to execute() with explicit transposes, for a length
+    # that runs down the columns (64) and one that runs along the rows.
+    for n in (64, 512):
+        plan = FftPlan(n)
+        xt = _signal(f"dft.execute_tt[{n}]", 4 * n).reshape(n, 4)
+        _oracle_row(
+            report, f"FftPlan.execute_tt[n={n},radix2]", "dft", n,
+            exact_tolerance(n),
+            lambda plan=plan, xt=xt: (plan.execute_tt(xt), np.fft.fft(xt.T).T),
+        )
+        _bitwise_row(
+            report, f"FftPlan.execute_tt==execute(.T).T[n={n}]", "dft", n,
+            lambda plan=plan, xt=xt: (
+                plan.execute_tt(xt),
+                np.ascontiguousarray(plan.execute(xt.T).T),
+            ),
+        )
 
     # Real-input pair.
     xr = _rng("dft.rfft[512]").standard_normal(512)

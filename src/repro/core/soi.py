@@ -50,11 +50,16 @@ __all__ = [
 
 def _as_batched(x: np.ndarray, plan: SoiPlan) -> np.ndarray:
     """Coerce input to the plan's dtype with last axis == plan.n."""
-    arr = np.ascontiguousarray(x, dtype=plan.dtype)
-    if arr.ndim == 0 or arr.shape[-1] != plan.n:
+    # Checked before converting: ascontiguousarray turns a 0-d value
+    # into shape (1,).
+    if np.ndim(x) == 0:
         raise ValueError(
-            f"plan is for N={plan.n}, input last axis has "
-            f"{arr.shape[-1] if arr.ndim else 0} points"
+            f"plan is for N={plan.n}, input has shape () — need at least one axis"
+        )
+    arr = np.ascontiguousarray(x, dtype=plan.dtype)
+    if arr.shape[-1] != plan.n:
+        raise ValueError(
+            f"plan is for N={plan.n}, input last axis has {arr.shape[-1]} points"
         )
     return arr
 

@@ -7,12 +7,12 @@ complete, self-contained implementation:
 - :func:`~repro.dft.naive.dft` / :func:`~repro.dft.naive.idft` — the
   O(N^2) reference transform used as ground truth in tests.
 - :mod:`~repro.dft.engine` — the kernel every smooth size runs: a
-  generalized Stockham transform whose three or four passes are BLAS-3
-  matrix products (``F_R @ X`` for radices up to 32).
-- :func:`~repro.dft.radix2.fft_radix2` — the elementwise radix-2
-  Stockham network, self-sorting and batched; plans keep it for
-  power-of-two lengths up to 64 and tests keep it as the frozen
-  reference.
+  generalized Stockham transform whose one to four passes are BLAS-3
+  matrix products (``F_R @ X`` for radices up to 32), along the rows
+  or, for short lengths such as SOI's ``P``, down fixed-width column
+  blocks.
+- :func:`~repro.dft.radix2.fft_radix2` — power-of-two one-shot over
+  the engine.
 - :func:`~repro.dft.mixed_radix.fft_mixed_radix` — one-shot over the
   engine for arbitrary smooth sizes.
 - :func:`~repro.dft.bluestein.fft_bluestein` — chirp-z algorithm for

@@ -29,7 +29,7 @@ from .plan import FftPlan
 
 __all__ = [
     "FftBackend",
-    "backend_fft_t",
+    "UnknownBackendError",
     "backend_fft_tt",
     "register_backend",
     "get_backend",
@@ -44,21 +44,16 @@ class FftBackend:
     Both callables must follow NumPy conventions (forward unscaled,
     inverse scaled by 1/n) and accept arbitrary batch shapes.
 
-    ``fft_t`` is an optional fused kernel: given a 2-D ``(rows, n)``
-    array it returns the forward transform of each row *transposed*, as
-    a contiguous ``(n, rows)`` array.  Backends whose internal layout is
-    already transposed (the radix-2 network) provide it to skip a
-    transpose copy; others leave it ``None`` and callers fall back to
-    ``fft`` + explicit transpose via :func:`backend_fft_t`.  Either way
-    the returned values must be bit-identical to the fallback.
-
-    ``fft_tt`` is the column-layout twin: the forward transform of each
-    column of a 2-D ``(n, cols)`` array, in the same layout.  Every
-    backend's column transform (fused or the :func:`backend_fft_tt`
-    fallback) must compute each column on its own: a column slice must
-    get exactly the bits the whole array gets.  The SOI convolution
-    relies on that to run this stage panel by panel
-    (:mod:`repro.core.convolve`).
+    ``fft_tt`` is an optional column-layout kernel: the forward
+    transform of each column of a 2-D ``(n, cols)`` array, in the same
+    layout.  Backends whose short transforms run down the columns
+    natively (``"repro"``: fixed-width GEMM blocks, see
+    :mod:`repro.dft.engine`) provide it to skip two transposes; others
+    leave it ``None`` and :func:`backend_fft_tt` transposes around
+    ``fft``.  Every backend's column transform must compute each column
+    on its own: a column slice must get exactly the bits the whole
+    array gets.  The SOI convolution relies on that to run this stage
+    panel by panel (:mod:`repro.core.convolve`).
 
     ``fft_into`` is optional too: ``fft_into(x, out)`` writes ``fft(x)``
     into *out* (which may be *x* itself) and returns *out*, bit-identical
@@ -68,32 +63,17 @@ class FftBackend:
     name: str
     fft: Callable[[np.ndarray], np.ndarray]
     ifft: Callable[[np.ndarray], np.ndarray]
-    fft_t: Callable[[np.ndarray], np.ndarray] | None = None
     fft_tt: Callable[[np.ndarray], np.ndarray] | None = None
     fft_into: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-
-
-def backend_fft_t(backend: FftBackend, x2: np.ndarray) -> np.ndarray:
-    """Row-wise forward transform of 2-D *x2*, returned as ``(n, rows)``.
-
-    The SOI pipeline's segment stage wants the transform transposed (the
-    sequential ``P_perm`` reorder / the distributed all-to-all packing);
-    this helper routes to the backend's fused ``fft_t`` when available
-    and otherwise pays the explicit transpose the pipeline always paid.
-    """
-    if backend.fft_t is not None:
-        return backend.fft_t(x2)
-    return np.ascontiguousarray(np.swapaxes(backend.fft(x2), -1, -2))
 
 
 def backend_fft_tt(backend: FftBackend, xt: np.ndarray) -> np.ndarray:
     """Column-wise forward transform of 2-D *xt*, output in the same layout.
 
-    The zero-transpose pipeline step: the SOI convolution can emit its
-    output pre-transposed (one transform per column), which is exactly
-    the layout the radix-2 network consumes and produces natively.
-    Backends without a fused ``fft_tt`` pay the two transposes the
-    unfused pipeline always paid (values bit-identical either way).
+    The zero-transpose pipeline step: the SOI convolution emits its
+    output pre-transposed (one transform per column).  Backends without
+    a fused ``fft_tt`` pay the two transposes the unfused pipeline
+    always paid (values bit-identical either way).
     """
     if backend.fft_tt is not None:
         return backend.fft_tt(xt)
@@ -102,6 +82,17 @@ def backend_fft_tt(backend: FftBackend, xt: np.ndarray) -> np.ndarray:
 
 
 _registry: dict[str, FftBackend] = {}
+
+
+class UnknownBackendError(ValueError, KeyError):
+    """No backend of that name is registered.
+
+    A ``ValueError`` (a bad argument value) that is also a ``KeyError``,
+    which is what a failed registry lookup raised before.
+    """
+
+    def __str__(self) -> str:  # KeyError's would quote the message
+        return str(self.args[0])
 
 
 def register_backend(backend: FftBackend, overwrite: bool = False) -> None:
@@ -116,14 +107,24 @@ def register_backend(backend: FftBackend, overwrite: bool = False) -> None:
 
 
 def get_backend(name: str | FftBackend = "repro") -> FftBackend:
-    """Look up a backend by name (or pass an :class:`FftBackend` through)."""
+    """Look up a backend by name (or pass an :class:`FftBackend` through).
+
+    Raises :class:`UnknownBackendError` for an unregistered name and
+    ``TypeError`` for anything that is neither a name nor a backend.
+    """
     if isinstance(name, FftBackend):
         return name
+    if not isinstance(name, str):
+        raise TypeError(
+            f"backend must be a backend name (str) or an FftBackend, "
+            f"got {type(name).__name__}"
+        )
     try:
         return _registry[name]
     except KeyError:
-        raise KeyError(
-            f"unknown FFT backend {name!r}; available: {sorted(_registry)}"
+        raise UnknownBackendError(
+            f"backend={name!r} is not a registered FFT backend; "
+            f"available: {sorted(_registry)}"
         ) from None
 
 
@@ -142,19 +143,11 @@ def _repro_ifft(y: np.ndarray) -> np.ndarray:
     return plan_for(np.asarray(y).shape[-1]).execute(y, inverse=True)
 
 
-def _repro_fft_t(x2: np.ndarray) -> np.ndarray:
-    return plan_for(np.asarray(x2).shape[-1]).execute_t(x2)
-
-
 def _repro_fft_tt(xt: np.ndarray) -> np.ndarray:
     return plan_for(np.asarray(xt).shape[0]).execute_tt(xt)
 
 
-register_backend(
-    FftBackend(
-        "repro", _repro_fft, _repro_ifft, fft_t=_repro_fft_t, fft_tt=_repro_fft_tt
-    )
-)
+register_backend(FftBackend("repro", _repro_fft, _repro_ifft, fft_tt=_repro_fft_tt))
 register_backend(
     FftBackend(
         "numpy",

@@ -24,14 +24,35 @@ Why a stacked call is bitwise its rows
 --------------------------------------
 A GEMM's bits follow its *call shape*: ``F @ X[:, a:b]`` and
 ``(F @ X)[:, a:b]`` differ in the last place for most slices, because
-BLAS blocks the free dimension.  Every product here runs inside one row
-of the ``(batch, R, n/R)`` layout, so its ``(M, N, K)``, transposition
-and leading dimensions are functions of ``n`` alone; stacking rows adds
-iterations to ``np.matmul``'s outer loop and nothing else.  That is why
-the column-layout entry points of :class:`~repro.dft.plan.FftPlan`
-transpose into this row layout instead of getting GEMMs of their own —
-a GEMM whose free dimension followed the batch (or a rank's share of
-the columns) would make coalesced != solo and distributed != sequential.
+BLAS blocks the free dimension.  Every product of the row layout runs
+inside one row of the ``(batch, R, n/R)`` layout, so its ``(M, N, K)``,
+transposition and leading dimensions are functions of ``n`` alone;
+stacking rows adds iterations to ``np.matmul``'s outer loop and nothing
+else.
+
+The column layout
+-----------------
+Short transforms come in the other orientation: SOI's fft-p stage is
+``M'`` length-``P`` transforms, one per column of a ``(P, M')`` array.
+Row by row, those are ``P``-point GEMMs of one matrix-vector product
+each; down the columns, the same schedule is a few ``F_R @ (R, W)``
+products over blocks of :data:`BLOCK_COLUMNS` columns —
+:meth:`GemmStockham.forward_columns`, the row passes with a trailing
+block axis.  Every call has that one shape: the ragged last block is
+zero-padded in pooled scratch.  A BLAS gives a column the same bits at
+any position, next to any neighbours, inside a same-shaped call
+(OpenBLAS does; ``tests/dft/test_column_kernel.py`` checks the running
+one), so a column's bits depend on that column alone, and a rank's share
+of the columns, a panel of them or a coalesced batch gets the bits the
+whole array gets, with no global anchor.  A *different* width would
+change them, so the width is fixed.
+
+Which layout is native is one rule, :attr:`GemmStockham.column_native`:
+a length runs down the columns when its ``(n, W)`` block is smaller
+than one chunk (every power of two up to 128, where the row layout's
+per-row GEMMs are tiny) and along the rows otherwise.  The other layout
+transposes into the native one (:class:`~repro.dft.plan.FftPlan`), so
+rows and columns share one arithmetic by construction.
 
 The radix cap: a pass sums ``R`` terms in one dot product, so its
 worst-case rounding bound grows linearly in ``R`` while it retires only
@@ -50,18 +71,24 @@ a GEMM shape.
 
 from __future__ import annotations
 
+import math
+import threading
+from collections import OrderedDict
+
 import numpy as np
 
+from ..exectx import execution_context
 from ..utils import factorize
-from .stockham import context_scratch
 
 __all__ = [
     "GemmStockham",
     "radix_schedule",
     "is_smooth",
     "inverse_from_forward",
+    "context_scratch",
     "MAX_RADIX",
     "MAX_DENSE_PRIME",
+    "BLOCK_COLUMNS",
 ]
 
 #: Largest composite radix of a pass (see "The radix cap" above).
@@ -74,6 +101,60 @@ MAX_DENSE_PRIME = 61
 # Rows are chunked so a chunk holds about this many elements (1 MiB of
 # complex128): two such buffers fit a typical L2.
 _CHUNK_ELEMENTS = 1 << 16
+
+#: Columns per GEMM of the column layout: the square root of a chunk, so
+#: a column-native block (``n < BLOCK_COLUMNS`` rows) is under one chunk.
+BLOCK_COLUMNS = math.isqrt(_CHUNK_ELEMENTS)
+
+# Scratch reuse: kernel work buffers are fully overwritten every call,
+# so they can be recycled across calls of the same size — repeated
+# same-size transforms (the plan-cache hit path) then allocate nothing.
+# Pools are keyed on :func:`repro.exectx.execution_context` — NOT the OS
+# thread — because the DES engine recycles a finished rank's thread as
+# the vessel for a later rank: a thread-keyed pool would silently hand
+# one rank's scratch to another, breaking rank isolation (plain threads
+# degrade to per-thread keys).  Each context keeps a tiny LRU of recent
+# sizes.
+_SCRATCH_PER_CONTEXT = 4
+_SCRATCH_MAX_ELEMENTS = 5 << 17  # 10 MiB of complex128; beyond that, allocate
+_scratch_tls = threading.local()
+
+
+def _scratch_pool() -> OrderedDict:
+    """The calling execution context's scratch LRU.
+
+    Lock-free: a context runs on exactly one OS thread for its whole
+    life, so a thread-local ``(ctx, pool)`` slot revalidated against the
+    current context is private — and a recycled vessel's next rank fails
+    the check and starts fresh rather than inheriting buffers.
+    """
+    ctx = execution_context()
+    entry = getattr(_scratch_tls, "entry", None)
+    if entry is not None and entry[0] == ctx:
+        return entry[1]
+    pool: OrderedDict = OrderedDict()
+    _scratch_tls.entry = (ctx, pool)
+    return pool
+
+
+def context_scratch(elements: int, ctype: np.dtype) -> np.ndarray:
+    """A flat work buffer of *elements* values, recycled per context.
+
+    The contents are undefined on entry and may be handed to the same
+    context's next same-size call — never return a view of it.
+    """
+    if elements > _SCRATCH_MAX_ELEMENTS:
+        return np.empty(elements, dtype=ctype)
+    pool = _scratch_pool()
+    key = (elements, ctype.char)
+    buf = pool.get(key)
+    if buf is None:
+        buf = pool[key] = np.empty(elements, dtype=ctype)
+        while len(pool) > _SCRATCH_PER_CONTEXT:
+            pool.popitem(last=False)
+    else:
+        pool.move_to_end(key)
+    return buf
 
 
 def is_smooth(n: int) -> bool:
@@ -138,7 +219,8 @@ class GemmStockham:
     Owns its tables — one ``R x R`` DFT matrix per pass and the
     ``(R-1, 1, m)`` twiddle block of every pass after the first, about
     ``n (1 + 1/R)`` values in all — so they live exactly as long as the
-    plan that holds the engine.
+    plan that holds the engine.  Both layouts run the same tables;
+    :attr:`column_native` says which one the length belongs to.
     """
 
     def __init__(self, n: int, ctype: np.dtype) -> None:
@@ -146,6 +228,7 @@ class GemmStockham:
         self.ctype = np.dtype(ctype)
         self.radices = radix_schedule(n)
         self.chunk_rows = max(1, _CHUNK_ELEMENTS // n)
+        self.column_native = n < BLOCK_COLUMNS
         matrices, twiddles = [], []
         m = 1
         for r in self.radices:
@@ -211,4 +294,56 @@ class GemmStockham:
                 )
                 cur = nxt
                 m *= r
+        return out
+
+    def forward_columns(self, xt: np.ndarray) -> np.ndarray:
+        """Unscaled forward transform of each column of 2-D *xt*.
+
+        *xt* is ``(n, cols)`` of the engine's dtype, any strides; it is
+        only read.  Every product is ``F_R @ (R, BLOCK_COLUMNS)``:
+        blocks with unit column stride are read in place, the others
+        (the ragged last block, a transposed row batch) are first copied
+        into zero-padded scratch.  Returns a new ``(n, cols)`` array.
+        """
+        n, cols = xt.shape
+        out = np.empty((n, cols), dtype=self.ctype)
+        if not self.radices:  # n == 1
+            out[...] = xt
+            return out
+        w = BLOCK_COLUMNS
+        work = context_scratch(2 * n * w, self.ctype)
+        bufs = (work[: n * w].reshape(n, w), work[n * w :].reshape(n, w))
+        last = len(self.radices) - 1
+        # Positive row strides of at least a row keep a block a BLAS
+        # operand (anything else would drop numpy into its own loop).
+        in_place = xt.strides[1] == xt.itemsize and xt.strides[0] >= cols * xt.itemsize
+        for s in range(0, cols, w):
+            e = min(s + w, cols)
+            src, dst = xt[:, s:e], out[:, s:e]
+            if e - s < w or not in_place:
+                bufs[1][:, : e - s] = src
+                bufs[1][:, e - s :] = 0
+                src = bufs[1]
+            if e - s < w:
+                dst = bufs[last % 2]
+            # Pass i reads the previous pass's buffer and writes the
+            # other one; the last lands in dst.
+            cur, m = src, 1
+            for i, r in enumerate(self.radices):
+                k = n // (m * r)
+                nxt = dst if i == last else bufs[i % 2]
+                view = cur.reshape(r, k, m, w)
+                if i:
+                    tw = self.twiddles[i][..., None]
+                    np.multiply(view[1:], tw, out=view[1:])
+                # One F_R @ (R, w) product per (k, j): the (R, K, m)
+                # -> (K, R, m) interleave of the row passes, per column.
+                np.matmul(
+                    self.matrices[i],
+                    view.transpose(1, 2, 0, 3),
+                    out=nxt.reshape(k, r, m, w).transpose(0, 2, 1, 3),
+                )
+                cur, m = nxt, m * r
+            if e - s < w:
+                out[:, s:e] = dst[:, : e - s]
         return out

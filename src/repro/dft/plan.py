@@ -7,20 +7,18 @@ picks its kernel from ``n`` alone and precomputes everything
 size-dependent at construction time, so ``execute`` does no
 factorisation and no trigonometry, only the transform itself:
 
-- power-of-two ``n <= 64`` (the SOI segment counts ``P``): the
-  elementwise radix-2 network of :mod:`repro.dft.stockham`, in all
-  three entry points;
-- every other smooth ``n``: the GEMM-pass engine of
-  :mod:`repro.dft.engine` (its radix schedule, DFT matrices and
-  twiddle blocks are the plan's tables);
+- every smooth ``n``: the GEMM-pass engine of :mod:`repro.dft.engine`
+  (its radix schedule, DFT matrices and twiddle blocks are the plan's
+  tables), down the columns for short lengths (the SOI segment counts
+  ``P``) and along the rows otherwise;
 - a prime factor above 61: Bluestein's chirp-z
   (:mod:`repro.dft.bluestein`), whose padded transforms run on the same
   engine at a smooth length.
 
-Row and column layouts agree bitwise for every ``n``: the network is
-elementwise (a column's bits depend on that column only), and for every
-other size ``execute_t`` / ``execute_tt`` transpose into the engine's
-row layout, so the two layouts share one arithmetic by construction.
+Row and column layouts agree bitwise for every ``n``: :meth:`execute`
+and :meth:`execute_tt` both transpose into the length's native layout
+(:attr:`~repro.dft.engine.GemmStockham.column_native`), so the two
+share one arithmetic by construction.
 
 Plans are thread-safe: execution touches no shared mutable state
 except the flop-accounting counter, which is lock-protected because
@@ -42,16 +40,8 @@ from ..utils import check_positive_int, is_power_of_two
 from .bluestein import ChirpZ
 from .engine import GemmStockham, inverse_from_forward, is_smooth
 from .flops import fft_flops
-from .stockham import stage_twiddles, stockham_fft, stockham_fft_t, stockham_fft_tt
 
 __all__ = ["FftPlan", "fft", "ifft"]
-
-#: Largest power of two that stays on the elementwise radix-2 network.
-#: These are the SOI segment counts, transformed down the columns of a
-#: ``(P, M')`` array: a GEMM pass there would be one matrix-vector
-#: product per row, and the network's native column layout needs no
-#: transposes.
-NETWORK_MAX = 64
 
 
 @dataclass
@@ -107,15 +97,22 @@ class FftPlan:
         # Precompute every size-dependent table so the first execute()
         # is not an outlier in timing loops (plans in FFTW/MKL do the
         # same).  Both directions run the forward tables: the inverse is
-        # the forward result read index-reversed.
-        self._network = self.kernel == "radix2" and self.n <= NETWORK_MAX
-        if self._network:
-            stage_twiddles(self.n, -1, self.compute_dtype)
-            self._forward = lambda x2: stockham_fft(x2, -1)
-        elif self.kernel == "bluestein":
-            self._forward = ChirpZ(self.n, self.compute_dtype).forward
+        # the forward result read index-reversed.  _rows / _columns take
+        # C-contiguous (batch, n) rows / any (n, batch) array of the
+        # compute dtype; the non-native one transposes into the other.
+        if self.kernel == "bluestein":
+            engine, column_native = ChirpZ(self.n, self.compute_dtype), False
         else:
-            self._forward = GemmStockham(self.n, self.compute_dtype).forward
+            engine = GemmStockham(self.n, self.compute_dtype)
+            column_native = engine.column_native
+        if column_native:
+            self._columns = engine.forward_columns
+            self._rows = lambda x2: np.ascontiguousarray(engine.forward_columns(x2.T).T)
+        else:
+            self._rows = engine.forward
+            self._columns = lambda xt: np.ascontiguousarray(
+                engine.forward(np.ascontiguousarray(xt.T)).T
+            )
 
     #: The default compute dtype; a plan's actual dtype is
     #: ``self.compute_dtype`` (complex64 for ``precision="single"``).
@@ -161,50 +158,25 @@ class FftPlan:
         rows = arr.reshape(-1, self.n)
         if rows.shape[0] == 0:
             return np.empty(arr.shape, dtype=self.compute_dtype)
-        out = self._forward(rows)
+        out = self._rows(rows)
         if self.inverse if inverse is None else inverse:
             out = inverse_from_forward(out)
         self._count(rows.shape[0])
         return out.reshape(arr.shape)
 
-    def execute_t(self, x2: np.ndarray) -> np.ndarray:
-        """Forward-transform the rows of 2-D *x2*, returned as ``(n, rows)``.
-
-        Bit-identical to ``execute(x2).T`` made contiguous.  The radix-2
-        network produces this layout natively (its internal
-        orientation), so for ``n <= 64`` the transpose copy is skipped.
-        Backends use this for pipeline stages that consume the
-        transposed layout anyway (the SOI segment reorder).
-        """
-        arr = np.asarray(x2)
-        if arr.ndim != 2:
-            raise ValueError(f"execute_t needs a 2-D array, got shape {arr.shape}")
-        self._check_axis(arr, -1, "last")
-        if not self._network:
-            # execute() does the flop accounting on this path.
-            return np.ascontiguousarray(self.execute(arr, inverse=False).T)
-        out = stockham_fft_t(self._as_compute(arr), -1)
-        self._count(arr.shape[0])
-        return out
-
     def execute_tt(self, xt: np.ndarray) -> np.ndarray:
         """Forward-transform the *columns* of 2-D *xt*; output ``(n, cols)``.
 
-        The fully fused layout: input and output both column-major per
-        transform (the network's internal orientation), so for
-        ``n <= 64`` neither an entry nor an exit transpose is paid.
-        Bit-identical to ``execute(xt.T).T`` made contiguous — which is
-        literally what every other size runs, so a slice of the columns
-        gets the bits the whole array gets.
+        Bit-identical to ``execute(xt.T).T`` made contiguous, and a
+        slice of the columns gets exactly the bits the whole array gets.
+        Column-native lengths read *xt* in place (views included), so
+        the SOI convolution's panels pay no transposes.
         """
         arr = np.asarray(xt)
         if arr.ndim != 2:
             raise ValueError(f"execute_tt needs a 2-D array, got shape {arr.shape}")
         self._check_axis(arr, 0, "first")
-        if not self._network:
-            # execute() does the flop accounting on this path.
-            return np.ascontiguousarray(self.execute(arr.T, inverse=False).T)
-        out = stockham_fft_tt(self._as_compute(arr), -1)
+        out = self._columns(np.asarray(arr, dtype=self.compute_dtype))
         self._count(arr.shape[1])
         return out
 

@@ -165,8 +165,8 @@ class TestTheFactsTheFusionRestsOn:
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     @pytest.mark.parametrize("p", [3, 9, 16, 64])
     def test_a_column_slice_gets_the_whole_arrays_bits(self, p, dtype, backend, rng):
-        """pocketfft along axis 0, the radix-2 network (P = 16, 64) and
-        the GEMM engine (P = 3, 9) all transform each column on its own."""
+        """pocketfft along axis 0 and the engine's column blocks (every P
+        here) both transform each column on its own."""
         be = get_backend(backend)
         if dtype == np.complex64 and backend == "repro":
             fft_tt = plan_for(p, precision="single").execute_tt

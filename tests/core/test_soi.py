@@ -75,6 +75,23 @@ class TestSoiFftInterface:
         with pytest.raises(ValueError, match="4096"):
             soi_fft(np.zeros(100, dtype=complex), full_plan)
 
+    def test_zero_dimensional_input_rejected(self, full_plan):
+        # Not "last axis has 1 points": a 0-d value has no axis at all.
+        with pytest.raises(ValueError, match=r"shape \(\) .*at least one axis"):
+            soi_fft(np.complex128(1), full_plan)
+
+    @pytest.mark.parametrize("backend", ["bogus", 3])
+    def test_unknown_backend_rejected(self, full_plan, backend):
+        from repro.dft.backends import UnknownBackendError
+
+        x = random_complex(full_plan.n, 7)
+        if isinstance(backend, str):
+            with pytest.raises(UnknownBackendError, match="backend='bogus'.*numpy"):
+                soi_fft(x, full_plan, backend=backend)
+        else:
+            with pytest.raises(TypeError, match="backend"):
+                soi_fft(x, full_plan, backend=backend)
+
     def test_output_shape_and_dtype(self, full_plan):
         y = soi_fft(random_complex(full_plan.n, 7), full_plan)
         assert y.shape == (full_plan.n,)

@@ -22,6 +22,19 @@ class TestRegistry:
         with pytest.raises(KeyError, match="numpy"):
             get_backend("mkl")
 
+    def test_unknown_name_is_a_value_error_naming_backend(self):
+        from repro.dft.backends import UnknownBackendError
+
+        with pytest.raises(ValueError, match=r"backend='bogus'.*\['numpy', 'repro'") as info:
+            get_backend("bogus")
+        assert isinstance(info.value, (UnknownBackendError, KeyError))
+        assert str(info.value).startswith("backend=")  # not KeyError's quoting
+
+    @pytest.mark.parametrize("bad", [3, None, b"numpy"])
+    def test_non_name_raises_type_error(self, bad):
+        with pytest.raises(TypeError, match="backend"):
+            get_backend(bad)
+
     def test_register_duplicate_rejected(self):
         be = get_backend("numpy")
         with pytest.raises(ValueError, match="already registered"):

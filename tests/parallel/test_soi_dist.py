@@ -136,3 +136,15 @@ class TestLayoutValidation:
 
         with pytest.raises(Exception, match="local block"):
             run_spmd(4, prog, timeout=5)
+
+    @pytest.mark.parametrize("backend, error", [("bogus", ValueError), (3, TypeError)])
+    def test_bad_backend_rejected(self, full_plan, backend, error):
+        def prog(comm):
+            block = full_plan.n // comm.size
+            return soi_fft_distributed(
+                comm, np.zeros(block, dtype=complex), full_plan, backend=backend
+            )
+
+        with pytest.raises(Exception, match="backend") as info:
+            run_spmd(4, prog, timeout=5)
+        assert isinstance(info.value.original, error)

@@ -6,7 +6,7 @@ tests pin the three layers that must survive that aliasing:
 
 - :func:`repro.exectx.execution_context` itself (distinct per rank,
   stable per rank, thread fallback outside SPMD);
-- the scratch pools in :mod:`repro.dft.stockham` and
+- the scratch pools in :mod:`repro.dft.engine` and
   :meth:`repro.core.plan.SoiPlan.window_view` (no cross-context buffer
   sharing even on one OS thread);
 - the happens-before/cache observers, whose rank attribution via
@@ -20,7 +20,7 @@ import pytest
 
 from repro.check import HbTracker, ScheduleController, install_cache_observers
 from repro.core.plan import SoiPlan
-from repro.dft.stockham import _scratch_pool
+from repro.dft.engine import _scratch_pool
 from repro.exectx import (
     execution_context,
     reset_execution_context,
