@@ -57,9 +57,9 @@ from ..parallel.real_dist import rfft_distributed
 from ..parallel.resilience import SoiResilience
 from ..parallel.soi_dist import soi_fft_distributed, soi_ifft_distributed
 from ..parallel.transpose import transpose_fft_distributed
-from ..simmpi.comm import TransportPolicy
 from ..simmpi.faults import FaultPlan
 from ..simmpi.runtime import run_spmd
+from ..simmpi.transport import TransportPolicy
 from ..trace import TraceRecorder
 
 __all__ = [

@@ -7,7 +7,7 @@ identical to the sequential pipeline no matter how the OS interleaves
 rank threads.  The default scheduler explores only a handful of
 interleavings, so this module takes control of the nondeterminism:
 
-- :class:`ScheduleController` attaches to a :class:`~repro.simmpi.comm.World`
+- :class:`ScheduleController` attaches to a :class:`~repro.simmpi.transport.World`
   (via ``run_spmd(schedule=...)``) and intercepts every message delivery.
   With seeded probability a queued payload is *held* in a per-channel
   FIFO side pool and released later in a permuted order — the moment a
@@ -395,7 +395,7 @@ def fuzz_distributed_soi(
     With ``overlap=True`` the pipelined path is fuzzed instead.  Its
     outputs and traffic statistics are held to the same bitwise
     standard, but the trace comparison defaults to off: the pipelined
-    drain claims pieces via :func:`~repro.simmpi.comm.waitany` in
+    drain claims pieces via :func:`~repro.simmpi.requests.waitany` in
     *arrival* order, and the trace — which records receives at the
     program's observation points — faithfully reflects that order, so
     traced span structure is a function of the schedule by design (pass

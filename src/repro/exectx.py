@@ -16,7 +16,7 @@ is wrong on two execution substrates this package supports:
 
 The stable identity is ``(world, rank)``.  :func:`execution_context`
 returns ``("world", token, rank)`` inside an SPMD rank (the token is a
-process-unique per-:class:`~repro.simmpi.comm.World` ordinal) and falls
+process-unique per-:class:`~repro.simmpi.transport.World` ordinal) and falls
 back to ``("thread", get_ident())`` for ordinary threads, which keeps
 single-process callers exactly as isolated as before.
 

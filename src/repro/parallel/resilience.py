@@ -67,8 +67,9 @@ import numpy as np
 
 from ..core.plan import SoiPlan
 from ..dft.flops import fft_flops, soi_convolution_flops
-from ..simmpi.comm import Communicator, _payload_bytes
+from ..simmpi.comm import Communicator
 from ..simmpi.errors import RankFailedError, VerificationError
+from ..simmpi.transport import _payload_bytes
 from .soi_dist import TAGS, _Rank
 
 __all__ = ["SoiResilience"]

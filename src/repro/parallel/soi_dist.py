@@ -43,8 +43,10 @@ from ..core.soi import _plan_fft
 from ..dft.backends import FftBackend, get_backend
 from ..dft.flops import fft_flops, soi_convolution_flops
 from ..simmpi.alltoall import resolve_algorithm
-from ..simmpi.comm import Communicator, _payload_bytes, waitall, waitany
+from ..simmpi.comm import Communicator
 from ..simmpi.errors import RankFailedError
+from ..simmpi.requests import waitall, waitany
+from ..simmpi.transport import _payload_bytes
 from ..trace.spans import TraceRecorder
 from ..utils import require
 
@@ -235,7 +237,7 @@ def soi_fft_distributed(
         # transposed transform, so the packed sendbuf is one (P, S, rows)
         # view and the exchange moves whole-node row batches instead of
         # P² block objects (same bytes, same messages, bitwise-identical
-        # rows — see exchange_matrix).  mat[src] is (S, rows_per_rank):
+        # rows — see hierarchical_matrix).  mat[src] is (S, rows_per_rank):
         # my segments, src's row range; (S, M') rows in src order.
         with comm.phase("alltoall"):
             mat = comm.alltoall_matrix(

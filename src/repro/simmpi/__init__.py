@@ -23,18 +23,7 @@ messages a wall-clock cost that pipelined algorithms can hide.
 """
 
 from .alltoall import ALGORITHMS, predicted_inter_node_messages, resolve_algorithm
-from .comm import (
-    Communicator,
-    RecvRequest,
-    Request,
-    SendRequest,
-    ShrunkCommunicator,
-    SubCommunicator,
-    TransportPolicy,
-    World,
-    waitall,
-    waitany,
-)
+from .comm import Communicator, SubCommunicator
 from .errors import (
     CollectiveTimeoutError,
     CorruptMessageError,
@@ -50,15 +39,16 @@ from .errors import (
 from .des import DesScheduler, DesWorld
 from .faults import FAULT_KINDS, ChaosSchedule, FaultPlan, FaultSpec
 from .nodes import FABRIC_HEADER_BYTES, NodeMap, NodeSharedPool
+from .requests import RecvRequest, Request, SendRequest, waitall, waitany
 from .runtime import SpmdResult, run_spmd
 from .stats import PhaseTraffic, TrafficStats
+from .transport import TransportPolicy, World
 
 __all__ = [
     "ALGORITHMS",
     "predicted_inter_node_messages",
     "resolve_algorithm",
     "Communicator",
-    "ShrunkCommunicator",
     "SubCommunicator",
     "World",
     "DesScheduler",

@@ -6,7 +6,7 @@ them instead of three), so *how* those P² blocks move matters.  Three
 schedules hide behind ``Communicator.alltoall(..., algorithm=)``:
 
 ``pairwise``
-    The historical direct exchange (implemented in ``comm.py``): every
+    The historical direct exchange (``Communicator.alltoall``): every
     rank sends P−1 messages.  Bitwise reference for the others.
 
 ``bruck``
@@ -55,7 +55,7 @@ __all__ = [
     "ALGORITHMS",
     "resolve_algorithm",
     "exchange",
-    "exchange_matrix",
+    "hierarchical_matrix",
     "predicted_inter_node_messages",
 ]
 
@@ -126,39 +126,29 @@ def exchange(
     algorithm: str,
     timeout: float | None = None,
 ) -> list[Any]:
-    """Run one non-pairwise all-to-all on *comm* (dispatcher).
+    """Run one non-pairwise all-to-all schedule on *comm* (dispatcher).
 
-    Keeps the pairwise accounting contract: ONE all-to-all round
-    charged (at local rank 0), one ``(rank, rank)`` self-delivery
-    message, and the whole exchange bracketed as a single traced
-    collective so ``alltoall_epochs`` stays 1 per call.
+    Called inside :meth:`Communicator.alltoall`'s epoch bracket, which
+    keeps the pairwise accounting contract (one round charged, one
+    ``(rank, rank)`` self-delivery message, one traced collective).
     """
-    from .comm import _payload_bytes
-
-    if len(objs) != comm.size:
-        raise ValueError(f"alltoall needs exactly {comm.size} send items")
-    if comm.rank == 0:
-        comm.stats.record_alltoall(comm._phase)
-    with comm._traced_collective("alltoall"):
-        wr = comm.world_rank
-        comm.stats.record_message(
-            comm._phase, wr, wr, _payload_bytes(objs[comm.rank])
-        )
-        if algorithm == "bruck":
-            return _bruck(comm, objs, timeout)
-        if algorithm == "hierarchical":
-            return _hierarchical(comm, objs, timeout)
-        raise ValueError(f"exchange() does not dispatch {algorithm!r}")
+    if algorithm == "bruck":
+        return _bruck(comm, objs, timeout)
+    if algorithm == "hierarchical":
+        out: list[Any] = [None] * comm.size
+        out[comm.rank] = objs[comm.rank]
+        return _hierarchical(comm, objs, out, _ListBlocks, timeout)
+    raise ValueError(f"exchange() does not dispatch {algorithm!r}")
 
 
-def exchange_matrix(
+def hierarchical_matrix(
     comm: "Communicator",
     buf: np.ndarray,
     timeout: float | None = None,
 ) -> np.ndarray:
     """Hierarchical all-to-all over one ``(P, ...)`` array (row d → rank d).
 
-    The array-native twin of ``exchange(..., "hierarchical")``: the same
+    The array-native form of ``exchange(..., "hierarchical")``: the same
     schedule, tags, message counts and byte totals (a concatenated row
     batch carries exactly the bytes of its blocks, and
     ``_payload_bytes`` is a pure sum), but every hop moves a single
@@ -168,16 +158,9 @@ def exchange_matrix(
     ``(P, ...)`` array whose row s is the block from rank s — bitwise
     ``np.stack`` of the list form.
     """
-    from .comm import _payload_bytes
-
-    if comm.rank == 0:
-        comm.stats.record_alltoall(comm._phase)
-    with comm._traced_collective("alltoall"):
-        wr = comm.world_rank
-        comm.stats.record_message(
-            comm._phase, wr, wr, _payload_bytes(buf[comm.rank])
-        )
-        return _hierarchical_matrix(comm, buf, timeout)
+    out = np.empty_like(buf)
+    out[comm.rank] = buf[comm.rank]
+    return _hierarchical(comm, buf, out, _ArrayBlocks, timeout)
 
 
 def _bruck(
@@ -210,11 +193,64 @@ def _bruck(
     return out
 
 
+class _ListBlocks:
+    """Block batches of the list form: Python lists of block objects."""
+
+    @staticmethod
+    def take(blocks: Sequence[Any], idxs: list[int]) -> list:
+        return [blocks[i] for i in idxs]
+
+    @staticmethod
+    def concat(parts: list) -> list:
+        return [blk for part in parts for blk in part]
+
+    @staticmethod
+    def put(out: list, idxs: list[int], blocks: list) -> None:
+        for i, blk in zip(idxs, blocks):
+            out[i] = blk
+
+
+class _ArrayBlocks:
+    """Block batches of the matrix form: row batches of one ndarray.
+
+    A batch whose indices are one ascending run is a zero-copy slice
+    (base communicators have contiguous node groups); sub-communicator
+    groups can be scattered in local rank space and use fancy indexing.
+    """
+
+    @staticmethod
+    def _rows(idxs: list[int]) -> slice | np.ndarray:
+        lo = idxs[0]
+        if idxs == list(range(lo, lo + len(idxs))):
+            return slice(lo, lo + len(idxs))
+        return np.asarray(idxs)
+
+    @staticmethod
+    def take(buf: np.ndarray, idxs: list[int]) -> np.ndarray:
+        return buf[_ArrayBlocks._rows(idxs)]
+
+    @staticmethod
+    def concat(parts: list) -> np.ndarray:
+        return np.concatenate(parts, axis=0)
+
+    @staticmethod
+    def put(out: np.ndarray, idxs: list[int], blocks: np.ndarray) -> None:
+        out[_ArrayBlocks._rows(idxs)] = blocks
+
+
 def _hierarchical(
-    comm: "Communicator", objs: Sequence[Any], timeout: float | None
-) -> list[Any]:
+    comm: "Communicator",
+    send: Any,
+    out: Any,
+    ops: type,
+    timeout: float | None,
+) -> Any:
     """Node-aggregated gather -> leader exchange -> scatter.
 
+    *send* and *out* hold one block per rank — a list, or the rows of an
+    ndarray — and *ops* (:class:`_ListBlocks` or :class:`_ArrayBlocks`)
+    takes, concatenates and puts batches of them; every message's
+    ``(src, dst, tag, bytes)`` and order is the same for both forms.
     Structure comes from ``comm.node_groups()`` (identical on every
     rank, so no coordination traffic).  All sends are nonblocking
     channel appends; receives follow a fixed global order, so the
@@ -223,180 +259,57 @@ def _hierarchical(
     1. every rank sends its same-node blocks directly (tag −923);
     2. non-leaders send their off-node blocks to the node leader,
        grouped by destination node (tag −920, intra-node);
-    3. each leader sends ONE flattened message per remote node —
-       ``[block(src → dst) for src in my node for dst in remote node]``
+    3. each leader sends ONE flattened batch per remote node —
+       ``block(src → dst) for src in my node for dst in remote node``
        (tag −921, the only inter-node hop);
-    4. leaders unpack arrivals and scatter each member's slice back
+    4. leaders unpack arrivals and scatter each member's batch back
        (tag −922, intra-node);
     5. everyone drains the direct same-node blocks.
     """
-    p, rank = comm.size, comm.rank
+    rank = comm.rank
     groups = comm.node_groups()
-    my_gi = next(gi for gi, g in enumerate(groups) if rank in g)
-    my_group = groups[my_gi]
+    my_group = next(g for g in groups if rank in g)
     leader = my_group[0]
     nlocal = len(my_group)
-    out: list[Any] = [None] * p
-    out[rank] = objs[rank]
 
     # 1. same-node blocks travel directly (zero-copy pool, no leader hop).
     for dst in my_group:
         if dst != rank:
-            comm.send(objs[dst], dst, tag=HIER_LOCAL_TAG)
+            comm.send(send[dst], dst, tag=HIER_LOCAL_TAG)
 
-    remote_gis = [gi for gi in range(len(groups)) if gi != my_gi]
-    if remote_gis:
-        # contrib[pos] = my blocks for groups[remote_gis[pos]], dest order.
-        contrib = [[objs[d] for d in groups[gi]] for gi in remote_gis]
+    remote = [g for g in groups if g is not my_group]
+    if remote:
+        # contrib[pos] = my blocks for remote[pos], dest order.
+        contrib = [ops.take(send, g) for g in remote]
         if rank == leader:
             per_member = {rank: contrib}
             for m in my_group[1:]:
                 per_member[m] = comm._collective_recv(
                     m, HIER_GATHER_TAG, timeout, "alltoall(hierarchical gather)"
                 )
-            for pos, gi in enumerate(remote_gis):
-                flat = [blk for src in my_group for blk in per_member[src][pos]]
-                comm.send(flat, groups[gi][0], tag=HIER_EXCHANGE_TAG)
-            inbound: dict[int, list] = {}
-            for gi in remote_gis:
-                inbound[gi] = comm._collective_recv(
-                    groups[gi][0],
-                    HIER_EXCHANGE_TAG,
-                    timeout,
-                    "alltoall(hierarchical exchange)",
+            for pos, g in enumerate(remote):
+                flat = ops.concat([per_member[src][pos] for src in my_group])
+                comm.send(flat, g[0], tag=HIER_EXCHANGE_TAG)
+            inbound = [
+                comm._collective_recv(
+                    g[0], HIER_EXCHANGE_TAG, timeout, "alltoall(hierarchical exchange)"
                 )
-            # inbound[gi][si * nlocal + di] = block(groups[gi][si] -> my_group[di])
+                for g in remote
+            ]
+            # inbound[pos][si * nlocal + di] = block(remote[pos][si] ->
+            # my_group[di]); member di's blocks are the stride-nlocal slice.
             for di, m in enumerate(my_group):
-                blocks = [
-                    inbound[gi][si * nlocal + di]
-                    for gi in remote_gis
-                    for si in range(len(groups[gi]))
-                ]
+                blocks = ops.concat([inb[di::nlocal] for inb in inbound])
                 if m == rank:
-                    it = iter(blocks)
-                    for gi in remote_gis:
-                        for src in groups[gi]:
-                            out[src] = next(it)
+                    mine = blocks
                 else:
                     comm.send(blocks, m, tag=HIER_SCATTER_TAG)
         else:
             comm.send(contrib, leader, tag=HIER_GATHER_TAG)
-            blocks = comm._collective_recv(
+            mine = comm._collective_recv(
                 leader, HIER_SCATTER_TAG, timeout, "alltoall(hierarchical scatter)"
             )
-            it = iter(blocks)
-            for gi in remote_gis:
-                for src in groups[gi]:
-                    out[src] = next(it)
-
-    # 5. drain the direct same-node blocks (sent in step 1 by everyone).
-    for src in my_group:
-        if src != rank:
-            out[src] = comm._collective_recv(
-                src, HIER_LOCAL_TAG, timeout, "alltoall(hierarchical local)"
-            )
-    return out
-
-
-def _hierarchical_matrix(
-    comm: "Communicator", buf: np.ndarray, timeout: float | None
-) -> np.ndarray:
-    """Array-native ``_hierarchical``: identical hops, ndarray payloads.
-
-    Every message mirrors the list schedule's (src, dst, tag, bytes)
-    exactly; only the payload container changes.  Row batches keep the
-    list path's element order — gather messages are ``[rows for one
-    remote node, ...]`` in remote-node order, exchange messages
-    concatenate contributor-major (``si * nlocal + di`` indexing holds
-    as a stride), scatter messages concatenate remote-node-major — so
-    unpacking is pure slicing and the result is bitwise identical.
-    """
-    p, rank = comm.size, comm.rank
-    groups = comm.node_groups()
-    my_gi = next(gi for gi, g in enumerate(groups) if rank in g)
-    my_group = groups[my_gi]
-    leader = my_group[0]
-    nlocal = len(my_group)
-    out = np.empty_like(buf)
-    out[rank] = buf[rank]
-
-    # Base communicators have contiguous node groups, so per-group row
-    # batches are zero-copy slices; sub-communicator groups can be
-    # scattered in local rank space and fall back to fancy indexing.
-    spans = [
-        (g[0], g[-1] + 1) if g[-1] - g[0] + 1 == len(g) else None for g in groups
-    ]
-    tiled = (
-        all(s is not None for s in spans)
-        and spans[0][0] == 0
-        and spans[-1][1] == p
-        and all(spans[i][1] == spans[i + 1][0] for i in range(len(spans) - 1))
-    )
-
-    def rows(arr: np.ndarray, gi: int) -> np.ndarray:
-        s = spans[gi]
-        return arr[s[0] : s[1]] if s is not None else arr[np.asarray(groups[gi])]
-
-    # 1. same-node blocks travel directly (zero-copy pool, no leader hop).
-    for dst in my_group:
-        if dst != rank:
-            comm.send(buf[dst], dst, tag=HIER_LOCAL_TAG)
-
-    remote_gis = [gi for gi in range(len(groups)) if gi != my_gi]
-    if remote_gis:
-        # contrib[pos]: my rows for groups[remote_gis[pos]], dest order.
-        contrib = [rows(buf, gi) for gi in remote_gis]
-        if rank == leader:
-            per_member = {rank: contrib}
-            for m in my_group[1:]:
-                per_member[m] = comm._collective_recv(
-                    m, HIER_GATHER_TAG, timeout, "alltoall(hierarchical gather)"
-                )
-            for pos, gi in enumerate(remote_gis):
-                flat = np.concatenate(
-                    [per_member[src][pos] for src in my_group], axis=0
-                )
-                comm.send(flat, groups[gi][0], tag=HIER_EXCHANGE_TAG)
-            inbound: dict[int, np.ndarray] = {}
-            for gi in remote_gis:
-                inbound[gi] = comm._collective_recv(
-                    groups[gi][0],
-                    HIER_EXCHANGE_TAG,
-                    timeout,
-                    "alltoall(hierarchical exchange)",
-                )
-            # inbound[gi] row si * nlocal + di = block(groups[gi][si] ->
-            # my_group[di]); member di's rows are the stride-nlocal slice.
-            for di, m in enumerate(my_group):
-                if m == rank:
-                    for gi in remote_gis:
-                        s = spans[gi]
-                        if s is not None:
-                            out[s[0] : s[1]] = inbound[gi][di::nlocal]
-                        else:
-                            out[np.asarray(groups[gi])] = inbound[gi][di::nlocal]
-                else:
-                    comm.send(
-                        np.concatenate(
-                            [inbound[gi][di::nlocal] for gi in remote_gis],
-                            axis=0,
-                        ),
-                        m,
-                        tag=HIER_SCATTER_TAG,
-                    )
-        else:
-            comm.send(contrib, leader, tag=HIER_GATHER_TAG)
-            blocks = comm._collective_recv(
-                leader, HIER_SCATTER_TAG, timeout, "alltoall(hierarchical scatter)"
-            )
-            if tiled:
-                # Remote rows tile [0, g0) ++ [g1, P) in source order.
-                g0, g1 = my_group[0], my_group[-1] + 1
-                out[:g0] = blocks[:g0]
-                out[g1:] = blocks[g0:]
-            else:
-                srcs = np.asarray([s for gi in remote_gis for s in groups[gi]])
-                out[srcs] = blocks
+        ops.put(out, [src for g in remote for src in g], mine)
 
     # 5. drain the direct same-node blocks (sent in step 1 by everyone).
     for src in my_group:

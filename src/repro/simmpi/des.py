@@ -46,7 +46,7 @@ import threading
 from collections import deque
 from typing import Any, Callable, Sequence
 
-from .comm import _TIMEOUT, World
+from .transport import _TIMEOUT, World
 
 __all__ = ["DesWorld", "DesScheduler", "DesBarrier"]
 

@@ -116,7 +116,7 @@ class InjectedFault(SimMpiError):
 class CorruptMessageError(SimMpiError):
     """A received message failed its transport-level integrity check.
 
-    Raised when :class:`~repro.simmpi.comm.TransportPolicy` has
+    Raised when :class:`~repro.simmpi.transport.TransportPolicy` has
     checksums enabled but retransmission exhausted or disabled
     (``max_retries=0``: detect-only mode) — the corruption is reported
     instead of silently delivered.

@@ -15,13 +15,13 @@ ends share one engine interface:
   is independent of thread interleaving: the same seed always produces
   the same fault sequence, retransmit counts and traffic statistics.
 
-Under a :class:`~repro.simmpi.comm.TransportPolicy` the delivery index
+Under a :class:`~repro.simmpi.transport.TransportPolicy` the delivery index
 is the per-channel sequence number (and *attempt* counts
 retransmissions of that sequence number); on the raw substrate it is a
 per-``(phase, src, dst)`` send counter.  Both are deterministic per
 sender thread.
 
-The legacy ``fault_hook`` callable on :class:`~repro.simmpi.comm.World`
+The legacy ``fault_hook`` callable on :class:`~repro.simmpi.transport.World`
 remains as a thin compatibility shim; new code should build a plan.
 """
 
@@ -82,7 +82,7 @@ class FaultSpec:
 class FaultPlan:
     """A deterministic schedule of injected faults (see module docstring).
 
-    Thread-safe; one plan drives one :class:`~repro.simmpi.comm.World`
+    Thread-safe; one plan drives one :class:`~repro.simmpi.transport.World`
     (or several restart attempts of it via :meth:`new_run`).  Fluent
     helpers build plans readably::
 

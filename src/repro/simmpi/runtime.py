@@ -15,7 +15,7 @@ exception is re-raised in the caller — mirroring how an MPI job aborts.
 Robustness options: ``faults=`` attaches a deterministic
 :class:`~repro.simmpi.faults.FaultPlan`/``ChaosSchedule``;
 ``transport=`` layers the reliable
-:class:`~repro.simmpi.comm.TransportPolicy` over every channel; and
+:class:`~repro.simmpi.transport.TransportPolicy` over every channel; and
 ``max_restarts=`` bounds automatic re-execution after an injected rank
 kill.  Restart re-runs the *whole world* — on this substrate (as in a
 real MPI job) a half-dead world cannot resynchronise its collectives,
@@ -34,10 +34,11 @@ from typing import Any, Callable
 
 from ..exectx import reset_execution_context, set_execution_context
 from ..utils import check_positive_int
-from .comm import Communicator, TransportPolicy, World
+from .comm import Communicator
 from .errors import InjectedFault, RankFailedError, SimMpiError, SpmdError
 from .faults import FaultPlan
 from .stats import TrafficStats
+from .transport import TransportPolicy, World
 
 _ENGINES = ("thread", "des")
 
@@ -134,7 +135,7 @@ def run_spmd(
         kills.  Per-run delivery counters are reset on every (re)start;
         consumed one-shot faults are not.
     transport:
-        A :class:`~repro.simmpi.comm.TransportPolicy` enabling the
+        A :class:`~repro.simmpi.transport.TransportPolicy` enabling the
         reliable transport (checksums, sequence numbers, bounded
         retransmission) on every channel.
     trace:
@@ -148,7 +149,7 @@ def run_spmd(
         Optional modelled interconnect: every off-rank message is
         serialised through the sender's NIC at *link_bandwidth* bytes/s
         and delivered *link_latency* seconds after its last byte departs
-        (see :class:`~repro.simmpi.comm._LinkPump`).  Defaults model an
+        (see :class:`~repro.simmpi.transport._LinkPump`).  Defaults model an
         infinitely fast wire — delivery at post time, exactly the
         historical behaviour.  Used by the overlap benchmark to give
         communication a real wall-clock cost that pipelining can hide.

@@ -182,7 +182,7 @@ class TrafficStats:
     def configure_topology(self, node_map: Any, header_bytes: int = 0) -> None:
         """Attach the world's :class:`~repro.simmpi.nodes.NodeMap`.
 
-        Called once by :class:`~repro.simmpi.comm.World` before any
+        Called once by :class:`~repro.simmpi.transport.World` before any
         traffic flows; *header_bytes* is the modelled per-message fabric
         envelope charged to ``inter_node_bytes`` (only).
         """

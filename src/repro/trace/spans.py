@@ -225,7 +225,7 @@ class TraceRecorder:
     # ---- lifecycle -------------------------------------------------------
 
     def attach(self, world: Any) -> None:
-        """Install this recorder on a :class:`~repro.simmpi.comm.World`.
+        """Install this recorder on a :class:`~repro.simmpi.transport.World`.
 
         Idempotent so every rank of an SPMD function may call it; a
         world can carry at most one recorder.

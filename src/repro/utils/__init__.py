@@ -9,6 +9,7 @@ dedicated subpackages.
 
 from .validation import (
     as_complex_vector,
+    check_int,
     check_positive_int,
     check_power_of_two,
     require,
@@ -25,6 +26,7 @@ from .intmath import (
 
 __all__ = [
     "as_complex_vector",
+    "check_int",
     "check_positive_int",
     "check_power_of_two",
     "require",

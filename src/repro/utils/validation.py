@@ -13,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "require",
+    "check_int",
     "check_positive_int",
     "check_power_of_two",
     "as_complex_vector",
@@ -29,19 +30,23 @@ def require(condition: bool, message: str, exc: type[Exception] = ValueError) ->
         raise exc(message)
 
 
-def check_positive_int(value: Any, name: str) -> int:
-    """Return *value* as ``int`` after checking it is a positive integer.
+def check_int(value: Any, name: str) -> int:
+    """Return *value* as ``int`` after checking it is an integer.
 
     Accepts Python ints and NumPy integer scalars; rejects bools (which
-    are ``int`` subclasses but never meaningful sizes) and anything
-    non-integral.
+    are ``int`` subclasses but never meaningful numbers) and anything
+    non-integral, naming the argument in the :class:`TypeError`.
     """
     if isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got bool")
-    if isinstance(value, (int, np.integer)):
-        ivalue = int(value)
-    else:
+    if not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    return int(value)
+
+
+def check_positive_int(value: Any, name: str) -> int:
+    """Return *value* as ``int`` after checking it is a positive integer."""
+    ivalue = check_int(value, name)
     if ivalue <= 0:
         raise ValueError(f"{name} must be positive, got {ivalue}")
     return ivalue

@@ -260,6 +260,21 @@ class TestSingleFailureRecovery:
         assert out.stats.total_recovery_flops > 0
         assert out.stats.total_detected_failures > 0
 
+    def test_agreement_traffic_charged_to_commit(self, plan, blocks):
+        """The commit agreement's allgather runs on the survivors'
+        communicator inside ``comm.phase("commit")``: its bytes belong
+        to ``commit``, and nothing of the run is left under ``default``."""
+        out, _ = _resilient_run(
+            plan, blocks, RANKS, faults=FaultPlan().kill(1, phase="alltoall")
+        )
+        assert "default" not in out.stats.phases()
+        pairs = out.stats.phase("commit").messages_by_pair
+        survivors = [r for r in range(RANKS) if r != 1]
+        for src in survivors:
+            for dst in survivors:
+                if src != dst:
+                    assert pairs[(src, dst)] >= 1, (src, dst)
+
     def test_two_rank_world_buddy_is_also_halo_source(self, plan):
         blocks2 = split_blocks(random_complex(plan.n, 78), 2)
         ref = np.concatenate(

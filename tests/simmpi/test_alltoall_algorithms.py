@@ -13,6 +13,7 @@ from repro.simmpi import (
     ALGORITHMS,
     ChaosSchedule,
     FaultPlan,
+    RankFailedError,
     TransportPolicy,
     predicted_inter_node_messages,
     resolve_algorithm,
@@ -109,14 +110,45 @@ class TestAlgorithmResolution:
             run_spmd(2, lambda comm: None, alltoall_algorithm="ring")
 
     def test_shrunk_communicator_rejects_non_pairwise(self):
-        def body(comm):
-            shrunk = comm.shrink()
-            with pytest.raises(NotImplementedError):
-                shrunk.alltoall([0, 1], algorithm="hierarchical")
-            return shrunk.alltoall([comm.rank] * 2, algorithm="pairwise")
+        """Survivors have a node map, so every schedule composes with
+        shrink(): bruck and hierarchical (list and matrix forms, and the
+        chunked ialltoall) return the pairwise result bitwise."""
 
-        res = run_spmd(2, body)
-        assert res.values == [[0, 1], [0, 1]]
+        def body(comm):
+            with comm.phase("doom"):
+                pass
+            try:
+                comm.barrier()
+            except RankFailedError:
+                pass
+            shrunk = comm.shrink()
+            gen = np.random.default_rng(17 + comm.rank)
+            buf = gen.standard_normal((shrunk.size, 6))
+            ref = np.stack(shrunk.alltoall(list(buf), algorithm="pairwise"))
+            for algo in ("bruck", "hierarchical"):
+                got = np.stack(shrunk.alltoall(list(buf), algorithm=algo))
+                assert got.tobytes() == ref.tobytes(), algo
+                mat = shrunk.alltoall_matrix(buf, algorithm=algo)
+                assert mat.tobytes() == ref.tobytes(), algo
+            pieces = shrunk.ialltoall(list(buf), chunks=2).wait(timeout=30.0)
+            assert np.stack(pieces).tobytes() == ref.tobytes()
+            return ref
+
+        res = run_spmd(
+            5,
+            body,
+            ranks_per_node=2,
+            resilient=True,
+            faults=FaultPlan().kill(1, phase="doom"),
+            timeout=30.0,
+        )
+        assert dict(res.failures).keys() == {1}
+        # Survivors (0, 2, 3, 4) renumber 0..3; row s came from member s.
+        for me, rank in enumerate((0, 2, 3, 4)):
+            for s, src in enumerate((0, 2, 3, 4)):
+                gen = np.random.default_rng(17 + src)
+                sent = gen.standard_normal((4, 6))
+                assert res.values[rank][s].tobytes() == sent[me].tobytes()
 
 
 class TestMessageCountModel:

@@ -18,7 +18,7 @@ class TestWorldBasics:
 
     def test_comm_properties(self):
         world = World(3)
-        comm = world.comm(1)
+        comm = Communicator(world, 1)
         assert comm.rank == 1
         assert comm.size == 3
 

@@ -22,6 +22,7 @@ from repro.simmpi import (
     RankFailure,
     run_spmd,
     waitall,
+    waitany,
 )
 from repro.trace import TraceRecorder
 
@@ -139,6 +140,23 @@ class TestSplitsUnderDes:
         assert res.values[3][0] == [3, 4, 5]
         # Exactly the node leaders get the leader communicator.
         assert [v[1] for v in res.values] == [True, False, False] * 2
+
+    @pytest.mark.parametrize("engine", ["thread", "des"])
+    def test_waitany_on_subcomm_ialltoall(self, engine):
+        """A derived communicator's request waits run the WORLD rank's
+        progress engine and park the world rank's fiber: local rank 1 of
+        the odd split is world rank 3, not world rank 1."""
+
+        def body(comm):
+            sub = comm.split(comm.rank % 2, key=-comm.rank)
+            objs = [np.full(3, 10.0 * comm.rank + d) for d in range(sub.size)]
+            _, got = waitany([sub.ialltoall(objs)], timeout=GUARD_S)
+            return [int(block[0]) for block in got]
+
+        res = run_spmd(6, body, engine=engine, timeout=GUARD_S)
+        # Members in key order: evens (4, 2, 0), odds (5, 3, 1).
+        assert res.values[0] == [42, 22, 2]
+        assert res.values[3] == [51, 31, 11]
 
 
 class TestFaultInjectionUnderDes:

@@ -36,6 +36,20 @@ class TestSplitSemantics:
         assert res.values[3] == (0, [3, 2, 1, 0])
         assert res.values[0] == (3, [3, 2, 1, 0])
 
+    @pytest.mark.parametrize(
+        "bad", [True, 1.0, "1"], ids=["bool", "float", "str"]
+    )
+    def test_non_integer_key_rejected(self, bad):
+        def body(comm):
+            with pytest.raises(TypeError, match="key"):
+                comm.split(0, key=bad)
+            # The refusal happens before the coordination allgather, so
+            # the communicator stays usable for a well-formed split.
+            return comm.split(0, key=-comm.rank).allgather(comm.rank)
+
+        res = run_spmd(2, body)
+        assert res.values == [[1, 0], [1, 0]]
+
     def test_color_none_opts_out(self):
         def body(comm):
             sub = comm.split(None if comm.rank == 0 else "rest")

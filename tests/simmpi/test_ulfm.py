@@ -8,6 +8,7 @@ be able to form a shrunken communicator and keep running collectives
 over the remaining membership.
 """
 
+import numpy as np
 import pytest
 
 from repro.simmpi import (
@@ -156,3 +157,54 @@ class TestFailedRanksAndShrink:
             first, second = out.values[rank]
             assert first == [("a", 0), ("a", 1), ("a", 2)]
             assert second == [("b", 0), ("b", 1), ("b", 2)]
+
+    @pytest.mark.parametrize("engine", ["thread", "des"])
+    def test_splits_of_survivors_span_survivors(self, engine):
+        """split() and split_by_node() of a shrunk communicator map its
+        local ranks to the SURVIVORS' world ranks: dead rank 1 is in no
+        derived communicator and rank 3 is in every one it belongs to."""
+
+        def body(comm):
+            with comm.phase("doom"):
+                pass
+            try:
+                comm.barrier()
+            except RankFailedError:
+                pass
+            shrunk = comm.shrink()
+            sub = shrunk.split(0)
+            node, leaders = shrunk.split_by_node()
+            return (
+                sub.members,
+                sub.allgather(comm.rank),
+                node.members,
+                node.allgather(comm.rank),
+                None if leaders is None else leaders.allgather(comm.rank),
+            )
+
+        out = run_spmd(
+            4,
+            body,
+            ranks_per_node=2,
+            resilient=True,
+            engine=engine,
+            faults=FaultPlan().kill(1, phase="doom"),
+            timeout=GUARD_S,
+        )
+        assert dict(out.failures).keys() == {1}
+        assert out.values[0] == ((0, 2, 3), [0, 2, 3], (0,), [0], [0, 2])
+        assert out.values[2] == ((0, 2, 3), [0, 2, 3], (2, 3), [2, 3], [0, 2])
+        assert out.values[3] == ((0, 2, 3), [0, 2, 3], (2, 3), [2, 3], None)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [True, 1.5, "1", np.float64(1.0)],
+        ids=["bool", "float", "str", "np.float64"],
+    )
+    def test_non_integer_epoch_rejected(self, bad):
+        def body(comm):
+            with pytest.raises(TypeError, match="epoch"):
+                comm.shrink(epoch=bad)
+            return comm.shrink(epoch=np.int64(1)).allgather(comm.rank)
+
+        assert run_spmd(2, body, timeout=GUARD_S).values == [[0, 1], [0, 1]]
