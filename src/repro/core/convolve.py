@@ -36,6 +36,15 @@ unfused output bit for bit, because the transform is computed column by
 column: a column slice gets the bits the whole array gets (a contract
 of :class:`~repro.dft.backends.FftBackend`, re-proved by the tests).
 
+**Panels on every CPU.**  A paneled call is cut into panel units
+(:meth:`ConvolveKernel.panel_units`): chunk ranges cut where the
+*global* chunk index is a multiple of the panel width, which is a
+multiple of the grid below.  Each unit convolves into the panel of the
+workspace its thread checked out and writes its transform into its own
+column range of the output, so the units run on every CPU that has a
+free workspace (:mod:`repro.core.cores`), and no unit can tell how
+many did.
+
 **Bitwise equality of sub-ranges, by construction.**  Every GEMM call
 has the same ``(2H, K) @ (K, G*mu)`` shape whatever the caller's chunk
 count, and tiles sit on a grid of ``G*H``-chunk cells anchored at
@@ -53,8 +62,8 @@ it; the result is non-finite either way.)
 
 Group width, step shape, panel width and pool size are derived from the
 plan's ``(B, nu, mu, P, itemsize)``, a fixed scratch budget and the CPU
-count; the output is a fresh array, so nothing a caller holds aliases
-pooled memory.
+count.  The output is always a fresh array, written by whichever
+threads ran the units, so nothing a caller holds aliases pooled memory.
 """
 
 from __future__ import annotations
@@ -65,6 +74,8 @@ from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+
+from . import cores
 
 __all__ = ["ConvolveKernel"]
 
@@ -141,6 +152,9 @@ class ConvolveKernel:
     workspaces, at most one per CPU — a caller beyond that waits for one
     to come back, which costs nothing (it could not have run) and keeps
     scratch memory independent of how many rank threads share the plan.
+    The same workspaces are the budget of the helpers that share a
+    large call's units (:mod:`repro.core.cores`): a helper joins only
+    with one that is free.
     """
 
     def __init__(self, table: np.ndarray, phase: np.ndarray, nu: int) -> None:
@@ -178,12 +192,42 @@ class ConvolveKernel:
         # Workspace slots, last-in first-out so one caller keeps reusing
         # one (warm) workspace; None marks a slot not built yet.
         self._slots: "queue.LifoQueue[_Workspace | None]" = queue.LifoQueue()
-        for _ in range(_usable_cpus()):
+        self.cpus = _usable_cpus()
+        for _ in range(self.cpus):
             self._slots.put(None)
 
     @property
     def table_bytes(self) -> int:
         return self.banded.nbytes + self.phase.nbytes
+
+    def checkout(self, block: bool = True) -> "_Workspace | None":
+        """A free workspace (built on first use).  With *block* false,
+        None when every workspace is in use."""
+        try:
+            ws = self._slots.get(block)
+        except queue.Empty:
+            return None
+        if ws is None:
+            try:
+                ws = _Workspace(self)
+            except BaseException:
+                self._slots.put(None)
+                raise
+        return ws
+
+    def checkin(self, ws: _Workspace) -> None:
+        self._slots.put(ws)
+
+    def panel_units(self, nchunks: int, q0: int) -> list[tuple[int, int]]:
+        """The fft-p panels of a call: local chunk ranges ``[lo, hi)`` cut
+        where the global chunk index is a multiple of the panel width
+        (itself a multiple of :attr:`grid`).  One range when steps do
+        not cover all ``P`` columns, as such calls are never paneled."""
+        if self.p_step < self.p:
+            return [(0, nchunks)]
+        width = self.panel_cols // self.mu
+        cuts = [0, *range(width - q0 % width, nchunks, width), nchunks]
+        return list(zip(cuts[:-1], cuts[1:]))
 
     def __call__(
         self,
@@ -196,60 +240,59 @@ class ConvolveKernel:
         global chunk *q0*; *src* is the ``((nchunks-1)*nu + B, P)`` block
         of extended-input rows those chunks read.  With *fft_p* (a
         column transform of 2-D arrays) the result is ``fft_p(z_t)``,
-        computed panel by panel when it spans more than one panel."""
-        mu, nu, grid = self.mu, self.nu, self.grid
-        out = np.empty((self.p, nchunks * mu), dtype=self.phase.dtype)
-        paneled = (
-            fft_p is not None
-            and self.p_step == self.p
-            and nchunks * mu > self.panel_cols
-        )
-        ws = self._slots.get()
-        try:
-            if ws is None:
-                ws = _Workspace(self)
-            if paneled and ws.panel is None:
+        computed panel by panel when it spans more than one panel — on
+        every CPU with a free workspace (:mod:`repro.core.cores`)."""
+        out = np.empty((self.p, nchunks * self.mu), dtype=self.phase.dtype)
+        units = self.panel_units(nchunks, q0) if fft_p is not None else [(0, nchunks)]
+        if len(units) == 1:
+            # Unpaneled: the output is the panel.
+            ws = self.checkout()
+            try:
+                self._fill(ws, src, nchunks, q0, out)
+            finally:
+                self.checkin(ws)
+            return out if fft_p is None else fft_p(out)
+        mu, nu = self.mu, self.nu
+
+        def panel(ws: _Workspace, unit: tuple[int, int]) -> None:
+            lo, hi = unit
+            if ws.panel is None:
                 ws.panel = np.empty((self.p, self.panel_cols), dtype=out.dtype)
-            # Unpaneled, the output is the panel and never fills.
-            panel = ws.panel if paneled else out
-            # p outermost: one step's banded tables stay cached across
-            # all of the caller's bands.
-            for p0 in range(0, self.p, self.p_step):
-                p1 = min(p0 + self.p_step, self.p)
-                n = p1 - p0
-                tables, phase = self.banded[p0:p1, None], self.phase[p0:p1]
-                pa = 0  # first chunk the panel holds
-                # c0: local index of the chunk a band starts at (negative
-                # when the global grid starts the band before this caller).
-                for c0 in range(-(q0 % grid), nchunks, self.cells * grid):
-                    lo, hi = max(c0, 0), min(c0 + self.cells * grid, nchunks)
-                    cells = -(-(hi - c0) // grid)
-                    u0 = (lo - c0) * nu
-                    u1 = u0 + (hi - 1 - lo) * nu + self.b
-                    end = (cells * grid - 1) * nu + self.b
-                    ws.rows[:n, :u0] = 0
-                    ws.rows[:n, u1:end] = 0
-                    ws.rows[:n, u0:u1] = src[lo * nu : lo * nu + u1 - u0, p0:p1].T
-                    np.copyto(ws.tiles[:n, :cells], ws.tile_src[:n, :cells])
-                    np.matmul(
-                        ws.gemm_in[:n, :cells], tables, out=ws.gemm_out[:n, :cells]
-                    )
-                    np.copyto(ws.band_planes[:n, :cells], ws.prod[:n, :cells])
-                    a = (lo - c0) * mu
-                    b = a + (hi - lo) * mu
-                    np.multiply(
-                        ws.band[:n, a:b],
-                        phase[:, a:b],
-                        out=panel[p0:p1, (lo - pa) * mu : (hi - pa) * mu],
-                    )
-                    if paneled and (
-                        hi == nchunks
-                        or (hi - pa + self.cells * grid) * mu > self.panel_cols
-                    ):
-                        out[:, pa * mu : hi * mu] = fft_p(panel[:, : (hi - pa) * mu])
-                        pa = hi
-        finally:
-            self._slots.put(ws)
-        if fft_p is not None and not paneled:
-            out = fft_p(out)
+            z = ws.panel[:, : (hi - lo) * mu]
+            self._fill(ws, src[lo * nu :], hi - lo, q0 + lo, z)
+            out[:, lo * mu : hi * mu] = fft_p(z)
+
+        cores.fan_out(self, units, panel)
         return out
+
+    def _fill(
+        self, ws: _Workspace, src: np.ndarray, nchunks: int, q0: int, z: np.ndarray
+    ) -> None:
+        """Write ``z_t`` of the *nchunks* chunks from global chunk *q0*
+        into the ``(P, nchunks*mu)`` array *z*."""
+        mu, nu, grid = self.mu, self.nu, self.grid
+        # p outermost: one step's banded tables stay cached across all
+        # of the caller's bands.
+        for p0 in range(0, self.p, self.p_step):
+            p1 = min(p0 + self.p_step, self.p)
+            n = p1 - p0
+            tables, phase = self.banded[p0:p1, None], self.phase[p0:p1]
+            # c0: local index of the chunk a band starts at (negative
+            # when the global grid starts the band before this caller).
+            for c0 in range(-(q0 % grid), nchunks, self.cells * grid):
+                lo, hi = max(c0, 0), min(c0 + self.cells * grid, nchunks)
+                cells = -(-(hi - c0) // grid)
+                u0 = (lo - c0) * nu
+                u1 = u0 + (hi - 1 - lo) * nu + self.b
+                end = (cells * grid - 1) * nu + self.b
+                ws.rows[:n, :u0] = 0
+                ws.rows[:n, u1:end] = 0
+                ws.rows[:n, u0:u1] = src[lo * nu : lo * nu + u1 - u0, p0:p1].T
+                np.copyto(ws.tiles[:n, :cells], ws.tile_src[:n, :cells])
+                np.matmul(ws.gemm_in[:n, :cells], tables, out=ws.gemm_out[:n, :cells])
+                np.copyto(ws.band_planes[:n, :cells], ws.prod[:n, :cells])
+                a = (lo - c0) * mu
+                b = a + (hi - lo) * mu
+                np.multiply(
+                    ws.band[:n, a:b], phase[:, a:b], out=z[p0:p1, lo * mu : hi * mu]
+                )

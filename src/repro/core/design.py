@@ -36,7 +36,7 @@ import numpy as np
 
 from .windows import ReferenceWindow, TauSigmaWindow
 
-__all__ = ["WindowDesign", "design_window", "named_window", "NAMED_PRESETS"]
+__all__ = ["WindowDesign", "design_window", "named_window", "NAMED_PRESETS", "UnknownWindowError"]
 
 # Modelled relative rounding error of the underlying double-precision
 # FFT building block.  One ulp models the L2-aggregate per-bin noise of
@@ -217,6 +217,17 @@ NAMED_PRESETS: dict[str, tuple[float, float, float, int]] = {
 }
 
 
+class UnknownWindowError(ValueError, KeyError):
+    """No window preset of that name.
+
+    A ``ValueError`` (a bad argument value) that is also a ``KeyError``,
+    which is what a failed preset lookup raised before.
+    """
+
+    def __str__(self) -> str:  # KeyError's would quote the message
+        return str(self.args[0])
+
+
 @lru_cache(maxsize=None)
 def preset_design(name: str, beta: float = 0.25) -> WindowDesign:
     """The :class:`WindowDesign` behind a named preset (cached).
@@ -228,8 +239,9 @@ def preset_design(name: str, beta: float = 0.25) -> WindowDesign:
     try:
         digits, tau, sigma, b = NAMED_PRESETS[name]
     except KeyError:
-        raise KeyError(
-            f"unknown window preset {name!r}; available: {sorted(NAMED_PRESETS)}"
+        raise UnknownWindowError(
+            f"window={name!r} is not a window preset; "
+            f"available: {sorted(NAMED_PRESETS)}"
         ) from None
     if abs(beta - 0.25) > 1e-12:
         return design_window(digits, beta=beta)

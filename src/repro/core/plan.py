@@ -25,6 +25,8 @@ loop_b structure in Section 6).
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 import threading
 from dataclasses import dataclass, field
@@ -118,7 +120,7 @@ class SoiPlan:
         self.dtype = dt
         self.m = self.n // self.p
 
-        frac = as_fraction(self.beta) + 1
+        frac = _beta_fraction(self.beta) + 1
         self.mu, self.nu = frac.numerator, frac.denominator
         require(self.mu > self.nu, f"beta must be positive, got {self.beta}")
         require(
@@ -458,6 +460,17 @@ class SoiPlan:
         )
 
 
+def _beta_fraction(beta) -> Fraction:
+    """*beta* as an exact fraction: a real number (never a bool, str or
+    None) that is finite — checked before the rational approximation,
+    which would fail on these without naming the argument."""
+    if isinstance(beta, bool) or not isinstance(beta, numbers.Real):
+        raise TypeError(f"beta must be a real number, got {type(beta).__name__}")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
+    return as_fraction(beta)
+
+
 def _plan_fft_tt(be: FftBackend, xt: np.ndarray, plan: SoiPlan) -> np.ndarray:
     """Column-wise forward FFT (fused layout) at the plan's precision."""
     if plan.dtype != np.complex64:
@@ -514,7 +527,7 @@ def soi_plan_for(
         obs("core.soi_plan_cache", "rw", _SOI_GUARD)
     if not isinstance(window, str):
         window = float(window)  # 14 and 14.0 are one design and one key
-    key = (n, p, as_fraction(beta), window, b, np.dtype(dtype).str)
+    key = (n, p, _beta_fraction(beta), window, b, np.dtype(dtype).str)
     with _soi_lock:
         if _soi_cache is None:
             from collections import OrderedDict

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import SoiPlan, clear_soi_plan_cache, design_window, soi_plan_cache_info, soi_plan_for
+from repro.core.design import UnknownWindowError
 from repro.core.windows import TauSigmaWindow
 
 
@@ -69,6 +70,36 @@ class TestValidation:
     def test_garbage_window_rejected(self):
         with pytest.raises(TypeError):
             SoiPlan(n=1024, p=4, window=[1, 2, 3])
+
+    @pytest.mark.parametrize("build", [SoiPlan, soi_plan_for], ids=["SoiPlan", "soi_plan_for"])
+    @pytest.mark.parametrize(
+        "beta", [True, False, "0.25", None], ids=["True", "False", "str", "None"]
+    )
+    def test_non_numeric_beta_rejected(self, build, beta):
+        with pytest.raises(TypeError, match="beta"):
+            build(n=1024, p=4, beta=beta, window="digits6")
+
+    @pytest.mark.parametrize("build", [SoiPlan, soi_plan_for], ids=["SoiPlan", "soi_plan_for"])
+    @pytest.mark.parametrize("beta", [float("inf"), -float("inf"), float("nan"), np.float64("nan")],
+                             ids=["inf", "-inf", "nan", "np.nan"])
+    def test_non_finite_beta_rejected(self, build, beta):
+        with pytest.raises(ValueError, match="beta"):
+            build(n=1024, p=4, beta=beta, window="digits6")
+
+    @pytest.mark.parametrize(
+        "beta", [0.5, Fraction(1, 2), np.float64(0.5)], ids=["float", "Fraction", "np.float64"]
+    )
+    def test_numeric_beta_accepted(self, beta):
+        assert SoiPlan(n=1024, p=4, beta=beta, window="digits6").mu == 3
+        assert soi_plan_for(1024, 4, beta=beta, window="digits6").mu == 3
+
+    def test_unknown_window_preset_rejected(self):
+        with pytest.raises(ValueError, match=r"window='bogus'.*digits10.*full") as info:
+            SoiPlan(n=4096, p=16, window="bogus")
+        assert isinstance(info.value, KeyError)
+        assert isinstance(info.value, UnknownWindowError)
+        with pytest.raises(KeyError, match="window='bogus'"):
+            soi_plan_for(4096, 16, window="bogus")
 
 
 class TestWindowResolution:

@@ -80,3 +80,24 @@ class TestSoiFft2:
     def test_shape_validation(self, plan10):
         with pytest.raises(ValueError, match="expected shape"):
             soi_fft2(np.zeros((10, plan10.n), dtype=complex), plan10)
+
+    def test_single_precision_pair_stays_single(self, rng):
+        """A complex64 pair converts the input to complex64 (no
+        complex128 temporary) and returns complex64, bitwise the two
+        1-D passes."""
+        plan = SoiPlan(n=1024, p=4, window="digits6", dtype=np.complex64)
+        x = (rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024)))
+        y = soi_fft2(x, plan)
+        assert y.dtype == np.complex64
+        rows = soi_fft(x.astype(np.complex64), plan)
+        assert np.array_equal(y, soi_fft(np.ascontiguousarray(rows.T), plan).T)
+        assert snr_db(y, np.fft.fft2(x)) > 90.0   # 98 dB measured: digits6 at float32
+
+    def test_mixed_precision_pair_rejected(self):
+        rows = SoiPlan(n=1024, p=4, window="digits6", dtype=np.complex64)
+        cols = SoiPlan(n=1024, p=4, window="digits6")
+        x = np.zeros((1024, 1024), dtype=np.complex64)
+        with pytest.raises(ValueError, match="plan_cols"):
+            soi_fft2(x, rows, cols)
+        with pytest.raises(ValueError, match="plan_cols"):
+            soi_fft2(x, cols, rows)
