@@ -7,7 +7,7 @@ Submodules
 - :mod:`~repro.core.theory` — Definition 1 operators and Theorem 1;
 - :mod:`~repro.core.plan` — :class:`SoiPlan`: frozen transform parameters;
 - :mod:`~repro.core.convolve` — the ``W x`` kernel (real banded tile GEMMs);
-- :mod:`~repro.core.cores` — one large SOI call's units on every usable CPU;
+- :mod:`~repro.core.cores` — a SOI call's panels or vectors on every usable CPU;
 - :mod:`~repro.core.soi` — the sequential SOI FFT pipeline (Eq. 6);
 - :mod:`~repro.core.matrices` — dense reference factorisations for tests;
 - :mod:`~repro.core.accuracy` — SNR / digits / error-budget metrics.

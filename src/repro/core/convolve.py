@@ -235,35 +235,38 @@ class ConvolveKernel:
         nchunks: int,
         q0: int,
         fft_p: Callable[[np.ndarray], np.ndarray] | None = None,
+        ws: _Workspace | None = None,
     ) -> np.ndarray:
         """``z_t`` of shape ``(P, nchunks*mu)`` for the chunks starting at
         global chunk *q0*; *src* is the ``((nchunks-1)*nu + B, P)`` block
         of extended-input rows those chunks read.  With *fft_p* (a
         column transform of 2-D arrays) the result is ``fft_p(z_t)``,
         computed panel by panel when it spans more than one panel — on
-        every CPU with a free workspace (:mod:`repro.core.cores`)."""
+        every CPU with a free workspace (:mod:`repro.core.cores`), or,
+        given *ws* (a workspace the calling thread already holds), all
+        on that one in order, with no checkout and no helpers."""
         out = np.empty((self.p, nchunks * self.mu), dtype=self.phase.dtype)
         units = self.panel_units(nchunks, q0) if fft_p is not None else [(0, nchunks)]
-        if len(units) == 1:
-            # Unpaneled: the output is the panel.
-            ws = self.checkout()
-            try:
-                self._fill(ws, src, nchunks, q0, out)
-            finally:
-                self.checkin(ws)
-            return out if fft_p is None else fft_p(out)
+        paneled = len(units) > 1   # else the output is the panel
         mu, nu = self.mu, self.nu
 
         def panel(ws: _Workspace, unit: tuple[int, int]) -> None:
             lo, hi = unit
-            if ws.panel is None:
-                ws.panel = np.empty((self.p, self.panel_cols), dtype=out.dtype)
-            z = ws.panel[:, : (hi - lo) * mu]
+            z = out
+            if paneled:
+                if ws.panel is None:
+                    ws.panel = np.empty((self.p, self.panel_cols), dtype=out.dtype)
+                z = ws.panel[:, : (hi - lo) * mu]
             self._fill(ws, src[lo * nu :], hi - lo, q0 + lo, z)
-            out[:, lo * mu : hi * mu] = fft_p(z)
+            if paneled:
+                out[:, lo * mu : hi * mu] = fft_p(z)
 
-        cores.fan_out(self, units, panel)
-        return out
+        if ws is None:
+            cores.fan_out(self, units, panel)
+        else:
+            for unit in units:
+                panel(ws, unit)
+        return out if paneled or fft_p is None else fft_p(out)
 
     def _fill(
         self, ws: _Workspace, src: np.ndarray, nchunks: int, q0: int, z: np.ndarray

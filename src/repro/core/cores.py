@@ -1,12 +1,14 @@
-"""One large SOI call on every usable CPU.
+"""A sequential SOI call on every usable CPU.
 
-A sequential SOI call whose output spans at least two fft-p panels is
-cut into independent *units* — whole panels of the convolution + fft-p
-front half (:meth:`ConvolveKernel.panel_units`), row blocks of the fft-m
-+ demodulation back half (:func:`repro.core.soi.soi_fft`) — and the
-caller runs them together with a process-wide pool of helper threads,
-one per other usable CPU.  Units are handed out one at a time, so a
-helper that starts late or runs slow simply takes fewer.
+A sequential SOI call is cut into independent *units* by one rule: a
+vector spanning at least two fft-p panels shares its panels (the
+convolution + fft-p front half, :meth:`ConvolveKernel.panel_units`) and
+row blocks (the fft-m + demodulation back half); otherwise each vector
+of a batch is one unit, running its whole chain on the workspace its
+thread already holds (:func:`repro.core.soi.soi_fft`).  The caller runs
+the units together with a process-wide pool of helper threads, one per
+other usable CPU.  Units are handed out one at a time, so a helper that
+starts late or runs slow simply takes fewer.
 
 **The budget is the kernel's workspaces.**  A plan's
 :class:`~repro.core.convolve.ConvolveKernel` keeps one workspace per
@@ -22,11 +24,11 @@ behaviour, with nothing to wait for and no oversubscription.
 the ranks already are the parallel decomposition on the same cores.
 
 **Bits.**  A unit's values do not depend on which thread computes it
-or on how the work is cut: the convolution grid is anchored at global
-chunk 0, fft-p transforms each column alone and fft-m each row alone —
-the contracts that make a distributed run bitwise equal to the
-sequential one.  The result is therefore bitwise independent of the
-number of CPUs and of the schedule.
+or on how the work is cut: each vector is transformed on its own, the
+convolution grid is anchored at global chunk 0, fft-p transforms each
+column alone and fft-m each row alone — the contracts that make a
+distributed run bitwise equal to the sequential one.  The result is
+therefore bitwise independent of the number of CPUs and of the schedule.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ def fan_out(kernel: Any, units: Sequence, run: Callable[[Any, Any], None]) -> No
     out without waiting.  Returns when every unit is done; the first
     exception any thread raised is re-raised here, after every
     workspace is back."""
+    if not units:
+        return
     job = _Job(kernel, units, run)
     ws = kernel.checkout()
     try:

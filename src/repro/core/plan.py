@@ -354,6 +354,14 @@ class SoiPlan:
         samples.  *tail* is the periodic wrap (sequential: the first
         ``B*P`` samples of *vec*) or the neighbour halo (distributed).
         """
+        return self._window_view(vec, tail, nchunks)
+
+    def _window_view(
+        self, vec: np.ndarray, tail: np.ndarray, nchunks: int, conj: bool = False
+    ) -> np.ndarray:
+        """:meth:`window_view`, over the conjugate of ``vec ++ tail`` when
+        *conj* (the inverse transform's input, written by the copy the
+        buffer needs anyway)."""
         total = vec.size + tail.size
         ctx = execution_context()
         entry = getattr(self._tls, "xe", None)
@@ -368,8 +376,12 @@ class SoiPlan:
         buf = pool.get(total)
         if buf is None:
             buf = pool[total] = np.empty(total, dtype=self.dtype)
-        buf[: vec.size] = vec
-        buf[vec.size :] = tail
+        if conj:
+            np.conjugate(vec, out=buf[: vec.size])
+            np.conjugate(tail, out=buf[vec.size :])
+        else:
+            buf[: vec.size] = vec
+            buf[vec.size :] = tail
         it = buf.itemsize
         return np.lib.stride_tricks.as_strided(
             buf,

@@ -25,11 +25,13 @@ as a fully vectorised four-stage pipeline:
    ``fft_into``), keep the first M bins of each, multiply by the plan's
    precomputed ``1 / w_hat(k)`` diagonal.
 
-A call spanning two or more fft-p panels runs stages 1-2 panel by
-panel and stage 4 row block by row block on every usable CPU with a
-free kernel workspace (:mod:`repro.core.cores`); every panel and every
-row is computed on its own, so the bits do not depend on how many CPUs
-took part.
+Every usable CPU with a free kernel workspace takes part
+(:mod:`repro.core.cores`), by one rule: a vector spanning two or more
+fft-p panels shares its panels (stages 1-2) and row blocks (stage 4),
+one vector after another; otherwise each vector of a batch is one unit,
+its whole chain run on the workspace its thread already holds.  Every
+vector, panel and row is computed on its own, so the bits do not depend
+on how many CPUs took part.
 
 The sequential code is the reference the distributed implementation in
 :mod:`repro.parallel.soi_dist` must match bit-for-bit (it performs the
@@ -43,7 +45,7 @@ import numpy as np
 from ..dft.backends import FftBackend, get_backend
 from ..utils import as_complex_vector
 from . import cores
-from .plan import SoiPlan
+from .plan import SoiPlan, _plan_fft_tt
 
 __all__ = [
     "soi_fft",
@@ -62,6 +64,7 @@ _ROW_BLOCK_BYTES = 1 << 20
 
 def _as_batched(x: np.ndarray, plan: SoiPlan) -> np.ndarray:
     """Coerce input to the plan's dtype with last axis == plan.n."""
+    _check_plan(plan)
     # Checked before converting: ascontiguousarray turns a 0-d value
     # into shape (1,).
     if np.ndim(x) == 0:
@@ -74,6 +77,11 @@ def _as_batched(x: np.ndarray, plan: SoiPlan) -> np.ndarray:
             f"plan is for N={plan.n}, input last axis has {arr.shape[-1]} points"
         )
     return arr
+
+
+def _check_plan(plan, name: str = "plan") -> None:
+    if not isinstance(plan, SoiPlan):
+        raise TypeError(f"{name} must be a SoiPlan, got {type(plan).__name__}")
 
 
 def _plan_fft(
@@ -113,10 +121,11 @@ def extended_input(x: np.ndarray, plan: SoiPlan) -> np.ndarray:
     return np.concatenate([arr, arr[..., : plan.b * plan.p]], axis=-1)
 
 
-def _windows(vec: np.ndarray, plan: SoiPlan) -> np.ndarray:
-    """All ``M / nu`` stencil windows of one length-N vector, over its
-    periodic extension in the plan's per-context buffer."""
-    return plan.window_view(vec, vec[: plan.b * plan.p], plan.q_chunks)
+def _windows(vec: np.ndarray, plan: SoiPlan, conj: bool = False) -> np.ndarray:
+    """All ``M / nu`` stencil windows of one length-N vector (of its
+    conjugate when *conj*), over its periodic extension in the plan's
+    per-context buffer."""
+    return plan._window_view(vec, vec[: plan.b * plan.p], plan.q_chunks, conj)
 
 
 def soi_convolve(x: np.ndarray, plan: SoiPlan) -> np.ndarray:
@@ -150,23 +159,49 @@ def soi_fft(
     accuracy is set by the plan's window design (~14.5 digits for the
     default ``"full"`` preset; see Fig. 7 for the accuracy/speed dial).
     Accepts batches over leading axes; each vector runs the same
-    zero-transpose chain, so a batch is bit-for-bit its rows.
+    zero-transpose chain, so a batch is bit-for-bit its rows (and a
+    batch of vectors under two fft-p panels shares them across CPUs).
 
     The *backend* names the node-local FFT used as the building block
     (``"numpy"`` standing in for MKL, ``"repro"`` for this library's
     own kernels) — the algorithm is backend-agnostic, as in the paper.
     """
-    be = get_backend(backend)
-    arr = _as_batched(x, plan)
+    return _transform(get_backend(backend), plan, _as_batched(x, plan), False)
+
+
+def _transform(be: FftBackend, plan: SoiPlan, arr: np.ndarray, inverse: bool) -> np.ndarray:
+    """The batch loop of :func:`soi_fft`, and of :func:`soi_ifft` when
+    *inverse* (each vector conjugated on its way into the window buffer,
+    its result conjugated and scaled while still in cache).  Vectors under
+    two panels are the units shared across CPUs, each run on the
+    workspace its thread holds: a nested checkout, with every workspace
+    held, would wait forever.  Larger vectors share their own panels and
+    row blocks, one vector after another."""
     out = np.empty(arr.shape, dtype=plan.dtype)
-    for idx in np.ndindex(arr.shape[:-1]):
+    kernel = plan._convolver()
+
+    def vector(ws, idx) -> None:
         # Zero-transpose chain: the convolution emits z pre-transposed
         # in the (P, M') segment layout and transforms its columns panel
         # by panel — stage 1 through P_perm^{P,N'} never copies through
         # a transpose, and fft-m overwrites the segments where it can.
-        winb = _windows(arr[idx], plan)
-        segments = plan.convolve_fft_p(winb, 0, be)    # W x, (I_M' (x) F_P) + P_perm
-        _segment_ffts(be, plan, segments, out[idx].reshape(plan.p, plan.m))
+        winb = _windows(arr[idx], plan, inverse)
+        segments = kernel(    # W x, (I_M' (x) F_P) + P_perm
+            plan._window_rows(winb), plan.q_chunks, 0,
+            lambda zt: _plan_fft_tt(be, zt, plan), ws,
+        )
+        y = out[idx].reshape(plan.p, plan.m)
+        _segment_ffts(be, plan, segments, y)
+        if inverse:
+            np.conjugate(y, out=y)
+            y /= plan.n
+
+    vectors = list(np.ndindex(arr.shape[:-1]))
+    if len(kernel.panel_units(plan.q_chunks, 0)) > 1:
+        for idx in vectors:
+            vector(None, idx)
+    else:
+        cores.fan_out(kernel, vectors, vector)
     return out
 
 
@@ -203,15 +238,12 @@ def soi_ifft(
     Uses the conjugation identity ``ifft(y) = conj(fft(conj(y))) / N``,
     so the inverse inherits the forward transform's communication
     structure, accuracy, and precomputed workspaces (convolution kernel,
-    reciprocal demodulation) unchanged.  The output conjugation
-    and 1/N scale are applied in place on the forward result — no extra
-    temporaries beyond the forward transform's own.
+    reciprocal demodulation) unchanged.  Each vector is conjugated by
+    the copy into the window buffer and its output conjugated and scaled
+    in place — no temporaries beyond the forward transform's own.
     """
     arr = _as_batched(y, plan)
-    out = soi_fft(np.conj(arr), plan, backend=backend)
-    np.conjugate(out, out=out)
-    out /= plan.n
-    return out
+    return _transform(get_backend(backend), plan, arr, True)
 
 
 def soi_fft2(
@@ -229,7 +261,9 @@ def soi_fft2(
     ``(plan_cols.n, plan_rows.n)``; both plans must share one dtype, the
     precision the input is converted to and the result comes back in.
     """
+    _check_plan(plan_rows, "plan_rows")
     pc = plan_cols if plan_cols is not None else plan_rows
+    _check_plan(pc, "plan_cols")
     if pc.dtype != plan_rows.dtype:
         raise ValueError(
             f"plan_cols has dtype {pc.dtype}, plan_rows {plan_rows.dtype}; "
@@ -260,6 +294,7 @@ def soi_segment(
     one segment costs only the convolution plus ONE length-M' FFT —
     this is the "direct pursuit of a segment of interest" of Fig. 1.
     """
+    _check_plan(plan)
     phase = plan.segment_phase(s)    # validates s; cached length-P table
     be = get_backend(backend)
     vec = as_complex_vector(x)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bench.workloads import chirp_signal, multitone, random_complex
-from repro.core import SoiPlan, snr_db, soi_fft, soi_segment
+from repro.core import SoiPlan, snr_db, soi_fft, soi_fft2, soi_ifft, soi_segment
 from repro.core.soi import extended_input, soi_convolve
 
 
@@ -91,6 +91,26 @@ class TestSoiFftInterface:
         else:
             with pytest.raises(TypeError, match="backend"):
                 soi_fft(x, full_plan, backend=backend)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda x, plan: soi_fft(x, plan),
+            lambda x, plan: soi_ifft(x, plan),
+            lambda x, plan: soi_convolve(x, plan),
+            lambda x, plan: soi_segment(x, plan, 0),
+            lambda x, plan: soi_fft2(x.reshape(64, 64), plan),
+        ],
+        ids=["soi_fft", "soi_ifft", "soi_convolve", "soi_segment", "soi_fft2"],
+    )
+    @pytest.mark.parametrize("plan", [None, 3, "dft-plan"])
+    def test_non_soi_plan_rejected(self, entry, plan):
+        if plan == "dft-plan":
+            from repro.dft import plan_for
+
+            plan = plan_for(4096)
+        with pytest.raises(TypeError, match="plan"):
+            entry(random_complex(4096, 7), plan)
 
     def test_output_shape_and_dtype(self, full_plan):
         y = soi_fft(random_complex(full_plan.n, 7), full_plan)
