@@ -1,14 +1,12 @@
 """A sequential SOI call on every usable CPU.
 
 A sequential SOI call is cut into independent *units* by one rule: a
-vector spanning at least two fft-p panels shares its panels (the
-convolution + fft-p front half, :meth:`ConvolveKernel.panel_units`) and
-row blocks (the fft-m + demodulation back half); otherwise each vector
-of a batch is one unit, running its whole chain on the workspace its
-thread already holds (:func:`repro.core.soi.soi_fft`).  The caller runs
-the units together with a process-wide pool of helper threads, one per
-other usable CPU.  Units are handed out one at a time, so a helper that
-starts late or runs slow simply takes fewer.
+vector spanning at least two fft-p panels shares its panels
+(:meth:`ConvolveKernel.panel_units`) and its fft-m row blocks;
+otherwise each vector of a batch is one unit, run on the workspace its
+thread holds (:func:`repro.core.soi.soi_fft`).  The caller runs the
+units with a process-wide pool of helper threads, one per other usable
+CPU, handed out one at a time.
 
 **The budget is the kernel's workspaces.**  A plan's
 :class:`~repro.core.convolve.ConvolveKernel` keeps one workspace per
@@ -18,7 +16,11 @@ none is free); a helper joins a call only if it can check one out
 computing on one plan never outnumber the CPUs, and when every
 workspace is busy — eight rank threads, two serve workers, another
 large call — the caller does every unit alone: the single-threaded
-behaviour, with nothing to wait for and no oversubscription.
+behaviour, with nothing to wait for and no oversubscription.  BLAS
+threads are outside that budget: an OpenBLAS left to start its own
+thread pool oversubscribes the helpers (a batched ``(8, 2^16)`` call
+at P = 16 took about twice as long on 2 CPUs, EXPERIMENTS.md; a single
+large vector did not move), so run with ``OPENBLAS_NUM_THREADS=1``.
 
 **Never inside an SPMD rank** (``execution_context()[0] == "world"``):
 the ranks already are the parallel decomposition on the same cores.

@@ -278,42 +278,31 @@ class SoiPlan:
     def _window_rows(self, winb: np.ndarray) -> np.ndarray:
         """The ``((n-1)*nu + B, P)`` extended-input rows under a window view."""
         n, it = winb.shape[0], winb.itemsize
-        ok = (
-            winb.ndim == 3
-            and n >= 1
-            and winb.shape[1:] == (self.b, self.p)
-            and winb.dtype == self.dtype
-            and winb.strides[1:] == (self.p * it, it)
+        if not (
+            winb.ndim == 3 and n >= 1 and winb.shape[1:] == (self.b, self.p)
+            and winb.dtype == self.dtype and winb.strides[1:] == (self.p * it, it)
             and (n == 1 or winb.strides[0] == self.nu * self.p * it)
-        )
-        if not ok:
+        ):
             raise ValueError(
                 "winb must be a SoiPlan.window_view of this plan "
                 "(or a slice of one along its first axis)"
             )
         return np.lib.stride_tricks.as_strided(
-            winb,
-            shape=((n - 1) * self.nu + self.b, self.p),
-            strides=(self.p * it, it),
+            winb, shape=((n - 1) * self.nu + self.b, self.p), strides=(self.p * it, it),
             writeable=False,
         )
 
     def contract_windows_t(self, winb: np.ndarray, q0: int = 0) -> np.ndarray:
         """Stage-1 convolution emitted pre-transposed: ``(P, q, r)`` with
-        ``z[p, q, r] = sum_b C[r, b, p] * winb[q, b, p]``.
-
-        Flattening the last two axes gives the ``(P, M')`` column layout
-        the fused ``fft_tt`` kernels consume — the convolution output
-        never passes through an explicit transpose copy.  *winb* is a
+        ``z[p, q, r] = sum_b C[r, b, p] * winb[q, b, p]``, the ``(P, M')``
+        column layout once the last two axes are flattened.  *winb* is a
         :meth:`window_view` (or a first-axis slice of one) and *q0* the
-        global index of its first chunk (a rank's ``rank * q_local``,
-        plus the slice start for an overlap group): the kernel anchors
-        its tiles at global chunk 0, which is what makes any sub-range
-        bit-for-bit equal to the same slice of the full call.
+        global index of its first chunk: the kernel anchors its tiles at
+        global chunk 0, so any sub-range is bit-for-bit the same slice
+        of the full call.
         """
-        n = winb.shape[0]
-        z_t = self._convolver()(self._window_rows(winb), n, q0)
-        return z_t.reshape(self.p, n, self.mu)
+        n, rows = winb.shape[0], self._window_rows(winb)
+        return self._convolver()(rows, rows[:0], n, q0).reshape(self.p, n, self.mu)
 
     def convolve_fft_p(
         self, winb: np.ndarray, q0: int = 0, backend: "str | FftBackend" = "numpy"
@@ -326,11 +315,13 @@ class SoiPlan:
         convolution output while it is still in cache and never hold the
         untransformed ``z`` (see :mod:`repro.core.convolve`).
         """
+        rows = self._window_rows(winb)
+        return self._convolver()(rows, rows[:0], winb.shape[0], q0, self._fft_p(backend))
+
+    def _fft_p(self, backend: "str | FftBackend"):
+        """The plan-precision column transform the kernel runs per panel."""
         be = get_backend(backend)
-        return self._convolver()(
-            self._window_rows(winb), winb.shape[0], q0,
-            lambda zt: _plan_fft_tt(be, zt, self),
-        )
+        return lambda zt: _plan_fft_tt(be, zt, self)
 
     def contract_windows(self, winb: np.ndarray) -> np.ndarray:
         """Stage-1 convolution ``z[.., q, r, p] = sum_b C[r,b,p] win[.., q,b,p]``.
@@ -354,14 +345,6 @@ class SoiPlan:
         samples.  *tail* is the periodic wrap (sequential: the first
         ``B*P`` samples of *vec*) or the neighbour halo (distributed).
         """
-        return self._window_view(vec, tail, nchunks)
-
-    def _window_view(
-        self, vec: np.ndarray, tail: np.ndarray, nchunks: int, conj: bool = False
-    ) -> np.ndarray:
-        """:meth:`window_view`, over the conjugate of ``vec ++ tail`` when
-        *conj* (the inverse transform's input, written by the copy the
-        buffer needs anyway)."""
         total = vec.size + tail.size
         ctx = execution_context()
         entry = getattr(self._tls, "xe", None)
@@ -376,12 +359,8 @@ class SoiPlan:
         buf = pool.get(total)
         if buf is None:
             buf = pool[total] = np.empty(total, dtype=self.dtype)
-        if conj:
-            np.conjugate(vec, out=buf[: vec.size])
-            np.conjugate(tail, out=buf[vec.size :])
-        else:
-            buf[: vec.size] = vec
-            buf[vec.size :] = tail
+        buf[: vec.size] = vec
+        buf[vec.size :] = tail
         it = buf.itemsize
         return np.lib.stride_tricks.as_strided(
             buf,

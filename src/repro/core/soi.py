@@ -7,17 +7,13 @@ Implements the paper's single-all-to-all factorisation
 as a fully vectorised four-stage pipeline:
 
 1. **Convolution** ``z = W x``: the real ``(mu, B, P)`` coefficient
-   table applied to strided input windows as banded tile GEMMs, then
-   one unit-modulus phase per output (:mod:`repro.core.convolve`) —
-   the loop_a/loop_b/loop_c/loop_d nest of Section 6 blocked for BLAS
-   (the NumPy analogue of the paper's unroll-and-jam + SIMD
-   optimisation).
+   table applied as banded tile GEMMs to stencil windows gathered
+   straight from the input, then one unit-modulus phase per output
+   (:mod:`repro.core.convolve`) — Section 6's loop nest blocked for BLAS.
 2. **Small FFTs** ``(I_M' (x) F_P)``: length-P transforms of the M'
-   rows of z, each independent of the others — so the convolution
-   kernel runs them on each cache-sized panel of z as soon as the panel
-   is written, and the whole untransformed z never exists
-   (:meth:`SoiPlan.convolve_fft_p`; small calls transform once at the
-   end, bit for bit the same).
+   rows of z, each independent of the others, so the convolution kernel
+   runs them on each cache-sized panel of z as soon as it is written
+   and the whole untransformed z never exists.
 3. **Global reordering** ``P_perm^{P,N'}``: a transpose — the step that
    becomes THE single all-to-all in the distributed version.
 4. **Segment FFTs + demodulation**: P batched length-M' transforms
@@ -45,7 +41,7 @@ import numpy as np
 from ..dft.backends import FftBackend, get_backend
 from ..utils import as_complex_vector
 from . import cores
-from .plan import SoiPlan, _plan_fft_tt
+from .plan import SoiPlan
 
 __all__ = [
     "soi_fft",
@@ -121,13 +117,6 @@ def extended_input(x: np.ndarray, plan: SoiPlan) -> np.ndarray:
     return np.concatenate([arr, arr[..., : plan.b * plan.p]], axis=-1)
 
 
-def _windows(vec: np.ndarray, plan: SoiPlan, conj: bool = False) -> np.ndarray:
-    """All ``M / nu`` stencil windows of one length-N vector (of its
-    conjugate when *conj*), over its periodic extension in the plan's
-    per-context buffer."""
-    return plan._window_view(vec, vec[: plan.b * plan.p], plan.q_chunks, conj)
-
-
 def soi_convolve(x: np.ndarray, plan: SoiPlan) -> np.ndarray:
     """Stage 1: the structured sparse product ``z = W x``, shape (..., M', P).
 
@@ -142,9 +131,10 @@ def soi_convolve(x: np.ndarray, plan: SoiPlan) -> np.ndarray:
     """
     arr = _as_batched(x, plan)
     out = np.empty(arr.shape[:-1] + (plan.m_over, plan.p), dtype=plan.dtype)
+    kernel = plan._convolver()
     for idx in np.ndindex(arr.shape[:-1]):
-        z_t = plan.contract_windows_t(_windows(arr[idx], plan))
-        out[idx] = z_t.reshape(plan.p, plan.m_over).T
+        rows = arr[idx].reshape(plan.m, plan.p)   # the wrap: its first B rows
+        out[idx] = kernel(rows, rows[: plan.b], plan.q_chunks, 0).T
     return out
 
 
@@ -171,24 +161,24 @@ def soi_fft(
 
 def _transform(be: FftBackend, plan: SoiPlan, arr: np.ndarray, inverse: bool) -> np.ndarray:
     """The batch loop of :func:`soi_fft`, and of :func:`soi_ifft` when
-    *inverse* (each vector conjugated on its way into the window buffer,
-    its result conjugated and scaled while still in cache).  Vectors under
+    *inverse* (each vector conjugated by the convolution's gather, its
+    result conjugated and scaled while still in cache).  Vectors under
     two panels are the units shared across CPUs, each run on the
     workspace its thread holds: a nested checkout, with every workspace
     held, would wait forever.  Larger vectors share their own panels and
     row blocks, one vector after another."""
     out = np.empty(arr.shape, dtype=plan.dtype)
     kernel = plan._convolver()
+    fft_p = plan._fft_p(be)
 
     def vector(ws, idx) -> None:
         # Zero-transpose chain: the convolution emits z pre-transposed
         # in the (P, M') segment layout and transforms its columns panel
         # by panel — stage 1 through P_perm^{P,N'} never copies through
         # a transpose, and fft-m overwrites the segments where it can.
-        winb = _windows(arr[idx], plan, inverse)
+        rows = arr[idx].reshape(plan.m, plan.p)
         segments = kernel(    # W x, (I_M' (x) F_P) + P_perm
-            plan._window_rows(winb), plan.q_chunks, 0,
-            lambda zt: _plan_fft_tt(be, zt, plan), ws,
+            rows, rows[: plan.b], plan.q_chunks, 0, fft_p, ws, inverse
         )
         y = out[idx].reshape(plan.p, plan.m)
         _segment_ffts(be, plan, segments, y)

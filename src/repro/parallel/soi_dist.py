@@ -276,7 +276,8 @@ class _Rank:
         """Steps 2-3, convolution + small FFTs, over windows ``[q0, q1)``.
 
         *vec* ++ *tail* is a block and the halo after it (zeros will do
-        while every window in the span is halo-free).  Passing the
+        while every window in the span is halo-free); the kernel reads
+        both where they lie, as ``(rows, P)`` views.  Passing the
         block's global chunk offset *first_chunk* puts every output at
         the position of the kernel's tile grid it has in the sequential
         call, which is what makes the two bit-for-bit equal (see
@@ -287,10 +288,13 @@ class _Rank:
         a copy.  Each stage keeps its own compute charge.
         """
         plan, comm = self.plan, self.comm
-        winb = plan.window_view(vec, tail, q1)
+        body = vec.reshape(-1, plan.p)[q0 * plan.nu :]
         rows = (q1 - q0) * plan.mu
         with comm.phase("convolve"):
-            v_t = plan.convolve_fft_p(winb[q0:q1], first_chunk + q0, self.be)
+            v_t = plan._convolver()(
+                body, tail.reshape(-1, plan.p), q1 - q0, first_chunk + q0,
+                plan._fft_p(self.be),
+            )
             comm.trace_compute(
                 "convolve", soi_convolution_flops(rows * plan.p, plan.b), kind="conv"
             )

@@ -292,3 +292,135 @@ class TestNonFiniteInput:
         # both come back non-finite everywhere.
         assert not np.isfinite(seq).any()
         assert not np.isfinite(dist).any()
+
+
+# ---------------------------------------------------------------------------
+# The kernel's input contract: C-ordered (rows, P) body and tail, the
+# chunks' rows read across them, cells anchored on the global grid.
+# ---------------------------------------------------------------------------
+
+#: 421 chunks: three grid cells of 128 and a ragged 37.
+CONTRACT_N, CONTRACT_P = 421 * 4 * 9, 9
+
+
+@pytest.fixture(params=[
+    pytest.param((np.complex128, None), id="complex128"),
+    pytest.param((np.complex64, None), id="complex64"),
+    pytest.param((np.complex128, 8 << 10), id="complex128-p_step<P"),
+])
+def contract(request, monkeypatch):
+    """``(plan, x, rows, ext)``: a signal as kernel rows and as its
+    extended rows (``rows ++ rows[:B]``) on the contract plan."""
+    dtype, budget = request.param
+    if budget is not None:
+        monkeypatch.setattr(convolve, "_SCRATCH_BUDGET", budget)
+    plan = SoiPlan(n=CONTRACT_N, p=CONTRACT_P, window=WINDOW, b=78, dtype=dtype)
+    kernel = plan._convolver()
+    assert (kernel.p_step < plan.p) == (budget is not None)
+    x = _signal(np.random.default_rng(7), plan)
+    rows = x.reshape(plan.m, plan.p)
+    return plan, x, rows, np.concatenate([rows, rows[: plan.b]])
+
+
+def _forms(plan, rows, ext, q0, q1):
+    """The (body, tail) pairs a call over chunks [q0, q1) may be given:
+    the sequential body and wrap, a rank's block and halo, and a tail
+    that holds all but one row."""
+    nu, b = plan.nu, plan.b
+    end = (q1 - 1) * nu + b
+    return {
+        "wrap": (rows[q0 * nu :], rows[:b]),
+        "halo": (ext[q0 * nu : q1 * nu], ext[q1 * nu : end]),
+        "tail": (ext[q0 * nu : q0 * nu + 1], ext[q0 * nu + 1 : end]),
+    }
+
+
+class TestInputContract:
+    def test_every_grid_offset_at_both_ends(self, contract):
+        plan, x, rows, ext = contract
+        kernel, q = plan._kernel, plan.q_chunks
+        full = kernel(rows, rows[: plan.b], q, 0)
+        assert np.array_equal(full, plan.contract_windows_t(_windows(plan, x)).reshape(plan.p, -1))
+        spans = set()
+        for r in range(kernel.grid):
+            spans |= {(r, q), (0, q - r), (r, r + kernel.grid + 1), (r, r + 1)}
+        for q0, q1 in sorted(spans):
+            want = full[:, q0 * plan.mu : q1 * plan.mu]
+            for form, (body, tail) in _forms(plan, rows, ext, q0, q1).items():
+                got = kernel(body, tail, q1 - q0, q0)
+                assert np.array_equal(got, want), (form, q0, q1)
+
+    def test_bands_crossing_into_the_wrap_and_the_halo(self, contract):
+        """Ranks whose blocks end anywhere on the grid: the halo cells
+        (and the sequential wrap) go through the stitch buffer."""
+        plan, x, rows, ext = contract
+        kernel, q, mu = plan._kernel, plan.q_chunks, plan.mu
+        fft_p = plan._fft_p("numpy")
+        full = kernel(rows, rows[: plan.b], q, 0, fft_p)
+        for ranks in (2, 3, 5):
+            cuts = [r * q // ranks for r in range(ranks + 1)]
+            for q0, q1 in zip(cuts[:-1], cuts[1:]):
+                body, halo = _forms(plan, rows, ext, q0, q1)["halo"]
+                assert body.shape[0] * plan.p < (q1 - q0 - 1) * plan.nu * plan.p + plan.b * plan.p
+                got = kernel(body, halo, q1 - q0, q0, fft_p)
+                assert np.array_equal(got, full[:, q0 * mu : q1 * mu]), (ranks, q0)
+
+    def test_conjugating_gather(self, contract):
+        plan, x, rows, ext = contract
+        kernel, q = plan._kernel, plan.q_chunks
+        crows = np.conj(rows)
+        cext = np.concatenate([crows, crows[: plan.b]])
+        for q0, q1 in [(0, q), (5, q), (0, 130), (127, 300), (200, 201)]:
+            for form, (body, tail) in _forms(plan, rows, ext, q0, q1).items():
+                cbody, ctail = _forms(plan, crows, cext, q0, q1)[form]
+                want = kernel(cbody, ctail, q1 - q0, q0)
+                got = kernel(body, tail, q1 - q0, q0, conj=True)
+                assert np.array_equal(got, want), (form, q0, q1)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_poisons_exactly_the_groups_whose_window_holds_it(self, contract):
+        """Only column p of the groups whose K-row window (clipped to the
+        rows the call's chunks read) holds the bad row, wrap included."""
+        plan, x, rows, ext = contract
+        kernel, q, nu, mu, g = plan._kernel, plan.q_chunks, plan.nu, plan.mu, plan._kernel.group
+        for bad_row, bad_p in [(0, 3), (500, 0), (plan.m - 1, 8), (40, 5)]:
+            poisoned = rows.copy()
+            poisoned[bad_row, bad_p] = np.nan
+            pext = np.concatenate([poisoned, poisoned[: plan.b]])
+            bad = {bad_row} | ({bad_row + plan.m} if bad_row < plan.b else set())
+            for q0, q1 in [(0, q), (1, q), (100, 260), (0, 64), (380, q)]:
+                hi_row = (q1 - 1) * nu + plan.b
+                want = np.zeros((plan.p, q1 - q0), dtype=bool)
+                for c in range(q0, q1):
+                    lo = c // g * g * nu
+                    seen = range(max(lo, q0 * nu), min(lo + kernel.tile_k, hi_row))
+                    want[bad_p, c - q0] = any(r in seen for r in bad)
+                want = np.repeat(want, mu, axis=1)
+                with np.errstate(invalid="ignore"):
+                    for form, (body, tail) in _forms(plan, poisoned, pext, q0, q1).items():
+                        got = kernel(body, tail, q1 - q0, q0)
+                        assert np.array_equal(~np.isfinite(got), want), (form, bad_row, q0, q1)
+
+    def test_short_or_misstrided_rows_raise_naming_the_argument(self, full_plan):
+        plan = full_plan
+        kernel = plan._convolver()
+        rows = _signal(np.random.default_rng(0), plan).reshape(plan.m, plan.p)
+        q, b = plan.q_chunks, plan.b
+        bad = {
+            "body": [rows[::2], rows[:, :-1], rows.astype(np.complex64), rows.ravel(),
+                     np.asfortranarray(rows), rows.T],
+            "tail": [rows[:b:2], rows[:b, 1:], rows[:b].ravel(), rows[:b].real],
+        }
+        for name, cases in bad.items():
+            for case in cases:
+                args = (case, rows[:b]) if name == "body" else (rows, case)
+                with pytest.raises(ValueError, match=f"^{name} "):
+                    kernel(*args, q, 0)
+        with pytest.raises(ValueError, match="body .* tail .* short"):
+            kernel(rows, rows[: b - plan.nu - 1], q, 0)
+        with pytest.raises(ValueError, match="body .* tail .* short"):
+            kernel(rows[:10], rows[:b], q, 0)
+        with pytest.raises(ValueError, match="short"):
+            kernel(rows, rows[:b], 0, 0)
+        # Exactly enough rows is enough.
+        assert kernel(rows, rows[: b - plan.nu], q, 0).shape == (plan.p, plan.m_over)

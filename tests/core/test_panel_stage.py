@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 import repro.core.convolve as convolve
-from repro.core import SoiPlan, TauSigmaWindow, soi_fft
+import repro.parallel.soi_dist as soi_dist
+from repro.core import SoiPlan, TauSigmaWindow, soi_fft, soi_ifft
 from repro.core.plan import _plan_fft_tt
 from repro.dft.backends import backend_fft_tt, get_backend
 from repro.dft.cache import plan_for
@@ -110,8 +111,9 @@ class TestFusedEqualsStaged:
         assert np.array_equal(part, fused[:, 37 * plan.mu : 1001 * plan.mu])
 
     def test_split_steps_transform_once_at_the_end(self, rng, monkeypatch):
-        """A step that covers only some of the P columns cannot feed a
-        panel; the kernel then runs the unfused sequence."""
+        """Steps that cover only some of the P columns run inside each
+        panel, one column range after another; the panels still get the
+        staged bits."""
         monkeypatch.setattr(convolve, "_SCRATCH_BUDGET", 64 << 10)
         plan = SoiPlan(n=16384, p=16)
         winb = _windows(plan, _signal(rng, plan))
@@ -225,3 +227,62 @@ class TestAllocations:
             tracemalloc.stop()
         segments = plan.p * plan.m_over * np.dtype(plan.dtype).itemsize
         assert peak < y.nbytes + 2 * segments, peak
+
+    def test_a_new_context_allocates_no_window_buffer(self, monkeypatch):
+        """The convolution reads the caller's vector: a warm 2^20
+        ``soi_fft`` or ``soi_ifft`` from a thread that never ran one (a
+        context with no pooled buffers) allocates its output, one
+        segments array and panel-sized temporaries, and no N-sized copy
+        of its input.  One CPU, so no helper adds its own temporaries."""
+        if get_backend("numpy").fft_into is None:
+            pytest.skip("numpy < 2.0: fft-m cannot run in place")
+        monkeypatch.setattr(convolve, "_usable_cpus", lambda: 1)
+        plan = SoiPlan(n=1 << 20, p=64)
+        x = np.random.default_rng(0).standard_normal(plan.n).astype(plan.dtype)
+        soi_fft(x, plan)
+        soi_ifft(x, plan)
+        peaks = {}
+
+        def run():
+            for fn in (soi_fft, soi_ifft):
+                tracemalloc.start()
+                try:
+                    fn(x, plan)
+                    peaks[fn.__name__] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        t = threading.Thread(target=run)
+        t.start()
+        t.join()
+        segments = plan.p * plan.m_over * np.dtype(plan.dtype).itemsize
+        assert set(peaks) == {"soi_fft", "soi_ifft"}
+        for name, peak in peaks.items():
+            assert peak < x.nbytes + segments + x.nbytes // 2, (name, peak)
+
+    def test_a_rank_allocates_no_block_plus_halo_copy(self, monkeypatch):
+        """A rank's front half allocates its ``(P, rows)`` output and
+        panel-sized temporaries: its block and halo are read in place."""
+        plan = SoiPlan(n=1 << 20, p=64)
+        x = np.random.default_rng(0).standard_normal(plan.n).astype(plan.dtype)
+        seen = []
+        real = soi_dist._Rank.front_half
+
+        def front_half(self, vec, tail, *args):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            v_t = real(self, vec, tail, *args)
+            seen.append((tracemalloc.get_traced_memory()[1] - base, v_t.nbytes, vec.nbytes))
+            return v_t
+
+        monkeypatch.setattr(soi_dist._Rank, "front_half", front_half)
+        program = lambda comm: soi_fft_distributed(comm, x, plan)  # noqa: E731
+        run_spmd(1, program)      # tables and workspaces
+        tracemalloc.start()
+        try:
+            y = run_spmd(1, program).values[0]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(y, soi_fft(x, plan))
+        peak, out, block = seen[-1]
+        assert peak < out + block // 2, (peak, out, block)
