@@ -304,36 +304,10 @@ class SoiPlan:
         n, rows = winb.shape[0], self._window_rows(winb)
         return self._convolver()(rows, rows[:0], n, q0).reshape(self.p, n, self.mu)
 
-    def convolve_fft_p(
-        self, winb: np.ndarray, q0: int = 0, backend: "str | FftBackend" = "numpy"
-    ) -> np.ndarray:
-        """Stages 1 and 2 in one pass: ``(I (x) F_P)`` applied to the
-        columns of :meth:`contract_windows_t`, shape ``(P, q * mu)``.
-
-        Bit for bit ``_plan_fft_tt(backend, contract_windows_t(winb, q0))``
-        (the staged reference), but large calls transform each panel of
-        convolution output while it is still in cache and never hold the
-        untransformed ``z`` (see :mod:`repro.core.convolve`).
-        """
-        rows = self._window_rows(winb)
-        return self._convolver()(rows, rows[:0], winb.shape[0], q0, self._fft_p(backend))
-
     def _fft_p(self, backend: "str | FftBackend"):
         """The plan-precision column transform the kernel runs per panel."""
         be = get_backend(backend)
         return lambda zt: _plan_fft_tt(be, zt, self)
-
-    def contract_windows(self, winb: np.ndarray) -> np.ndarray:
-        """Stage-1 convolution ``z[.., q, r, p] = sum_b C[r,b,p] win[.., q,b,p]``.
-
-        The bitwise transpose of :meth:`contract_windows_t`, window
-        tensor by window tensor over any leading axes.
-        """
-        lead = winb.shape[:-3]
-        out = np.empty(lead + (winb.shape[-3], self.mu, self.p), dtype=self.dtype)
-        for idx in np.ndindex(lead):
-            out[idx] = self.contract_windows_t(winb[idx]).transpose(1, 2, 0)
-        return out
 
     def window_view(self, vec: np.ndarray, tail: np.ndarray, nchunks: int) -> np.ndarray:
         """Stencil windows ``(nchunks, B, P)`` over ``vec ++ tail``, zero-copy.

@@ -49,7 +49,6 @@ __all__ = [
     "soi_fft2",
     "soi_segment",
     "soi_convolve",
-    "extended_input",
 ]
 
 #: Bytes of segments per back-half unit when a call is shared across CPUs
@@ -103,18 +102,6 @@ def _plan_fft(
 
         return plan_for(z.shape[-1], precision="single").execute(z, inverse=False)
     return be.fft(z).astype(np.complex64)
-
-
-def extended_input(x: np.ndarray, plan: SoiPlan) -> np.ndarray:
-    """Input extended with its periodic wrap so every stencil is contiguous.
-
-    The last chunk's window reads ``B*P`` samples starting at
-    ``N - nu*P``; appending the first ``B*P`` samples (plan validation
-    guarantees ``B*P <= N``) makes all reads in-bounds.  Batched over
-    leading axes.
-    """
-    arr = _as_batched(x, plan)
-    return np.concatenate([arr, arr[..., : plan.b * plan.p]], axis=-1)
 
 
 def soi_convolve(x: np.ndarray, plan: SoiPlan) -> np.ndarray:

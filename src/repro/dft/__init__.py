@@ -43,13 +43,11 @@ from .cache import (
     clear_plan_cache,
     plan_cache_info,
     plan_for,
-    save_plan_cache_shapes,
     set_plan_cache_limit,
     warm_plan_cache,
-    warm_plan_cache_from_file,
 )
 from .backends import FftBackend, get_backend, register_backend, available_backends
-from .flops import fft_flops, fft_gflops_rate
+from .flops import fft_flops
 
 __all__ = [
     "dft",
@@ -69,12 +67,9 @@ __all__ = [
     "plan_cache_info",
     "set_plan_cache_limit",
     "warm_plan_cache",
-    "warm_plan_cache_from_file",
-    "save_plan_cache_shapes",
     "FftBackend",
     "get_backend",
     "register_backend",
     "available_backends",
     "fft_flops",
-    "fft_gflops_rate",
 ]

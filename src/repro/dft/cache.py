@@ -53,12 +53,7 @@ __all__ = [
     "set_plan_cache_limit",
     "set_plan_cache_observer",
     "warm_plan_cache",
-    "warm_plan_cache_from_file",
-    "save_plan_cache_shapes",
 ]
-
-#: Schema tag of the persisted shape-list format.
-SHAPES_SCHEMA = "repro.dft.plan_cache_shapes/1"
 
 _DEFAULT_MAX_PLANS = 64
 
@@ -185,9 +180,8 @@ def warm_plan_cache(shapes: Any) -> dict[str, int]:
     shapes that were warm before it.
 
     This is the server-start warmup hook: a transform service warms the
-    sizes it expects (explicitly or from a persisted shape list, see
-    :func:`save_plan_cache_shapes`) and its first requests execute on
-    cache hits instead of paying plan construction in-band.
+    sizes it expects and its first requests execute on cache hits
+    instead of paying plan construction in-band.
     """
     requested = built = already = 0
     for shape in shapes:
@@ -205,37 +199,6 @@ def warm_plan_cache(shapes: Any) -> dict[str, int]:
             built += 1
         plan_for(n, dtype)
     return {"requested": requested, "built": built, "already": already}
-
-
-def save_plan_cache_shapes(path: str) -> int:
-    """Persist the cached shape set as JSON; returns the count saved.
-
-    The file round-trips through :func:`warm_plan_cache_from_file`, so
-    a long-lived service can snapshot its working set on shutdown and
-    start warm next time.
-    """
-    import json
-
-    with _lock:
-        shapes = [[n, dt] for (n, dt) in _plans]
-    doc = {"schema": SHAPES_SCHEMA, "shapes": shapes}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return len(shapes)
-
-
-def warm_plan_cache_from_file(path: str) -> dict[str, int]:
-    """Warm the cache from a shape list written by :func:`save_plan_cache_shapes`."""
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != SHAPES_SCHEMA:
-        raise ValueError(
-            f"{path}: expected schema {SHAPES_SCHEMA!r}, got {doc.get('schema')!r}"
-        )
-    return warm_plan_cache(doc["shapes"])
 
 
 def set_plan_cache_observer(

@@ -14,7 +14,6 @@ import math
 
 __all__ = [
     "fft_flops",
-    "fft_gflops_rate",
     "soi_convolution_flops",
     "soi_total_flops",
 ]
@@ -27,13 +26,6 @@ def fft_flops(n: int) -> float:
     if n == 1:
         return 0.0
     return 5.0 * n * math.log2(n)
-
-
-def fft_gflops_rate(n: int, seconds: float) -> float:
-    """The paper's performance metric: ``5 N log2 N / time`` in GFLOPS."""
-    if seconds <= 0:
-        raise ValueError(f"seconds must be positive, got {seconds}")
-    return fft_flops(n) / seconds / 1e9
 
 
 def soi_convolution_flops(n_over: int, b: int) -> float:

@@ -18,13 +18,11 @@ from collections import OrderedDict
 
 import numpy as np
 
-__all__ = ["twiddles", "clear_twiddle_cache", "twiddle_cache_info"]
+__all__ = ["twiddles", "clear_twiddle_cache"]
 
 _CACHE_MAX_ENTRIES = 256
 _cache: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
 _lock = threading.Lock()
-_hits = 0
-_misses = 0
 
 
 def twiddles(n: int, sign: int = -1) -> np.ndarray:
@@ -34,7 +32,6 @@ def twiddles(n: int, sign: int = -1) -> np.ndarray:
     The returned array is marked non-writeable; callers needing to
     mutate must copy.
     """
-    global _hits, _misses
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     if sign not in (-1, 1):
@@ -44,9 +41,7 @@ def twiddles(n: int, sign: int = -1) -> np.ndarray:
         cached = _cache.get(key)
         if cached is not None:
             _cache.move_to_end(key)
-            _hits += 1
             return cached
-        _misses += 1
     # Compute outside the lock: trig is the expensive part and the worst
     # case of two threads racing is a redundant computation.
     values = np.exp(sign * 2j * np.pi * np.arange(n) / n)
@@ -61,14 +56,5 @@ def twiddles(n: int, sign: int = -1) -> np.ndarray:
 
 def clear_twiddle_cache() -> None:
     """Drop every cached twiddle array (used by tests and benchmarks)."""
-    global _hits, _misses
     with _lock:
         _cache.clear()
-        _hits = 0
-        _misses = 0
-
-
-def twiddle_cache_info() -> dict[str, int]:
-    """Cache statistics: entries, hits, misses (for tests/diagnostics)."""
-    with _lock:
-        return {"entries": len(_cache), "hits": _hits, "misses": _misses}

@@ -7,18 +7,12 @@
   THREE all-to-alls (six-step algorithm);
 - :func:`allgather_fft_distributed` — the replicate-everything strawman.
 
-All three are in-order block-distributed SPMD collectives over a
+All four are in-order block-distributed SPMD collectives over a
 :class:`repro.simmpi.Communicator`.
 """
 
 from .allgather import allgather_fft_distributed
-from .distribution import (
-    block_size,
-    block_slice,
-    concat_result,
-    scatter_blocks,
-    split_blocks,
-)
+from .distribution import block_size, split_blocks
 from .real_dist import rfft_distributed
 from .resilience import SoiResilience
 from .soi_dist import (
@@ -31,9 +25,6 @@ from .transpose import choose_grid, distributed_transpose, transpose_fft_distrib
 __all__ = [
     "allgather_fft_distributed",
     "block_size",
-    "block_slice",
-    "concat_result",
-    "scatter_blocks",
     "split_blocks",
     "SoiResilience",
     "rfft_distributed",

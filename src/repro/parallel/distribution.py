@@ -13,13 +13,7 @@ import numpy as np
 
 from ..utils import check_positive_int, require
 
-__all__ = [
-    "block_size",
-    "block_slice",
-    "scatter_blocks",
-    "split_blocks",
-    "concat_result",
-]
+__all__ = ["block_size", "split_blocks"]
 
 
 def block_size(n: int, nranks: int) -> int:
@@ -30,33 +24,7 @@ def block_size(n: int, nranks: int) -> int:
     return n // nranks
 
 
-def block_slice(rank: int, n: int, nranks: int) -> slice:
-    """Global index range owned by *rank*."""
-    size = block_size(n, nranks)
-    if not 0 <= rank < nranks:
-        raise ValueError(f"rank {rank} out of range [0, {nranks})")
-    return slice(rank * size, (rank + 1) * size)
-
-
 def split_blocks(x: np.ndarray, nranks: int) -> list[np.ndarray]:
     """Split a global vector into per-rank contiguous blocks (views)."""
     size = block_size(len(x), nranks)
     return [x[r * size : (r + 1) * size] for r in range(nranks)]
-
-
-def scatter_blocks(comm, x: np.ndarray | None, root: int = 0) -> np.ndarray:
-    """Scatter a root-held global vector into block distribution."""
-    blocks = None
-    if comm.rank == root:
-        if x is None:
-            raise ValueError("root must supply the global vector")
-        blocks = [np.ascontiguousarray(b) for b in split_blocks(np.asarray(x), comm.size)]
-    return comm.scatter(blocks, root=root)
-
-
-def concat_result(comm, y_local: np.ndarray, root: int = 0) -> np.ndarray | None:
-    """Gather block-distributed output into one global vector at *root*."""
-    parts = comm.gather(np.ascontiguousarray(y_local), root=root)
-    if comm.rank != root:
-        return None
-    return np.concatenate(parts)

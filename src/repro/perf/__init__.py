@@ -3,7 +3,6 @@
 from .model import BYTES_PER_POINT, TimeBreakdown, WeakScalingModel
 from .weakscaling import SweepPoint, WeakScalingSweep, run_sweep
 from .projection import ProjectionModel, projection_curve
-from .calibrate import KernelRates, measure_kernel_rates
 
 __all__ = [
     "BYTES_PER_POINT",
@@ -14,6 +13,4 @@ __all__ = [
     "run_sweep",
     "ProjectionModel",
     "projection_curve",
-    "KernelRates",
-    "measure_kernel_rates",
 ]

@@ -26,7 +26,7 @@ Per backend:
   differ per request; the plan is shared via a small keyed cache).
 
 Flop accounting uses the same ``5 n log2 n`` nominal count as
-:mod:`repro.dft.flops`, feeding the serve timeline's compute spans.
+:mod:`repro.dft.flops`, recorded with each batch in the metrics log.
 """
 
 from __future__ import annotations

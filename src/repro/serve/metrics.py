@@ -15,10 +15,6 @@ latency per priority class, mean stage attribution, throughput, batch
 shape, and the structured-overload counters — every number the
 acceptance criteria name, JSON-safe.  Percentiles use the nearest-rank
 method (a real observed latency, never an interpolated one).
-
-The same spans drive :func:`repro.trace.serve_timeline`, so one
-recording serves the terminal report, the JSON payload, and the Chrome
-trace export.
 """
 
 from __future__ import annotations

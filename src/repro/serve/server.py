@@ -14,8 +14,8 @@ request-loop shape, in-process)::
 - Each worker loops: wait for work (or the earliest queued deadline, so
   expiry never needs polling), form a coalesced batch, execute it
   OUTSIDE the lock, fulfil every ticket, record metrics.
-- ``start()`` warms the plan caches first — from explicit shapes and/or
-  a persisted shape list — so the first requests hit warm plans.
+- ``start()`` warms the plan caches first — from explicit dft shapes
+  and SOI configurations — so the first requests hit warm plans.
 
 One lock guards admission state; execution and fulfilment run outside
 it.  Tickets resolve exactly once on every path (result, shed,
@@ -32,7 +32,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..dft.cache import warm_plan_cache, warm_plan_cache_from_file
+from ..dft.cache import warm_plan_cache
 from ..utils import check_positive_int
 from .admission import AdmissionController
 from .batcher import batch_bytes, batch_flops, execute_batch
@@ -64,8 +64,6 @@ class ServeConfig:
     default_library: str = "repro"
     #: Lengths (or ``(n, dtype)`` pairs) to warm the dft plan cache with.
     warm_shapes: Sequence = ()
-    #: Optional persisted shape list (see ``save_plan_cache_shapes``).
-    warmup_path: str | None = None
     #: SOI configurations ``(n, p)`` to warm the SOI plan cache with.
     warm_soi: Sequence[tuple[int, int]] = ()
     #: Default all-to-all schedule for distributed (transpose) requests
@@ -126,8 +124,6 @@ class TransformServer:
 
     def _warm(self) -> None:
         info: dict[str, Any] = {}
-        if self.config.warmup_path:
-            info["file"] = warm_plan_cache_from_file(self.config.warmup_path)
         if self.config.warm_shapes:
             info["shapes"] = warm_plan_cache(self.config.warm_shapes)
         if self.config.warm_soi:
@@ -399,10 +395,3 @@ class TransformServer:
         report["plan_cache"] = plan_cache_info()
         report["soi_plan_cache"] = soi_plan_cache_info()
         return report
-
-    def timeline(self):
-        """Worker-occupancy :class:`~repro.trace.VirtualTimeline` (see
-        :func:`repro.trace.serve_timeline`)."""
-        from ..trace import serve_timeline
-
-        return serve_timeline(self.metrics, workers=self.config.workers)

@@ -17,9 +17,9 @@ whose recovery cost is itself recorded in :class:`TrafficStats`.
 
 Nonblocking primitives (:meth:`Communicator.isend`/``irecv`` returning
 :class:`Request` handles, completed by :func:`waitall`/:func:`waitany`)
-support communication/computation overlap; an optional modelled link
-(``link_latency``/``link_bandwidth`` on :func:`run_spmd`) gives
-messages a wall-clock cost that pipelined algorithms can hide.
+support communication/computation overlap.  Messages cost wall time
+only under ``engine="des"``, where the virtual clock prices each one by
+the cost model's wire (``run_spmd(cost_model=TraceCostModel(...))``).
 """
 
 from .alltoall import ALGORITHMS, predicted_inter_node_messages, resolve_algorithm

@@ -7,7 +7,7 @@ lower-case object interface restricted to what the FFT algorithms need:
 point-to-point ``send``/``recv``/``sendrecv`` and their nonblocking
 ``isend``/``irecv`` (:mod:`repro.simmpi.requests`), and the collectives
 ``barrier``, ``bcast``, ``gather``, ``allgather``, ``scatter``,
-``alltoall``, ``ialltoall``, ``reduce``, ``allreduce``.  Receives carry a
+``alltoall``, ``reduce``, ``allreduce``.  Receives carry a
 timeout so mismatched communication surfaces as a :class:`DeadlockError`
 instead of a hung test run.
 
@@ -40,7 +40,7 @@ from .errors import (
     RetryExhaustedError,
     SimMpiError,
 )
-from .requests import RecvRequest, SendRequest, _CollectiveRequest
+from .requests import RecvRequest, SendRequest
 from .stats import TrafficStats
 from .transport import (
     _TIMEOUT,
@@ -165,9 +165,6 @@ class Communicator:
         if tracer is not None:
             record = tracer.record_isend if nonblocking else tracer.record_send
             record(phase, self.rank, dest, tag, _payload_bytes(obj))
-        payload = obj
-        if world.fault_hook is not None:
-            payload = world.fault_hook(self.rank, dest, tag, payload)
         if world.transport is None:
             # Keep logical-send ordinals aligned with channel consumption
             # even for blocking sends: isend completion counts pops.
@@ -175,16 +172,16 @@ class Communicator:
             index = 0
             if world.faults is not None:
                 index = world.faults.next_index(phase, self.rank, dest)
-            world.wire_send(phase, self.rank, dest, tag, payload, index=index)
+            world.wire_send(phase, self.rank, dest, tag, obj, index=index)
             return ordinal, None
         seq = world.next_send_seq(self.rank, dest, tag)
-        crc = payload_checksum(payload) if world.transport.checksums else None
+        crc = payload_checksum(obj) if world.transport.checksums else None
         env = _Envelope(
             seq=seq,
             phase=phase,
-            payload=payload,
+            payload=obj,
             crc=crc,
-            nbytes=_payload_bytes(payload),
+            nbytes=_payload_bytes(obj),
         )
         world.register_unacked(self.rank, dest, tag, env)
         world.wire_send(phase, self.rank, dest, tag, env, index=seq)
@@ -411,48 +408,6 @@ class Communicator:
                 k for k, q in world._pending_recvs.items() if q and k[1] == self.rank
             ]
         return min((self._drain_pending(key) for key in keys), default=math.inf)
-
-    def ialltoall(self, objs: Sequence[Any], chunks: int = 1) -> _CollectiveRequest:
-        """Nonblocking chunked personalised all-to-all (tag ``-7``).
-
-        Each off-rank item is split into *chunks* pieces
-        (``np.array_split`` along axis 0) and pipelined as independent
-        isends; the matching irecvs are posted up front.  ``wait()``
-        reassembles and returns the same list :meth:`alltoall` would.
-        All ranks must pass the same *chunks* (it is part of the
-        collective contract, like counts in MPI); non-array payloads
-        require ``chunks=1``.  One all-to-all round is charged, and the
-        byte totals equal the blocking collective's exactly.
-        """
-        if len(objs) != self.size:
-            raise ValueError(f"ialltoall needs exactly {self.size} send items")
-        if chunks < 1:
-            raise ValueError(f"chunks must be >= 1, got {chunks}")
-        out: list[Any] = [None] * self.size
-        out[self.rank] = objs[self.rank]
-        with self._alltoall_epoch(objs[self.rank]):
-            sends: list[SendRequest] = []
-            for dst in range(self.size):
-                if dst == self.rank:
-                    continue
-                for part in self._split_chunks(objs[dst], chunks):
-                    sends.append(self.isend(part, dst, tag=-7))
-            recvs = {
-                src: [self.irecv(src, tag=-7) for _ in range(chunks)]
-                for src in range(self.size)
-                if src != self.rank
-            }
-        return _CollectiveRequest(self, sends, recvs, out, chunks)
-
-    @staticmethod
-    def _split_chunks(obj: Any, chunks: int) -> list:
-        if chunks == 1:
-            return [obj]
-        if not isinstance(obj, np.ndarray):
-            raise TypeError(
-                f"chunked collectives require ndarray payloads, got {type(obj).__name__}"
-            )
-        return list(np.array_split(obj, chunks))
 
     # ---- collectives -------------------------------------------------------
 

@@ -17,9 +17,10 @@ of the :class:`~repro.simmpi.comm.Communicator` semantics in place:
 - **Virtual time.**  Every rank carries a virtual clock advanced by the
   Section 7.4 cost model (:class:`repro.trace.TraceCostModel`): compute
   spans via the flop model (``Communicator.trace_compute``), messages
-  via a per-sender NIC serialisation + wire latency (the same model the
-  ``_LinkPump`` applies in wall time), barriers via the
-  synchronisation cost.  Timeouts and fault delays are virtual timers.
+  via a per-sender NIC serialisation + wire latency (the cost model's
+  ``fabric`` and ``latency_s``: the one definition of the virtual wire),
+  barriers via the synchronisation cost.  Timeouts and fault delays are
+  virtual timers.
 - **Deterministic scheduling.**  Runnable fibers are dispatched from a
   heap ordered by ``(virtual clock, arrival ordinal)``; timers fire
   only when *no* fiber is runnable.  Two consequences the test layer
@@ -448,29 +449,20 @@ class DesWorld(World):
         timeout: float = 120.0,
         faults: Any = None,
         transport: Any = None,
-        link_latency_s: float = 0.0,
-        link_bandwidth: float | None = None,
         resilient: bool = False,
         ranks_per_node: int | None = None,
         alltoall_algorithm: str = "pairwise",
         cost_model: Any = None,
     ) -> None:
-        # The wall-clock link pump never exists here: the same NIC+wire
-        # model runs in virtual time (explicit link parameters override
-        # the cost model's fabric numbers, mirroring the thread backend).
         super().__init__(
             nranks,
             timeout=timeout,
             faults=faults,
             transport=transport,
-            link_latency_s=0.0,
-            link_bandwidth=None,
             resilient=resilient,
             ranks_per_node=ranks_per_node,
             alltoall_algorithm=alltoall_algorithm,
         )
-        self._virtual_latency = float(link_latency_s)
-        self._virtual_bandwidth = link_bandwidth
         if cost_model is None:
             from ..trace.spans import TraceCostModel  # lazy: avoid cycle
 
@@ -540,19 +532,10 @@ class DesWorld(World):
             return base
         if self.nodes.same_node(src, dst):
             return base + self.cost.intra_node_s
-        nbytes = self._wire_bytes(item)
-        if self._virtual_bandwidth:
-            wire = nbytes / self._virtual_bandwidth
-        else:
-            wire = self.cost.wire_time(nbytes)
-        latency = (
-            self._virtual_latency
-            if self._virtual_latency > 0.0
-            else self.cost.latency_s
-        )
+        wire = self.cost.wire_time(self._wire_bytes(item))
         depart = max(base, self._nic_free.get(src, 0.0))
         self._nic_free[src] = depart + wire
-        return depart + wire + latency + self.cost.delivery_s
+        return depart + wire + self.cost.latency_s + self.cost.delivery_s
 
     def _put(self, key: tuple, item: Any) -> None:
         vt = self._arrival_vt(key, item)

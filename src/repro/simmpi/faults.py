@@ -20,9 +20,6 @@ is the per-channel sequence number (and *attempt* counts
 retransmissions of that sequence number); on the raw substrate it is a
 per-``(phase, src, dst)`` send counter.  Both are deterministic per
 sender thread.
-
-The legacy ``fault_hook`` callable on :class:`~repro.simmpi.transport.World`
-remains as a thin compatibility shim; new code should build a plan.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ historical simmpi world is flat — every rank its own node — which makes
 every cross-rank byte a fabric byte.  :class:`NodeMap` gives the world
 a shape (``ranks_per_node``), and everything topology-aware hangs off
 it: the traffic split into intra-node vs inter-node bytes, the
-:class:`~repro.simmpi.transport._LinkPump` bypass for same-node messages,
+same-node path that skips the NIC in DES virtual time,
 :meth:`~repro.simmpi.comm.Communicator.split_by_node`, and the
 ``hierarchical`` all-to-all's node aggregation.
 

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Sequence
 
-import numpy as np
-
-from .errors import CollectiveTimeoutError, DeadlockError, RankFailedError
+from .errors import DeadlockError, RankFailedError
 from .transport import _payload_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - comm.py imports this module
@@ -200,79 +198,6 @@ class RecvRequest(Request):
             f"RecvRequest({self._source}->{self._comm.rank}, "
             f"tag={self._tag}, done={self._done})"
         )
-
-
-class _CollectiveRequest:
-    """Aggregate request of ``ialltoall`` (duck-typed).
-
-    Wraps the member send/receive requests; ``wait`` assembles the
-    received list exactly as the blocking collective returns it.  Not a
-    :class:`Request`: depth accounting belongs to the member requests.
-    """
-
-    def __init__(
-        self,
-        comm: "Communicator",
-        sends: list[SendRequest],
-        recvs: dict[int, list[RecvRequest]],
-        out: list,
-        chunks: int,
-    ) -> None:
-        self._comm = comm
-        self._world = comm.world
-        self._sends = sends
-        self._recvs = recvs
-        self._out = out
-        self._chunks = chunks
-        self._done = False
-
-    @property
-    def completed(self) -> bool:
-        return self._done
-
-    def _assemble(self, src: int, parts: list) -> None:
-        self._out[src] = parts[0] if self._chunks == 1 else np.concatenate(parts)
-
-    def test(self) -> tuple[bool, Any]:
-        if self._done:
-            return True, self._out
-        pending = [r for rs in self._recvs.values() for r in rs] + self._sends
-        if not all(r.test()[0] for r in pending):
-            return False, None
-        for src, rs in self._recvs.items():
-            self._assemble(src, [r.wait() for r in rs])
-        self._done = True
-        return True, self._out
-
-    def _dead_peers(self) -> tuple[int, ...]:
-        dead: set[int] = set()
-        for rs in self._recvs.values():
-            for r in rs:
-                dead.update(r._dead_peers())
-        return tuple(sorted(dead))
-
-    def wait(self, timeout: float | None = None) -> list:
-        if self._done:
-            return self._out
-        try:
-            for src, rs in self._recvs.items():
-                self._assemble(src, [r.wait(timeout=timeout) for r in rs])
-            for s in self._sends:
-                s.wait(timeout=timeout)
-        except CollectiveTimeoutError:
-            raise
-        except DeadlockError as exc:
-            if timeout is not None:
-                # An explicitly bounded collective wait expired with no
-                # attributed failure: surface the structured timeout.
-                raise CollectiveTimeoutError(
-                    f"rank {self._comm.rank}: nonblocking collective",
-                    timeout,
-                    waiting_on=str(exc),
-                ) from exc
-            raise
-        self._done = True
-        return self._out
 
 
 def waitall(requests: Sequence[Any], timeout: float | None = None) -> list:

@@ -27,10 +27,13 @@ bounded plan converges.
 
 from __future__ import annotations
 
+import math
 import threading
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable
+
+import numpy as np
 
 from ..exectx import reset_execution_context, set_execution_context
 from ..utils import check_positive_int
@@ -91,18 +94,27 @@ def _default_restartable(exc: BaseException) -> bool:
     return isinstance(exc, InjectedFault)
 
 
+def _check_timeout(timeout: Any) -> float:
+    """*timeout* as a ``float`` after checking it is finite and > 0."""
+    numeric = (int, float, np.integer, np.floating)
+    if isinstance(timeout, bool) or not isinstance(timeout, numeric):
+        raise TypeError(
+            f"timeout must be a number of seconds, got {type(timeout).__name__}"
+        )
+    if not math.isfinite(timeout) or timeout <= 0:
+        raise ValueError(f"timeout must be finite and > 0, got {timeout}")
+    return float(timeout)
+
+
 def run_spmd(
     nranks: int,
     fn: Callable[..., Any],
     *args: Any,
     timeout: float = 120.0,
-    fault_hook: Callable | None = None,
     faults: FaultPlan | None = None,
     transport: TransportPolicy | None = None,
     trace: Any | None = None,
     schedule: Any | None = None,
-    link_latency: float = 0.0,
-    link_bandwidth: float | None = None,
     max_restarts: int = 0,
     restartable: Callable[[BaseException], bool] | None = None,
     resilient: bool = False,
@@ -123,12 +135,8 @@ def run_spmd(
         The rank program; receives its :class:`Communicator` first.
     timeout:
         Seconds a receive/barrier may block before the run is declared
-        deadlocked.
-    fault_hook:
-        Optional ``(src, dst, tag, payload) -> payload`` interceptor for
-        failure-injection tests (raise :class:`InjectedFault` to kill a
-        transfer, or return a corrupted payload).  Legacy shim — prefer
-        *faults*.
+        deadlocked: a finite number > 0 (NumPy scalars too; ``bool``
+        raises :class:`TypeError`).
     faults:
         A :class:`~repro.simmpi.faults.FaultPlan` or ``ChaosSchedule``
         injecting deterministic wire faults and phase-boundary rank
@@ -145,14 +153,6 @@ def run_spmd(
         when set (identical results and traffic statistics).  Restart
         attempts reset the recorder so the timeline describes the
         successful attempt.
-    link_latency / link_bandwidth:
-        Optional modelled interconnect: every off-rank message is
-        serialised through the sender's NIC at *link_bandwidth* bytes/s
-        and delivered *link_latency* seconds after its last byte departs
-        (see :class:`~repro.simmpi.transport._LinkPump`).  Defaults model an
-        infinitely fast wire — delivery at post time, exactly the
-        historical behaviour.  Used by the overlap benchmark to give
-        communication a real wall-clock cost that pipelining can hide.
     schedule:
         A :class:`repro.check.ScheduleController` perturbing message
         delivery and thread start order along a seeded interleaving.
@@ -180,11 +180,11 @@ def run_spmd(
         failed.
     ranks_per_node:
         Node topology of the simulated cluster: R consecutive ranks
-        share each node (see :class:`~repro.simmpi.nodes.NodeMap`).
-        Same-node messages bypass the modelled link and ride the
-        zero-copy node pool; traffic statistics split bytes into
-        intra-node vs inter-node.  ``None`` keeps the historical flat
-        world (every rank its own node).
+        share each node (see :class:`~repro.simmpi.nodes.NodeMap`), a
+        positive ``int``.  Same-node messages ride the zero-copy node
+        pool (and, under DES, pay no wire time); traffic statistics
+        split bytes into intra-node vs inter-node.  ``None`` keeps the
+        historical flat world (every rank its own node).
     alltoall_algorithm:
         World-wide default exchange schedule for
         :meth:`~repro.simmpi.comm.Communicator.alltoall` — one of
@@ -205,10 +205,10 @@ def run_spmd(
     cost_model:
         DES engine only: the :class:`repro.trace.TraceCostModel`
         advancing virtual clocks (compute flops, wire/NIC, barrier).
-        Defaults to the standard model at the world's node shape.
-        Explicit ``link_latency``/``link_bandwidth`` arguments override
-        the model's fabric numbers for the virtual wire, mirroring what
-        the thread engine's link pump does in wall time.
+        Defaults to the standard model at the world's node shape.  It
+        is the one definition of the virtual wire: its ``latency_s`` and
+        ``fabric`` price every off-node message.  The thread engine
+        delivers at post time.
 
     Returns an :class:`SpmdResult` with ``values[rank]``, the shared
     :class:`TrafficStats` of the successful attempt, and the number of
@@ -218,6 +218,9 @@ def run_spmd(
     with ``rank``/``original`` still naming the selected root cause.
     """
     nranks = check_positive_int(nranks, "nranks")
+    timeout = _check_timeout(timeout)
+    if ranks_per_node is not None:
+        ranks_per_node = check_positive_int(ranks_per_node, "ranks_per_node")
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
     can_restart = restartable if restartable is not None else _default_restartable
@@ -230,9 +233,9 @@ def run_spmd(
         if schedule is not None:
             schedule.new_run()
         failure = _run_once(
-            nranks, fn, args, kwargs, timeout, fault_hook, faults, transport, trace,
-            schedule, link_latency, link_bandwidth, resilient,
-            ranks_per_node, alltoall_algorithm, engine, cost_model,
+            nranks, fn, args, kwargs, timeout, faults, transport, trace,
+            schedule, resilient, ranks_per_node, alltoall_algorithm, engine,
+            cost_model,
         )
         if isinstance(failure, SpmdResult):
             failure.restarts = attempt
@@ -249,13 +252,10 @@ def _run_once(
     args: tuple,
     kwargs: dict,
     timeout: float,
-    fault_hook: Callable | None,
     faults: FaultPlan | None,
     transport: TransportPolicy | None,
     trace: Any | None = None,
     schedule: Any | None = None,
-    link_latency: float = 0.0,
-    link_bandwidth: float | None = None,
     resilient: bool = False,
     ranks_per_node: int | None = None,
     alltoall_algorithm: str = "pairwise",
@@ -270,8 +270,6 @@ def _run_once(
             timeout=timeout,
             faults=faults,
             transport=transport,
-            link_latency_s=link_latency,
-            link_bandwidth=link_bandwidth,
             resilient=resilient,
             ranks_per_node=ranks_per_node,
             alltoall_algorithm=alltoall_algorithm,
@@ -283,13 +281,10 @@ def _run_once(
             timeout=timeout,
             faults=faults,
             transport=transport,
-            link_latency_s=link_latency,
-            link_bandwidth=link_bandwidth,
             resilient=resilient,
             ranks_per_node=ranks_per_node,
             alltoall_algorithm=alltoall_algorithm,
         )
-    world.fault_hook = fault_hook
     if trace is not None:
         trace.attach(world)
     if schedule is not None:
@@ -333,7 +328,6 @@ def _run_once(
             threads[rank].start()
         for t in threads:
             t.join()
-    world.shutdown()
     virtual_time_s = world.des.max_clock() if engine == "des" else None
 
     if errors:
@@ -353,7 +347,7 @@ def _run_once(
             # Plain SimMpiError ("aborted: ...") and RankFailedError
             # (a peer's death observed by a survivor) are consequences
             # of some other rank's failure, not root causes.  Other
-            # subclasses raised by user code or fault hooks (e.g.
+            # subclasses raised by user code or fault plans (e.g.
             # InjectedFault) ARE root causes.
             return type(exc) is SimMpiError or isinstance(exc, RankFailedError)
 

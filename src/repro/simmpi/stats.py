@@ -25,11 +25,6 @@ def _pair_key(src: int, dst: int) -> str:
     return f"{src}->{dst}"
 
 
-def _parse_pair(key: str) -> tuple[int, int]:
-    src, _, dst = key.partition("->")
-    return int(src), int(dst)
-
-
 @dataclass
 class PhaseTraffic:
     """Aggregated traffic of one labelled phase."""
@@ -98,8 +93,7 @@ class PhaseTraffic:
         """JSON-safe export: tuple pair keys become ``"src->dst"`` strings.
 
         The machine-readable companion of :meth:`TrafficStats.summary`,
-        shared with the trace subsystem's aggregate format; inverse of
-        :meth:`from_dict`.
+        shared with the trace subsystem's aggregate format.
         """
         return {
             "bytes_by_pair": {
@@ -129,36 +123,6 @@ class PhaseTraffic:
                 for depth, count in sorted(self.time_at_depth.items())
             },
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PhaseTraffic":
-        """Rebuild a :class:`PhaseTraffic` from :meth:`as_dict` output."""
-        ph = cls()
-        for key, b in data.get("bytes_by_pair", {}).items():
-            ph.bytes_by_pair[_parse_pair(key)] = int(b)
-        for key, m in data.get("messages_by_pair", {}).items():
-            ph.messages_by_pair[_parse_pair(key)] = int(m)
-        for name in (
-            "alltoall_rounds",
-            "pt2pt_rounds",
-            "intra_node_bytes",
-            "inter_node_bytes",
-            "inter_node_messages",
-            "retransmits",
-            "retransmit_bytes",
-            "duplicates_discarded",
-            "corrupt_detected",
-            "acks",
-            "control_bytes",
-            "recovery_bytes",
-            "recovery_flops",
-            "detected_failures",
-            "max_outstanding",
-        ):
-            setattr(ph, name, int(data.get(name, 0)))
-        for depth, count in data.get("time_at_depth", {}).items():
-            ph.time_at_depth[int(depth)] = int(count)
-        return ph
 
 
 class TrafficStats:
@@ -361,8 +325,7 @@ class TrafficStats:
         """JSON-safe export of every phase (see :meth:`PhaseTraffic.as_dict`).
 
         One canonical machine-readable format for traffic statistics,
-        shared by the ``--json`` CLI output and the trace exports;
-        inverse of :meth:`from_dict`.
+        shared by the ``--json`` CLI output and the trace exports.
         """
         with self._lock:
             return {
@@ -370,15 +333,6 @@ class TrafficStats:
                     name: self._phases[name].as_dict() for name in sorted(self._phases)
                 }
             }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrafficStats":
-        """Rebuild a :class:`TrafficStats` from :meth:`as_dict` output."""
-        stats = cls()
-        with stats._lock:
-            for name, ph in data.get("phases", {}).items():
-                stats._phases[name] = PhaseTraffic.from_dict(ph)
-        return stats
 
     def summary(self) -> str:
         """Multi-line human-readable report (used by benchmark output)."""

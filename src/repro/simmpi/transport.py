@@ -31,20 +31,10 @@ physically transmitted and is neither queued nor delayed in flight —
 which keeps retry counts bit-reproducible for a given fault seed.  The
 receiver's step lives in :meth:`~repro.simmpi.comm.Communicator._reliable_step`;
 its retry budget lives here, on the channel (:class:`_RecvState`).
-
-An optional **link model** (``link_latency_s`` / ``link_bandwidth`` on
-the :class:`World`) serialises off-rank messages through a per-sender
-NIC and delays delivery by a wire latency, using one background pump
-thread with a deadline heap (:class:`_LinkPump`).  Per-channel FIFO
-order is preserved (per-source departure times are monotone), so fault
-injection, the reliable transport and schedule fuzzing compose
-unchanged.  Without link parameters the pump does not exist and
-delivery is immediate.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import threading
 import time
@@ -181,73 +171,6 @@ class _RecvState:
     since: float | None = None  # clock() when the patience window opened
 
 
-class _LinkPump:
-    """Background delivery thread modelling a per-sender NIC and a wire.
-
-    Every off-rank message departs when the sender's NIC is free
-    (``depart = max(now, nic_free[src])``; the NIC is then busy for
-    ``nbytes / bandwidth`` seconds) and arrives ``latency_s`` after the
-    last byte leaves.  One thread drains a deadline heap; payload
-    references ride in per-channel FIFO deques, so arrival order per
-    channel equals post order (per-source departures are monotone and
-    the heap breaks due-time ties by submission sequence).
-    """
-
-    def __init__(self, world: "World", latency_s: float, bandwidth: float | None):
-        self.world = world
-        self.latency_s = latency_s
-        self.bandwidth = bandwidth
-        self._cv = threading.Condition()
-        self._heap: list[tuple[float, int, tuple]] = []  # (due, seq, key)
-        self._queues: dict[tuple, deque] = {}
-        self._seq = 0
-        self._nic_free: dict[int, float] = {}
-        self._stopped = False
-        self._thread = threading.Thread(
-            target=self._run, name="simmpi-link-pump", daemon=True
-        )
-        self._thread.start()
-
-    def submit(self, key: tuple, item: Any, nbytes: int) -> None:
-        src = key[0]
-        now = time.monotonic()
-        with self._cv:
-            depart = max(now, self._nic_free.get(src, 0.0))
-            wire = (nbytes / self.bandwidth) if self.bandwidth else 0.0
-            self._nic_free[src] = depart + wire
-            self._queues.setdefault(key, deque()).append(item)
-            self._seq += 1
-            heapq.heappush(self._heap, (depart + wire + self.latency_s, self._seq, key))
-            self._cv.notify()
-
-    def pending_items(self, key: tuple) -> tuple:
-        """Snapshot of undelivered payloads on *key* (for ``_in_flight``)."""
-        with self._cv:
-            return tuple(self._queues.get(key, ()))
-
-    def stop(self) -> None:
-        with self._cv:
-            self._stopped = True
-            self._cv.notify()
-        self._thread.join(timeout=1.0)
-
-    def _run(self) -> None:
-        while True:
-            with self._cv:
-                while not self._heap and not self._stopped:
-                    self._cv.wait()
-                if self._stopped:
-                    return  # world is over; undelivered messages are moot
-                due, _, key = self._heap[0]
-                delay = due - time.monotonic()
-                if delay > 0:
-                    self._cv.wait(delay)
-                    continue
-                heapq.heappop(self._heap)
-                item = self._queues[key].popleft()
-            self.world._arrive(key, item)
-
-
 class World:
     """Shared state of one SPMD execution: channels, barrier, stats.
 
@@ -261,8 +184,6 @@ class World:
         timeout: float = _DEFAULT_TIMEOUT,
         faults: FaultPlan | None = None,
         transport: TransportPolicy | None = None,
-        link_latency_s: float = 0.0,
-        link_bandwidth: float | None = None,
         resilient: bool = False,
         ranks_per_node: int | None = None,
         alltoall_algorithm: str = "pairwise",
@@ -282,9 +203,9 @@ class World:
         # layer runs concurrent worlds).  See repro.exectx.
         self.ctx_token = next(_WORLD_TOKENS)
         # Node topology: ranks_per_node=None keeps the historical flat
-        # world (every rank its own node).  Same-node messages bypass the
-        # link pump and ride the shared pool; TrafficStats splits bytes
-        # into intra-node vs inter-node accordingly.
+        # world (every rank its own node).  Same-node messages ride the
+        # shared pool; TrafficStats splits bytes into intra-node vs
+        # inter-node accordingly.
         self.nodes = NodeMap(nranks, ranks_per_node)
         self.node_pool = NodeSharedPool(self.nodes)
         self.alltoall_algorithm = alltoall_algorithm
@@ -306,9 +227,6 @@ class World:
         self._pending_delays: dict[tuple, list] = {}
         self._barrier = threading.Barrier(nranks)
         self.abort_event = threading.Event()
-        # Optional fault hook: (src, dst, tag, payload) -> payload.
-        # Legacy shim — prefer a FaultPlan / ChaosSchedule (faults=).
-        self.fault_hook: Callable[[int, int, int, Any], Any] | None = None
         # Optional span recorder (repro.trace.TraceRecorder).  Hooks fire
         # only when set; they read payload *sizes* and never touch the
         # payloads or the traffic statistics, so traced runs stay
@@ -333,10 +251,6 @@ class World:
         self._consumed: dict[tuple, int] = {}  # channel key -> items popped
         self._raw_posted: dict[tuple, int] = {}  # guarded by _state_lock
         self._pending_recvs: dict[tuple, deque] = {}  # key -> RecvRequests, FIFO
-        # Optional modelled interconnect: one pump thread when active.
-        self._pump: _LinkPump | None = None
-        if link_latency_s > 0.0 or link_bandwidth is not None:
-            self._pump = _LinkPump(self, link_latency_s, link_bandwidth)
 
     # ---- engine seams (overridden by the discrete-event backend) ---------
 
@@ -405,14 +319,9 @@ class World:
         src, dst = key[0], key[1]
         if src != dst and self.nodes.same_node(src, dst):
             # Same-node, different-rank: the payload rides the node's
-            # shared pool (a zero-copy view for ndarrays) and never
-            # touches the modelled link — node-local exchanges are
-            # memory moves, not fabric traffic.
-            self._arrive(key, self._stage_same_node(src, dst, item))
-            return
-        if self._pump is not None and src != dst:
-            self._pump.submit(key, item, self._wire_bytes(item))
-            return
+            # shared pool (a zero-copy view for ndarrays) — node-local
+            # exchanges are memory moves, not fabric traffic.
+            item = self._stage_same_node(src, dst, item)
         self._arrive(key, item)
 
     def _stage_same_node(self, src: int, dst: int, item: Any) -> Any:
@@ -430,8 +339,8 @@ class World:
             self._pending_delays.setdefault(key, []).append(holder)
 
         def fire() -> None:
-            # Hand off to the normal path first (pump or direct) so the
-            # message is never invisible to _in_flight between the two steps.
+            # Hand off to the channel first so the message is never
+            # invisible to _in_flight between the two steps.
             self._put(key, item)
             with self._cv:
                 pending = self._pending_delays.get(key, [])
@@ -531,12 +440,9 @@ class World:
             # Messages held by a schedule controller are physically in
             # flight — the receiver must not count them as lost, or
             # retransmit statistics would diverge between interleavings.
-            if self.scheduler is not None and _carries(
+            return self.scheduler is not None and _carries(
                 self.scheduler.held_items(key), seq
-            ):
-                return True
-        # Messages riding the modelled link are in flight too.
-        return self._pump is not None and _carries(self._pump.pending_items(key), seq)
+            )
 
     def abort(self) -> None:
         """Mark the run failed and wake every blocked receiver/barrier."""
@@ -592,11 +498,11 @@ class World:
         """Whether channel *key* can never produce another message.
 
         Caller holds ``_cv``.  True only when the channel is empty AND
-        nothing is delay-scheduled, scheduler-held, pump-pending or
-        retransmittable on it — the deterministic half of dead-peer
-        declaration: a waiter declares its source dead only after every
-        message the source physically transmitted has been drained, so
-        the delivered-message set is interleaving-independent.
+        nothing is delay-scheduled, scheduler-held or retransmittable on
+        it — the deterministic half of dead-peer declaration: a waiter
+        declares its source dead only after every message the source
+        physically transmitted has been drained, so the delivered-message
+        set is interleaving-independent.
         """
         if self._channels.get(key):
             return False
@@ -609,8 +515,6 @@ class World:
             for s, d, t, _seq in self._unacked:
                 if s == src and d == dst and t == tag:
                     return False  # the reliable transport can still redeliver
-        if self._pump is not None and self._pump.pending_items(key):
-            return False
         return True
 
     # ---- wire layer (fault injection lives here) -------------------------
@@ -719,11 +623,6 @@ class World:
             # An ack completes the matching transport SendRequest.
             self._activity += 1
             self._cv.notify_all()
-
-    def shutdown(self) -> None:
-        """Release background resources (the link-pump thread, if any)."""
-        if self._pump is not None:
-            self._pump.stop()
 
     def recv_state(self, src: int, dst: int, tag: Any) -> _RecvState:
         with self._state_lock:

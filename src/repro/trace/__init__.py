@@ -3,8 +3,9 @@
 Every simulated run can be recorded as per-rank spans — compute timed
 by the Section-7.4 cost model, communication by the interconnect model,
 waits made explicit — and replayed onto a deterministic virtual
-timeline for rollups, wait-state attribution, critical-path analysis,
-and Chrome trace-event export (Perfetto / ``chrome://tracing``).
+timeline for rollups, critical-path analysis (which also charges each
+wait to a phase) and Chrome trace-event export (Perfetto /
+``chrome://tracing``).
 
 Quickstart::
 
@@ -28,10 +29,8 @@ from .analysis import (
     critical_path,
     inflight_profile,
     rollup,
-    wait_attribution,
 )
 from .export import aggregate, ascii_timeline, chrome_trace, write_chrome_trace
-from .serve import serve_timeline
 from .spans import (
     SPAN_KINDS,
     Span,
@@ -53,10 +52,8 @@ __all__ = [
     "critical_path",
     "inflight_profile",
     "rollup",
-    "wait_attribution",
     "aggregate",
     "ascii_timeline",
     "chrome_trace",
-    "serve_timeline",
     "write_chrome_trace",
 ]

@@ -1,4 +1,4 @@
-"""Timeline analysis: rollups, wait attribution, critical paths.
+"""Timeline analysis: rollups, critical paths, all-to-all epochs.
 
 The virtual timeline is a rank × phase DAG: leaf spans tile each rank's
 timeline, and cross-rank edges run from a send to the wait it releases
@@ -7,8 +7,6 @@ module answers the questions the paper's evaluation asks of it:
 
 - *where does the time go?* — :func:`rollup` aggregates span durations
   per kind / phase / rank into one compact, JSON-safe dict;
-- *who is waiting on whom?* — :func:`wait_attribution` charges every
-  wait span to the peer (or barrier) that caused it;
 - *what limits the makespan?* — :func:`critical_path` walks the DAG
   backwards from the last-finishing span, jumping from each wait to the
   send that released it, yielding the dependency chain whose durations
@@ -31,7 +29,6 @@ __all__ = [
     "critical_path",
     "inflight_profile",
     "rollup",
-    "wait_attribution",
 ]
 
 
@@ -48,21 +45,6 @@ def alltoall_epochs(tl: VirtualTimeline) -> int:
         if s.kind == "collective" and not s.leaf and s.name == "alltoall":
             per_rank[s.rank] += 1
     return max(per_rank.values(), default=0)
-
-
-def wait_attribution(tl: VirtualTimeline) -> dict[str, dict[str, float]]:
-    """Seconds blocked, per phase, attributed to the blocking party.
-
-    Keys of the inner dict are ``"rank<r>"`` for point-to-point waits
-    and ``"barrier"`` for synchronisation skew.
-    """
-    out: dict[str, dict[str, float]] = defaultdict(lambda: defaultdict(float))
-    for s in tl.spans:
-        if s.kind != "wait":
-            continue
-        who = "barrier" if s.name == "barrier-wait" else f"rank{s.peer}"
-        out[s.phase][who] += s.duration
-    return {phase: dict(inner) for phase, inner in out.items()}
 
 
 @dataclass

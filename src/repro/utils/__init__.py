@@ -1,8 +1,8 @@
 """Shared low-level helpers used across the :mod:`repro` packages.
 
 This package deliberately contains only dependency-free utilities:
-argument validation, small number-theory helpers (gcd reduction, integer
-factorisation, bit manipulation) and array checks.  Anything with domain
+argument validation, small number-theory helpers (rational ``beta``,
+integer factorisation, bit reversal) and array checks.  Anything with domain
 knowledge (FFT math, window design, communication) lives in the
 dedicated subpackages.
 """
@@ -11,30 +11,22 @@ from .validation import (
     as_complex_vector,
     check_int,
     check_positive_int,
-    check_power_of_two,
     require,
 )
 from .intmath import (
     as_fraction,
     bit_reverse_indices,
     factorize,
-    gcd_reduce,
     is_power_of_two,
-    largest_power_of_two_divisor,
-    next_power_of_two,
 )
 
 __all__ = [
     "as_complex_vector",
     "check_int",
     "check_positive_int",
-    "check_power_of_two",
     "require",
     "as_fraction",
     "bit_reverse_indices",
     "factorize",
-    "gcd_reduce",
     "is_power_of_two",
-    "largest_power_of_two_divisor",
-    "next_power_of_two",
 ]

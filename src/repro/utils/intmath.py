@@ -9,38 +9,21 @@ bit-reversal permutations.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
     "is_power_of_two",
-    "next_power_of_two",
-    "largest_power_of_two_divisor",
     "bit_reverse_indices",
     "factorize",
-    "gcd_reduce",
+    "as_fraction",
 ]
 
 
 def is_power_of_two(n: int) -> bool:
     """Return True iff *n* is a positive power of two."""
     return n > 0 and (n & (n - 1)) == 0
-
-
-def next_power_of_two(n: int) -> int:
-    """Smallest power of two ``>= n`` (n must be positive)."""
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    return 1 << (n - 1).bit_length()
-
-
-def largest_power_of_two_divisor(n: int) -> int:
-    """Largest power of two dividing *n* (n must be positive)."""
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    return n & (-n)
 
 
 def bit_reverse_indices(n: int) -> np.ndarray:
@@ -84,22 +67,6 @@ def factorize(n: int) -> list[int]:
     if remaining > 1:
         factors.append(remaining)
     return sorted(factors)
-
-
-def gcd_reduce(numerator: int, denominator: int) -> tuple[int, int]:
-    """Reduce ``numerator/denominator`` to lowest terms.
-
-    Used to express the oversampling factor ``1 + beta`` as the exact
-    irreducible fraction ``mu/nu`` that drives the block structure of the
-    convolution matrix (Fig. 4 of the paper).
-    """
-    if denominator == 0:
-        raise ZeroDivisionError("denominator must be nonzero")
-    g = math.gcd(numerator, denominator)
-    mu, nu = numerator // g, denominator // g
-    if nu < 0:
-        mu, nu = -mu, -nu
-    return mu, nu
 
 
 def as_fraction(value: float | Fraction, max_denominator: int = 64) -> Fraction:

@@ -15,7 +15,6 @@ __all__ = [
     "require",
     "check_int",
     "check_positive_int",
-    "check_power_of_two",
     "as_complex_vector",
 ]
 
@@ -49,14 +48,6 @@ def check_positive_int(value: Any, name: str) -> int:
     ivalue = check_int(value, name)
     if ivalue <= 0:
         raise ValueError(f"{name} must be positive, got {ivalue}")
-    return ivalue
-
-
-def check_power_of_two(value: Any, name: str) -> int:
-    """Return *value* as ``int`` after checking it is a power of two."""
-    ivalue = check_positive_int(value, name)
-    if ivalue & (ivalue - 1):
-        raise ValueError(f"{name} must be a power of two, got {ivalue}")
     return ivalue
 
 

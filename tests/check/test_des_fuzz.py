@@ -97,7 +97,7 @@ class TestLivenessSweepsUnderDes:
             got = comm.recv(left, tag=1, timeout=GUARD_S)
             comm.barrier(timeout=GUARD_S)
             objs = [np.full(4, comm.rank) for _ in range(comm.size)]
-            pieces = comm.ialltoall(objs).wait(timeout=GUARD_S)
+            pieces = comm.alltoall(objs, timeout=GUARD_S)
             return float(got[0]), [int(p[0]) for p in pieces]
 
         res = run_spmd(

@@ -1,7 +1,8 @@
 """The fft-p panel stage of the SOI convolution kernel.
 
-``SoiPlan.convolve_fft_p`` runs the length-P column transform on each
-panel of convolution output while it is in cache.  It must equal the
+Given the plan's column transform, the kernel runs the length-P
+transform on each panel of convolution output while it is in cache (as
+``soi_fft`` and the rank programs call it).  It must equal the
 staged reference — ``contract_windows_t``, then the plan-precision
 column transform of the whole result — bit for bit, whatever the panel
 geometry and wherever a caller's chunk range starts.  That holds by
@@ -47,6 +48,13 @@ def _windows(plan, x):
     return plan.window_view(x, x[: plan.b * plan.p], plan.q_chunks)
 
 
+def _fused(plan, winb, q0=0, backend="numpy"):
+    """Stages 1 and 2 in one kernel pass over a window view, shape
+    ``(P, q * mu)``: the panel path ``soi_fft`` runs."""
+    rows = plan._window_rows(winb)
+    return plan._convolver()(rows, rows[:0], winb.shape[0], q0, plan._fft_p(backend))
+
+
 def _staged(plan, winb, q0, be):
     """The reference: the whole convolution output, then one transform."""
     z_t = plan.contract_windows_t(winb, q0).reshape(plan.p, -1)
@@ -73,7 +81,7 @@ class TestFusedEqualsStaged:
         for steps in (1, 2, 2.5):
             plan = _plan_with_steps(p, beta, b, dtype, steps)
             winb = _windows(plan, _signal(rng, plan))
-            fused = plan.convolve_fft_p(winb, 0, be)
+            fused = _fused(plan, winb, 0, be)
             kernel = plan._kernel
             assert kernel.p_step == plan.p
             panels = -(-plan.m_over // kernel.panel_cols)
@@ -90,10 +98,10 @@ class TestFusedEqualsStaged:
         step, q, mu = kernel.cells * kernel.grid, plan.q_chunks, plan.mu
         kernel.panel_cols = 2 * step * mu   # panels that fill over two steps
         winb = _windows(plan, _signal(rng, plan))
-        full = plan.convolve_fft_p(winb, 0, be)
+        full = _fused(plan, winb, 0, be)
         cuts = [(1, q), (step // 2, q - 1), (step - 1, 2 * step + 1), (step, 3 * step), (0, step + 1)]
         for q0, q1 in cuts:
-            part = plan.convolve_fft_p(winb[q0:q1], q0, be)
+            part = _fused(plan, winb[q0:q1], q0, be)
             assert np.array_equal(part, full[:, q0 * mu : q1 * mu]), (q0, q1)
             assert np.array_equal(part, _staged(plan, winb[q0:q1], q0, be)), (q0, q1)
 
@@ -104,10 +112,10 @@ class TestFusedEqualsStaged:
         be = get_backend(backend)
         plan = SoiPlan(n=1 << 18, p=64)
         winb = _windows(plan, _signal(rng, plan))
-        fused = plan.convolve_fft_p(winb, 0, be)
+        fused = _fused(plan, winb, 0, be)
         assert 2 < plan.m_over / plan._kernel.panel_cols < 3
         assert np.array_equal(fused, _staged(plan, winb, 0, be))
-        part = plan.convolve_fft_p(winb[37:1001], 37, be)
+        part = _fused(plan, winb[37:1001], 37, be)
         assert np.array_equal(part, fused[:, 37 * plan.mu : 1001 * plan.mu])
 
     def test_split_steps_transform_once_at_the_end(self, rng, monkeypatch):
@@ -118,7 +126,7 @@ class TestFusedEqualsStaged:
         plan = SoiPlan(n=16384, p=16)
         winb = _windows(plan, _signal(rng, plan))
         for backend in BACKENDS:
-            fused = plan.convolve_fft_p(winb, 0, backend)
+            fused = _fused(plan, winb, 0, backend)
             assert plan._kernel.p_step < plan.p
             assert np.array_equal(fused, _staged(plan, winb, 0, get_backend(backend)))
 
@@ -126,9 +134,9 @@ class TestFusedEqualsStaged:
         """Nothing returned aliases the pooled panel."""
         plan = SoiPlan(n=1 << 18, p=64)
         x = _signal(rng, plan)
-        first = plan.convolve_fft_p(_windows(plan, x), 0)
+        first = _fused(plan, _windows(plan, x), 0)
         keep = first.copy()
-        plan.convolve_fft_p(_windows(plan, x[::-1].copy()), 0)
+        _fused(plan, _windows(plan, x[::-1].copy()), 0)
         assert np.array_equal(first, keep)
 
 
@@ -144,7 +152,7 @@ class TestThreadsSharePanels:
         got: dict[int, list] = {}
 
         def worker(i):
-            got[i] = [plan.convolve_fft_p(_windows(plan, inputs[i])) for _ in range(5)]
+            got[i] = [_fused(plan, _windows(plan, inputs[i])) for _ in range(5)]
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
         interval = sys.getswitchinterval()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.bench.workloads import chirp_signal, multitone, random_complex
 from repro.core import SoiPlan, snr_db, soi_fft, soi_fft2, soi_ifft, soi_segment
-from repro.core.soi import extended_input, soi_convolve
+from repro.core.soi import soi_convolve
 
 
 class TestSoiFftAccuracy:
@@ -150,12 +150,6 @@ class TestSoiConvolve:
         np.testing.assert_allclose(
             z1[plan.mu :, :], z2[: -plan.mu, :], atol=1e-12
         )
-
-    def test_extended_input_wraps(self, small_plan):
-        x = random_complex(small_plan.n, 14)
-        xe = extended_input(x, small_plan)
-        assert xe.size == small_plan.n + small_plan.b * small_plan.p
-        np.testing.assert_array_equal(xe[small_plan.n :], x[: small_plan.b * small_plan.p])
 
     def test_convolution_cost_is_nprime_b(self, small_plan):
         """Structural: the einsum contracts exactly mu*B*P coefficients

@@ -17,7 +17,7 @@ from repro.core import (
     soi_plan_cache_info,
     soi_plan_for,
 )
-from repro.core.soi import extended_input, soi_convolve, soi_fft, soi_ifft
+from repro.core.soi import soi_convolve, soi_fft, soi_ifft
 from repro.simmpi import TransportPolicy
 from repro.trace import TraceRecorder
 
@@ -30,7 +30,7 @@ def _generic_convolve(x, plan):
     """Reference construction: explicit extension, window view and one
     complex einsum over ``plan.coeffs`` (a different summation order
     from the kernel's real GEMMs, so agreement is to rounding)."""
-    xe = extended_input(x, plan)
+    xe = np.concatenate([x, x[..., : plan.b * plan.p]], axis=-1)
     stride = plan.nu * plan.p
     win = np.lib.stride_tricks.sliding_window_view(xe, plan.b * plan.p, axis=-1)[
         ..., ::stride, :
@@ -53,10 +53,9 @@ class TestConvolutionWorkspaces:
     def test_contract_windows_t_is_bitwise_transpose(self, full_plan, rng):
         plan = full_plan
         x = np.ascontiguousarray(_complex(rng, plan.n))
+        z = soi_convolve(x, plan)
         winb = plan.window_view(x, x[: plan.b * plan.p], plan.q_chunks)
-        z = plan.contract_windows(winb).reshape(plan.m_over, plan.p)
-        winb2 = plan.window_view(x, x[: plan.b * plan.p], plan.q_chunks)
-        z_t = plan.contract_windows_t(winb2).reshape(plan.p, plan.m_over)
+        z_t = plan.contract_windows_t(winb).reshape(plan.p, plan.m_over)
         np.testing.assert_array_equal(z_t, np.ascontiguousarray(z.T))
 
     def test_window_buffer_reused_per_thread(self, full_plan, rng):

@@ -16,10 +16,8 @@ from repro.dft import (
     ifft,
     plan_cache_info,
     plan_for,
-    save_plan_cache_shapes,
     set_plan_cache_limit,
     warm_plan_cache,
-    warm_plan_cache_from_file,
 )
 from repro.simmpi import run_spmd
 
@@ -180,47 +178,6 @@ class TestWarmupPersistence:
         after = plan_cache_info()
         assert after["hits"] == before["hits"] + 1
         assert after["misses"] == before["misses"]
-
-    def test_save_load_round_trip(self, tmp_path):
-        import json
-
-        from repro.dft.cache import SHAPES_SCHEMA
-
-        plan_for(64)
-        plan_for(360)
-        path = tmp_path / "shapes.json"
-        assert save_plan_cache_shapes(str(path)) == 2
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["schema"] == SHAPES_SCHEMA
-        assert len(doc["shapes"]) == 2
-
-        clear_plan_cache()
-        out = warm_plan_cache_from_file(str(path))
-        assert out == {"requested": 2, "built": 2, "already": 0}
-        info = plan_cache_info()
-        assert info["entries"] == 2 and info["misses"] == 2
-        # A second load finds everything warm.
-        again = warm_plan_cache_from_file(str(path))
-        assert again == {"requested": 2, "built": 0, "already": 2}
-
-    def test_round_tripped_plans_execute_bit_identically(self, tmp_path, rng):
-        x = rng.standard_normal(360) + 1j * rng.standard_normal(360)
-        expected = FftPlan(360).execute(x, inverse=False)
-        plan_for(360)
-        path = tmp_path / "shapes.json"
-        save_plan_cache_shapes(str(path))
-        clear_plan_cache()
-        warm_plan_cache_from_file(str(path))
-        np.testing.assert_array_equal(fft(x), expected)
-
-    def test_wrong_schema_rejected(self, tmp_path):
-        import json
-
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "nope/0", "shapes": []}))
-        with pytest.raises(ValueError, match="schema"):
-            warm_plan_cache_from_file(str(path))
-
 
 class TestThreadSafety:
     SIZES = [32, 64, 128, 256]

@@ -6,7 +6,6 @@ import pytest
 
 from repro.dft.flops import (
     fft_flops,
-    fft_gflops_rate,
     soi_convolution_flops,
     soi_total_flops,
 )
@@ -25,18 +24,6 @@ class TestFftFlops:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             fft_flops(0)
-
-
-class TestGflopsRate:
-    def test_paper_metric(self):
-        # 2^20 points in 1 ms
-        n = 1 << 20
-        rate = fft_gflops_rate(n, 1e-3)
-        assert rate == pytest.approx(5 * n * 20 / 1e-3 / 1e9)
-
-    def test_rejects_nonpositive_time(self):
-        with pytest.raises(ValueError):
-            fft_gflops_rate(8, 0.0)
 
 
 class TestSoiFlops:

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.parallel import (
-    block_size,
-    block_slice,
-    concat_result,
-    scatter_blocks,
-    split_blocks,
-)
-from repro.simmpi import run_spmd
+from repro.parallel import block_size, split_blocks
 
 
 class TestBlockMath:
@@ -21,45 +14,8 @@ class TestBlockMath:
         with pytest.raises(ValueError, match="divide"):
             block_size(100, 3)
 
-    def test_block_slice(self):
-        assert block_slice(2, 100, 4) == slice(50, 75)
-
-    def test_rank_range(self):
-        with pytest.raises(ValueError):
-            block_slice(4, 100, 4)
-
     def test_split_blocks_cover_input(self, rng):
         x = rng.standard_normal(24)
         blocks = split_blocks(x, 4)
         np.testing.assert_array_equal(np.concatenate(blocks), x)
         assert all(len(b) == 6 for b in blocks)
-
-
-class TestScatterGather:
-    def test_scatter_then_gather_roundtrip(self, rng):
-        x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-
-        def prog(comm):
-            local = scatter_blocks(comm, x if comm.rank == 0 else None)
-            return concat_result(comm, local)
-
-        res = run_spmd(4, prog)
-        np.testing.assert_array_equal(res[0], x)
-        assert res[1] is None
-
-    def test_scatter_requires_root_data(self):
-        def prog(comm):
-            return scatter_blocks(comm, None)
-
-        with pytest.raises(Exception, match="global vector"):
-            run_spmd(2, prog, timeout=5)
-
-    def test_each_rank_gets_its_block(self, rng):
-        x = np.arange(20, dtype=complex)
-
-        def prog(comm):
-            return scatter_blocks(comm, x if comm.rank == 0 else None)
-
-        res = run_spmd(4, prog)
-        for r in range(4):
-            np.testing.assert_array_equal(res[r], x[r * 5 : (r + 1) * 5])

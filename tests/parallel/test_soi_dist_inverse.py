@@ -6,7 +6,7 @@ import pytest
 from repro.bench.workloads import random_complex
 from repro.core import parseval_check, snr_db, soi_fft, soi_ifft
 from repro.parallel import soi_fft_distributed, soi_ifft_distributed, split_blocks
-from repro.simmpi import InjectedFault, RankFailure, TransportPolicy, run_spmd
+from repro.simmpi import DeadlockError, FaultPlan, RankFailure, run_spmd
 
 
 class TestDistributedInverse:
@@ -57,44 +57,35 @@ class TestFailureModes:
     def test_halo_link_failure_aborts_cleanly(self, full_plan):
         """Cutting the halo channel must abort the whole job (no hang,
         no wrong answer)."""
-
-        def cut_halo(src, dst, tag, payload):
-            if isinstance(payload, np.ndarray) and payload.nbytes == full_plan.halo * 16:
-                raise InjectedFault("halo link down")
-            return payload
-
         n, nranks = full_plan.n, 4
         blocks = split_blocks(random_complex(n, 84), nranks)
+        cut = FaultPlan().drop(phase="halo", src=1, dst=0, times=None)
         with pytest.raises(RankFailure) as info:
             run_spmd(
                 nranks,
                 lambda comm: soi_fft_distributed(comm, blocks[comm.rank], full_plan),
-                fault_hook=cut_halo,
+                faults=cut,
+                engine="des",
                 timeout=10,
             )
-        assert isinstance(info.value.original, InjectedFault)
+        assert isinstance(info.value.original, DeadlockError)
+        assert info.value.rank == 0
+        assert cut.log and all(entry[:4] == ("drop", "halo", 1, 0) for entry in cut.log)
 
     def test_corrupted_alltoall_detected_by_accuracy(self, full_plan):
-        """Zeroing one all-to-all payload silently corrupts exactly the
-        affected segment — the SNR check catches it.  The damage is done
-        before framing, so the transport's CRC sees an intact message;
-        the Parseval screen is what flags the output."""
-
-        def zero_one_block(src, dst, tag, payload):
-            if (src, dst, tag) == (0, 1, -5):
-                return payload * 0 if isinstance(payload, np.ndarray) else payload
-            return payload
-
+        """A bit flipped in one all-to-all payload on the raw wire (no
+        reliable transport, so no CRC) silently corrupts exactly the
+        affected segment — the Parseval screen flags the output."""
         n, nranks = full_plan.n, 4
         x = random_complex(n, 85)
         blocks = split_blocks(x, nranks)
+        flip = FaultPlan().bitflip(phase="alltoall", src=0, dst=1)
         res = run_spmd(
             nranks,
             lambda comm: soi_fft_distributed(comm, blocks[comm.rank], full_plan),
-            fault_hook=zero_one_block,
-            transport=TransportPolicy(),
+            faults=flip,
         )
-        assert res.stats.total_retransmits == 0  # nothing for the CRC to see
+        assert len(flip.log) == 1
         y = np.concatenate(res.values)
         assert not parseval_check(x, y, full_plan)
         assert parseval_check(x, soi_fft(x, full_plan), full_plan)

@@ -24,7 +24,7 @@ from repro.simmpi import (
     waitall,
     waitany,
 )
-from repro.trace import TraceRecorder
+from repro.trace import TraceCostModel, TraceRecorder
 
 GUARD_S = 8.0
 
@@ -60,7 +60,7 @@ class TestEngineSelection:
 
         t0 = time.perf_counter()
         res = run_spmd(
-            2, body, engine="des", link_latency=0.5, link_bandwidth=1e9
+            2, body, engine="des", cost_model=TraceCostModel(latency_s=0.5)
         )
         assert time.perf_counter() - t0 < 2.0
         assert res.virtual_time_s >= 0.5
@@ -109,15 +109,6 @@ class TestNonblockingUnderDes:
         res = run_spmd(6, body, engine="des")
         assert res.values == [(r - 1) % 6 for r in range(6)]
 
-    def test_ialltoall_under_des(self):
-        def body(comm):
-            objs = [np.full(4, comm.rank, dtype=float) for _ in range(comm.size)]
-            pieces = comm.ialltoall(objs, chunks=2).wait(timeout=GUARD_S)
-            return [int(p[0]) for p in pieces]
-
-        res = run_spmd(4, body, engine="des")
-        assert all(v == [0, 1, 2, 3] for v in res.values)
-
 
 class TestSplitsUnderDes:
     def test_split_and_subcomm_exchange(self):
@@ -145,13 +136,25 @@ class TestSplitsUnderDes:
     def test_waitany_on_subcomm_ialltoall(self, engine):
         """A derived communicator's request waits run the WORLD rank's
         progress engine and park the world rank's fiber: local rank 1 of
-        the odd split is world rank 3, not world rank 1."""
+        the odd split is world rank 3, not world rank 1.  The exchange is
+        an all-to-all of sub-communicator ``isend``/``irecv`` requests,
+        drained by ``waitany``."""
 
         def body(comm):
             sub = comm.split(comm.rank % 2, key=-comm.rank)
-            objs = [np.full(3, 10.0 * comm.rank + d) for d in range(sub.size)]
-            _, got = waitany([sub.ialltoall(objs)], timeout=GUARD_S)
-            return [int(block[0]) for block in got]
+            peers = [d for d in range(sub.size) if d != sub.rank]
+            sends = [
+                sub.isend(np.full(3, 10.0 * comm.rank + d), d, tag=5) for d in peers
+            ]
+            recvs = [sub.irecv(src, tag=5) for src in peers]
+            got = {sub.rank: 10.0 * comm.rank + sub.rank}
+            while True:
+                i, block = waitany(recvs, timeout=GUARD_S)
+                if i < 0:
+                    break
+                got[peers[i]] = block[0]
+            waitall(sends, timeout=GUARD_S)
+            return [int(got[d]) for d in range(sub.size)]
 
         res = run_spmd(6, body, engine=engine, timeout=GUARD_S)
         # Members in key order: evens (4, 2, 0), odds (5, 3, 1).

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.simmpi import InjectedFault, RankFailure, run_spmd
+from repro.simmpi import FaultPlan, InjectedFault, RankFailure, run_spmd
 
 
 class TestResults:
@@ -49,6 +49,51 @@ class TestWorldSizeBoundary:
     def test_integer_sizes_accepted(self, size):
         res = run_spmd(size, lambda comm: comm.size)
         assert res.values == [2, 2]
+        assert all(type(v) is int for v in res.values)
+
+
+class TestOptionBoundary:
+    """``timeout`` and ``ranks_per_node`` are checked where they enter."""
+
+    @pytest.mark.parametrize("bad", [True, "5", None], ids=["bool", "str", "None"])
+    def test_non_numeric_timeout_rejected(self, bad):
+        with pytest.raises(TypeError, match="timeout"):
+            run_spmd(2, lambda comm: comm.size, timeout=bad)
+
+    @pytest.mark.parametrize(
+        "bad", [0, -1, 0.0, float("inf"), float("nan")],
+        ids=["zero", "negative", "zero-float", "inf", "nan"],
+    )
+    def test_nonpositive_or_infinite_timeout_rejected(self, bad):
+        with pytest.raises(ValueError, match="timeout"):
+            run_spmd(2, lambda comm: comm.size, timeout=bad)
+
+    @pytest.mark.parametrize(
+        "good", [5, 0.5, np.int64(5), np.float64(0.5)],
+        ids=["int", "float", "np.int64", "np.float64"],
+    )
+    def test_numeric_timeouts_accepted(self, good):
+        assert run_spmd(2, lambda comm: comm.size, timeout=good).values == [2, 2]
+
+    @pytest.mark.parametrize(
+        "bad", [True, 1.5, 2.0, "2"], ids=["bool", "float", "float-int", "str"]
+    )
+    def test_non_integer_ranks_per_node_rejected(self, bad):
+        with pytest.raises(TypeError, match="ranks_per_node"):
+            run_spmd(4, lambda comm: comm.size, ranks_per_node=bad)
+
+    @pytest.mark.parametrize("bad", [0, -2], ids=["zero", "negative"])
+    def test_nonpositive_ranks_per_node_rejected(self, bad):
+        with pytest.raises(ValueError, match="ranks_per_node"):
+            run_spmd(4, lambda comm: comm.size, ranks_per_node=bad)
+
+    @pytest.mark.parametrize("engine", ["thread", "des"])
+    def test_numpy_ranks_per_node_accepted(self, engine):
+        res = run_spmd(
+            4, lambda comm: comm.world.nodes.node_of(comm.rank),
+            ranks_per_node=np.int64(2), engine=engine,
+        )
+        assert res.values == [0, 0, 1, 1]
         assert all(type(v) is int for v in res.values)
 
 
@@ -97,48 +142,40 @@ class TestFailurePropagation:
 
 class TestFaultInjection:
     def test_payload_corruption_hook(self):
-        def corrupt(src, dst, tag, payload):
-            if isinstance(payload, np.ndarray):
-                return payload * 0
-            return payload
-
         def prog(comm):
             if comm.rank == 0:
                 comm.send(np.ones(4), dest=1)
                 return None
             return comm.recv(source=0)
 
-        res = run_spmd(2, prog, fault_hook=corrupt)
-        np.testing.assert_array_equal(res[1], np.zeros(4))
+        res = run_spmd(2, prog, faults=FaultPlan().bitflip(src=0, dst=1))
+        got = res[1]
+        assert got.shape == (4,)
+        assert np.count_nonzero(got != 1.0) == 1  # one flipped exponent bit
 
     def test_raising_hook_aborts_run(self):
-        def killer(src, dst, tag, payload):
-            raise InjectedFault("link down")
-
         def prog(comm):
-            if comm.rank == 0:
-                comm.send(1, dest=1)
-            else:
-                comm.recv(source=0)
+            with comm.phase("exchange"):
+                if comm.rank == 0:
+                    comm.send(1, dest=1)
+                else:
+                    comm.recv(source=0)
 
         with pytest.raises(RankFailure) as info:
-            run_spmd(2, prog, fault_hook=killer, timeout=5)
+            run_spmd(2, prog, faults=FaultPlan().kill(0, phase="exchange"), timeout=5)
         assert isinstance(info.value.original, InjectedFault)
 
     def test_selective_fault_only_affects_target_link(self):
-        def drop_0_to_1(src, dst, tag, payload):
-            if (src, dst) == (0, 1) and tag >= 0:
-                raise InjectedFault("0->1 cut")
-            return payload
-
         def prog(comm):  # only uses 1 -> 0
             if comm.rank == 1:
                 comm.send("ok", dest=0)
                 return None
             return comm.recv(source=1)
 
-        res = run_spmd(2, prog, fault_hook=drop_0_to_1)
+        cut = FaultPlan().drop(src=0, dst=1, times=None)
+        res = run_spmd(2, prog, faults=cut)
         assert res[0] == "ok"
+        assert cut.log == []
 
 
 class TestStatsIsolation:

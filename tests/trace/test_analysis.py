@@ -1,4 +1,4 @@
-"""Tests for timeline rollups, wait attribution and critical paths."""
+"""Tests for timeline rollups, all-to-all epochs and critical paths."""
 
 import json
 
@@ -11,7 +11,6 @@ from repro.trace import (
     alltoall_epochs,
     critical_path,
     rollup,
-    wait_attribution,
 )
 
 
@@ -38,28 +37,6 @@ class TestAlltoallEpochs:
 
     def test_empty_timeline(self):
         assert alltoall_epochs(TraceRecorder().timeline()) == 0
-
-
-class TestWaitAttribution:
-    def test_p2p_wait_charged_to_sender(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.trace_compute("slow", 1e8)
-                comm.send(np.zeros(8), dest=1)
-            else:
-                with comm.phase("pickup"):
-                    comm.recv(source=0)
-
-        attr = wait_attribution(_traced(2, prog))
-        assert attr["pickup"]["rank0"] > 0.0
-
-    def test_barrier_skew_charged_to_barrier(self):
-        def prog(comm):
-            comm.trace_compute("skewed", 1e7 * (comm.rank + 1))
-            comm.barrier()
-
-        attr = wait_attribution(_traced(2, prog))
-        assert attr["default"]["barrier"] > 0.0
 
 
 class TestCriticalPath:

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.cluster import CLUSTERS
 from repro.core import SoiPlan, snr_db
 from repro.parallel import (
     soi_fft_distributed,
@@ -15,6 +16,7 @@ from repro.parallel import (
 )
 from repro.simmpi import ChaosSchedule, TransportPolicy, run_spmd
 from repro.trace import (
+    TraceCostModel,
     TraceRecorder,
     alltoall_epochs,
     chrome_trace,
@@ -150,3 +152,30 @@ class TestChromeExportOfRealRun:
             return json.dumps(chrome_trace(rec.timeline()), sort_keys=True)
 
         assert traced_doc() == traced_doc()
+
+
+class TestTwoVirtualClocksAgree:
+    """On a blocking program the DES clock and the trace replay price the
+    same run by the same cost model, so their makespans agree (0.832 ms
+    and 1.200 ms on Endeavor at N = 2^18, 8 ranks).  The pipelined
+    ``overlap=True`` program is where they part (EXPERIMENTS.md "Two
+    virtual clocks")."""
+
+    @pytest.mark.parametrize("algorithm", ["soi", "transpose"])
+    def test_des_makespan_equals_replay(self, algorithm):
+        n = 1 << 18
+        endeavor = CLUSTERS["endeavor"]
+        cost = TraceCostModel(node=endeavor.node, fabric=endeavor.fabric)
+        g = np.random.default_rng(5)
+        blocks = split_blocks(g.standard_normal(n) + 1j * g.standard_normal(n), RANKS)
+        big = SoiPlan(n=n, p=64)
+
+        def prog(comm):
+            if algorithm == "soi":
+                return soi_fft_distributed(comm, blocks[comm.rank], big)
+            return transpose_fft_distributed(comm, blocks[comm.rank], n)
+
+        rec = TraceRecorder()
+        res = run_spmd(RANKS, prog, engine="des", cost_model=cost, trace=rec)
+        assert res.virtual_time_s > 0.0
+        assert rec.timeline(cost).makespan == pytest.approx(res.virtual_time_s, rel=5e-3)

@@ -10,10 +10,7 @@ from repro.utils import (
     as_fraction,
     bit_reverse_indices,
     factorize,
-    gcd_reduce,
     is_power_of_two,
-    largest_power_of_two_divisor,
-    next_power_of_two,
 )
 
 
@@ -25,30 +22,6 @@ class TestIsPowerOfTwo:
     @pytest.mark.parametrize("n", [0, -2, 3, 6, 7, 12, (1 << 30) - 1])
     def test_false_cases(self, n):
         assert not is_power_of_two(n)
-
-
-class TestNextPowerOfTwo:
-    @pytest.mark.parametrize(
-        "n,expected", [(1, 1), (2, 2), (3, 4), (5, 8), (1000, 1024), (1024, 1024)]
-    )
-    def test_values(self, n, expected):
-        assert next_power_of_two(n) == expected
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            next_power_of_two(0)
-
-
-class TestLargestPowerOfTwoDivisor:
-    @pytest.mark.parametrize(
-        "n,expected", [(1, 1), (2, 2), (12, 4), (40, 8), (7, 1), (96, 32)]
-    )
-    def test_values(self, n, expected):
-        assert largest_power_of_two_divisor(n) == expected
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            largest_power_of_two_divisor(-8)
 
 
 class TestBitReverseIndices:
@@ -97,21 +70,6 @@ class TestFactorize:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             factorize(0)
-
-
-class TestGcdReduce:
-    def test_reduces(self):
-        assert gcd_reduce(10, 8) == (5, 4)
-
-    def test_already_reduced(self):
-        assert gcd_reduce(5, 4) == (5, 4)
-
-    def test_normalises_sign(self):
-        assert gcd_reduce(5, -4) == (-5, 4)
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            gcd_reduce(1, 0)
 
 
 class TestAsFraction:

@@ -6,7 +6,6 @@ import pytest
 from repro.utils import (
     as_complex_vector,
     check_positive_int,
-    check_power_of_two,
     require,
 )
 
@@ -53,21 +52,6 @@ class TestCheckPositiveInt:
     def test_error_message_names_argument(self):
         with pytest.raises(ValueError, match="segments"):
             check_positive_int(-1, "segments")
-
-
-class TestCheckPowerOfTwo:
-    @pytest.mark.parametrize("n", [1, 2, 4, 8, 1024, 1 << 20])
-    def test_accepts_powers(self, n):
-        assert check_power_of_two(n, "x") == n
-
-    @pytest.mark.parametrize("n", [3, 5, 6, 12, 100, 1023])
-    def test_rejects_non_powers(self, n):
-        with pytest.raises(ValueError, match="power of two"):
-            check_power_of_two(n, "x")
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            check_power_of_two(0, "x")
 
 
 class TestAsComplexVector:

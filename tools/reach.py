@@ -1,0 +1,213 @@
+"""Which functions of ``src/`` does any driver of the repository call?
+
+Runs every driver — the examples, the benchmark suite, the ledger (one
+``--quick`` run, then each workload traced) and every ``python -m repro``
+section — in child interpreters that record each code object they
+enter (``sys.setprofile`` plus ``threading.setprofile``, installed by a
+generated ``sitecustomize``; the ledger's own child interpreters inherit
+it). Then prints, per file of ``src/``, the functions no driver called
+and the lines they span, and checks that every ``repro`` name that
+``ledger/``, ``benchmarks/`` or ``examples/`` imports still imports.
+
+    python3 tools/reach.py                      # every driver, ~4 min on 2 CPUs
+    python3 tools/reach.py --skip check         # leave a driver out, by name
+    python3 tools/reach.py --json reach.json    # also write the result as JSON
+    python3 tools/reach.py --baseline old.json  # functions deleted since old.json
+
+``--baseline`` reads a document an earlier run wrote with ``--json`` and
+lists the functions it knew that are gone now, flagging any a driver
+reached then. Standard library only; too slow for CI.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+#: Installed as ``sitecustomize`` in every driver's interpreter.
+_RECORDER = '''
+import atexit, json, os, sys, threading
+_seen = set()
+def _prof(frame, event, arg):
+    if event == "call":
+        _seen.add(frame.f_code)
+sys.setprofile(_prof)
+threading.setprofile(_prof)
+def _dump():
+    sys.setprofile(None)
+    prefix = os.environ["REACH_SRC"]
+    rows = sorted({(c.co_filename, c.co_firstlineno) for c in _seen
+                   if c.co_filename.startswith(prefix)})
+    path = os.path.join(os.environ["REACH_OUT"], "%d.json" % os.getpid())
+    with open(path, "w") as fh:
+        json.dump(rows, fh)
+atexit.register(_dump)
+'''
+
+SECTIONS = ("table1", "snr", "traffic", "trace", "fig5", "fig6", "fig7", "fig8",
+            "fig9", "serve", "check")
+WORKLOADS = ("kernel_mix", "seq_soi_1d", "seq_soi_batch", "dist_soi", "serve_mix")
+
+
+def drivers() -> dict[str, list[str]]:
+    """Driver name -> command line, run from the repository root."""
+    py = sys.executable
+    out = {f"example:{p.stem}": [py, str(p)] for p in sorted((ROOT / "examples").glob("*.py"))}
+    out["benchmarks"] = [py, "-m", "pytest", "-q", "-p", "no:cacheprovider", "benchmarks"]
+    out["ledger"] = [py, "-m", "ledger", "run", "--quick"]
+    for w in WORKLOADS:
+        out[f"ledger-trace:{w}"] = [py, "-m", "ledger", "run", "--workload", w,
+                                    "--trace", "1", "--quick"]
+    for s in SECTIONS:
+        out[s] = [py, "-m", "repro", s]
+    return out
+
+
+def run_drivers(skip: set[str]) -> set[tuple[str, int]]:
+    """Run every driver not in *skip*; the (file, first line) of each code
+    object of ``src/`` that any of their interpreters entered."""
+    reached: set[tuple[str, int]] = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        site, out = Path(tmp, "site"), Path(tmp, "out")
+        site.mkdir()
+        out.mkdir()
+        (site / "sitecustomize.py").write_text(_RECORDER)
+        env = dict(os.environ, REACH_OUT=str(out), REACH_SRC=str(SRC),
+                   PYTHONPATH=os.pathsep.join([str(site), str(SRC)]))
+        for name, cmd in drivers().items():
+            if name in skip or name.split(":")[0] in skip:
+                continue
+            t0 = time.perf_counter()
+            done = subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.DEVNULL)
+            status = "ok" if done.returncode == 0 else f"exit {done.returncode}"
+            print(f"reach: {name:<28} {time.perf_counter() - t0:6.1f} s  {status}",
+                  file=sys.stderr, flush=True)
+        for path in out.glob("*.json"):
+            reached.update((f, line) for f, line in json.loads(path.read_text()))
+    return reached
+
+
+def functions() -> list[dict]:
+    """Every function and method of ``src/``, nested ones included."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        rel = str(path.relative_to(ROOT))
+
+        def walk(node: ast.AST, prefix: str) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found.append({"file": rel, "abs": str(path), "name": prefix + child.name,
+                                  "first": first, "def": child.lineno,
+                                  "last": child.end_lineno})
+                    walk(child, prefix + child.name + ".")
+                elif isinstance(child, ast.ClassDef):
+                    walk(child, prefix + child.name + ".")
+                else:
+                    walk(child, prefix)
+
+        walk(tree, "")
+    return found
+
+
+def report(funcs: list[dict], reached: set[tuple[str, int]]) -> dict:
+    """Mark each function reached or not and print the per-file table."""
+    for f in funcs:
+        f["reached"] = (f["abs"], f["first"]) in reached or (f["abs"], f["def"]) in reached
+    by_file: dict[str, list[dict]] = {}
+    for f in funcs:
+        by_file.setdefault(f["file"], []).append(f)
+    rows, total = [], 0
+    for rel, fs in by_file.items():
+        # Lines of unreached functions, as a set so nested ones count once.
+        lines = {n for f in fs if not f["reached"] for n in range(f["first"], f["last"] + 1)}
+        missing = [f for f in fs if not f["reached"]]
+        if not missing:
+            continue
+        total += len(lines)
+        rows.append((rel, len(lines), missing))
+    for rel, nlines, missing in sorted(rows, key=lambda r: -r[1]):
+        print(f"{rel}: {nlines} unreached function-lines")
+        for f in missing:
+            print(f"    {f['name']} ({f['last'] - f['first'] + 1} lines, line {f['first']})")
+    print(f"total: {total} unreached function-lines in {len(rows)} files, "
+          f"{sum(1 for f in funcs if not f['reached'])} of {len(funcs)} functions")
+    return {"total_unreached_lines": total,
+            "per_file": {rel: nlines for rel, nlines, _ in rows},
+            "functions": [{k: f[k] for k in ("file", "name", "first", "last", "reached")}
+                          for f in funcs]}
+
+
+def deleted_since(baseline: dict, funcs: list[dict]) -> None:
+    """Print the functions *baseline* knew that are gone now."""
+    now = {(f["file"], f["name"]) for f in funcs}
+    gone = [f for f in baseline["functions"] if (f["file"], f["name"]) not in now]
+    reached = [f for f in gone if f["reached"]]
+    print(f"deleted since baseline: {len(gone)} functions, {len(reached)} of them reached then")
+    for f in reached:
+        print(f"    REACHED: {f['file']}::{f['name']}")
+
+
+def check_imports() -> list[str]:
+    """``repro`` names imported by the drivers' own code that fail to import."""
+    sys.path.insert(0, str(SRC))
+    broken = []
+    for top in ("ledger", "benchmarks", "examples"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+                    mod = importlib.import_module(node.module)
+                    for alias in node.names:
+                        if not hasattr(mod, alias.name):
+                            try:
+                                importlib.import_module(f"{node.module}.{alias.name}")
+                            except ImportError:
+                                broken.append(f"{path.relative_to(ROOT)}: "
+                                              f"{node.module}.{alias.name}")
+                elif isinstance(node, ast.Import):
+                    for alias in node.names:
+                        if alias.name.startswith("repro"):
+                            try:
+                                importlib.import_module(alias.name)
+                            except ImportError:
+                                broken.append(f"{path.relative_to(ROOT)}: {alias.name}")
+    return broken
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--skip", action="append", default=[], metavar="DRIVER",
+                        help="leave a driver out: a name such as 'check' or "
+                        "'ledger-trace:dist_soi', or a prefix such as 'example'")
+    parser.add_argument("--json", metavar="PATH", help="write the result as JSON")
+    parser.add_argument("--baseline", metavar="PATH",
+                        help="a --json document of an earlier tree: list what was deleted")
+    args = parser.parse_args(argv)
+    funcs = functions()
+    result = report(funcs, run_drivers(set(args.skip)))
+    if args.baseline:
+        deleted_since(json.loads(Path(args.baseline).read_text()), funcs)
+    broken = check_imports()
+    print(f"driver imports: {len(broken)} broken")
+    for line in broken:
+        print(f"    {line}")
+    if args.json:
+        Path(args.json).write_text(json.dumps(result, indent=1))
+    return 1 if broken else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
