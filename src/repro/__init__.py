@@ -20,61 +20,71 @@ Quickstart::
     plan = SoiPlan(n=n, p=p)        # beta=1/4, full-accuracy window
     x = np.random.default_rng(0).standard_normal(n) + 0j
     y = soi_fft(x, plan)            # ~ np.fft.fft(x) to ~13-14 digits
+
+Only NumPy and :mod:`repro.core` (the quickstart API above) load with
+``import repro``.  The other exported names and the subpackages load on
+first access (PEP 562 ``__getattr__``), so a caller that only wants
+:func:`soi_fft` does not pay for the runtime, the tracer or the checker.
 """
 
+import importlib
+
 from ._version import __version__
+from .core import (
+    SoiPlan,
+    TauSigmaWindow,
+    GaussianWindow,
+    design_window,
+    soi_fft,
+    soi_ifft,
+    soi_fft2,
+    soi_segment,
+    snr_db,
+)
 
-__all__ = ["__version__"]
+# Exported name -> the subpackage that defines it, imported on first access.
+_LAZY_NAMES = {
+    "run_spmd": "simmpi",
+    "ChaosSchedule": "simmpi",
+    "FaultPlan": "simmpi",
+    "TransportPolicy": "simmpi",
+    "soi_fft_distributed": "parallel",
+    "transpose_fft_distributed": "parallel",
+    "TraceCostModel": "trace",
+    "TraceRecorder": "trace",
+    "HbTracker": "check",
+    "ScheduleController": "check",
+    "replay_interleavings": "check",
+    "run_conformance": "check",
+}
+# Subpackages reachable as attributes of ``repro`` without an import of their own.
+_LAZY_SUBPACKAGES = frozenset({"check", "cluster", "nufft", "parallel", "simmpi", "trace"})
 
-try:
-    from .core import (  # noqa: F401
-        SoiPlan,
-        TauSigmaWindow,
-        GaussianWindow,
-        design_window,
-        soi_fft,
-        soi_ifft,
-        soi_fft2,
-        soi_segment,
-        snr_db,
-    )
-    from .simmpi import (  # noqa: F401
-        ChaosSchedule,
-        FaultPlan,
-        TransportPolicy,
-        run_spmd,
-    )
-    from .parallel import soi_fft_distributed, transpose_fft_distributed  # noqa: F401
-    from .trace import TraceCostModel, TraceRecorder  # noqa: F401
-    from .check import (  # noqa: F401
-        HbTracker,
-        ScheduleController,
-        replay_interleavings,
-        run_conformance,
-    )
+__all__ = [
+    "__version__",
+    "SoiPlan",
+    "TauSigmaWindow",
+    "GaussianWindow",
+    "design_window",
+    "soi_fft",
+    "soi_ifft",
+    "soi_fft2",
+    "soi_segment",
+    "snr_db",
+    *_LAZY_NAMES,
+]
 
-    __all__ += [
-        "SoiPlan",
-        "TauSigmaWindow",
-        "GaussianWindow",
-        "design_window",
-        "soi_fft",
-        "soi_ifft",
-        "soi_fft2",
-        "soi_segment",
-        "snr_db",
-        "run_spmd",
-        "ChaosSchedule",
-        "FaultPlan",
-        "TransportPolicy",
-        "soi_fft_distributed",
-        "transpose_fft_distributed",
-        "TraceCostModel",
-        "TraceRecorder",
-        "HbTracker",
-        "ScheduleController",
-        "replay_interleavings",
-        "run_conformance",
-    ]
-except ImportError:  # pragma: no cover - only during partial source builds
-    pass
+
+def __getattr__(name: str):
+    if name in _LAZY_NAMES:
+        value = getattr(importlib.import_module(f".{_LAZY_NAMES[name]}", __name__), name)
+    elif name in _LAZY_SUBPACKAGES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY_NAMES) | _LAZY_SUBPACKAGES)

@@ -100,34 +100,37 @@ def _min_sigma_for_alias(
     ``1/2 - tau/2``, so the product decays as sigma grows.
     """
 
-    def metrics(sigma: float) -> tuple[float, float]:
+    def over_budget(sigma: float) -> bool:
         win = TauSigmaWindow(tau, sigma)
         # Enforce both the paper's integral criterion (kappa-weighted)
         # and the pointwise edge-bin criterion; either can dominate.
-        combined = max(
-            win.kappa() * win.alias_error(beta),
-            win.alias_error_pointwise(beta),
-        )
-        return win.kappa(), combined
+        # The pointwise one costs three points of H_hat, so it is asked
+        # first: a finite value over the budget decides alone (kappa is
+        # finite then, and the max below can only be larger).
+        point = win.alias_error_pointwise(beta)
+        if point > eps_budget and math.isfinite(point):
+            return True
+        return max(win.kappa() * win.alias_error(beta), point) > eps_budget
 
     lo, hi = 1.0, 2.0
-    k_hi, a_hi = metrics(hi)
-    while a_hi > eps_budget:
+    while over_budget(hi):
         hi *= 2.0
         if hi > 1e6:
             return None
-        k_hi, a_hi = metrics(hi)
     for _ in range(60):
         mid = math.sqrt(lo * hi)
-        k, a = metrics(mid)
-        if a > eps_budget:
+        # Once the bracket stops shrinking every further step repeats this
+        # one (an evaluated end: the initial lo = 1.0 never is).
+        if mid == hi or mid == lo > 1.0:
+            break
+        if over_budget(mid):
             lo = mid
         else:
             hi = mid
-    kappa, _ = metrics(hi)
+    win = TauSigmaWindow(tau, hi)
+    kappa = win.kappa()
     if kappa > kappa_max:
         return None
-    win = TauSigmaWindow(tau, hi)
     return hi, kappa, win.alias_error(beta)
 
 

@@ -36,6 +36,12 @@ whose inverse transform has the closed form
 
 with support essentially ``t in [-B/M, 0]`` — this one-sidedness is what
 makes the distributed halo a *forward*-neighbour exchange (Fig. 4).
+
+The one special function, ``erf``, comes from :mod:`repro.core._erf`: a
+vectorised NumPy port of fdlibm's ``s_erf.c`` (the code glibc's ``erf``
+derives from), within 1 ulp of :func:`math.erf` where tested.  The
+scalar ``erfc`` calls of the tail bounds are :func:`math.erfc`.  The
+window code needs nothing beyond NumPy.
 """
 
 from __future__ import annotations
@@ -43,9 +49,11 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import special
+
+from ._erf import erf
 
 __all__ = [
     "ReferenceWindow",
@@ -77,7 +85,8 @@ class ReferenceWindow(ABC):
     Concrete windows provide vectorised evaluations of the frequency
     profile ``H_hat(u)`` and the time profile ``H(t)``; the generic
     methods compute the design metrics (kappa, eps_alias, B) the SOI
-    plan needs.  ``H_hat`` must be real and positive on ``[-1/2, 1/2]``.
+    plan needs.  ``H_hat`` must be real and positive on ``[-1/2, 1/2]``,
+    and even to the bit: ``h_hat(-u) == h_hat(u)``.
     """
 
     @abstractmethod
@@ -94,10 +103,22 @@ class ReferenceWindow(ABC):
 
     # ---- design metrics -------------------------------------------------
 
+    @cached_property
+    def _passband_abs(self) -> np.ndarray:
+        """``|H_hat|`` on the pass-band grid ``linspace(-1/2, 1/2, 4097)``.
+
+        Both :meth:`kappa` and :meth:`passband_integral` read it.  Only
+        the left half is evaluated: ``H_hat`` is even to the bit and the
+        grid is symmetric exactly (its step is 2**-12), so the mirror
+        image is the right half.
+        """
+        half = _GRID_POINTS_PER_UNIT // 2
+        left = np.abs(self.h_hat(np.linspace(-0.5, 0.0, half + 1)))
+        return np.concatenate([left, left[-2::-1]])
+
     def kappa(self) -> float:
         """Condition number: max/min of ``|H_hat|`` over [-1/2, 1/2]."""
-        u = np.linspace(-0.5, 0.5, 4097)
-        vals = np.abs(self.h_hat(u))
+        vals = self._passband_abs
         vmin = float(vals.min())
         if vmin == 0.0:
             return math.inf
@@ -105,9 +126,7 @@ class ReferenceWindow(ABC):
 
     def passband_integral(self) -> float:
         """``int_{-1/2}^{1/2} |H_hat(u)| du`` (denominator of eps_alias)."""
-        n = _GRID_POINTS_PER_UNIT | 1
-        u = np.linspace(-0.5, 0.5, n)
-        return _simpson(np.abs(self.h_hat(u)), float(u[1] - u[0]))
+        return _simpson(self._passband_abs, 1.0 / _GRID_POINTS_PER_UNIT)
 
     def alias_error(self, beta: float) -> float:
         """``eps_alias`` for oversampling rate *beta* (Section 4, item (c)).
@@ -142,12 +161,10 @@ class ReferenceWindow(ABC):
         """
         if beta < 0:
             raise ValueError(f"beta must be >= 0, got {beta}")
-        edge = float(np.abs(self.h_hat(np.array([0.5]))[0]))
+        edge, first, second = np.abs(self.h_hat(np.array([0.5, 0.5 + beta, 0.5 + beta + 1.0])))
         if edge == 0.0:
             return math.inf
-        first = float(np.abs(self.h_hat(np.array([0.5 + beta]))[0]))
-        second = float(np.abs(self.h_hat(np.array([0.5 + beta + 1.0]))[0]))
-        return (2.0 * first + 2.0 * second) / edge
+        return float((2.0 * first + 2.0 * second) / edge)
 
     def stopband_span(self) -> float:
         """Grid length (in u) after which the analytic tail bound takes over."""
@@ -231,7 +248,10 @@ class TauSigmaWindow(ReferenceWindow):
         u = np.asarray(u, dtype=np.float64)
         rs = math.sqrt(self.sigma)
         scale = math.sqrt(math.pi / self.sigma) / (2.0 * self.tau)
-        return scale * (special.erf(rs * (u + self.tau / 2.0)) - special.erf(rs * (u - self.tau / 2.0)))
+        # Both erf terms in one call: u + (-tau/2) is u - tau/2 exactly.
+        half = self.tau / 2.0
+        upper, lower = erf(rs * (u + np.array([half, -half]).reshape((2,) + (1,) * u.ndim)))
+        return scale * (upper - lower)
 
     def h_time(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
@@ -255,8 +275,8 @@ class TauSigmaWindow(ReferenceWindow):
 
         def tail(t_half: float) -> float:
             # 2-sided tail bound (both tails), sinc bounded by 1.
-            return math.sqrt(math.pi / self.sigma) * rs / math.sqrt(math.pi) * float(
-                special.erfc(math.pi * t_half / rs)
+            return math.sqrt(math.pi / self.sigma) * rs / math.sqrt(math.pi) * math.erfc(
+                math.pi * t_half / rs
             )
 
         lo, hi = 0.0, 1.0
@@ -294,7 +314,7 @@ class TauSigmaWindow(ReferenceWindow):
         c = math.sqrt(math.pi / self.sigma) / (2.0 * self.tau)
         if z > 26.0:  # exp(-z^2) underflows; bound is zero at double precision
             return 0.0
-        ierfc = math.exp(-z * z) / math.sqrt(math.pi) - z * special.erfc(z)
+        ierfc = math.exp(-z * z) / math.sqrt(math.pi) - z * math.erfc(z)
         return c * max(ierfc, 0.0) / rs
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -336,7 +356,7 @@ class GaussianWindow(ReferenceWindow):
         rs = math.sqrt(self.sigma)
 
         def ratio(t_half: float) -> float:
-            return float(special.erfc(math.pi * t_half / rs))
+            return math.erfc(math.pi * t_half / rs)
 
         lo, hi = 0.0, 1.0
         while ratio(hi) > eps and hi < 1e6:
@@ -358,7 +378,7 @@ class GaussianWindow(ReferenceWindow):
         if z > 26.0:
             return 0.0
         # int_a^inf exp(-sigma u^2) du = sqrt(pi)/(2 rs) erfc(rs a)
-        return math.sqrt(math.pi) / (2.0 * rs) * float(special.erfc(z))
+        return math.sqrt(math.pi) / (2.0 * rs) * math.erfc(z)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"GaussianWindow(sigma={self.sigma:.6g})"

@@ -47,10 +47,10 @@ from ..simmpi.comm import Communicator
 from ..simmpi.errors import RankFailedError
 from ..simmpi.requests import waitall, waitany
 from ..simmpi.transport import _payload_bytes
-from ..trace.spans import TraceRecorder
 from ..utils import require
 
 if TYPE_CHECKING:
+    from ..trace.spans import TraceRecorder
     from .resilience import SoiResilience
 
 __all__ = [

@@ -26,13 +26,17 @@ order is to be preserved".
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..dft.backends import FftBackend, get_backend
 from ..dft.flops import fft_flops
 from ..simmpi.comm import Communicator
-from ..trace.spans import TraceRecorder
 from ..utils import check_positive_int, require
+
+if TYPE_CHECKING:
+    from ..trace.spans import TraceRecorder
 
 __all__ = ["transpose_fft_distributed", "distributed_transpose", "choose_grid"]
 

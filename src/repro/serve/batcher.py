@@ -24,9 +24,6 @@ Per backend:
   which is where the serve bench's headline speedup comes from.
 - ``nufft`` — per-request NUFFT inside one dispatch group (point sets
   differ per request; the plan is shared via a small keyed cache).
-
-Flop accounting uses the same ``5 n log2 n`` nominal count as
-:mod:`repro.dft.flops`, recorded with each batch in the metrics log.
 """
 
 from __future__ import annotations
@@ -37,13 +34,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..dft import plan_for
-from ..dft.flops import fft_flops
 from .request import TransformRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..nufft import NufftPlan
 
-__all__ = ["execute_batch", "batch_flops", "batch_bytes"]
+__all__ = ["execute_batch"]
 
 #: Small keyed cache of NufftPlan objects (window spread tables are
 #: expensive to rebuild per request).
@@ -60,17 +56,6 @@ def _nufft_plan(k_modes: int) -> "NufftPlan":
         if plan is None:
             plan = _nufft_plans[key] = NufftPlan(k_modes)
         return plan
-
-
-def batch_flops(requests: list[TransformRequest]) -> float:
-    """Nominal flops of the batch (5 n log2 n per transform)."""
-    return float(sum(fft_flops(r.n) for r in requests))
-
-
-def batch_bytes(requests: list[TransformRequest]) -> int:
-    """Payload bytes moved through the batch (itemsize-aware: a
-    complex64 batch counts half the bytes of a complex128 one)."""
-    return int(sum(r.payload.nbytes for r in requests))
 
 
 def _execute_dft(requests: list[TransformRequest]) -> list[np.ndarray]:

@@ -99,8 +99,6 @@ class _BatchRecord:
     size: int
     t0: float
     t1: float
-    flops: float = 0.0
-    nbytes: int = 0
 
 
 class MetricsLog:
@@ -140,12 +138,10 @@ class MetricsLog:
 
     def record_batch(
         self, batch_id: int, worker: int, key: tuple, size: int,
-        t0: float, t1: float, flops: float = 0.0, nbytes: int = 0,
+        t0: float, t1: float,
     ) -> None:
         with self._lock:
-            self._batches.append(
-                _BatchRecord(batch_id, worker, key, size, t0, t1, flops, nbytes)
-            )
+            self._batches.append(_BatchRecord(batch_id, worker, key, size, t0, t1))
 
     @staticmethod
     def span_for(req: TransformRequest, status: str, now: float, *,

@@ -35,7 +35,7 @@ import numpy as np
 from ..dft.cache import warm_plan_cache
 from ..utils import check_positive_int
 from .admission import AdmissionController
-from .batcher import batch_bytes, batch_flops, execute_batch
+from .batcher import execute_batch
 from .errors import ServerClosed
 from .metrics import MetricsLog
 from .request import BACKENDS, Ticket, TransformRequest, resolve_priority
@@ -345,11 +345,7 @@ class TransformServer:
             )
             for req in batch
         ])
-        self.metrics.record_batch(
-            batch_id, worker, batch[0].batch_key, len(batch),
-            t_exec0, t_exec1,
-            flops=batch_flops(batch), nbytes=batch_bytes(batch),
-        )
+        self.metrics.record_batch(batch_id, worker, batch[0].batch_key, size, t_exec0, t_exec1)
 
     # -- shed / close bookkeeping -------------------------------------
     def _on_shed(self, req: TransformRequest, err: Exception) -> None:

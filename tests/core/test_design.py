@@ -97,6 +97,21 @@ class TestPresets:
             assert fresh.window.tau == pytest.approx(tau, rel=1e-6)
             assert fresh.window.sigma == pytest.approx(sigma, rel=1e-6)
 
+    # B of a fresh search at beta = 1/2, the same with SciPy's erf and
+    # with the NumPy port (at beta = 1/4 it is the frozen B).
+    B_AT_HALF_BETA = {
+        "full": 40, "digits14": 36, "digits13": 30, "digits12": 28,
+        "digits11": 24, "digits10": 22, "digits8": 18, "digits6": 14,
+    }
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", list(NAMED_PRESETS))
+    @pytest.mark.parametrize("beta", [0.25, 0.5])
+    def test_every_preset_keeps_its_b(self, name, beta):
+        digits, _, _, b = NAMED_PRESETS[name]
+        expected = b if beta == 0.25 else self.B_AT_HALF_BETA[name]
+        assert design_window(digits, beta=beta).b == expected
+
     def test_nonstandard_beta_triggers_search(self):
         des = preset_design("digits6", beta=0.5)
         assert des.beta == 0.5

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.serve import ServeConfig, TransformServer
-from repro.serve.batcher import batch_bytes
 from repro.serve.request import TransformRequest, Ticket
 
 
@@ -34,11 +33,6 @@ class TestBatchKey:
         c = _req(_signal(256, seed=1, dtype=np.complex64))
         assert a.batch_key != b.batch_key
         assert b.batch_key == c.batch_key
-
-    def test_batch_bytes_is_itemsize_aware(self):
-        r128 = _req(_signal(256, dtype=np.complex128))
-        r64 = _req(_signal(256, dtype=np.complex64))
-        assert batch_bytes([r128]) == 2 * batch_bytes([r64])
 
 
 class TestSinglePrecisionRequests:

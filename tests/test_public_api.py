@@ -2,6 +2,10 @@
 
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -104,3 +108,61 @@ class TestPublicSurface:
 
         res = run_spmd(nranks, prog)
         assert snr_db(np.concatenate(res.values), np.fft.fft(x)) > 290.0
+
+
+# Run in a fresh interpreter: this process has long since imported
+# everything.  Prints nothing and exits 0 when the contract holds.
+_COLD_IMPORT = r"""
+import importlib
+import sys
+
+import repro
+from repro import SoiPlan, soi_fft
+
+# Only NumPy and the core load eagerly.
+eager = [m for m in ("scipy", "repro.simmpi", "repro.parallel", "repro.trace", "repro.check")
+         if m in sys.modules]
+assert not eager, eager
+
+# Every exported name resolves to its defining module's object.
+home = {
+    "repro.core": ["SoiPlan", "TauSigmaWindow", "GaussianWindow", "design_window", "soi_fft",
+                   "soi_ifft", "soi_fft2", "soi_segment", "snr_db"],
+    "repro.simmpi": ["run_spmd", "ChaosSchedule", "FaultPlan", "TransportPolicy"],
+    "repro.parallel": ["soi_fft_distributed", "transpose_fft_distributed"],
+    "repro.trace": ["TraceCostModel", "TraceRecorder"],
+    "repro.check": ["HbTracker", "ScheduleController", "replay_interleavings", "run_conformance"],
+}
+assert sorted(repro.__all__) == sorted(["__version__", *sum(home.values(), [])]), repro.__all__
+for module, names in home.items():
+    for name in names:
+        assert getattr(repro, name) is getattr(importlib.import_module(module), name), name
+
+# Every subpackage an eager `import repro` used to load is still an attribute.
+for sub in ("check", "cluster", "core", "dft", "exectx", "nufft", "parallel", "simmpi",
+            "trace", "utils"):
+    assert getattr(repro, sub) is sys.modules["repro." + sub], sub
+try:
+    repro.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown attribute resolved")
+
+namespace = {}
+exec("from repro import *", namespace)
+assert all(namespace[name] is getattr(repro, name) for name in repro.__all__)
+"""
+
+
+class TestColdImport:
+    def test_import_loads_only_the_core_and_every_name_resolves(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        ))
+        done = subprocess.run(
+            [sys.executable, "-c", _COLD_IMPORT], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
