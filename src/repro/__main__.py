@@ -14,8 +14,8 @@ table/figure reports (see EXPERIMENTS.md for the recorded comparison)
 and returns a JSON-safe payload; ``--json`` dumps the payloads of the
 selected sections as one JSON object after the text output.
 
-The ``trace`` section replays both distributed algorithms on the
-virtual timeline of :mod:`repro.trace`: an ASCII timeline per
+The ``trace`` section runs both distributed algorithms on the DES
+engine and prints their :mod:`repro.trace` timelines: an ASCII timeline per
 algorithm, per-kind/per-phase rollups, and — with ``--trace-out`` — a
 Chrome trace-event JSON loadable in Perfetto / ``chrome://tracing``.
 """
@@ -228,7 +228,7 @@ def _traffic(args: argparse.Namespace) -> dict:
 
 
 def _trace(args: argparse.Namespace) -> dict:
-    """Traced 8-rank runs of both algorithms on the virtual timeline."""
+    """Traced 8-rank DES runs of both algorithms on the virtual timeline."""
     from .bench import random_complex
     from .core import SoiPlan, snr_db
     from .parallel import soi_fft_distributed, split_blocks, transpose_fft_distributed
@@ -256,7 +256,7 @@ def _trace(args: argparse.Namespace) -> dict:
         ("transpose", lambda comm: transpose_fft_distributed(comm, blocks[comm.rank], n)),
     ):
         recorder = TraceRecorder()
-        res = run_spmd(ranks, fn, trace=recorder, **run_kwargs)
+        res = run_spmd(ranks, fn, engine="des", trace=recorder, **run_kwargs)
         tl = recorder.timeline()
         agg = rollup(tl)
         timelines[name] = tl

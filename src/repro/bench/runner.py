@@ -73,12 +73,13 @@ _TRACE_ROLLUP_CACHE: dict[tuple[int, int], dict[str, Any]] = {}
 
 
 def trace_rollups(n: int = 1 << 12, nranks: int = 4, seed: int = 0) -> dict[str, Any]:
-    """Virtual-timeline rollups for a small traced run of both algorithms.
+    """Virtual-timeline rollups for a small traced DES run of both algorithms.
 
     Attached to every :class:`FigureResult` as ``extras["trace"]`` so the
     figure payloads carry the structural story behind the modelled bars —
     one all-to-all epoch for SOI, three for the six-step baseline, with
-    per-kind time and the critical path (see :mod:`repro.trace`).  Cached
+    per-kind time and the critical path (see :mod:`repro.trace`), priced
+    by the DES engine's default cost model.  Cached
     per ``(n, nranks)``: the rollup is a pure function of the problem
     shape, and figure sweeps share it.
     """
@@ -98,7 +99,7 @@ def trace_rollups(n: int = 1 << 12, nranks: int = 4, seed: int = 0) -> dict[str,
             ),
         ):
             recorder = TraceRecorder()
-            run_spmd(nranks, fn, trace=recorder)
+            run_spmd(nranks, fn, engine="des", trace=recorder)
             out[name] = rollup(recorder.timeline())
         _TRACE_ROLLUP_CACHE[key] = out
     return _TRACE_ROLLUP_CACHE[key]

@@ -61,6 +61,7 @@ from ..simmpi.faults import FaultPlan
 from ..simmpi.runtime import run_spmd
 from ..simmpi.transport import TransportPolicy
 from ..trace import TraceRecorder
+from .schedules import span_structure
 
 __all__ = [
     "ConformanceRow",
@@ -1104,25 +1105,15 @@ def _des_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
         detail="nonblocking overlap pipeline is engine-invariant",
     )
 
-    # -- trace=: per-rank span structure is pinned event-for-event -----
-    def _trace_struct(rec: TraceRecorder) -> dict:
-        return {
-            str(rank): [
-                [ev.kind, ev.phase, ev.name, ev.peer, repr(ev.tag),
-                 ev.index, ev.nbytes, ev.flops, ev.ckind]
-                for ev in events
-            ]
-            for rank, events in sorted(rec._events.items())
-        }
-
+    # -- trace=: per-rank span structure is pinned span-for-span -------
     def traced():
         rec_d, rec_t = TraceRecorder(), TraceRecorder()
         got, _ = soi("des", "hierarchical", trace=rec_d)
         ref, _ = soi("thread", "hierarchical", trace=rec_t)
         if rec_d.nevents == 0:
             raise RuntimeError("DES trace recorder captured no events")
-        sd = json.dumps(_trace_struct(rec_d), sort_keys=True).encode()
-        st = json.dumps(_trace_struct(rec_t), sort_keys=True).encode()
+        sd = json.dumps(span_structure(rec_d)).encode()
+        st = json.dumps(span_structure(rec_t)).encode()
         return (
             np.concatenate([np.ascontiguousarray(got).view(np.uint8),
                             np.frombuffer(sd, dtype=np.uint8)]),

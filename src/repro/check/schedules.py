@@ -305,12 +305,19 @@ def _payload_equal(a: Any, b: Any) -> bool:
     return bool(a == b)
 
 
-def _span_structure(recorder: TraceRecorder) -> list[tuple]:
-    """Canonical, interleaving-independent view of a recorded timeline."""
-    return sorted(
-        (s.rank, s.kind, s.name, s.phase, s.peer, s.nbytes, s.flops, s.t0, s.t1)
+def span_structure(recorder: TraceRecorder) -> list[tuple]:
+    """Interleaving-independent view of a recorded timeline: each rank's
+    non-wait spans in recording order, without timestamps.
+
+    Stamps and wait spans are timing; the rest is a pure function of the
+    program and the fault seed (per-channel ordinals pair every receive
+    with its send whatever the interleaving).
+    """
+    return [
+        (s.rank, s.kind, s.name, s.phase, s.peer, s.nbytes, s.flops)
         for s in recorder.timeline().spans
-    )
+        if s.kind != "wait"
+    ]
 
 
 def replay_interleavings(
@@ -331,8 +338,9 @@ def replay_interleavings(
 
     - per-rank return values (nested arrays compared bit-for-bit),
     - traffic statistics (``TrafficStats.as_dict()``),
-    - trace span structure (ranks, kinds, names, phases, bytes, flops
-      and virtual times of every span).
+    - trace span structure (:func:`span_structure`: each rank's
+      non-wait spans in order, by kind, name, phase, peer, bytes and
+      flops).
 
     Divergences are collected — not raised — so a single fuzzing run
     reports every racy projection at once.
@@ -341,7 +349,7 @@ def replay_interleavings(
     ref_rec = TraceRecorder() if compare_traces else None
     ref = run_spmd(nranks, program, trace=ref_rec, **run_kwargs)
     ref_stats = ref.stats.as_dict()
-    ref_spans = _span_structure(ref_rec) if compare_traces else None
+    ref_spans = span_structure(ref_rec) if compare_traces else None
 
     report = FuzzReport(nranks=nranks, schedules=schedules, base_seed=seed)
     for i in range(schedules):
@@ -359,7 +367,7 @@ def replay_interleavings(
                 ReplayMismatch(sched_seed, "stats", "traffic statistics diverged")
             )
         if compare_traces:
-            spans = _span_structure(rec)
+            spans = span_structure(rec)
             if spans != ref_spans:
                 report.mismatches.append(
                     ReplayMismatch(

@@ -117,7 +117,7 @@ class SoiResilience:
                 self.detections.append((phase, comm.rank, dead))
             comm.stats.record_failure_detected(phase)
             tracer = comm.world.tracer
-            if tracer is not None and hasattr(tracer, "record_failure"):
+            if tracer is not None:
                 tracer.record_failure(phase, comm.rank, dead)
 
     @staticmethod
@@ -216,7 +216,7 @@ def _charge(comm: Communicator, name: str, nbytes: int = 0, flops: int = 0) -> N
     """
     comm.stats.record_recovery("recover", nbytes=nbytes, flops=flops)
     tracer = comm.world.tracer
-    if tracer is not None and hasattr(tracer, "record_recovery"):
+    if tracer is not None:
         tracer.record_recovery("recover", comm.rank, name, nbytes=nbytes)
 
 

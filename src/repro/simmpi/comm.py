@@ -119,13 +119,13 @@ class Communicator:
         the world.  *kind* selects the cost-model efficiency (``"fft"``
         or ``"conv"``).
         """
+        if self.world.virtual_time:
+            # DES: the modelled span advances this rank's virtual clock
+            # by the Section 7.4 cost, before the span is stamped.
+            self.world.advance_compute(self.world_rank, flops, kind)
         tracer = self.world.tracer
         if tracer is not None:
             tracer.record_compute(name, self.world_rank, name, flops, kind)
-        if self.world.virtual_time:
-            # DES: the modelled span also advances this rank's virtual
-            # clock (the same Section 7.4 cost the replay would charge).
-            self.world.advance_compute(self.world_rank, flops, kind)
 
     @contextmanager
     def _traced_collective(self, name: str) -> Iterator[None]:
@@ -161,31 +161,32 @@ class Communicator:
         phase = self._phase
         if world.scheduler is not None:
             world.scheduler.on_send(world, self.rank, dest, tag)
-        tracer = world.tracer
-        if tracer is not None:
-            record = tracer.record_isend if nonblocking else tracer.record_send
-            record(phase, self.rank, dest, tag, _payload_bytes(obj))
         if world.transport is None:
             # Keep logical-send ordinals aligned with channel consumption
             # even for blocking sends: isend completion counts pops.
-            ordinal = world.next_raw_ordinal((self.rank, dest, tag))
+            ordinal, seq = world.next_raw_ordinal((self.rank, dest, tag)), None
             index = 0
             if world.faults is not None:
                 index = world.faults.next_index(phase, self.rank, dest)
             world.wire_send(phase, self.rank, dest, tag, obj, index=index)
-            return ordinal, None
-        seq = world.next_send_seq(self.rank, dest, tag)
-        crc = payload_checksum(obj) if world.transport.checksums else None
-        env = _Envelope(
-            seq=seq,
-            phase=phase,
-            payload=obj,
-            crc=crc,
-            nbytes=_payload_bytes(obj),
-        )
-        world.register_unacked(self.rank, dest, tag, env)
-        world.wire_send(phase, self.rank, dest, tag, env, index=seq)
-        return None, seq
+        else:
+            ordinal, seq = None, world.next_send_seq(self.rank, dest, tag)
+            crc = payload_checksum(obj) if world.transport.checksums else None
+            env = _Envelope(
+                seq=seq,
+                phase=phase,
+                payload=obj,
+                crc=crc,
+                nbytes=_payload_bytes(obj),
+            )
+            world.register_unacked(self.rank, dest, tag, env)
+            world.wire_send(phase, self.rank, dest, tag, env, index=seq)
+        tracer = world.tracer
+        if tracer is not None:
+            # Stamped once the wire has charged the post (DES: post overhead).
+            record = tracer.record_isend if nonblocking else tracer.record_send
+            record(phase, self.rank, dest, tag, _payload_bytes(obj))
+        return ordinal, seq
 
     def recv(self, source: int, tag: int = 0, timeout: float | None = None) -> Any:
         """Blocking receive from rank *source*.
@@ -346,30 +347,17 @@ class Communicator:
         Returns the :meth:`World.clock` instant by which the channel
         wants another poll: its patience deadline under the reliable
         transport, ``inf`` on the raw substrate.  Raw fulfilment happens
-        under ``_cv`` (so FIFO order is atomic with channel pops); trace
-        recording runs after release, still in fulfilment order — all of
-        a channel's requests belong to one rank thread, so no
-        interleaving can reorder them.
+        under ``_cv`` (so FIFO order is atomic with channel pops); the
+        DES fulfils only messages its rank's clock has reached (and
+        wakes the waiter at the next arrival, see ``DesWorld``).
         """
         world = self.world
         if world.transport is not None:
             return self._drain_pending_reliable(key)
-        ready: list[tuple[RecvRequest, Any]] = []
         with world._cv:
             if world.abort_event.is_set():
                 raise SimMpiError("aborted: another rank failed")
-            pending = world._pending_recvs.get(key)
-            while pending:
-                ch = world._channels.get(key)
-                if not ch:
-                    if world.scheduler is not None and world.scheduler.on_wait(
-                        world, key
-                    ):
-                        continue  # the controller released a held message
-                    break
-                item = ch.popleft()
-                world._note_consumed_locked(key)
-                ready.append((pending.popleft(), item))
+            ready = world._drain_posted_locked(key)
         for req, item in ready:
             req._finish(item)
         return math.inf
@@ -424,9 +412,6 @@ class Communicator:
         scheduler = self.world.scheduler
         if scheduler is not None:
             scheduler.on_barrier_enter(self.world, self.rank)
-        tracer = self.world.tracer
-        if tracer is not None:
-            tracer.record_barrier(self._phase, self.rank)
         budget = self.world.timeout if timeout is None else timeout
         try:
             self.world._barrier.wait(timeout=budget)
@@ -442,6 +427,9 @@ class Communicator:
             raise DeadlockError(f"rank {self.rank}: barrier broken/timed out") from None
         if scheduler is not None:
             scheduler.on_barrier_exit(self.world, self.rank)
+        tracer = self.world.tracer
+        if tracer is not None:
+            tracer.record_barrier(self._phase, self.rank)
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast from *root*; every rank returns the payload."""
@@ -819,19 +807,17 @@ class SubCommunicator(Communicator):
 
     def barrier(self, timeout: float | None = None) -> None:
         """Message-based member barrier (the world barrier spans everyone)."""
-        tracer = self.world.tracer
-        if tracer is not None:
-            tracer.record_barrier(self._phase, self.world_rank)
         if self.size == 1:
             return
-        if self.rank == 0:
-            for m in range(1, self.size):
-                self.recv(m, tag=-9, timeout=timeout)
-            for m in range(1, self.size):
-                self.send(0, m, tag=-9)
-        else:
-            self.send(0, 0, tag=-9)
-            self.recv(0, tag=-9, timeout=timeout)
+        with self._traced_collective("barrier"):
+            if self.rank == 0:
+                for m in range(1, self.size):
+                    self.recv(m, tag=-9, timeout=timeout)
+                for m in range(1, self.size):
+                    self.send(0, m, tag=-9)
+            else:
+                self.send(0, 0, tag=-9)
+                self.recv(0, tag=-9, timeout=timeout)
 
     def shrink(self, epoch: int = 0) -> "SubCommunicator":
         raise NotImplementedError(

@@ -19,8 +19,13 @@ of the :class:`~repro.simmpi.comm.Communicator` semantics in place:
   spans via the flop model (``Communicator.trace_compute``), messages
   via a per-sender NIC serialisation + wire latency (the cost model's
   ``fabric`` and ``latency_s``: the one definition of the virtual wire),
-  barriers via the synchronisation cost.  Timeouts and fault delays are
-  virtual timers.
+  barriers via the synchronisation cost.  A receive advances the clock
+  to its message's arrival; a posted irecv is fulfilled only once the
+  clock has reached it (a waiter parks until the earliest pending
+  arrival), never early because the message is already queued.
+  Timeouts and fault delays are virtual timers.  A
+  :class:`repro.trace.TraceRecorder` stamps its spans with these
+  clocks, so a traced run's timeline *is* the DES run.
 - **Deterministic scheduling.**  Runnable fibers are dispatched from a
   heap ordered by ``(virtual clock, arrival ordinal)``; timers fire
   only when *no* fiber is runnable.  Two consequences the test layer
@@ -43,6 +48,7 @@ byte-for-byte.
 from __future__ import annotations
 
 import heapq
+import math
 import threading
 from collections import deque
 from typing import Any, Callable, Sequence
@@ -466,7 +472,7 @@ class DesWorld(World):
         if cost_model is None:
             from ..trace.spans import TraceCostModel  # lazy: avoid cycle
 
-            cost_model = TraceCostModel(ranks_per_node=ranks_per_node or 1)
+            cost_model = TraceCostModel()
         self.cost = cost_model
         self.des = DesScheduler(self, cost_model, nranks)
         self._barrier = DesBarrier(self.des, nranks)
@@ -490,18 +496,28 @@ class DesWorld(World):
         self.des.clocks[rank] += self.cost.compute_time(flops, kind)
 
     def _await_activity(self, rank: int, ticks: int, remaining: float) -> None:
+        now = self.des.clocks[rank]
+        deadline = now + remaining
         with self._cv:
             if self._activity != ticks:
                 return
-        self.des.block(
-            rank, activity=True, deadline=self.des.clocks[rank] + remaining
-        )
+            # A posted irecv whose message is queued ahead of its virtual
+            # arrival wakes its waiter at that arrival.
+            for key, q in self._pending_recvs.items():
+                if q and key[1] == rank:
+                    arrival = self._next_arrival_locked(key)
+                    if now < arrival < deadline:
+                        deadline = arrival
+        self.des.block(rank, activity=True, deadline=deadline)
 
     def _get(self, key: tuple, deadline: float, fail_dead: bool = True) -> Any:
         des = self.des
         rank = key[1]  # _get always runs on the receiving rank's fiber
         while True:
             with self._cv:
+                if deadline <= des.clocks[rank] < self._next_arrival_locked(key) < math.inf:
+                    # A receive that cannot wait takes only what has arrived.
+                    return _TIMEOUT
                 found, item = self._poll_channel_locked(key, fail_dead)
                 if found:
                     return item
@@ -595,6 +611,29 @@ class DesWorld(World):
             # backend gets this from the unconditional notify_all).
             self.des.notify_key(key)
             self.des.notify_rank(key[1])
+
+    def _next_arrival_locked(self, key: tuple) -> float:
+        """Virtual arrival of *key*'s next message (queued or held), else inf."""
+        vts = self._chan_vt.get(key)
+        return vts[0] if vts else math.inf
+
+    def _drain_posted_locked(self, key: tuple) -> list[tuple[Any, Any]]:
+        # The base drain, except that a posted irecv is fulfilled only
+        # once the receiver's clock has reached the message's arrival:
+        # a message physically queued early is not yet there.
+        ready = []
+        pending = self._pending_recvs.get(key)
+        now = self.des.clocks[key[1]]
+        while pending and self._next_arrival_locked(key) <= now:
+            ch = self._channels.get(key)
+            if not ch:
+                if self.scheduler is not None and self.scheduler.on_wait(self, key):
+                    continue
+                break
+            item = ch.popleft()
+            self._note_consumed_locked(key)
+            ready.append((pending.popleft(), item))
+        return ready
 
     def _note_consumed_locked(self, key: tuple) -> None:
         vts = self._chan_vt.get(key)

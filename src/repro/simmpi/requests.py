@@ -140,10 +140,9 @@ class RecvRequest(Request):
     matching MPI's nonovertaking rule.  Fulfilment (payload binding,
     scheduler ``on_recv``) follows channel arrival order; the *trace*
     records the receive at claim time — the point where the program
-    actually observed completion — under the posting phase.  Claim-time
-    recording is what lets the virtual replay see overlap: a message
-    that landed during compute replays as a short (or absent) wait at
-    the claim, not as a stall at its arrival.
+    actually observed completion — under the posting phase, so a
+    message that landed during compute shows as a short (or absent)
+    wait at the claim, not as a stall at its arrival.
     """
 
     def __init__(

@@ -205,10 +205,11 @@ def run_spmd(
     cost_model:
         DES engine only: the :class:`repro.trace.TraceCostModel`
         advancing virtual clocks (compute flops, wire/NIC, barrier).
-        Defaults to the standard model at the world's node shape.  It
-        is the one definition of the virtual wire: its ``latency_s`` and
-        ``fabric`` price every off-node message.  The thread engine
-        delivers at post time.
+        Defaults to the standard model.  It is the one definition of
+        the virtual wire: its ``latency_s`` and ``fabric`` price every
+        off-node message (the world's node map decides which are).
+        A traced run's timeline is stamped by this clock.  The thread
+        engine delivers at post time.
 
     Returns an :class:`SpmdResult` with ``values[rank]``, the shared
     :class:`TrafficStats` of the successful attempt, and the number of

@@ -404,6 +404,26 @@ class World:
                 )
             return False, None
 
+    def _drain_posted_locked(self, key: tuple) -> list[tuple[Any, Any]]:
+        """Pop queued items into *key*'s posted irecvs, head-first.
+
+        Caller holds ``_cv``.  Returns the ``(request, item)`` pairs to
+        fulfil once the lock is released.  A schedule controller may
+        release a held message when the channel runs dry.
+        """
+        ready = []
+        pending = self._pending_recvs.get(key)
+        while pending:
+            ch = self._channels.get(key)
+            if not ch:
+                if self.scheduler is not None and self.scheduler.on_wait(self, key):
+                    continue  # the controller released a held message
+                break
+            item = ch.popleft()
+            self._note_consumed_locked(key)
+            ready.append((pending.popleft(), item))
+        return ready
+
     def _note_consumed_locked(self, key: tuple) -> None:
         """Record one popped item on *key*.  Caller holds ``_cv``.
 

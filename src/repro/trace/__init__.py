@@ -1,11 +1,13 @@
 """Distributed tracing for the simulated cluster.
 
-Every simulated run can be recorded as per-rank spans — compute timed
-by the Section-7.4 cost model, communication by the interconnect model,
-waits made explicit — and replayed onto a deterministic virtual
-timeline for rollups, critical-path analysis (which also charges each
-wait to a phase) and Chrome trace-event export (Perfetto /
-``chrome://tracing``).
+Every simulated run can be recorded as per-rank spans — compute,
+sends, receives, collectives, and the waits between them made
+explicit — stamped with the engine's clock as the run executes.  On
+``engine="des"`` that is the virtual clock of the Section-7.4 cost
+model, so the timeline is the deterministic DES run itself; on threads
+it is the wall clock.  The timeline feeds rollups, critical-path
+analysis (which also charges each wait to a phase) and Chrome
+trace-event export (Perfetto / ``chrome://tracing``).
 
 Quickstart::
 
@@ -13,8 +15,8 @@ Quickstart::
     from repro.trace import TraceRecorder, rollup, write_chrome_trace
 
     tracer = TraceRecorder()
-    res = run_spmd(8, prog, trace=tracer)   # prog calls soi_fft_distributed
-    tl = tracer.timeline()
+    res = run_spmd(8, prog, engine="des", trace=tracer)  # prog: soi_fft_distributed
+    tl = tracer.timeline()                  # tl.makespan == res.virtual_time_s
     print(rollup(tl)["alltoall_epochs"])    # SOI: 1, six-step baseline: 3
     write_chrome_trace(tl, "soi.json")      # open in ui.perfetto.dev
 
@@ -35,7 +37,6 @@ from .spans import (
     SPAN_KINDS,
     Span,
     TraceCostModel,
-    TraceEvent,
     TraceRecorder,
     VirtualTimeline,
 )
@@ -44,7 +45,6 @@ __all__ = [
     "SPAN_KINDS",
     "Span",
     "TraceCostModel",
-    "TraceEvent",
     "TraceRecorder",
     "VirtualTimeline",
     "CriticalPath",

@@ -90,8 +90,7 @@ class CriticalPath:
         per phase.
 
         Counts time the path's rank could not compute because it was
-        inside a communication call: blocking ``send`` spans (the rank
-        sits in the call while the message serialises onto the wire),
+        inside a communication call: blocking ``send`` spans,
         ``wait``/``retransmit`` spans remaining on the path, and the
         bridged waits the backward walk jumped through.  Nonblocking
         ``isend`` posts are *not* stalls — the CPU returns immediately
@@ -115,9 +114,9 @@ def critical_path(tl: VirtualTimeline) -> CriticalPath:
     span the true dependency is the send that released it, so the walk
     jumps to the sender's rank and charges the bridged gap (wire
     latency) to ``network_s``; everywhere else it follows the rank's own
-    tiled predecessor.  Wait spans with no recorded cause (replay
-    force-resolutions under raw-substrate faults) stay on the path as
-    genuine blocked time.
+    tiled predecessor.  Wait spans with no recorded cause (an unmatched
+    receive under raw-substrate faults) stay on the path as genuine
+    blocked time.
     """
     leaves = tl.leaf_spans()
     if not leaves:

@@ -1,46 +1,38 @@
-"""Per-rank span recording with virtual clocks for the simulated cluster.
+"""Per-rank spans stamped on the engine's clock as a run executes.
 
-The simulated runtime (:mod:`repro.simmpi`) executes ranks as threads,
-so wall-clock timing is meaningless — what *is* exact is the logical
-structure: which rank computed what, which messages crossed which
-channel in which order, where a rank blocked.  This module records that
-structure during a run and afterwards replays it onto **virtual
-timelines**: compute spans are timed by the Section-7.4 cost model
-(flop counts at the paper's measured efficiencies), communication spans
-by the :mod:`repro.cluster` fabric model, and every gap where a rank
-blocked in ``recv``/``barrier`` becomes an explicit *wait* span.
+The communicator (:mod:`repro.simmpi`) calls the recorder's hooks as
+events happen, and each hook stamps its span with ``world.clock()``
+after the engine has charged the event.  On ``engine="des"`` that clock
+is the rank's virtual clock, advanced by the Section-7.4 cost model
+(:class:`TraceCostModel`: compute at the paper's measured flop
+efficiencies, messages through a per-sender NIC onto the
+:mod:`repro.cluster` fabric, barriers by the synchronisation cost), so
+the timeline *is* the DES run: its makespan is
+``SpmdResult.virtual_time_s``.  On ``engine="thread"`` the clock is
+``time.monotonic()`` and the same structure lands on the wall clock.
 
-Two-stage design, chosen for determinism:
-
-1. **Recording** (:class:`TraceRecorder`, driven by hooks inside the
-   communicator) appends :class:`TraceEvent` entries to per-rank lists.
-   Each rank appends only from its own thread, and message matching
-   uses per-channel logical counters (the sender's k-th send on a
-   ``(src, dst, tag)`` channel pairs with the receiver's k-th receive),
-   so the recorded structure is a pure function of the program and the
-   fault seed — independent of thread interleaving.
-2. **Replay** (:meth:`TraceRecorder.timeline`) walks the per-rank event
-   lists in dependency order and assigns virtual timestamps: a send
-   occupies its sender for the wire serialisation time and becomes
-   available to the receiver one latency later; a receive that runs
-   ahead of its matched send emits a wait span; a barrier synchronises
-   every rank to the latest arrival.  Replay is deterministic and can
-   be re-run under different :class:`TraceCostModel` parameters without
-   re-executing the FFT.
+A leaf span runs from the rank's previous stamp to now, so leaf spans
+tile each rank's timeline.  A receive stamps the time its rank spent
+blocked as a *wait* span followed by a zero-length ``recv``; both name
+their cause, the matching send, by per-channel ordinals (the sender's
+k-th send on a ``(src, dst, tag)`` channel pairs with the receiver's
+k-th receive).  Causes and barrier releases are resolved when
+:meth:`TraceRecorder.timeline` reads the spans, so a receive stamped
+before its send (a thread-engine race) still pairs.
 
 Tracing is zero-cost when off (one ``is None`` check per communicator
 operation) and bit-transparent when on: hooks only *read* payload sizes
-— they never touch payload bytes, channel contents or
+and the clock — they never touch payload bytes, channel contents or
 :class:`~repro.simmpi.stats.TrafficStats`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import threading
+import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..cluster.machine import XEON_E5_2670_NODE, NodeSpec
 from ..cluster.topology import FatTree, Topology
@@ -49,12 +41,11 @@ __all__ = [
     "SPAN_KINDS",
     "Span",
     "TraceCostModel",
-    "TraceEvent",
     "TraceRecorder",
     "VirtualTimeline",
 ]
 
-#: Span kinds a virtual timeline can contain.
+#: Span kinds a timeline can contain.
 SPAN_KINDS = (
     "compute",
     "send",
@@ -69,13 +60,13 @@ SPAN_KINDS = (
 
 @dataclass(frozen=True)
 class TraceCostModel:
-    """Virtual-clock cost parameters (node + fabric, Section 7.4 style).
+    """The DES engine's cost parameters (node + fabric, Section 7.4 style).
 
-    Compute spans run at the paper's measured efficiencies (FFT stages
-    ~10% of node peak, the SOI convolution ~40%); communication spans
+    Compute runs at the paper's measured efficiencies (FFT stages ~10%
+    of node peak, the SOI convolution ~40%); inter-node messages
     serialise onto the fabric's injection channel at the all-to-all
-    efficiency of the topology model.  Replays with different cost
-    models reuse the same recorded events.
+    efficiency of the topology model.  Pass one to
+    ``run_spmd(engine="des", cost_model=...)``.
     """
 
     node: NodeSpec = XEON_E5_2670_NODE
@@ -85,12 +76,7 @@ class TraceCostModel:
     latency_s: float = 2e-6  # one-way wire latency per message
     delivery_s: float = 1e-7  # receiver-side handoff per message
     barrier_s: float = 5e-6  # synchronisation cost once all ranks arrive
-    post_overhead_s: float = 5e-7  # CPU cost of posting one nonblocking send
-    #: Node shape of the traced world (R consecutive ranks per node).
-    #: Same-node messages are shared-memory moves: no NIC serialisation,
-    #: no wire latency — only the delivery handoff.  1 = the historical
-    #: flat replay where every cross-rank message pays wire time.
-    ranks_per_node: int = 1
+    post_overhead_s: float = 5e-7  # CPU cost of posting one send
     #: Shared-memory handoff per same-node message (zero-copy view pass).
     intra_node_s: float = 2e-7
 
@@ -99,51 +85,21 @@ class TraceCostModel:
         eff = self.conv_efficiency if kind == "conv" else self.fft_efficiency
         return max(float(flops), 0.0) / (self.node.dp_gflops * 1e9 * eff)
 
-    def same_node(self, a: int, b: int) -> bool:
-        """Whether ranks *a* and *b* share a node under this model."""
-        r = max(int(self.ranks_per_node), 1)
-        return a // r == b // r
-
     def wire_time(self, nbytes: int) -> float:
         """Seconds one message of *nbytes* occupies the injection channel."""
         bw = self.fabric.injection_bandwidth() * self.fabric.alltoall_efficiency
         return max(int(nbytes), 0) / bw
 
-    def retransmit_time(self, nbytes: int) -> float:
-        """Modelled recovery cost of one retransmission (NACK round trip
-        plus the redelivered payload)."""
-        return 2.0 * self.latency_s + self.wire_time(nbytes)
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One logical event recorded during execution (pre-virtual-time).
-
-    ``index`` is the logical per-channel ordinal used to match a receive
-    with its send; ``ckind`` selects the compute efficiency.
-    """
-
-    kind: str  # compute | send | recv | retransmit | cbegin | cend | barrier
-    rank: int
-    phase: str
-    name: str = ""
-    peer: int = -1
-    tag: Any = None
-    index: int = -1
-    nbytes: int = 0
-    flops: float = 0.0
-    ckind: str = "fft"
-
 
 @dataclass(frozen=True)
 class Span:
-    """One interval on a rank's virtual timeline.
+    """One interval on a rank's timeline.
 
-    ``leaf`` spans tile each rank's timeline exactly (every virtual
-    second of a rank is inside exactly one leaf span); non-leaf spans
-    are enclosing collective markers (e.g. the all-to-all epoch that
-    brackets its constituent sends and receives).  ``cause`` names the
-    cross-rank dependency (the uid of the send that a wait span blocked
+    ``leaf`` spans tile each rank's timeline exactly (every second of a
+    rank is inside exactly one leaf span); non-leaf spans are enclosing
+    collective markers (e.g. the all-to-all epoch that brackets its
+    constituent sends and receives).  ``cause`` names the cross-rank
+    dependency (the uid of the send that a wait or recv span blocked
     on, or of the last arriver's span for a barrier).
     """
 
@@ -167,7 +123,7 @@ class Span:
 
 @dataclass
 class VirtualTimeline:
-    """The replayed run: every span of every rank, plus the cost model.
+    """The recorded run: every span of every rank.
 
     ``degraded``/``failed_ranks`` describe ABFT survival runs: ranks
     that died mid-run and whose work the survivors reconstructed (their
@@ -175,7 +131,6 @@ class VirtualTimeline:
     """
 
     spans: list[Span]
-    cost: TraceCostModel
     degraded: bool = False
     failed_ranks: tuple[int, ...] = ()
 
@@ -191,36 +146,60 @@ class VirtualTimeline:
         return [s for s in self.spans if s.leaf]
 
     def rank_spans(self, rank: int, leaf_only: bool = False) -> list[Span]:
-        """This rank's spans in paint order (parents before children)."""
+        """This rank's spans in paint order (parents before children;
+        leaves, zero-length ones included, in the order they ran)."""
         out = [
             s
             for s in self.spans
             if s.rank == rank and (s.leaf or not leaf_only)
         ]
-        out.sort(key=lambda s: (s.t0, -(s.t1 - s.t0)))
+        out.sort(key=lambda s: (s.t0, s.leaf, 0.0 if s.leaf else -s.duration))
         return out
 
     def by_uid(self) -> dict[int, Span]:
         return {s.uid: s for s in self.spans}
 
 
+class _Stamp(NamedTuple):
+    """One recorded span before :meth:`TraceRecorder.timeline` numbers it.
+
+    ``link`` ties it to other ranks: ``("send", chan)`` on a send,
+    ``("recv", chan)`` on a wait or recv (its cause is that channel
+    ordinal's send), ``("barrier", k)`` on the rank's k-th barrier.
+    """
+
+    kind: str
+    name: str
+    phase: str
+    t0: float
+    t1: float
+    nbytes: int = 0
+    flops: float = 0.0
+    peer: int = -1
+    leaf: bool = True
+    link: tuple | None = None
+
+
 class TraceRecorder:
-    """Thread-safe per-rank event recorder (see module docstring).
+    """Thread-safe per-rank span recorder (see module docstring).
 
     One recorder instance is shared by every rank of a run — attach it
     via ``run_spmd(..., trace=recorder)`` or the ``trace=`` option of
-    the distributed FFTs.  After the run, :meth:`timeline` replays the
-    events into a :class:`VirtualTimeline`.
+    the distributed FFTs.  After the run, :meth:`timeline` returns the
+    recorded spans as a :class:`VirtualTimeline`.
     """
 
-    def __init__(self, cost: TraceCostModel | None = None) -> None:
-        self.cost = cost if cost is not None else TraceCostModel()
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._events: dict[int, list[TraceEvent]] = defaultdict(list)
+        self._clock = time.monotonic
+        self._origin = 0.0
+        self._stamps: dict[int, list[_Stamp]] = defaultdict(list)
+        self._last: dict[int, float] = defaultdict(float)
+        self._open: dict[int, list[tuple[float, str, str]]] = defaultdict(list)
         self._send_counts: dict[tuple, int] = defaultdict(int)
         self._recv_counts: dict[tuple, int] = defaultdict(int)
+        self._barriers: dict[int, int] = defaultdict(int)
         self._failed_ranks: set[int] = set()
-        self._world_ranks_per_node: int | None = None
 
     # ---- lifecycle -------------------------------------------------------
 
@@ -228,30 +207,29 @@ class TraceRecorder:
         """Install this recorder on a :class:`~repro.simmpi.transport.World`.
 
         Idempotent so every rank of an SPMD function may call it; a
-        world can carry at most one recorder.
+        world can carry at most one recorder.  The first attach reads
+        the world's clock: its ``clock()`` now is the timeline's zero.
         """
         with self._lock:
             current = getattr(world, "tracer", None)
             if current is None:
                 world.tracer = self
+                self._clock = world.clock
+                self._origin = world.clock()
             elif current is not self:
                 raise ValueError(
                     "world already has a different TraceRecorder attached"
                 )
-            nodes = getattr(world, "nodes", None)
-            if nodes is not None:
-                # Remember the world's node shape so the default replay
-                # prices same-node messages as shared-memory moves.
-                self._world_ranks_per_node = nodes.ranks_per_node
 
     def new_run(self) -> None:
-        """Drop all recorded events (called on SPMD restart attempts so
+        """Drop all recorded spans (called on SPMD restart attempts so
         the timeline describes the successful attempt)."""
         with self._lock:
-            self._events.clear()
-            self._send_counts.clear()
-            self._recv_counts.clear()
-            self._failed_ranks.clear()
+            for state in (
+                self._stamps, self._last, self._open, self._send_counts,
+                self._recv_counts, self._barriers, self._failed_ranks,
+            ):
+                state.clear()
 
     def clear(self) -> None:
         """Alias of :meth:`new_run` for standalone reuse."""
@@ -260,7 +238,7 @@ class TraceRecorder:
     @property
     def nevents(self) -> int:
         with self._lock:
-            return sum(len(evs) for evs in self._events.values())
+            return sum(len(stamps) for stamps in self._stamps.values())
 
     @property
     def degraded(self) -> bool:
@@ -276,78 +254,81 @@ class TraceRecorder:
 
     # ---- recording hooks (called by the communicator) --------------------
 
-    def _append(self, ev: TraceEvent) -> None:
-        with self._lock:
-            self._events[ev.rank].append(ev)
+    def _now(self) -> float:
+        return self._clock() - self._origin
 
-    def record_send(
-        self, phase: str, src: int, dst: int, tag: Any, nbytes: int
+    def _stamp_locked(
+        self, rank: int, now: float, kind: str, name: str, phase: str, **kw: Any
     ) -> None:
+        """Append *rank*'s leaf span from its previous stamp to *now*."""
+        self._stamps[rank].append(
+            _Stamp(kind, name, phase, self._last[rank], now, **kw)
+        )
+        self._last[rank] = now
+
+    def _record_send(
+        self, kind: str, phase: str, src: int, dst: int, tag: Any, nbytes: int
+    ) -> None:
+        now = self._now()
         with self._lock:
             key = (src, dst, tag)
             idx = self._send_counts[key]
             self._send_counts[key] = idx + 1
-            self._events[src].append(
-                TraceEvent(
-                    kind="send", rank=src, phase=phase, name=f"send->{dst}",
-                    peer=dst, tag=tag, index=idx, nbytes=int(nbytes),
-                )
+            self._stamp_locked(
+                src, now, kind, f"{kind}->{dst}", phase,
+                nbytes=int(nbytes), peer=dst, link=("send", key + (idx,)),
             )
+
+    def record_send(
+        self, phase: str, src: int, dst: int, tag: Any, nbytes: int
+    ) -> None:
+        """A blocking send, stamped once the message is on the wire."""
+        self._record_send("send", phase, src, dst, tag, nbytes)
 
     def record_isend(
         self, phase: str, src: int, dst: int, tag: Any, nbytes: int
     ) -> None:
         """A nonblocking send post.  Shares the per-channel ordinal family
-        with :meth:`record_send` (the receiver's k-th receive matches the
-        channel's k-th logical send, blocking or not), but replays as a
-        short post span: the wire time runs on the rank's virtual NIC,
-        concurrently with subsequent compute."""
-        with self._lock:
-            key = (src, dst, tag)
-            idx = self._send_counts[key]
-            self._send_counts[key] = idx + 1
-            self._events[src].append(
-                TraceEvent(
-                    kind="isend", rank=src, phase=phase, name=f"isend->{dst}",
-                    peer=dst, tag=tag, index=idx, nbytes=int(nbytes),
-                )
-            )
+        with :meth:`record_send`: the receiver's k-th receive matches the
+        channel's k-th logical send, blocking or not."""
+        self._record_send("isend", phase, src, dst, tag, nbytes)
 
     def record_recv(
         self, phase: str, src: int, dst: int, tag: Any, nbytes: int
     ) -> None:
+        """A receive claimed by *dst*: the time it blocked, then the recv."""
+        now = self._now()
         with self._lock:
             key = (src, dst, tag)
-            idx = self._recv_counts[key]
-            self._recv_counts[key] = idx + 1
-            self._events[dst].append(
-                TraceEvent(
-                    kind="recv", rank=dst, phase=phase, name=f"recv<-{src}",
-                    peer=src, tag=tag, index=idx, nbytes=int(nbytes),
+            link = ("recv", key + (self._recv_counts[key],))
+            self._recv_counts[key] += 1
+            if now > self._last[dst]:
+                self._stamp_locked(
+                    dst, now, "wait", f"wait<-{src}", phase, peer=src, link=link
                 )
+            self._stamp_locked(
+                dst, now, "recv", f"recv<-{src}", phase,
+                nbytes=int(nbytes), peer=src, link=link,
             )
 
     def record_compute(
         self, phase: str, rank: int, name: str, flops: float, kind: str = "fft"
     ) -> None:
-        self._append(
-            TraceEvent(
-                kind="compute", rank=rank, phase=phase, name=name,
-                flops=float(flops), ckind=kind,
-            )
-        )
+        """Local compute of *flops*, stamped after the engine charged it
+        (``kind`` picked the DES cost-model efficiency)."""
+        now = self._now()
+        with self._lock:
+            self._stamp_locked(rank, now, "compute", name, phase, flops=float(flops))
 
-    def record_retransmit(
-        self, phase: str, src: int, dst: int, nbytes: int
-    ) -> None:
-        """Recovery work observed on the *receiver's* timeline (the rank
-        paying for the redelivery round trip)."""
-        self._append(
-            TraceEvent(
-                kind="retransmit", rank=dst, phase=phase,
-                name=f"retransmit<-{src}", peer=src, nbytes=int(nbytes),
+    def record_retransmit(self, phase: str, src: int, dst: int, nbytes: int) -> None:
+        """A redelivery request, on the *receiver's* timeline (the rank
+        that waited out the loss)."""
+        now = self._now()
+        with self._lock:
+            self._stamp_locked(
+                dst, now, "retransmit", f"retransmit<-{src}", phase,
+                nbytes=int(nbytes), peer=src,
             )
-        )
 
     def record_failure(self, phase: str, rank: int, dead: int) -> None:
         """Rank *rank* observed peer *dead* as failed during *phase*.
@@ -355,282 +336,99 @@ class TraceRecorder:
         Marks the timeline degraded and drops a zero-length marker on
         the observer's track so the detection point is visible.
         """
+        now = self._now()
         with self._lock:
             self._failed_ranks.add(int(dead))
-            self._events[rank].append(
-                TraceEvent(
-                    kind="failure", rank=rank, phase=phase,
-                    name=f"detected rank {dead} dead", peer=int(dead),
-                )
+            self._stamps[rank].append(
+                _Stamp("recovery", f"detected rank {dead} dead", phase, now, now,
+                       peer=int(dead), leaf=False)
             )
 
     def record_recovery(
-        self,
-        phase: str,
-        rank: int,
-        name: str,
-        nbytes: int = 0,
-        flops: float = 0.0,
+        self, phase: str, rank: int, name: str, nbytes: int = 0, flops: float = 0.0
     ) -> None:
         """ABFT reconstruction work (recompute and/or block transfer)
         executed by *rank* on behalf of a dead peer."""
-        self._append(
-            TraceEvent(
-                kind="recovery", rank=rank, phase=phase, name=name,
+        now = self._now()
+        with self._lock:
+            self._stamp_locked(
+                rank, now, "recovery", name, phase,
                 nbytes=int(nbytes), flops=float(flops),
             )
-        )
 
     def record_collective_begin(self, phase: str, rank: int, name: str) -> None:
-        self._append(TraceEvent(kind="cbegin", rank=rank, phase=phase, name=name))
+        with self._lock:
+            self._open[rank].append((self._last[rank], name, phase))
 
     def record_collective_end(self, phase: str, rank: int, name: str) -> None:
-        self._append(TraceEvent(kind="cend", rank=rank, phase=phase, name=name))
+        """Close the innermost collective: a non-leaf span over the leaf
+        spans *rank* stamped inside it."""
+        with self._lock:
+            if self._open[rank]:
+                t0, name, phase = self._open[rank].pop()
+                self._stamps[rank].append(
+                    _Stamp("collective", name, phase, t0, self._last[rank], leaf=False)
+                )
 
     def record_barrier(self, phase: str, rank: int) -> None:
-        self._append(TraceEvent(kind="barrier", rank=rank, phase=phase, name="barrier"))
-
-    # ---- replay ----------------------------------------------------------
-
-    def timeline(self, cost: TraceCostModel | None = None) -> VirtualTimeline:
-        """Replay the recorded events into virtual time.
-
-        Deterministic: the result depends only on the recorded event
-        lists and the cost model.  Safe to call repeatedly (e.g. with
-        different cost models for what-if analysis).
-
-        When the traced world had a node shape (``ranks_per_node > 1``)
-        and the cost model was left at the flat default, the replay
-        inherits the world's shape — same-node messages replay as
-        shared-memory handoffs, so the critical path attributes wire
-        time to inter-node traffic only.  An explicit
-        ``ranks_per_node`` on the cost model always wins (what-if
-        replays on a different shape).
-        """
-        cost = cost if cost is not None else self.cost
+        """A world barrier *rank* just left.  It entered at its previous
+        stamp; :meth:`timeline` releases it at the last entry."""
+        now = self._now()
         with self._lock:
-            events = {r: list(evs) for r, evs in self._events.items() if evs}
+            k = self._barriers[rank]
+            self._barriers[rank] = k + 1
+            self._stamp_locked(
+                rank, now, "barrier", "barrier", phase, link=("barrier", k)
+            )
+
+    # ---- reading ---------------------------------------------------------
+
+    def timeline(self) -> VirtualTimeline:
+        """The recorded spans, numbered rank by rank in recording order,
+        with causes resolved and barriers split into wait and release."""
+        with self._lock:
+            stamps = {r: list(s) for r, s in sorted(self._stamps.items()) if s}
             failed = tuple(sorted(self._failed_ranks))
-            learned = self._world_ranks_per_node
-        if learned is not None and learned > 1 and cost.ranks_per_node == 1:
-            cost = dataclasses.replace(cost, ranks_per_node=learned)
-        tl = _replay(events, cost)
-        tl.degraded = bool(failed)
-        tl.failed_ranks = failed
-        return tl
+        entries: dict[int, dict[int, float]] = defaultdict(dict)
+        for rank, rs in stamps.items():
+            for st in rs:
+                if st.kind == "barrier":
+                    entries[st.link[1]][rank] = st.t0
+        rows: list[tuple[int, _Stamp]] = []
+        send_uid: dict[tuple, int] = {}
+        before_barrier: dict[tuple[int, int], int | None] = {}
+        for rank, rs in stamps.items():
+            prev: int | None = None
+            for st in rs:
+                if st.kind == "barrier":
+                    k = st.link[1]
+                    release = max(entries[k].values())
+                    before_barrier[(rank, k)] = prev
+                    if release > st.t0:
+                        wait = st._replace(kind="wait", name="barrier-wait", t1=release)
+                        rows.append((rank, wait))
+                    st = st._replace(kind="collective", t0=release)
+                elif st.kind in ("send", "isend"):
+                    send_uid[st.link[1]] = len(rows)
+                if st.leaf:
+                    prev = len(rows)
+                rows.append((rank, st))
 
+        def cause(link: tuple | None) -> int | None:
+            if link is None or link[0] == "send":
+                return None
+            if link[0] == "recv":
+                return send_uid.get(link[1])
+            arrived = entries[link[1]]
+            last = max(arrived, key=lambda r: (arrived[r], r))
+            return before_barrier.get((last, link[1]))
 
-# ---- the virtual-clock replay engine -------------------------------------
-
-
-def _replay(events: dict[int, list[TraceEvent]], cost: TraceCostModel) -> VirtualTimeline:
-    ranks = sorted(events)
-    spans: list[Span] = []
-    next_uid = 0
-
-    def emit(
-        rank: int, kind: str, name: str, phase: str, t0: float, t1: float,
-        nbytes: int = 0, flops: float = 0.0, peer: int = -1,
-        leaf: bool = True, cause: int | None = None,
-    ) -> Span:
-        nonlocal next_uid
-        s = Span(
-            uid=next_uid, rank=rank, kind=kind, name=name, phase=phase,
-            t0=t0, t1=t1, nbytes=nbytes, flops=flops, peer=peer,
-            leaf=leaf, cause=cause,
-        )
-        next_uid += 1
-        spans.append(s)
-        return s
-
-    # Total logical sends per channel: a receive whose ordinal exceeds
-    # this can never match (fault runs on the raw substrate) and must
-    # not stall the replay.
-    total_sends: dict[tuple, int] = defaultdict(int)
-    for evs in events.values():
-        for ev in evs:
-            if ev.kind in ("send", "isend"):
-                total_sends[(ev.rank, ev.peer, ev.tag)] += 1
-
-    idx = {r: 0 for r in ranks}
-    clock = {r: 0.0 for r in ranks}
-    last_span: dict[int, int | None] = {r: None for r in ranks}
-    avail: dict[tuple, tuple[float, int]] = {}  # channel+ordinal -> (time, send uid)
-    open_coll: dict[int, list[tuple[float, str, str]]] = {r: [] for r in ranks}
-    # Per-rank virtual NIC: nonblocking sends serialise onto it in post
-    # order, overlapping with the poster's subsequent compute.
-    nic_free: dict[int, float] = defaultdict(float)
-
-    def advance(rank: int) -> bool:
-        """Process rank events until a cross-rank dependency blocks.
-        Returns True if at least one event was consumed."""
-        progressed = False
-        evs = events[rank]
-        while idx[rank] < len(evs):
-            ev = evs[idx[rank]]
-            t = clock[rank]
-            if ev.kind == "compute":
-                dur = cost.compute_time(ev.flops, ev.ckind)
-                s = emit(rank, "compute", ev.name, ev.phase, t, t + dur, flops=ev.flops)
-            elif ev.kind == "send":
-                # Same-node messages are shared-memory moves: no NIC
-                # serialisation, no wire latency — inter-node traffic
-                # alone carries wire time onto the critical path.
-                local = cost.same_node(ev.rank, ev.peer)
-                dur = cost.intra_node_s if local else cost.wire_time(ev.nbytes)
-                s = emit(
-                    rank, "send", ev.name, ev.phase, t, t + dur,
-                    nbytes=ev.nbytes, peer=ev.peer,
-                )
-                avail[(ev.rank, ev.peer, ev.tag, ev.index)] = (
-                    t + dur + (0.0 if local else cost.latency_s),
-                    s.uid,
-                )
-                if not local:
-                    nic_free[rank] = t + dur  # a blocking send occupies the NIC too
-            elif ev.kind == "isend":
-                # The poster pays only the post overhead; the message then
-                # serialises through the rank's NIC and arrives one wire
-                # time plus latency later — concurrent with later spans.
-                # Same-node posts skip the NIC entirely.
-                local = cost.same_node(ev.rank, ev.peer)
-                s = emit(
-                    rank, "isend", ev.name, ev.phase, t, t + cost.post_overhead_s,
-                    nbytes=ev.nbytes, peer=ev.peer,
-                )
-                if local:
-                    avail[(ev.rank, ev.peer, ev.tag, ev.index)] = (
-                        s.t1 + cost.intra_node_s,
-                        s.uid,
-                    )
-                else:
-                    depart = max(s.t1, nic_free[rank])
-                    done = depart + cost.wire_time(ev.nbytes)
-                    nic_free[rank] = done
-                    avail[(ev.rank, ev.peer, ev.tag, ev.index)] = (
-                        done + cost.latency_s,
-                        s.uid,
-                    )
-            elif ev.kind == "retransmit":
-                dur = cost.retransmit_time(ev.nbytes)
-                s = emit(
-                    rank, "retransmit", ev.name, ev.phase, t, t + dur,
-                    nbytes=ev.nbytes, peer=ev.peer,
-                )
-            elif ev.kind == "recovery":
-                # Reconstruction work: recompute at FFT efficiency plus
-                # the recovered blocks crossing the wire.
-                dur = cost.compute_time(ev.flops, "fft") + cost.wire_time(ev.nbytes)
-                s = emit(
-                    rank, "recovery", ev.name, ev.phase, t, t + dur,
-                    nbytes=ev.nbytes, flops=ev.flops,
-                )
-            elif ev.kind == "failure":
-                # Zero-length detection marker on the observer's track.
-                emit(
-                    rank, "recovery", ev.name, ev.phase, t, t,
-                    peer=ev.peer, leaf=False,
-                )
-                idx[rank] += 1
-                progressed = True
-                continue
-            elif ev.kind == "recv":
-                key = (ev.peer, ev.rank, ev.tag, ev.index)
-                if key in avail:
-                    at, send_uid = avail[key]
-                elif ev.index >= total_sends.get((ev.peer, ev.rank, ev.tag), 0):
-                    at, send_uid = t, None  # unmatched: never stall
-                else:
-                    break  # matched send not replayed yet: defer
-                if at > t:
-                    w = emit(
-                        rank, "wait", f"wait<-{ev.peer}", ev.phase, t, at,
-                        peer=ev.peer, cause=send_uid,
-                    )
-                    last_span[rank] = w.uid
-                    clock[rank] = at
-                    t = at
-                s = emit(
-                    rank, "recv", ev.name, ev.phase, t, t + cost.delivery_s,
-                    nbytes=ev.nbytes, peer=ev.peer, cause=send_uid,
-                )
-            elif ev.kind == "cbegin":
-                open_coll[rank].append((t, ev.name, ev.phase))
-                idx[rank] += 1
-                progressed = True
-                continue
-            elif ev.kind == "cend":
-                if open_coll[rank]:
-                    t0, name, phase = open_coll[rank].pop()
-                    emit(rank, "collective", name, phase, t0, t, leaf=False)
-                idx[rank] += 1
-                progressed = True
-                continue
-            elif ev.kind == "barrier":
-                break  # resolved globally once every rank arrives
-            else:  # pragma: no cover - future event kinds
-                idx[rank] += 1
-                progressed = True
-                continue
-            clock[rank] = s.t1
-            last_span[rank] = s.uid
-            idx[rank] += 1
-            progressed = True
-        return progressed
-
-    while True:
-        progressed = False
-        for r in ranks:
-            progressed |= advance(r)
-        pending = [r for r in ranks if idx[r] < len(events[r])]
-        if not pending:
-            break
-        at_barrier = [r for r in pending if events[r][idx[r]].kind == "barrier"]
-        if at_barrier == pending:
-            # Every still-active rank arrived: release the barrier.
-            arrivals = {r: clock[r] for r in pending}
-            release_from = max(arrivals.values())
-            last_arriver = max(pending, key=lambda r: (arrivals[r], r))
-            cause = last_span[last_arriver]
-            release = release_from + cost.barrier_s
-            for r in pending:
-                ev = events[r][idx[r]]
-                if arrivals[r] < release_from:
-                    w = emit(
-                        r, "wait", "barrier-wait", ev.phase,
-                        arrivals[r], release_from, cause=cause,
-                    )
-                    last_span[r] = w.uid
-                b = emit(
-                    r, "collective", "barrier", ev.phase,
-                    release_from, release, cause=cause,
-                )
-                clock[r] = release
-                last_span[r] = b.uid
-                idx[r] += 1
-            continue
-        if progressed:
-            continue
-        # Stalled: a dependency cycle artefact of approximate matching
-        # under raw-substrate faults.  Force-resolve deterministically:
-        # unblock the earliest-clock receive (it waits no further), or
-        # release a partial barrier if only barriers remain.
-        stuck_recv = [r for r in pending if events[r][idx[r]].kind == "recv"]
-        if stuck_recv:
-            r = min(stuck_recv, key=lambda r: (clock[r], r))
-            ev = events[r][idx[r]]
-            avail[(ev.peer, ev.rank, ev.tag, ev.index)] = (clock[r], None)  # type: ignore[assignment]
-            continue
-        if at_barrier:
-            for r in at_barrier:
-                ev = events[r][idx[r]]
-                emit(
-                    r, "collective", "barrier", ev.phase,
-                    clock[r], clock[r] + cost.barrier_s,
-                )
-                clock[r] += cost.barrier_s
-                idx[r] += 1
-            continue
-        break  # pragma: no cover - defensive: nothing resolvable remains
-
-    return VirtualTimeline(spans=spans, cost=cost)
+        spans = [
+            Span(
+                uid=uid, rank=rank, kind=st.kind, name=st.name, phase=st.phase,
+                t0=st.t0, t1=st.t1, nbytes=st.nbytes, flops=st.flops,
+                peer=st.peer, leaf=st.leaf, cause=cause(st.link),
+            )
+            for uid, (rank, st) in enumerate(rows)
+        ]
+        return VirtualTimeline(spans=spans, degraded=bool(failed), failed_ranks=failed)

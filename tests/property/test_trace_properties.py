@@ -1,4 +1,4 @@
-"""Property tests: tracing is bit-transparent and replay is deterministic.
+"""Property tests: tracing is bit-transparent and the DES timeline is deterministic.
 
 The acceptance bar for the trace subsystem is that turning it on
 changes NOTHING observable about a run — FFT outputs bit-identical,
@@ -23,7 +23,7 @@ from repro.trace import TraceRecorder, chrome_trace, rollup
 _PLAN = SoiPlan(n=8192, p=8)
 
 
-def _soi(nranks, seed, trace=None, chaos_seed=None):
+def _soi(nranks, seed, trace=None, chaos_seed=None, engine="thread"):
     g = np.random.default_rng(seed)
     x = g.standard_normal(_PLAN.n) + 1j * g.standard_normal(_PLAN.n)
     blocks = split_blocks(x, nranks)
@@ -35,6 +35,7 @@ def _soi(nranks, seed, trace=None, chaos_seed=None):
         nranks,
         lambda comm: soi_fft_distributed(comm, blocks[comm.rank], _PLAN),
         trace=trace,
+        engine=engine,
         **kwargs,
     )
 
@@ -67,7 +68,7 @@ def test_timeline_deterministic_for_fixed_seed(nranks, chaos_seed):
 
     def capture():
         rec = TraceRecorder()
-        _soi(nranks, 2, trace=rec, chaos_seed=chaos_seed)
+        _soi(nranks, 2, trace=rec, chaos_seed=chaos_seed, engine="des")
         tl = rec.timeline()
         return (
             json.dumps(chrome_trace(tl), sort_keys=True),
@@ -81,8 +82,9 @@ def test_timeline_deterministic_for_fixed_seed(nranks, chaos_seed):
 @given(nranks=st.sampled_from([1, 2, 4, 8]), seed=st.integers(0, 10_000))
 def test_rollup_invariants(nranks, seed):
     rec = TraceRecorder()
-    _soi(nranks, seed, trace=rec)
+    res = _soi(nranks, seed, trace=rec, engine="des")
     agg = rollup(rec.timeline())
+    assert agg["makespan_s"] == res.virtual_time_s
     assert agg["ranks"] == nranks
     assert agg["alltoall_epochs"] == 1  # SOI: ONE global exchange, any R
     assert agg["makespan_s"] > 0.0

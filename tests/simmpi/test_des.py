@@ -319,6 +319,58 @@ class TestCollectiveTimeoutsUnderDes:
         assert "tag=7" in str(info.value.original)
 
 
+class TestDrainWaitsForArrival:
+    """A posted irecv completes when its message *arrives* on the
+    receiver's virtual clock, not when it is physically queued."""
+
+    def test_wait_on_early_message_ignores_queued_late_pieces(self):
+        cost = TraceCostModel()
+        early = np.zeros(8)
+
+        def body(comm):
+            if comm.rank == 1:
+                comm.send(early, 0, tag=0)  # arrives after ~2.6 us
+            elif comm.rank == 2:
+                comm.trace_compute("slow", 1e9)  # ~30 ms of virtual compute
+                waitall([comm.isend(np.zeros(4096), 0, tag=k) for k in range(4)])
+            elif comm.rank == 0:
+                first = comm.irecv(1, tag=0)
+                late = [comm.irecv(2, tag=k) for k in range(4)]
+                first.wait()  # rank 2's pieces are already queued by now
+                at = comm.world.clock()
+                waitall(late)
+                return at, comm.world.clock()
+            return None
+
+        res = run_spmd(3, body, engine="des")
+        at, done = res.values[0]
+        arrival = (
+            cost.post_overhead_s + cost.wire_time(early.nbytes)
+            + cost.latency_s + cost.delivery_s
+        )
+        assert at == pytest.approx(arrival, rel=1e-12)
+        assert done > 1e-2  # the late pieces really were late
+
+    def test_overlap_timeline_makespan_is_virtual_time(self):
+        from repro.core import SoiPlan
+        from repro.parallel import soi_fft_distributed
+
+        plan, nranks = SoiPlan(n=4096, p=4), 4
+        x = np.random.default_rng(3).standard_normal(plan.n) + 0j
+        blocks = x.reshape(nranks, -1)
+        rec = TraceRecorder()
+        res = run_spmd(
+            nranks,
+            lambda comm: soi_fft_distributed(
+                comm, blocks[comm.rank], plan, overlap=True
+            ),
+            engine="des",
+            trace=rec,
+        )
+        assert res.virtual_time_s > 0.0
+        assert rec.timeline().makespan == res.virtual_time_s
+
+
 class TestTraceCaptureUnderDes:
     def test_trace_records_compute_and_wire_spans(self):
         rec = TraceRecorder()

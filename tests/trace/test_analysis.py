@@ -16,7 +16,7 @@ from repro.trace import (
 
 def _traced(nranks, prog):
     rec = TraceRecorder()
-    run_spmd(nranks, prog, trace=rec)
+    run_spmd(nranks, prog, engine="des", trace=rec)
     return rec.timeline()
 
 

@@ -24,7 +24,7 @@ def _traced(nranks=4):
         comm.alltoall([np.zeros(64) for _ in range(comm.size)])
         comm.barrier()
 
-    run_spmd(nranks, prog, trace=rec)
+    run_spmd(nranks, prog, engine="des", trace=rec)
     return rec.timeline()
 
 

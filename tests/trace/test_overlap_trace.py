@@ -1,5 +1,6 @@
-"""Tests for nonblocking-send replay, claim-time receive recording,
-in-flight depth profiling, and stall attribution on the critical path."""
+"""Tests for nonblocking sends on the DES clock, claim-time receive
+recording, in-flight depth profiling, and stall attribution on the
+critical path."""
 
 import numpy as np
 import pytest
@@ -26,45 +27,50 @@ def _wire_heavy() -> TraceCostModel:
     )
 
 
-def _pair(send_kind: str, cost: TraceCostModel):
-    """Rank 0 sends 64 KB then computes; rank 1 receives. Returns timeline."""
+def _des(nranks, prog, cost=None):
+    """Run *prog* traced on the DES engine; returns the timeline."""
     rec = TraceRecorder()
-    getattr(rec, f"record_{send_kind}")("ph", 0, 1, 0, 64 * KB)
-    rec.record_compute("ph", 0, "work", 1e8)
-    rec.record_recv("ph", 0, 1, 0, 64 * KB)
-    return rec.timeline(cost)
+    run_spmd(nranks, prog, engine="des", cost_model=cost, trace=rec)
+    return rec.timeline()
+
+
+def _kb(k):
+    return np.zeros(k * KB, dtype=np.uint8)
+
+
+def _two_isends(comm):
+    """Rank 0 posts two 64 KB isends to rank 1, which receives both."""
+    if comm.rank == 0:
+        with comm.phase("ph"):
+            reqs = [comm.isend(_kb(64), dest=1) for _ in range(2)]
+        for r in reqs:
+            r.wait()
+    else:
+        with comm.phase("ph"):
+            comm.recv(source=0)
+            comm.recv(source=0)
 
 
 class TestIsendReplay:
     def test_post_costs_only_post_overhead(self):
         cost = _wire_heavy()
-        tl = _pair("isend", cost)
-        (post,) = [s for s in tl.spans if s.kind == "isend"]
-        assert post.duration == cost.post_overhead_s
-        assert post.duration < cost.wire_time(64 * KB)
 
-    def test_wire_time_overlaps_posters_compute(self):
-        """The sender's compute starts at post end under isend, but only
-        after the full wire time under a blocking send."""
-        cost = _wire_heavy()
-        tl_i = _pair("isend", cost)
-        tl_b = _pair("send", cost)
-        comp_i = [s for s in tl_i.spans if s.kind == "compute"][0]
-        comp_b = [s for s in tl_b.spans if s.kind == "compute"][0]
-        assert comp_i.t0 < comp_b.t0
-        assert tl_i.makespan < tl_b.makespan
+        def prog(comm):
+            if comm.rank == 0:
+                comm.isend(_kb(64), dest=1).wait()
+            else:
+                comm.recv(source=0)
+
+        (post,) = [s for s in _des(2, prog, cost).spans if s.kind == "isend"]
+        assert post.duration == pytest.approx(cost.post_overhead_s)
+        assert post.duration < cost.wire_time(64 * KB)
 
     def test_nic_serialises_back_to_back_isends(self):
         """Two isends on one NIC: the second message cannot start its
         wire time before the first finishes, so the receiver observes
         the second arrival a full wire time after the first."""
         cost = _wire_heavy()
-        rec = TraceRecorder()
-        rec.record_isend("ph", 0, 1, 0, 64 * KB)
-        rec.record_isend("ph", 0, 1, 0, 64 * KB)
-        rec.record_recv("ph", 0, 1, 0, 64 * KB)
-        rec.record_recv("ph", 0, 1, 0, 64 * KB)
-        tl = rec.timeline(cost)
+        tl = _des(2, _two_isends, cost)
         r1, r2 = [s for s in tl.spans if s.kind == "recv"]
         wire = cost.wire_time(64 * KB)
         assert r2.t0 - r1.t0 >= wire * 0.999
@@ -73,12 +79,16 @@ class TestIsendReplay:
         """An isend posted after a blocking send queues behind its wire
         time rather than departing immediately."""
         cost = _wire_heavy()
-        rec = TraceRecorder()
-        rec.record_send("ph", 0, 1, 0, 64 * KB)
-        rec.record_isend("ph", 0, 1, 1, 64 * KB)
-        rec.record_recv("ph", 0, 1, 1, 64 * KB)
-        tl = rec.timeline(cost)
-        (recv,) = [s for s in tl.spans if s.kind == "recv"]
+
+        def prog(comm):
+            if comm.rank == 0:
+                comm.send(_kb(64), dest=1, tag=0)
+                comm.isend(_kb(64), dest=1, tag=1).wait()
+            else:
+                comm.recv(source=0, tag=1)
+                comm.recv(source=0, tag=0)
+
+        recv = [s for s in _des(2, prog, cost).spans if s.kind == "recv"][0]
         # Arrival >= two wire times + latency (serial NIC), not one.
         assert recv.t0 >= 2 * cost.wire_time(64 * KB) + cost.latency_s - 1e-12
 
@@ -86,16 +96,20 @@ class TestIsendReplay:
         """isend and send share the per-channel ordinal family, so a
         mixed stream still pairs the receiver's k-th recv with the
         channel's k-th logical send."""
-        rec = TraceRecorder()
-        rec.record_send("ph", 0, 1, 0, KB)
-        rec.record_isend("ph", 0, 1, 0, 2 * KB)
-        rec.record_recv("ph", 0, 1, 0, KB)
-        rec.record_recv("ph", 0, 1, 0, 2 * KB)
-        tl = rec.timeline()
+
+        def prog(comm):
+            if comm.rank == 0:
+                comm.send(_kb(1), dest=1)
+                comm.isend(_kb(2), dest=1).wait()
+            else:
+                comm.recv(source=0)
+                comm.recv(source=0)
+
+        tl = _des(2, prog)
         by_uid = tl.by_uid()
         recvs = [s for s in tl.spans if s.kind == "recv"]
-        kinds = [by_uid[s.cause].kind for s in recvs]
-        assert kinds == ["send", "isend"]
+        assert [by_uid[s.cause].kind for s in recvs] == ["send", "isend"]
+        assert [by_uid[s.cause].nbytes for s in recvs] == [KB, 2 * KB]
 
 
 class TestClaimTimeRecording:
@@ -129,13 +143,7 @@ class TestClaimTimeRecording:
 
 class TestInflightProfile:
     def test_depth_counts_overlapping_messages(self):
-        cost = _wire_heavy()
-        rec = TraceRecorder()
-        rec.record_isend("ph", 0, 1, 0, 64 * KB)
-        rec.record_isend("ph", 0, 1, 0, 64 * KB)
-        rec.record_recv("ph", 0, 1, 0, 64 * KB)
-        rec.record_recv("ph", 0, 1, 0, 64 * KB)
-        prof = inflight_profile(rec.timeline(cost))
+        prof = inflight_profile(_des(2, _two_isends, _wire_heavy()))
         assert prof["ph"]["messages"] == 2
         # Both posted before either is claimed: depth 2 is reached.
         assert prof["ph"]["max_depth"] == 2
@@ -143,61 +151,78 @@ class TestInflightProfile:
         assert all(isinstance(k, str) for k in prof["ph"]["time_at_depth_s"])
 
     def test_back_to_back_blocking_sends_stay_depth_one(self):
-        """With zero latency the second send departs exactly when the
-        first recv completes: the tie must NOT count as depth 2."""
-        cost = TraceCostModel(latency_s=0.0, delivery_s=0.0)
-        rec = TraceRecorder()
-        rec.record_send("ph", 0, 1, 0, KB)
-        rec.record_recv("ph", 0, 1, 0, KB)
-        rec.record_send("ph", 0, 1, 0, KB)
-        rec.record_recv("ph", 0, 1, 0, KB)
-        prof = inflight_profile(rec.timeline(cost))
-        assert prof["ph"]["max_depth"] == 1
+        """With zero latency and an empty ack the second send departs
+        exactly when the first recv completes: the tie must NOT count
+        as depth 2."""
+        cost = TraceCostModel(latency_s=0.0, delivery_s=0.0, post_overhead_s=0.0)
+
+        def prog(comm):
+            peer = 1 - comm.rank
+            for _ in range(2):
+                if comm.rank == 0:
+                    with comm.phase("ph"):
+                        comm.send(_kb(1), dest=peer)
+                    with comm.phase("ack"):
+                        comm.recv(source=peer)
+                else:
+                    with comm.phase("ph"):
+                        comm.recv(source=peer)
+                    with comm.phase("ack"):
+                        comm.send(_kb(0), dest=peer)
+
+        tl = _des(2, prog, cost)
+        ph = sorted((s for s in tl.spans if s.phase == "ph"), key=lambda s: s.t0)
+        recv1 = [s for s in ph if s.kind == "recv"][0]
+        send2 = [s for s in ph if s.kind == "send"][1]
+        assert send2.t0 == recv1.t1  # the tie the sweep must not count
+        assert inflight_profile(tl)["ph"]["max_depth"] == 1
 
     def test_empty_timeline(self):
         assert inflight_profile(TraceRecorder().timeline()) == {}
+
+
+def _exchange_after(work_flops, nbytes, nonblocking=False):
+    """Rank 0 computes *work_flops* then sends *nbytes* to rank 1 (as an
+    isend whose compute follows the post when *nonblocking*)."""
+
+    def prog(comm):
+        if comm.rank == 0:
+            if not nonblocking:
+                comm.trace_compute("warmup", work_flops)
+            with comm.phase("exchange"):
+                req = comm.isend(_kb(nbytes // KB), dest=1)
+            if nonblocking:
+                comm.trace_compute("overlap", work_flops)
+            req.wait()
+        else:
+            with comm.phase("exchange"):
+                comm.recv(source=0)
+
+    return prog
 
 
 class TestStallAttribution:
     def test_bridged_wait_charged_to_waiting_phase(self):
         """critical_path bridges a caused wait out of the span path; the
         stalled seconds must still be attributed to the wait's phase."""
-        rec = TraceRecorder()
-        rec.record_compute("warmup", 0, "slow", 1e9)
-        rec.record_send("exchange", 0, 1, 0, KB)
-        rec.record_recv("exchange", 0, 1, 0, KB)
-        cp = critical_path(rec.timeline())
+        cp = critical_path(_des(2, _exchange_after(1e9, KB)))
         stall = cp.wait_by_phase_s()
         assert stall.get("exchange", 0.0) > 0.0
         assert sum(cp.bridged_wait_s.values()) > 0.0
-
-    def test_blocking_send_counts_as_stall(self):
-        """A synchronous send's wire time is stalled-in-communication
-        time for the sending rank, even though no wait span exists."""
-        cost = _wire_heavy()
-        rec = TraceRecorder()
-        rec.record_send("exchange", 0, 1, 0, 1024 * KB)
-        rec.record_recv("exchange", 0, 1, 0, 1024 * KB)
-        stall = critical_path(rec.timeline(cost)).wait_by_phase_s()
-        assert stall.get("exchange", 0.0) >= cost.wire_time(1024 * KB) * 0.999
 
     def test_isend_post_not_counted_as_stall(self):
         """Posting returns immediately: a pipelined exchange that never
         blocks contributes (almost) nothing to the stall attribution."""
         cost = _wire_heavy()
-        rec = TraceRecorder()
-        rec.record_isend("exchange", 0, 1, 0, 1024 * KB)
-        rec.record_compute("overlap", 0, "work", 1e12)
-        rec.record_recv("exchange", 0, 1, 0, 1024 * KB)
-        stall = critical_path(rec.timeline(cost)).wait_by_phase_s()
+        tl = _des(2, _exchange_after(1e12, 1024 * KB, nonblocking=True), cost)
+        stall = critical_path(tl).wait_by_phase_s()
         # The compute fully hides the wire time, so the exchange phase
-        # contributes (almost) nothing — unlike a blocking send, which
-        # would put its whole wire time on the path.
+        # contributes (almost) nothing to the critical chain.
         assert stall.get("exchange", 0.0) < 0.1 * cost.wire_time(1024 * KB)
 
     @pytest.fixture(scope="class")
-    def soi_replay(self):
-        """Blocking and pipelined distributed SOI, each replayed under a
+    def soi_des(self):
+        """Blocking and pipelined distributed SOI on the DES, under a
         5 MB/s injection NIC plus 300 us latency. Maps ``overlap`` to
         (makespan, all-to-all stall on the critical path, in-flight
         max depth of the all-to-all)."""
@@ -212,43 +237,37 @@ class TestStallAttribution:
         )
         plan, nranks = SoiPlan(n=4096, p=4), 4
         blocks = random_complex(plan.n, seed=plan.n % 9973).reshape(nranks, -1)
-        replay = {}
+        runs = {}
         for overlap in (False, True):
-            rec = TraceRecorder()
-            run_spmd(
+            tl = _des(
                 nranks,
                 lambda comm: soi_fft_distributed(
                     comm, blocks[comm.rank], plan,
                     overlap=overlap, overlap_groups=2,
                 ),
-                trace=rec,
+                cost,
             )
-            tl = rec.timeline(cost)
-            replay[overlap] = (
+            runs[overlap] = (
                 tl.makespan,
                 critical_path(tl).wait_by_phase_s().get("alltoall", 0.0),
                 inflight_profile(tl)["alltoall"]["max_depth"],
             )
-        return replay
+        return runs
 
-    def test_pipelined_soi_stalls_less_than_blocking(self, soi_replay):
+    def test_pipelined_soi_stalls_less_than_blocking(self, soi_des):
         """The pipelined SOI's critical path spends strictly less time
         stalled in the all-to-all than the blocking one."""
-        blk_span, blk_stall, _ = soi_replay[False]
-        ovl_span, ovl_stall, _ = soi_replay[True]
+        blk_span, blk_stall, _ = soi_des[False]
+        ovl_span, ovl_stall, _ = soi_des[True]
         assert blk_span > 0 and ovl_span > 0
         assert ovl_stall < blk_stall
 
-    def test_pipelined_soi_replay_shows_inflight_depth(self, soi_replay):
+    def test_pipelined_soi_replay_shows_inflight_depth(self, soi_des):
         """The pipelined path really has all-to-all messages in flight
         together."""
-        assert soi_replay[True][2] > 1
+        assert soi_des[True][2] > 1
 
     def test_rollup_exports_wait_by_phase(self):
-        rec = TraceRecorder()
-        rec.record_compute("warmup", 0, "slow", 1e8)
-        rec.record_send("exchange", 0, 1, 0, KB)
-        rec.record_recv("exchange", 0, 1, 0, KB)
-        roll = rollup(rec.timeline())
+        roll = rollup(_des(2, _exchange_after(1e8, KB)))
         assert "wait_by_phase_s" in roll["critical_path"]
         assert isinstance(roll["critical_path"]["wait_by_phase_s"], dict)

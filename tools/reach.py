@@ -64,7 +64,10 @@ def drivers() -> dict[str, list[str]]:
     """Driver name -> command line, run from the repository root."""
     py = sys.executable
     out = {f"example:{p.stem}": [py, str(p)] for p in sorted((ROOT / "examples").glob("*.py"))}
-    out["benchmarks"] = [py, "-m", "pytest", "-q", "-p", "no:cacheprovider", "benchmarks"]
+    # Timings off: pytest-benchmark's calibration pauses every profiler
+    # while it times, so the benchmarked calls would go unrecorded.
+    out["benchmarks"] = [py, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                         "--benchmark-disable", "benchmarks"]
     out["ledger"] = [py, "-m", "ledger", "run", "--quick"]
     for w in WORKLOADS:
         out[f"ledger-trace:{w}"] = [py, "-m", "ledger", "run", "--workload", w,
