@@ -41,8 +41,16 @@ the copy of its owned columns into the ``(P, M')`` result puts every
 cell's columns back in order (a column transform does not care about
 their order).  Over the whole ``(64, 20480)`` array at N = 2^20 the
 transform is ~2x slower: its rows sit ``5 * 2^16`` bytes apart, which
-maps a column onto a handful of cache sets.  The values equal ``fft_p``
-of the whole untransformed output bit for bit, because each column is
+maps a column onto a handful of cache sets.  The transform runs in
+place (``fft_p`` may overwrite the pooled panel and return it; the
+numpy backend's ``fft_tt_into``), so the copy-out reads the panel the
+transform just wrote instead of a fresh ~2 MB array it would read cold.
+On 2 vCPUs (Intel Xeon, NumPy 2.4.6), fft-p plus copy-out of a warm
+``(64, 1920)`` panel took 1.85-2.20 ms into a fresh array, the same
+into a separate pooled ``out=``, and 1.15-1.38 ms in place (medians of
+two sets of 300); fft-p of a 2^20 / 64 ``soi_fft`` fell from 19.6-22.4
+to 8.9-10.8 thread-CPU ms per call.  The values equal ``fft_p`` of the
+whole untransformed output bit for bit, because each column is
 transformed on its own (a contract of
 :class:`~repro.dft.backends.FftBackend`, re-proved by the tests).
 
@@ -210,7 +218,8 @@ class ConvolveKernel:
         """``z_t`` of shape ``(P, nchunks*mu)`` for the chunks from global
         chunk *q0*, of ``conj(x)`` when *conj*; *body* ++ *tail* (C-ordered
         ``(rows, P)``) holds the ``(nchunks-1)*nu + B`` rows they read.
-        With *fft_p* (a column transform) the result is ``fft_p(z_t)``,
+        With *fft_p* (a column transform, which may overwrite the pooled
+        panel it is given and return it) the result is ``fft_p(z_t)``,
         panel by panel on every CPU with a free workspace
         (:mod:`repro.core.cores`) — or all on *ws*, a workspace the
         calling thread already holds, with no checkout and no helpers."""
@@ -254,7 +263,8 @@ class ConvolveKernel:
     ) -> None:
         """Chunks ``[lo, hi)`` of the call (one panel): convolve the grid
         cells that hold them into the workspace panel, transform it with
-        *fft_p* if given, and copy the owned columns into *out*."""
+        *fft_p* if given (in place where the backend can), and copy the
+        owned columns into *out*."""
         mu, nu, grid, h, n_out = self.mu, self.nu, self.grid, _TILE_ROWS, self.tile_n
         w = grid * mu                        # columns of one cell
         s0 = lo - (q0 + lo) % grid           # local chunk the first cell starts at

@@ -305,9 +305,10 @@ class SoiPlan:
         return self._convolver()(rows, rows[:0], n, q0).reshape(self.p, n, self.mu)
 
     def _fft_p(self, backend: "str | FftBackend"):
-        """The plan-precision column transform the kernel runs per panel."""
+        """The plan-precision column transform the kernel runs per panel,
+        in place where the backend can (the panel is pooled scratch)."""
         be = get_backend(backend)
-        return lambda zt: _plan_fft_tt(be, zt, self)
+        return lambda zt: _plan_fft_tt(be, zt, self, out=zt)
 
     def window_view(self, vec: np.ndarray, tail: np.ndarray, nchunks: int) -> np.ndarray:
         """Stencil windows ``(nchunks, B, P)`` over ``vec ++ tail``, zero-copy.
@@ -436,9 +437,18 @@ def _beta_fraction(beta) -> Fraction:
     return as_fraction(beta)
 
 
-def _plan_fft_tt(be: FftBackend, xt: np.ndarray, plan: SoiPlan) -> np.ndarray:
-    """Column-wise forward FFT (fused layout) at the plan's precision."""
+def _plan_fft_tt(
+    be: FftBackend, xt: np.ndarray, plan: SoiPlan, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Column-wise forward FFT (fused layout) at the plan's precision.
+
+    The column twin of :func:`repro.core.soi._plan_fft`: double-precision
+    plans write into *out* (which may be *xt* itself) when the backend
+    has ``fft_tt_into``; the result array is returned either way.
+    """
     if plan.dtype != np.complex64:
+        if out is not None and be.fft_tt_into is not None:
+            return be.fft_tt_into(xt, out)
         return backend_fft_tt(be, xt)
     if be.name == "repro":
         from ..dft.cache import plan_for

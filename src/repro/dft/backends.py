@@ -58,6 +58,13 @@ class FftBackend:
     ``fft_into`` is optional too: ``fft_into(x, out)`` writes ``fft(x)``
     into *out* (which may be *x* itself) and returns *out*, bit-identical
     to ``fft``.  The SOI pipeline runs its segment FFTs in place with it.
+    ``fft_tt_into(xt, out)`` is its column twin: it writes ``fft_tt(xt)``
+    into *out* (which may be *xt* itself, a column slice of a wider
+    buffer included) and returns *out*, bit-identical to ``fft_tt``.
+    The SOI convolution transforms each of its pooled panels in place
+    with it, so the transform writes no fresh array the copy-out would
+    then read cold (:mod:`repro.core.convolve`).  ``fft_tt`` itself
+    never writes its input.
     """
 
     name: str
@@ -65,6 +72,7 @@ class FftBackend:
     ifft: Callable[[np.ndarray], np.ndarray]
     fft_tt: Callable[[np.ndarray], np.ndarray] | None = None
     fft_into: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    fft_tt_into: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 def backend_fft_tt(backend: FftBackend, xt: np.ndarray) -> np.ndarray:
@@ -148,6 +156,8 @@ def _repro_fft_tt(xt: np.ndarray) -> np.ndarray:
 
 
 register_backend(FftBackend("repro", _repro_fft, _repro_ifft, fft_tt=_repro_fft_tt))
+_NUMPY_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+
 register_backend(
     FftBackend(
         "numpy",
@@ -158,10 +168,7 @@ register_backend(
         fft_tt=lambda xt: np.fft.fft(np.asarray(xt, dtype=np.complex128), axis=0),
         # numpy >= 2.0 takes out= (and copies each input vector into the
         # output before transforming it there, so out=x is exact).
-        fft_into=(
-            (lambda x, out: np.fft.fft(x, axis=-1, out=out))
-            if np.lib.NumpyVersion(np.__version__) >= "2.0.0"
-            else None
-        ),
+        fft_into=(lambda x, out: np.fft.fft(x, axis=-1, out=out)) if _NUMPY_OUT else None,
+        fft_tt_into=(lambda xt, out: np.fft.fft(xt, axis=0, out=out)) if _NUMPY_OUT else None,
     )
 )

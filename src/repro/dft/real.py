@@ -44,15 +44,21 @@ def rfft(x: np.ndarray) -> np.ndarray:
         full = plan_for(n, arr.dtype).execute(arr, inverse=False)
         return np.ascontiguousarray(full[..., : n // 2 + 1])
     half = n // 2
-    packed = arr[..., 0::2] + 1j * arr[..., 1::2]
+    # The (even, odd) sample pairs are the complex vector's memory already.
+    packed = arr.view(np.complex128)
     z = plan_for(half, packed.dtype).execute(packed, inverse=False)
-    # Spectra of the even/odd interleaved streams, using Z_{n/2} = Z_0.
+    # Spectra of the even/odd interleaved streams, using Z_{n/2} = Z_0:
+    # fe + w*fo with fe = 0.5*(zfull + zrev) and fo = -0.5j*(zfull - zrev),
+    # each step the same ufunc on the same operands as the expression,
+    # written over three arrays instead of eight temporaries.
     zfull = np.concatenate([z, z[..., :1]], axis=-1)
-    zrev = np.conj(zfull[..., ::-1])
-    fe = 0.5 * (zfull + zrev)
-    fo = -0.5j * (zfull - zrev)
-    w = twiddles(n, -1)[: half + 1]
-    return fe + w * fo
+    zrev = np.conjugate(zfull[..., ::-1])
+    out = np.subtract(zfull, zrev)
+    np.multiply(-0.5j, out, out=out)
+    np.multiply(twiddles(n, -1)[: half + 1], out, out=out)
+    np.add(zfull, zrev, out=zfull)
+    np.multiply(0.5, zfull, out=zfull)
+    return np.add(zfull, out, out=out)
 
 
 def irfft(spec: np.ndarray, n: int | None = None) -> np.ndarray:

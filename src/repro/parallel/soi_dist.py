@@ -303,11 +303,16 @@ class _Rank:
         return v_t
 
     def fft_m(self, segs: np.ndarray) -> np.ndarray:
-        """Segment FFTs + demodulation: the in-order output block."""
+        """Segment FFTs + demodulation: the in-order output block.  The
+        segment FFTs overwrite *segs* where the backend transforms in
+        place, as the sequential back half does: every caller passes
+        segments it owns and reads no more."""
         plan = self.plan
-        yt = _plan_fft(self.be, segs, plan)
+        yt = _plan_fft(self.be, segs, plan, out=segs)
         self.comm.trace_compute("fft-m", self.s_per * fft_flops(plan.m_over))
-        return (yt[:, : plan.m] * plan.demod_recip[None, :]).reshape(-1)
+        y = np.empty((self.s_per, plan.m), dtype=plan.dtype)
+        np.multiply(yt[:, : plan.m], plan.demod_recip, out=y)
+        return y.reshape(-1)
 
     def exchange_pieces(self, spans: list[tuple[int, int]]) -> set[int]:
         """Steps 1-4 with THE all-to-all as per-group pieces (see

@@ -10,6 +10,7 @@ construction because every backend computes each column on its own;
 ``TestTheFactsTheFusionRestsOn`` re-proves this on the running build.
 """
 
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -188,6 +189,32 @@ class TestTheFactsTheFusionRestsOn:
             assert np.array_equal(fft_tt(xt[:, a:b]), full[:, a:b]), (a, b)
             assert np.array_equal(fft_tt(np.ascontiguousarray(xt[:, a:b])), full[:, a:b])
 
+    @pytest.mark.parametrize("layout", ["contiguous", "slice"])
+    @pytest.mark.parametrize("p", [3, 9, 16, 64])
+    def test_columns_in_place_equal_fft_tt(self, p, layout, rng):
+        """The kernel transforms ``ws.panel[:, :ncell*w]`` where it lies:
+        a column slice of a wider buffer gets ``fft_tt``'s bits too."""
+        be = get_backend("numpy")
+        if be.fft_tt_into is None:
+            pytest.skip("numpy < 2.0: np.fft.fft takes no out=")
+        buf = rng.standard_normal((p, 2000)) + 1j * rng.standard_normal((p, 2000))
+        x = buf if layout == "contiguous" else buf[:, :1536]
+        want = be.fft_tt(x)
+        assert be.fft_tt_into(x, x) is x
+        assert np.array_equal(x, want)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_fft_tt_leaves_its_input_alone(self, dtype, backend, rng):
+        be = get_backend(backend)
+        for p in (3, 9, 16, 64):
+            buf = (rng.standard_normal((p, 700)) + 1j * rng.standard_normal((p, 700)))
+            buf = buf.astype(dtype)
+            for xt in (buf, buf[:, 5:600]):
+                keep = xt.copy()
+                backend_fft_tt(be, xt)
+                assert np.array_equal(xt, keep), (p, xt.shape)
+
     def test_numpy_in_place_equals_out_of_place(self, rng):
         be = get_backend("numpy")
         if be.fft_into is None:
@@ -218,7 +245,41 @@ class TestDistributedTakesThePanelPath:
         assert np.array_equal(np.concatenate(res.values), seq)
 
 
+class TestBackendsWithoutInPlaceColumns:
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_out_of_place_columns_give_the_same_bits(self, dtype, rng):
+        """A backend without ``fft_tt_into`` (a third-party one, or numpy
+        < 2.0) takes the out-of-place column path to the same output."""
+        numpy_be = get_backend("numpy")
+        plain = dataclasses.replace(numpy_be, name="numpy-no-tt-into", fft_tt_into=None)
+        for n, p in [(1 << 18, 64), (4096, 8)]:
+            plan = SoiPlan(n=n, p=p, dtype=dtype)
+            x = _signal(rng, plan)
+            for fn in (soi_fft, soi_ifft):
+                assert np.array_equal(fn(x, plan, backend=plain), fn(x, plan, backend=numpy_be))
+
+
 class TestAllocations:
+    def test_fft_p_transforms_each_panel_in_place(self, monkeypatch):
+        """A warm one-CPU ``soi_fft`` over several panels allocates its
+        output and one segments array, and no fresh fft-p output per
+        panel (each ~1.9 MiB at 2^18 / 64)."""
+        if get_backend("numpy").fft_tt_into is None:
+            pytest.skip("numpy < 2.0: fft-p cannot run in place")
+        monkeypatch.setattr(convolve, "_usable_cpus", lambda: 1)
+        plan = SoiPlan(n=1 << 18, p=64)
+        assert len(plan._convolver().panel_units(plan.q_chunks, 0)) > 1
+        x = np.random.default_rng(0).standard_normal(plan.n).astype(plan.dtype)
+        soi_fft(x, plan)
+        tracemalloc.start()
+        try:
+            y = soi_fft(x, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        segments = plan.p * plan.m_over * np.dtype(plan.dtype).itemsize
+        assert peak <= y.nbytes + segments + (1 << 20), peak
+
     def test_warm_2p20_call_holds_one_segment_array(self):
         """A warm ``soi_fft`` allocates the output and one ``(P, M')``
         segments array (fft-m runs in place), never a third."""

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.dft import irfft, rfft
+from repro.dft import irfft, plan_for, rfft
+from repro.dft.twiddle import twiddles
 
 
 class TestRfft:
@@ -23,6 +24,22 @@ class TestRfft:
     def test_batched(self, rng):
         x = rng.standard_normal((3, 64))
         np.testing.assert_allclose(rfft(x), np.fft.rfft(x, axis=-1), atol=1e-9)
+
+    @pytest.mark.parametrize("shape", [(2,), (6,), (1000,), (3, 1280), (8, 4096)])
+    def test_even_lengths_keep_the_packed_expressions_bits(self, shape, rng):
+        """The zero-copy pack and the out= untangle compute the textbook
+        expressions' bits on finite input, an unaligned-offset view too."""
+        base = rng.standard_normal(shape[:-1] + (shape[-1] + 1,))
+        for x in (base[..., :-1].copy(), base[..., 1:]):
+            half = x.shape[-1] // 2
+            z = plan_for(half).execute(x[..., 0::2] + 1j * x[..., 1::2])
+            zfull = np.concatenate([z, z[..., :1]], axis=-1)
+            zrev = np.conj(zfull[..., ::-1])
+            want = 0.5 * (zfull + zrev) + twiddles(2 * half, -1)[: half + 1] * (
+                -0.5j * (zfull - zrev)
+            )
+            got = rfft(x)
+            assert got.view(np.float64).tobytes() == want.view(np.float64).tobytes()
 
     def test_rejects_complex(self):
         with pytest.raises(TypeError, match="real"):
