@@ -57,6 +57,7 @@ from ..parallel.real_dist import rfft_distributed
 from ..parallel.resilience import SoiResilience
 from ..parallel.soi_dist import soi_fft_distributed, soi_ifft_distributed
 from ..parallel.transpose import transpose_fft_distributed
+from ..simmpi.alltoall import ALGORITHMS, predicted_inter_node_messages
 from ..simmpi.faults import FaultPlan
 from ..simmpi.runtime import run_spmd
 from ..simmpi.transport import TransportPolicy
@@ -886,39 +887,31 @@ def _serve_rows(report: ConformanceReport, n: int) -> None:
 def _a2a_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
     """Topology-aware all-to-all satellite (PR 8).
 
-    The schedule choice (``pairwise``/``bruck``/``hierarchical``) and
-    the zero-copy intra-node path move the *same payload references*
-    through different message patterns, so every row here is
-    zero-tolerance: raw exchanges, SOI's one all-to-all, all three
-    six-step transposes, and the transport/``trace=`` compositions
-    must be bit-for-bit the pairwise reference.  One analytic row pins
-    the measured inter-node message counts to the schedule model
+    The world's schedule (``pairwise``/``hierarchical``) and the
+    zero-copy intra-node path move the *same payload bytes* through
+    different message patterns, so every row here is zero-tolerance:
+    raw exchanges, SOI's one all-to-all, all three six-step transposes,
+    and the transport/``trace=`` compositions must be bit-for-bit the
+    pairwise reference.  One analytic row pins the measured inter-node
+    message counts to the schedule model
     (:func:`repro.simmpi.predicted_inter_node_messages`) — the quantity
     the hierarchical schedule exists to shrink.
     """
-    from ..simmpi import predicted_inter_node_messages
-
-    # -- raw exchange: every algorithm bitwise == pairwise -------------
+    # -- raw exchange: hierarchical bitwise == pairwise ----------------
     def raw(algorithm, rpn):
         def body(comm):
             gen = np.random.default_rng(1234 + comm.rank)
-            objs = [
-                gen.standard_normal(16) + 1j * gen.standard_normal(16)
-                for _ in range(8)
-            ]
-            return np.stack(comm.alltoall(objs, algorithm=algorithm))
+            buf = gen.standard_normal((8, 16)) + 1j * gen.standard_normal((8, 16))
+            return comm.alltoall_matrix(buf)
 
-        return np.stack(run_spmd(8, body, ranks_per_node=rpn).values)
+        res = run_spmd(8, body, ranks_per_node=rpn, alltoall_algorithm=algorithm)
+        return np.stack(res.values)
 
-    for algorithm, rpn in (
-        ("bruck", None), ("bruck", 4), ("hierarchical", 4), ("hierarchical", 3),
-    ):
+    for rpn in (4, 3):
         _bitwise_row(
             report,
-            f"alltoall[{algorithm},P=8,rpn={rpn}]==pairwise", "a2a", 8,
-            lambda algorithm=algorithm, rpn=rpn: (
-                raw(algorithm, rpn), raw("pairwise", rpn)
-            ),
+            f"alltoall_matrix[hierarchical,P=8,rpn={rpn}]==pairwise", "a2a", 8,
+            lambda rpn=rpn: (raw("hierarchical", rpn), raw("pairwise", rpn)),
             detail="schedule choice is bitwise-invisible on the raw exchange"
             + (" (ragged tail node)" if rpn == 3 else ""),
         )
@@ -926,14 +919,13 @@ def _a2a_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
     # -- measured inter-node message counts == the analytic model ------
     def message_counts():
         measured, predicted = [], []
-        for algorithm in ("pairwise", "bruck", "hierarchical"):
-            def body(comm, algorithm=algorithm):
-                objs = [np.full(4, comm.rank, dtype=np.complex128) for _ in range(8)]
-                comm.alltoall(objs, algorithm=algorithm)
+        for algorithm in ALGORITHMS:
+            def body(comm):
+                comm.alltoall_matrix(np.full((8, 4), comm.rank, dtype=np.complex128))
 
             # Read the counter off the joined result — a rank's exchange
             # can complete before its peers' last sends are recorded.
-            res = run_spmd(8, body, ranks_per_node=4)
+            res = run_spmd(8, body, ranks_per_node=4, alltoall_algorithm=algorithm)
             measured.append(res.stats.total_inter_node_messages)
             predicted.append(predicted_inter_node_messages(8, 4, algorithm))
         return np.asarray(measured), np.asarray(predicted)
@@ -950,15 +942,15 @@ def _a2a_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
     blocks = split_blocks(x, _DIST_RANKS)
     rpn = 2  # 4 ranks as 2 nodes x 2 ranks
 
-    def dist(algorithm=None, ranks_per_node=rpn, transport=None, **kwargs):
+    def dist(algorithm="pairwise", ranks_per_node=rpn, transport=None, **kwargs):
         res = run_spmd(
             _DIST_RANKS,
             lambda comm: soi_fft_distributed(
-                comm, blocks[comm.rank], plan,
-                alltoall_algorithm=algorithm, **kwargs,
+                comm, blocks[comm.rank], plan, **kwargs
             ),
             ranks_per_node=ranks_per_node,
             transport=transport,
+            alltoall_algorithm=algorithm,
         )
         return np.concatenate(res.values)
 
@@ -968,13 +960,12 @@ def _a2a_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
         lambda: (baseline, dist(ranks_per_node=None)),
         detail="the zero-copy intra-node path is bit-transparent",
     )
-    for algorithm in ("bruck", "hierarchical"):
-        _bitwise_row(
-            report,
-            f"soi_fft_distributed[{algorithm},rpn={rpn}][n={n}]", "a2a", n,
-            lambda algorithm=algorithm: (dist(algorithm), baseline),
-            detail="SOI's one all-to-all reschedules without moving a bit",
-        )
+    _bitwise_row(
+        report,
+        f"soi_fft_distributed[hierarchical,rpn={rpn}][n={n}]", "a2a", n,
+        lambda: (dist("hierarchical"), baseline),
+        detail="SOI's one all-to-all reschedules without moving a bit",
+    )
     _bitwise_row(
         report,
         f"soi_fft_distributed[hierarchical,transport=TransportPolicy()][n={n}]",
@@ -1000,26 +991,24 @@ def _a2a_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
     xt = _signal(f"dist.transpose[{transpose_n}]", transpose_n)
     tblocks = split_blocks(xt, _DIST_RANKS)
 
-    def transpose(algorithm=None):
+    def transpose(algorithm):
         res = run_spmd(
             _DIST_RANKS,
             lambda comm: transpose_fft_distributed(
-                comm, tblocks[comm.rank], transpose_n,
-                alltoall_algorithm=algorithm,
+                comm, tblocks[comm.rank], transpose_n
             ),
             ranks_per_node=rpn,
+            alltoall_algorithm=algorithm,
         )
         return np.concatenate(res.values)
 
-    tbase = transpose()
-    for algorithm in ("bruck", "hierarchical"):
-        _bitwise_row(
-            report,
-            f"transpose_fft_distributed[{algorithm},rpn={rpn}][n={transpose_n}]",
-            "a2a", transpose_n,
-            lambda algorithm=algorithm: (transpose(algorithm), tbase),
-            detail="all three six-step transposes reschedule bitwise-identically",
-        )
+    _bitwise_row(
+        report,
+        f"transpose_fft_distributed[hierarchical,rpn={rpn}][n={transpose_n}]",
+        "a2a", transpose_n,
+        lambda: (transpose("hierarchical"), transpose("pairwise")),
+        detail="all three six-step transposes reschedule bitwise-identically",
+    )
 
 
 def _des_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
@@ -1054,22 +1043,20 @@ def _des_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
             [np.ascontiguousarray(out).view(np.uint8), _stats_bytes(res.stats)]
         )
 
-    def soi(engine, algorithm=None, fn=soi_fft_distributed, transport=None,
-            **kwargs):
+    def soi(engine, algorithm="pairwise", fn=soi_fft_distributed,
+            transport=None, **kwargs):
         res = run_spmd(
             _DIST_RANKS,
-            lambda comm: fn(
-                comm, blocks[comm.rank], plan,
-                alltoall_algorithm=algorithm, **kwargs,
-            ),
+            lambda comm: fn(comm, blocks[comm.rank], plan, **kwargs),
             ranks_per_node=rpn,
             engine=engine,
             transport=transport,
+            alltoall_algorithm=algorithm,
         )
         return np.concatenate(res.values), res
 
     # -- SOI forward: every schedule, outputs + stats ------------------
-    for algorithm in ("pairwise", "bruck", "hierarchical"):
+    for algorithm in ALGORITHMS:
         def pair(algorithm=algorithm):
             got, rd = soi("des", algorithm)
             ref, rt = soi("thread", algorithm)
@@ -1147,15 +1134,15 @@ def _des_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
         res = run_spmd(
             _DIST_RANKS,
             lambda comm: transpose_fft_distributed(
-                comm, tblocks[comm.rank], transpose_n,
-                alltoall_algorithm=algorithm,
+                comm, tblocks[comm.rank], transpose_n
             ),
             ranks_per_node=rpn,
             engine=engine,
+            alltoall_algorithm=algorithm,
         )
         return np.concatenate(res.values), res
 
-    for algorithm in ("pairwise", "bruck", "hierarchical"):
+    for algorithm in ALGORITHMS:
         def tpair(algorithm=algorithm):
             got, rd = transpose("des", algorithm)
             ref, rt = transpose("thread", algorithm)

@@ -52,13 +52,6 @@ class Topology(ABC):
 
     name: str
     alltoall_efficiency: float = 1.0
-    #: Fixed per-message cost at the injecting node: NIC doorbell, match
-    #: processing, packet header serialisation — ~2 us on QDR-era
-    #: hardware.  Irrelevant for huge messages, decisive for message
-    #: COUNT: a P x P pairwise all-to-all pays it P-1 times per node
-    #: where the node-aggregated hierarchical schedule pays it
-    #: (nodes - 1) times (see :mod:`repro.simmpi.alltoall`).
-    message_overhead_s: float = 2.0e-6
 
     @abstractmethod
     def injection_bandwidth(self) -> float:
@@ -79,39 +72,26 @@ class Topology(ABC):
         if limit is not None and nodes > limit:
             raise ValueError(f"{self.name} models at most {limit} nodes, got {nodes}")
 
-    def alltoall_time(
-        self, total_bytes: float, nodes: int, messages: int | None = None
-    ) -> float:
+    def alltoall_time(self, total_bytes: float, nodes: int) -> float:
         """Seconds for a balanced personalised all-to-all of *total_bytes*.
 
         Per Section 7.4: the max of the injection bound (each node must
         send its off-node share through its local channel) and the
         bisection bound (half the payload crosses the bisection, by
-        symmetry).
-
-        *messages*, when given, is the total count of inter-node
-        messages the exchange schedule issues (e.g. measured
-        ``TrafficStats.inter_node_messages``); each costs the injecting
-        node ``message_overhead_s``, serialised per node.  ``None``
-        (the historical call shape) charges no per-message term, so
-        existing volume-only projections are unchanged.
+        symmetry).  Per-message costs are the DES engine's to price
+        (:class:`~repro.trace.spans.TraceCostModel`).
         """
         self._check_nodes(nodes)
         if total_bytes < 0:
             raise ValueError("total_bytes must be >= 0")
-        if messages is not None and messages < 0:
-            raise ValueError("messages must be >= 0")
-        if nodes == 1 or (total_bytes == 0 and not messages):
+        if nodes == 1 or total_bytes == 0:
             return 0.0
         per_node = total_bytes / nodes
         offnode_fraction = (nodes - 1) / nodes
         eff = self.alltoall_efficiency
         t_inject = per_node * offnode_fraction / (self.injection_bandwidth() * eff)
         t_bisect = (total_bytes / 2.0) / (self.bisection_bandwidth(nodes) * eff)
-        t_overhead = 0.0
-        if messages is not None:
-            t_overhead = (messages / nodes) * self.message_overhead_s
-        return max(t_inject, t_bisect) + t_overhead
+        return max(t_inject, t_bisect)
 
     def neighbor_time(self, bytes_per_node: float, nodes: int) -> float:
         """Seconds for a nearest-neighbour (halo) exchange.

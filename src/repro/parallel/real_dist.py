@@ -54,7 +54,7 @@ def rfft_distributed(
     last rank gets one extra: the Nyquist bin ``X[N/2]``), matching
     ``numpy.fft.rfft`` of the concatenated input to the plan's SOI
     accuracy.  Collective; extra keyword arguments (``overlap=``,
-    ``alltoall_algorithm=``, ...) pass through to
+    ``resilience=``, ...) pass through to
     :func:`soi_fft_distributed`.
     """
     nranks = comm.size

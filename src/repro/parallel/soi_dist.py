@@ -42,7 +42,6 @@ from ..core.plan import SoiPlan
 from ..core.soi import _plan_fft
 from ..dft.backends import FftBackend, get_backend
 from ..dft.flops import fft_flops, soi_convolution_flops
-from ..simmpi.alltoall import resolve_algorithm
 from ..simmpi.comm import Communicator
 from ..simmpi.errors import RankFailedError
 from ..simmpi.requests import waitall, waitany
@@ -148,7 +147,6 @@ def soi_fft_distributed(
     overlap: bool = False,
     overlap_groups: int = 2,
     resilience: SoiResilience | None = None,
-    alltoall_algorithm: str | None = None,
 ) -> np.ndarray:
     """SPMD SOI FFT: each rank passes its block, receives its output block.
 
@@ -192,15 +190,12 @@ def soi_fft_distributed(
     input replication ring plus one checksum vector per all-to-all
     piece.
 
-    ``alltoall_algorithm`` selects the exchange schedule of step 4
-    (``"pairwise"``/``"bruck"``/``"hierarchical"``; ``None`` defers to
-    the world default) — collective, like every other parameter here.
-    All schedules are bitwise-identical in output.  The name is
-    validated on every path, but the piece exchange keeps its own
+    Step 4 runs the world's exchange schedule
+    (``run_spmd(alltoall_algorithm=)``); every schedule is
+    bitwise-identical in output.  The piece exchange keeps its own
     isend/irecv schedule (its sends ARE the exchange).
     """
     be = get_backend(backend)
-    algorithm = resolve_algorithm(alltoall_algorithm, comm.world)
     if trace is not None:
         trace.attach(comm.world)
     layout = soi_rank_layout(plan, comm.size)
@@ -240,9 +235,7 @@ def soi_fft_distributed(
         # rows — see hierarchical_matrix).  mat[src] is (S, rows_per_rank):
         # my segments, src's row range; (S, M') rows in src order.
         with comm.phase("alltoall"):
-            mat = comm.alltoall_matrix(
-                v_t.reshape(comm.size, r.s_per, -1), algorithm=algorithm
-            )
+            mat = comm.alltoall_matrix(v_t.reshape(comm.size, r.s_per, -1))
         r.segs = np.ascontiguousarray(mat.transpose(1, 0, 2)).reshape(r.s_per, -1)
 
     # -- 5. segment FFTs + demodulation (in-order output); a rank that
@@ -419,7 +412,6 @@ def soi_ifft_distributed(
     overlap: bool = False,
     overlap_groups: int = 2,
     resilience: SoiResilience | None = None,
-    alltoall_algorithm: str | None = None,
 ) -> np.ndarray:
     """Distributed inverse SOI transform (approximates ``ifft``).
 
@@ -439,7 +431,7 @@ def soi_ifft_distributed(
     forward = soi_fft_distributed(
         comm, np.conj(vec), plan, backend=backend, trace=trace,
         overlap=overlap, overlap_groups=overlap_groups,
-        resilience=resilience, alltoall_algorithm=alltoall_algorithm,
+        resilience=resilience,
     )
     np.conjugate(forward, out=forward)
     forward /= plan.n

@@ -72,18 +72,15 @@ def _divisors(n: int) -> list[int]:
 
 
 def distributed_transpose(
-    comm: Communicator,
-    local: np.ndarray,
-    rows: int,
-    cols: int,
-    alltoall_algorithm: str | None = None,
+    comm: Communicator, local: np.ndarray, rows: int, cols: int
 ) -> np.ndarray:
     """Transpose a row-distributed ``rows x cols`` matrix (one all-to-all).
 
     *local* is this rank's ``rows/R x cols`` slab; returns the rank's
     ``cols/R x rows`` slab of the transpose.  Implements Fig. 3: a local
-    permutation packs per-destination sub-blocks contiguously, the
-    all-to-all moves them, a local concatenation re-assembles.
+    permutation packs the per-destination sub-blocks into one
+    ``(R, ..., rows/R, cols/R)`` buffer, ``alltoall_matrix`` moves them
+    under the world's schedule, a local permutation re-assembles.
 
     Leading axes batch: a ``(..., rows/R, cols)`` stack of K slabs
     transposes K matrices through ONE all-to-all of K-times-larger
@@ -100,11 +97,11 @@ def distributed_transpose(
         local.shape[-2:] == (rloc, cols),
         f"bad slab shape {local.shape} (want (..., {rloc}, {cols}))",
     )
-    sendbufs = [
-        np.ascontiguousarray(local[..., :, d * cloc : (d + 1) * cloc])
-        for d in range(r)
-    ]
-    pieces = comm.alltoall(sendbufs, algorithm=alltoall_algorithm)
+    # sendbuf[d]: (..., rloc, cloc), my rows of rank d's columns.
+    sendbuf = np.ascontiguousarray(
+        np.moveaxis(local.reshape(*local.shape[:-1], r, cloc), -2, 0)
+    )
+    pieces = comm.alltoall_matrix(sendbuf)
     # pieces[src]: (..., rloc, cloc) block of rows src*rloc.., my columns.
     return np.concatenate([np.swapaxes(p, -1, -2) for p in pieces], axis=-1)
 
@@ -116,7 +113,6 @@ def transpose_fft_distributed(
     backend: str | FftBackend = "numpy",
     grid: tuple[int, int] | None = None,
     trace: TraceRecorder | None = None,
-    alltoall_algorithm: str | None = None,
 ) -> np.ndarray:
     """In-order N-point FFT, block-distributed, via the six-step algorithm.
 
@@ -142,10 +138,10 @@ def transpose_fft_distributed(
     all-to-all epochs contrast with SOI's one (see :mod:`repro.trace`);
     tracing is bit-transparent.
 
-    ``alltoall_algorithm`` applies to all THREE transposes
-    (``"pairwise"``/``"bruck"``/``"hierarchical"``; ``None`` defers to
-    the world default) — six-step pays the schedule choice three times
-    where SOI pays it once.  Bitwise-identical output either way.
+    The world's exchange schedule (``run_spmd(alltoall_algorithm=)``)
+    applies to all THREE transposes — six-step pays the schedule choice
+    three times where SOI pays it once.  Bitwise-identical output either
+    way.
     """
     be = get_backend(backend)
     if trace is not None:
@@ -168,9 +164,7 @@ def transpose_fft_distributed(
 
     # 1. transpose-1: rows j2, columns j1.
     with comm.phase("transpose-1"):
-        at = distributed_transpose(
-            comm, a, n1, n2, alltoall_algorithm=alltoall_algorithm
-        )  # (n2/r, n1)
+        at = distributed_transpose(comm, a, n1, n2)  # (n2/r, n1)
 
     # 2. length-N1 FFTs over j1.
     bt = be.fft(at)
@@ -185,9 +179,7 @@ def transpose_fft_distributed(
 
     # 4. transpose-2: back to rows k1.
     with comm.phase("transpose-2"):
-        c = distributed_transpose(
-            comm, bt, n2, n1, alltoall_algorithm=alltoall_algorithm
-        )  # (n1/r, n2)
+        c = distributed_transpose(comm, bt, n2, n1)  # (n1/r, n2)
 
     # 5. length-N2 FFTs over j2.
     d = be.fft(c)
@@ -195,7 +187,5 @@ def transpose_fft_distributed(
 
     # 6. transpose-3: natural order y[k1 + N1*k2] -> rows k2.
     with comm.phase("transpose-3"):
-        dt = distributed_transpose(
-            comm, d, n1, n2, alltoall_algorithm=alltoall_algorithm
-        )  # (n2/r, n1)
+        dt = distributed_transpose(comm, d, n1, n2)  # (n2/r, n1)
     return dt.reshape(*batch, block)

@@ -117,7 +117,6 @@ def _execute_transpose(requests: list[TransformRequest]) -> list[np.ndarray]:
             xs[:, comm.rank * block : (comm.rank + 1) * block],
             n,
             backend=head.library,
-            alltoall_algorithm=head.params["algorithm"],
         ),
     )
     out = np.concatenate(res.values, axis=-1)  # (K, n), natural order

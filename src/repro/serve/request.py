@@ -70,7 +70,7 @@ class TransformRequest:
 
     ``deadline`` is absolute on the server's monotonic clock (``None``
     = no deadline).  ``params`` carries backend-specific configuration
-    (SOI: ``p``/``beta``/``window``; transpose: ``nranks``/``algorithm``; NUFFT:
+    (SOI: ``p``/``beta``/``window``; transpose: ``nranks``; NUFFT:
     ``points``/``k_modes``/``kind``) already validated by ``submit``.
     """
 
@@ -117,10 +117,7 @@ class TransformRequest:
                 p["p"], p["beta"], p["window"],
             )
         if self.backend == "transpose":
-            return (
-                "transpose", self.n, self.library,
-                self.params["nranks"], self.params["algorithm"],
-            )
+            return ("transpose", self.n, self.library, self.params["nranks"])
         # nufft: per-request execution inside the group; key only needs
         # to identify work the same worker loop can drain together.
         p = self.params

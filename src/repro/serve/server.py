@@ -66,19 +66,11 @@ class ServeConfig:
     warm_shapes: Sequence = ()
     #: SOI configurations ``(n, p)`` to warm the SOI plan cache with.
     warm_soi: Sequence[tuple[int, int]] = ()
-    #: Default all-to-all schedule for distributed (transpose) requests
-    #: (``"pairwise"``/``"bruck"``/``"hierarchical"``); per-request
-    #: ``algorithm=`` overrides.  Bitwise-identical results either way —
-    #: the choice only moves wire traffic (see ``repro.simmpi.alltoall``).
-    alltoall_algorithm: str = "pairwise"
 
     def __post_init__(self) -> None:
         check_positive_int(self.workers, "workers")
         check_positive_int(self.max_queue, "max_queue")
         check_positive_int(self.max_batch, "max_batch")
-        from ..simmpi.alltoall import resolve_algorithm
-
-        resolve_algorithm(self.alltoall_algorithm)
 
 
 class TransformServer:
@@ -181,7 +173,7 @@ class TransformServer:
         synchronously when the admission controller refuses the request,
         and :class:`ServerClosed` when the server is not running.
         Backend-specific parameters ride in ``params`` (SOI:
-        ``p``/``beta``/``window``; transpose: ``nranks``/``algorithm``;
+        ``p``/``beta``/``window``; transpose: ``nranks``;
         NUFFT: ``points``/``k_modes``/``kind``).
         """
         req = self._build_request(
@@ -243,7 +235,7 @@ class TransformServer:
         known = {
             "dft": set(),
             "soi": {"p", "beta", "window"},
-            "transpose": {"nranks", "algorithm"},
+            "transpose": {"nranks"},
             "nufft": {"points", "k_modes", "kind"},
         }[backend]
         extra = set(params) - known
@@ -260,12 +252,7 @@ class TransformServer:
         if backend == "transpose":
             if direction != "forward":
                 raise ValueError("transpose backend serves forward transforms only")
-            from ..simmpi.alltoall import resolve_algorithm
-
-            algo = resolve_algorithm(
-                params.get("algorithm", self.config.alltoall_algorithm)
-            )
-            return {"nranks": int(params.get("nranks", 4)), "algorithm": algo}
+            return {"nranks": int(params.get("nranks", 4))}
         if backend == "nufft":
             points = np.asarray(params["points"], dtype=np.float64)
             kind = int(params.get("kind", 1))

@@ -22,7 +22,7 @@ only under ``engine="des"``, where the virtual clock prices each one by
 the cost model's wire (``run_spmd(cost_model=TraceCostModel(...))``).
 """
 
-from .alltoall import ALGORITHMS, predicted_inter_node_messages, resolve_algorithm
+from .alltoall import ALGORITHMS, predicted_inter_node_messages
 from .comm import Communicator, SubCommunicator
 from .errors import (
     CollectiveTimeoutError,
@@ -47,7 +47,6 @@ from .transport import TransportPolicy, World
 __all__ = [
     "ALGORITHMS",
     "predicted_inter_node_messages",
-    "resolve_algorithm",
     "Communicator",
     "SubCommunicator",
     "World",

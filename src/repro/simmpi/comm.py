@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from ..utils import check_int
-from .alltoall import exchange, hierarchical_matrix, resolve_algorithm
+from .alltoall import hierarchical_matrix
 from .errors import (
     CollectiveTimeoutError,
     CorruptMessageError,
@@ -483,34 +483,21 @@ class Communicator:
             return self.recv(root, tag=-4)
 
     def alltoall(
-        self,
-        objs: Sequence[Any],
-        timeout: float | None = None,
-        algorithm: str | None = None,
+        self, objs: Sequence[Any], timeout: float | None = None
     ) -> list[Any]:
         """Personalised all-to-all: send ``objs[d]`` to rank d, get one each.
 
-        This is THE global transpose primitive of both FFT algorithms
-        (Fig. 3: local permutation followed by the MPI all-to-all).
-        Counted as one all-to-all round in the traffic statistics.
-        A dead peer raises :class:`RankFailedError` naming it; an
-        explicit per-member ``timeout`` expiring with nobody dead raises
+        The pairwise exchange of arbitrary objects: every rank sends P−1
+        messages, whatever the world's schedule (arrays go through
+        :meth:`alltoall_matrix`, which honours it).  Counted as one
+        all-to-all round in the traffic statistics.  A dead peer raises
+        :class:`RankFailedError` naming it; an explicit per-member
+        ``timeout`` expiring with nobody dead raises
         :class:`CollectiveTimeoutError`.
-
-        ``algorithm`` picks the exchange schedule — ``"pairwise"`` (the
-        bitwise reference, below), ``"bruck"`` (log P combined rounds)
-        or ``"hierarchical"`` (node-aggregated; see
-        :mod:`repro.simmpi.alltoall`).  ``None`` defers to the world's
-        default.  Every algorithm is a collective contract: all ranks
-        must resolve to the same choice, and all return bitwise-identical
-        output lists.
         """
         if len(objs) != self.size:
             raise ValueError(f"alltoall needs exactly {self.size} send items")
-        algo = resolve_algorithm(algorithm, self.world)
         with self._alltoall_epoch(objs[self.rank]):
-            if algo != "pairwise":
-                return exchange(self, objs, algo, timeout)
             for dst in range(self.size):
                 if dst != self.rank:
                     self.send(objs[dst], dst, tag=-5)
@@ -524,20 +511,18 @@ class Communicator:
             return out
 
     def alltoall_matrix(
-        self,
-        sendbuf: np.ndarray,
-        timeout: float | None = None,
-        algorithm: str | None = None,
+        self, sendbuf: np.ndarray, timeout: float | None = None
     ) -> np.ndarray:
-        """Array-native personalised all-to-all: row d of *sendbuf* to rank d.
+        """Personalised all-to-all of one array: row d of *sendbuf* to rank d.
 
-        Semantically ``np.stack(self.alltoall(list(sendbuf), ...))`` —
-        same schedules, tags, message counts and byte totals — but the
-        hierarchical schedule keeps payloads as a handful of contiguous
-        ndarrays per hop instead of P block objects, so thousand-rank
-        exchanges are not dominated by per-object overhead.  Row s of
-        the returned ``(size, ...)`` array is the block received from
-        rank s, bitwise identical to the list form.
+        This is THE global transpose primitive of both FFT algorithms
+        (Fig. 3: local permutation followed by the MPI all-to-all).  It
+        runs the world's schedule, ``run_spmd(alltoall_algorithm=)``
+        (see :mod:`repro.simmpi.alltoall`): ``"pairwise"`` is
+        ``np.stack(self.alltoall(list(sendbuf)))``; ``"hierarchical"``
+        sends the same bytes as a handful of contiguous row batches per
+        hop.  Row s of the returned ``(size, ...)`` array is the block
+        received from rank s, bitwise the same under either schedule.
         """
         sendbuf = np.asarray(sendbuf)
         if sendbuf.ndim < 2 or sendbuf.shape[0] != self.size:
@@ -545,11 +530,8 @@ class Communicator:
                 f"alltoall_matrix needs a (size, ...) array with leading "
                 f"dimension {self.size}, got shape {sendbuf.shape}"
             )
-        algo = resolve_algorithm(algorithm, self.world)
-        if algo != "hierarchical":
-            return np.stack(
-                self.alltoall(list(sendbuf), timeout=timeout, algorithm=algo)
-            )
+        if self.world.alltoall_algorithm == "pairwise":
+            return np.stack(self.alltoall(list(sendbuf), timeout=timeout))
         with self._alltoall_epoch(sendbuf[self.rank]):
             return hierarchical_matrix(self, sendbuf, timeout)
 
@@ -747,7 +729,7 @@ class SubCommunicator(Communicator):
     reliable transport and the zero-copy node pool all observe WORLD
     ranks, exactly as if the user had hand-translated the ranks, and
     traffic is charged to the world rank's current phase.  Inherited
-    collectives (bcast/gather/.../alltoall with every algorithm) work
+    collectives (bcast/gather/.../alltoall under either schedule) work
     unchanged on top of the overridden point-to-point; only
     :meth:`barrier` differs, because the world barrier spans everyone.
     """

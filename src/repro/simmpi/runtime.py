@@ -186,11 +186,11 @@ def run_spmd(
         split bytes into intra-node vs inter-node.  ``None`` keeps the
         historical flat world (every rank its own node).
     alltoall_algorithm:
-        World-wide default exchange schedule for
-        :meth:`~repro.simmpi.comm.Communicator.alltoall` — one of
-        ``"pairwise"``, ``"bruck"``, ``"hierarchical"`` (see
-        :mod:`repro.simmpi.alltoall`).  Per-call ``algorithm=``
-        overrides it.
+        The world's exchange schedule, run by every
+        :meth:`~repro.simmpi.comm.Communicator.alltoall_matrix` —
+        ``"pairwise"`` or ``"hierarchical"`` (see
+        :mod:`repro.simmpi.alltoall`).  This is the one place it is
+        set.
     engine:
         Execution substrate.  ``"thread"`` (default) runs one
         free-running OS thread per rank on the wall clock — the

@@ -55,12 +55,15 @@ class TestReplayInterleavingsUnderDes:
     def test_ragged_alltoall_replays_bitwise(self):
         def program(comm):
             rng = np.random.default_rng(100 + comm.rank)
-            objs = [rng.standard_normal(8) for _ in range(comm.size)]
-            return np.stack(comm.alltoall(objs, algorithm="hierarchical"))
+            return comm.alltoall_matrix(rng.standard_normal((comm.size, 8)))
 
         report = replay_interleavings(
             program, 8, schedules=6, seed="ragged",
-            run_kwargs={"engine": "des", "ranks_per_node": 3},
+            run_kwargs={
+                "engine": "des",
+                "ranks_per_node": 3,
+                "alltoall_algorithm": "hierarchical",
+            },
         )
         assert report.ok, report.as_dict()["mismatches"]
 

@@ -107,38 +107,3 @@ class TestEthernet:
     def test_low_alltoall_efficiency(self):
         """The calibrated incast factor keeps Fig. 8 in its measured band."""
         assert EthernetFabric().alltoall_efficiency < 0.15
-
-
-class TestMessageOverhead:
-    """The per-message term behind the hierarchical all-to-all's win."""
-
-    @pytest.mark.parametrize(
-        "fabric", [FatTree(), Torus3D(), EthernetFabric()], ids=["fat", "torus", "eth"]
-    )
-    def test_messages_none_is_the_historical_model(self, fabric):
-        assert fabric.alltoall_time(1e8, 8) == fabric.alltoall_time(
-            1e8, 8, messages=None
-        )
-
-    def test_overhead_serialised_per_node(self):
-        f = FatTree()
-        base = f.alltoall_time(1e8, 8)
-        assert f.alltoall_time(1e8, 8, messages=80) == pytest.approx(
-            base + 10 * f.message_overhead_s
-        )
-
-    def test_fewer_messages_cost_less_at_equal_volume(self):
-        f = FatTree()
-        pairwise = f.alltoall_time(1e6, 4, messages=192)
-        hierarchical = f.alltoall_time(1e6, 4, messages=12)
-        assert hierarchical < pairwise
-
-    def test_zero_volume_pure_message_cost(self):
-        f = FatTree()
-        assert f.alltoall_time(0, 4, messages=8) == pytest.approx(
-            2 * f.message_overhead_s
-        )
-
-    def test_negative_messages_rejected(self):
-        with pytest.raises(ValueError):
-            FatTree().alltoall_time(1e6, 4, messages=-1)

@@ -50,11 +50,12 @@ def _run_soi_des(P: int, rpn: int):
 
     def prog(comm):
         lo = comm.rank * block
-        return soi_fft_distributed(
-            comm, x[lo : lo + block], plan, alltoall_algorithm="hierarchical"
-        )
+        return soi_fft_distributed(comm, x[lo : lo + block], plan)
 
-    res = run_spmd(P, prog, ranks_per_node=rpn, engine="des", timeout=600.0)
+    res = run_spmd(
+        P, prog, ranks_per_node=rpn, alltoall_algorithm="hierarchical",
+        engine="des", timeout=600.0,
+    )
     return plan, res
 
 
@@ -135,13 +136,11 @@ class TestWeakScalingLaw:
 
         def prog(comm):
             lo = comm.rank * block
-            return soi_fft_distributed(
-                comm, x[lo : lo + block], plan,
-                alltoall_algorithm="hierarchical",
-            )
+            return soi_fft_distributed(comm, x[lo : lo + block], plan)
 
-        des = run_spmd(P, prog, ranks_per_node=8, engine="des", timeout=120.0)
-        thr = run_spmd(P, prog, ranks_per_node=8, engine="thread", timeout=120.0)
+        kw = dict(ranks_per_node=8, alltoall_algorithm="hierarchical", timeout=120.0)
+        des = run_spmd(P, prog, engine="des", **kw)
+        thr = run_spmd(P, prog, engine="thread", **kw)
         got = np.concatenate(des.values)
         # The differential invariant this PR pins: DES == threads bitwise.
         assert got.tobytes() == np.concatenate(thr.values).tobytes()

@@ -180,15 +180,16 @@ class TestFaultFree:
         assert np.array_equal(out.values[0], ref.values[0])
 
     def test_unknown_alltoall_algorithm_rejected(self, plan, blocks):
+        """The resilient world validates its schedule before any rank runs."""
         res = SoiResilience()
-        with pytest.raises(SpmdError, match="unknown alltoall algorithm 'bogus'"):
+        with pytest.raises(ValueError, match="unknown alltoall algorithm 'bogus'"):
             run_spmd(
                 RANKS,
                 lambda c: soi_fft_distributed(
-                    c, blocks[c.rank], plan, resilience=res,
-                    alltoall_algorithm="bogus",
+                    c, blocks[c.rank], plan, resilience=res
                 ),
                 resilient=True,
+                alltoall_algorithm="bogus",
                 timeout=WALL_GUARD_S,
             )
 

@@ -83,16 +83,17 @@ class TestComposition:
         assert stats.total_retransmits == 0
 
     def test_unknown_alltoall_algorithm_rejected(self, full_plan):
-        """The pipelined path keeps its own piece schedule, but the name
-        is validated exactly as on the blocking path."""
+        """The pipelined path keeps its own piece schedule, but the
+        world validates the name before any rank runs, as for the
+        blocking path."""
         blocks = split_blocks(random_complex(full_plan.n, 23), 4)
-        with pytest.raises(SpmdError, match="unknown alltoall algorithm 'bogus'"):
+        with pytest.raises(ValueError, match="unknown alltoall algorithm 'bogus'"):
             run_spmd(
                 4,
                 lambda comm: soi_fft_distributed(
-                    comm, blocks[comm.rank], full_plan, overlap=True,
-                    alltoall_algorithm="bogus",
+                    comm, blocks[comm.rank], full_plan, overlap=True
                 ),
+                alltoall_algorithm="bogus",
                 timeout=10,
             )
 

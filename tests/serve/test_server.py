@@ -6,6 +6,7 @@ test mutates server state — margins are hundreds of milliseconds, not
 scheduler luck.
 """
 
+import re
 import time
 
 import numpy as np
@@ -154,6 +155,15 @@ class TestSubmitValidation:
     def test_unexpected_backend_params(self, srv):
         with pytest.raises(TypeError, match="unexpected dft parameters"):
             srv.submit(_signal(64), nranks=4)
+        # The exchange schedule belongs to the world, not the request.
+        with pytest.raises(
+            TypeError,
+            match=re.escape("unexpected transpose parameters: ['algorithm']"),
+        ):
+            srv.submit(
+                _signal(64), backend="transpose", nranks=4,
+                algorithm="hierarchical",
+            )
 
     def test_transpose_rejects_inverse(self, srv):
         with pytest.raises(ValueError, match="forward"):

@@ -191,7 +191,7 @@ class TestTagSpaceIsolation:
             total = sub.allreduce(comm.rank)
             sub.barrier()
             objs = [np.full(2, comm.rank, dtype=float) for _ in range(sub.size)]
-            pieces = sub.alltoall(objs, algorithm="bruck")
+            pieces = sub.alltoall(objs)
             return total, np.stack(pieces)
 
         res = run_spmd(4, body)
@@ -231,13 +231,13 @@ class TestSplitUnderAdversity:
         def body(comm):
             sub = comm.split(comm.rank % 2, key=-comm.rank)
             gathered = sub.allgather(("v", comm.rank))
-            objs = [np.full(4, comm.rank, dtype=float) for _ in range(sub.size)]
-            return gathered, np.stack(sub.alltoall(objs, algorithm="hierarchical"))
+            buf = np.full((sub.size, 4), comm.rank, dtype=float)
+            return gathered, sub.alltoall_matrix(buf)
 
-        baseline = run_spmd(4, body, ranks_per_node=2)
+        baseline = run_spmd(4, body, ranks_per_node=2, alltoall_algorithm="hierarchical")
         for seed in range(5):
             fuzzed = run_spmd(
-                4, body, ranks_per_node=2,
+                4, body, ranks_per_node=2, alltoall_algorithm="hierarchical",
                 schedule=ScheduleController(seed=seed),
                 timeout=GUARD_S,
             )

@@ -33,8 +33,9 @@ class TestPublicSurface:
             assert getattr(repro, name) is not None
 
     def test_option_surface_is_pinned(self):
-        """``run_spmd`` takes 12 keyword options and ``ServeConfig`` 9
-        fields; surfaces that no driver reached stay deleted."""
+        """``run_spmd`` takes 12 keyword options and ``ServeConfig`` 8
+        fields; surfaces that no driver reached stay deleted, and the
+        all-to-all schedule is set only by ``run_spmd``."""
         from repro.serve import ServeConfig
         from repro.simmpi import Communicator
 
@@ -43,7 +44,10 @@ class TestPublicSurface:
         assert len(options) == 12, options
         assert not {"fault_hook", "link_latency", "link_bandwidth"} & set(options)
         fields = [f.name for f in dataclasses.fields(ServeConfig)]
-        assert len(fields) == 9 and "warmup_path" not in fields
+        assert len(fields) == 8 and "warmup_path" not in fields
+        assert "alltoall_algorithm" not in fields
+        for fn in (soi_fft_distributed, transpose_fft_distributed):
+            assert "alltoall_algorithm" not in inspect.signature(fn).parameters
         assert not hasattr(Communicator, "ialltoall")
         assert not hasattr(SoiPlan, "convolve_fft_p")
         assert not hasattr(repro.serve.TransformServer, "timeline")
