@@ -2,7 +2,7 @@
 
 Submodules
 ----------
-- :mod:`~repro.core.windows` — window functions (Eq. 2) and design metrics;
+- :mod:`~repro.core.windows` — window functions (Eq. 2) and their design metrics;
 - :mod:`~repro.core.design` — (tau, sigma, B) search for target accuracy;
 - :mod:`~repro.core.theory` — Definition 1 operators and Theorem 1;
 - :mod:`~repro.core.plan` — :class:`SoiPlan`: frozen transform parameters;
@@ -13,7 +13,7 @@ Submodules
 - :mod:`~repro.core.accuracy` — SNR / digits / error-budget metrics.
 """
 
-from .windows import ReferenceWindow, TauSigmaWindow, GaussianWindow, window_from_spec
+from .windows import ReferenceWindow, TauSigmaWindow, GaussianWindow
 from .design import WindowDesign, design_window, named_window, preset_design, NAMED_PRESETS
 from .plan import SoiPlan, clear_soi_plan_cache, soi_plan_cache_info, soi_plan_for
 from .soi import soi_fft, soi_ifft, soi_fft2, soi_segment, soi_convolve
@@ -26,16 +26,11 @@ from .accuracy import (
     parseval_check,
 )
 
-# Re-exported under the name used in the package docstring examples.
-SoiWindowSpec = WindowDesign
-
 __all__ = [
     "ReferenceWindow",
     "TauSigmaWindow",
     "GaussianWindow",
-    "window_from_spec",
     "WindowDesign",
-    "SoiWindowSpec",
     "design_window",
     "named_window",
     "preset_design",

@@ -13,7 +13,7 @@ The error model (end of Section 4) is
     ``|error| / |y| = O( kappa * (eps_fft + eps_alias + eps_trunc) )``
 
 to which we add the *pointwise* edge-bin alias ratio
-(:meth:`~repro.core.windows.ReferenceWindow.alias_error_pointwise`),
+(:meth:`~repro.core.windows.TauSigmaWindow.alias_error_pointwise`),
 which our experiments show is the binding constraint at full accuracy.
 For a target of ``d`` digits the search enforces
 
@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .windows import ReferenceWindow, TauSigmaWindow
+from .windows import TauSigmaWindow
 
 __all__ = ["WindowDesign", "design_window", "named_window", "NAMED_PRESETS", "UnknownWindowError"]
 
@@ -57,7 +57,7 @@ class WindowDesign:
     ``-log10(kappa * (eps_alias + eps_trunc))``.
     """
 
-    window: ReferenceWindow
+    window: TauSigmaWindow
     beta: float
     b: int
     kappa: float
@@ -262,6 +262,6 @@ def preset_design(name: str, beta: float = 0.25) -> WindowDesign:
     )
 
 
-def named_window(name: str) -> ReferenceWindow:
+def named_window(name: str) -> TauSigmaWindow:
     """The reference window of a named preset (see :data:`NAMED_PRESETS`)."""
     return preset_design(name).window

@@ -39,7 +39,7 @@ from ..exectx import execution_context
 from ..utils import as_fraction, check_positive_int, require
 from .convolve import ConvolveKernel
 from .design import WindowDesign, design_window, preset_design
-from .windows import ReferenceWindow, window_from_spec
+from .windows import ReferenceWindow
 
 __all__ = [
     "SoiPlan",

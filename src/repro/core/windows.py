@@ -16,15 +16,22 @@ determines the *truncation width* ``B``: the smallest stencil such that
 ``int_{|t| >= B/2} |H| <= eps_trunc * int |H|``.  ``B`` is the length of
 the convolution inner products, i.e. the extra arithmetic SOI pays.
 
-Two families are provided:
+Three families are provided:
 
 - :class:`TauSigmaWindow` — the paper's two-parameter window (Eq. 2): a
   rectangular (perfect band-pass) filter of width ``tau`` smoothed by a
   Gaussian ``exp(-sigma u^2)``.  Closed forms: ``H_hat`` is a difference
-  of two erf's, ``H`` is a sinc times a Gaussian (footnote 5).
+  of two erf's, ``H`` is a sinc times a Gaussian (footnote 5).  It is
+  the family the design search of :mod:`repro.core.design` builds, so
+  it alone carries the design metrics (kappa, eps_alias, B).
 - :class:`GaussianWindow` — the one-parameter ``exp(-sigma u^2)``
   discussed in Section 8, which caps accuracy near 10 digits at
-  ``beta = 1/4`` (our tests confirm this limitation).
+  ``beta = 1/4``.
+- :class:`KaiserBesselWindow` — compact support in frequency, Section
+  8's zero-aliasing class.
+
+The last two are compared with the first by end-to-end accuracy, as in
+Section 8: a plan takes them with an explicit stencil width ``b``.
 
 The problem-size-specific window is then (Section 4):
 
@@ -60,7 +67,6 @@ __all__ = [
     "TauSigmaWindow",
     "GaussianWindow",
     "KaiserBesselWindow",
-    "window_from_spec",
 ]
 
 # Integration grid density for the numeric integrals below.  The
@@ -72,7 +78,8 @@ _GRID_POINTS_PER_UNIT = 4096
 def _simpson(y: np.ndarray, dx: float) -> float:
     """Simpson's rule on an odd-length uniformly spaced sample array."""
     if y.size < 3:
-        return float(np.trapezoid(y, dx=dx))
+        # The trapezoid rule: two points span one interval, one spans none.
+        return 0.5 * dx * float(y[0] + y[1]) if y.size == 2 else 0.0
     if y.size % 2 == 0:
         # Trapezoid on the last interval keeps the grid handling simple.
         return _simpson(y[:-1], dx) + 0.5 * dx * float(y[-2] + y[-1])
@@ -83,10 +90,10 @@ class ReferenceWindow(ABC):
     """Abstract reference window ``H_hat`` / ``H`` pair.
 
     Concrete windows provide vectorised evaluations of the frequency
-    profile ``H_hat(u)`` and the time profile ``H(t)``; the generic
-    methods compute the design metrics (kappa, eps_alias, B) the SOI
-    plan needs.  ``H_hat`` must be real and positive on ``[-1/2, 1/2]``,
-    and even to the bit: ``h_hat(-u) == h_hat(u)``.
+    profile ``H_hat(u)`` and the time profile ``H(t)``; from them the
+    SOI plan takes its demodulation diagonal and the oracles the time
+    window ``w(t)``.  ``H_hat`` must be real and positive on
+    ``[-1/2, 1/2]``.
     """
 
     @abstractmethod
@@ -96,96 +103,6 @@ class ReferenceWindow(ABC):
     @abstractmethod
     def h_time(self, t: np.ndarray) -> np.ndarray:
         """Time-domain profile ``H(t)`` — inverse Fourier transform of h_hat."""
-
-    @abstractmethod
-    def time_halfwidth(self, eps: float) -> float:
-        """A ``T`` with ``int_{|t|>=T} |H| <= eps * int |H|`` (analytic bound)."""
-
-    # ---- design metrics -------------------------------------------------
-
-    @cached_property
-    def _passband_abs(self) -> np.ndarray:
-        """``|H_hat|`` on the pass-band grid ``linspace(-1/2, 1/2, 4097)``.
-
-        Both :meth:`kappa` and :meth:`passband_integral` read it.  Only
-        the left half is evaluated: ``H_hat`` is even to the bit and the
-        grid is symmetric exactly (its step is 2**-12), so the mirror
-        image is the right half.
-        """
-        half = _GRID_POINTS_PER_UNIT // 2
-        left = np.abs(self.h_hat(np.linspace(-0.5, 0.0, half + 1)))
-        return np.concatenate([left, left[-2::-1]])
-
-    def kappa(self) -> float:
-        """Condition number: max/min of ``|H_hat|`` over [-1/2, 1/2]."""
-        vals = self._passband_abs
-        vmin = float(vals.min())
-        if vmin == 0.0:
-            return math.inf
-        return float(vals.max()) / vmin
-
-    def passband_integral(self) -> float:
-        """``int_{-1/2}^{1/2} |H_hat(u)| du`` (denominator of eps_alias)."""
-        return _simpson(self._passband_abs, 1.0 / _GRID_POINTS_PER_UNIT)
-
-    def alias_error(self, beta: float) -> float:
-        """``eps_alias`` for oversampling rate *beta* (Section 4, item (c)).
-
-        The stop-band integral ``int_{|u| >= 1/2 + beta} |H_hat|`` is
-        evaluated on a grid covering the decaying region plus an
-        analytic Gaussian-tail remainder from :meth:`stopband_tail`.
-        """
-        if beta < 0:
-            raise ValueError(f"beta must be >= 0, got {beta}")
-        a = 0.5 + beta
-        span = self.stopband_span()
-        n = int(_GRID_POINTS_PER_UNIT * span) | 1
-        u = np.linspace(a, a + span, n)
-        body = _simpson(np.abs(self.h_hat(u)), float(u[1] - u[0]))
-        tail = self.stopband_tail(a + span)
-        # H_hat is even for both families; both sides contribute equally.
-        return 2.0 * (body + tail) / self.passband_integral()
-
-    def alias_error_pointwise(self, beta: float) -> float:
-        """Worst-case *pointwise* alias ratio after demodulation.
-
-        The periodised spectrum at an edge bin ``k ~ M-1`` picks up the
-        alias image ``y_{k-M'} * w_hat(k-M')`` whose window value is
-        ``H_hat(-(1/2 + beta))`` — and demodulation divides by the edge
-        value ``H_hat(1/2)``.  The integral ``eps_alias`` of the paper
-        averages the stop-band mass over M bins and can understate this
-        by orders of magnitude, so the designer enforces both.  The sum
-        over further images ``j = 2, 3, ...`` is dominated by the first
-        (H_hat decays at least Gaussian-fast); a factor-2 cushion covers
-        it.
-        """
-        if beta < 0:
-            raise ValueError(f"beta must be >= 0, got {beta}")
-        edge, first, second = np.abs(self.h_hat(np.array([0.5, 0.5 + beta, 0.5 + beta + 1.0])))
-        if edge == 0.0:
-            return math.inf
-        return float((2.0 * first + 2.0 * second) / edge)
-
-    def stopband_span(self) -> float:
-        """Grid length (in u) after which the analytic tail bound takes over."""
-        return 4.0
-
-    @abstractmethod
-    def stopband_tail(self, a: float) -> float:
-        """Analytic bound on ``int_a^inf |H_hat(u)| du``."""
-
-    def truncation_width(self, eps_trunc: float) -> int:
-        """Smallest even ``B`` with ``int_{|t| >= B/2} |H| <= eps_trunc * int |H|``.
-
-        This is the Section-4 definition of the convolution stencil
-        length.  ``B`` is kept even so the stencil splits into whole
-        P-blocks symmetric around the window centre.
-        """
-        if not (0.0 < eps_trunc < 1.0):
-            raise ValueError(f"eps_trunc must be in (0, 1), got {eps_trunc}")
-        t_half = self.time_halfwidth(eps_trunc)
-        b = 2 * math.ceil(t_half)
-        return max(b, 2)
 
     def demodulation_values(self, m: int, b: int) -> np.ndarray:
         """``w_hat(k)`` for ``k = 0..m-1`` (the diagonal of ``W_hat``).
@@ -261,6 +178,85 @@ class TauSigmaWindow(ReferenceWindow):
         expo = np.minimum(np.pi**2 * t**2 / self.sigma, 745.0)
         return np.sinc(self.tau * t) * amp * np.exp(-expo)
 
+    # ---- design metrics -------------------------------------------------
+
+    @cached_property
+    def _passband_abs(self) -> np.ndarray:
+        """``|H_hat|`` on the pass-band grid ``linspace(-1/2, 1/2, 4097)``.
+
+        Both :meth:`kappa` and :meth:`passband_integral` read it.  Only
+        the left half is evaluated: ``H_hat`` is even to the bit (the erf
+        pair is evaluated at ``u +- tau/2`` and erf is odd) and the grid
+        is symmetric exactly (its step is 2**-12), so the mirror image
+        is the right half.
+        """
+        half = _GRID_POINTS_PER_UNIT // 2
+        left = np.abs(self.h_hat(np.linspace(-0.5, 0.0, half + 1)))
+        return np.concatenate([left, left[-2::-1]])
+
+    def kappa(self) -> float:
+        """Condition number: max/min of ``|H_hat|`` over [-1/2, 1/2]."""
+        vals = self._passband_abs
+        vmin = float(vals.min())
+        if vmin == 0.0:
+            return math.inf
+        return float(vals.max()) / vmin
+
+    def passband_integral(self) -> float:
+        """``int_{-1/2}^{1/2} |H_hat(u)| du`` (denominator of eps_alias)."""
+        return _simpson(self._passband_abs, 1.0 / _GRID_POINTS_PER_UNIT)
+
+    def alias_error(self, beta: float) -> float:
+        """``eps_alias`` for oversampling rate *beta* (Section 4, item (c)).
+
+        The stop-band integral ``int_{|u| >= 1/2 + beta} |H_hat|`` is
+        evaluated on a grid covering the decaying region plus an
+        analytic Gaussian-tail remainder from :meth:`stopband_tail`.
+        """
+        if beta < 0:
+            raise ValueError(f"beta must be >= 0, got {beta}")
+        a = 0.5 + beta
+        span = self.stopband_span()
+        n = int(_GRID_POINTS_PER_UNIT * span) | 1
+        u = np.linspace(a, a + span, n)
+        body = _simpson(np.abs(self.h_hat(u)), float(u[1] - u[0]))
+        tail = self.stopband_tail(a + span)
+        # H_hat is even; both sides contribute equally.
+        return 2.0 * (body + tail) / self.passband_integral()
+
+    def alias_error_pointwise(self, beta: float) -> float:
+        """Worst-case *pointwise* alias ratio after demodulation.
+
+        The periodised spectrum at an edge bin ``k ~ M-1`` picks up the
+        alias image ``y_{k-M'} * w_hat(k-M')`` whose window value is
+        ``H_hat(-(1/2 + beta))`` — and demodulation divides by the edge
+        value ``H_hat(1/2)``.  The integral ``eps_alias`` of the paper
+        averages the stop-band mass over M bins and can understate this
+        by orders of magnitude, so the designer enforces both.  The sum
+        over further images ``j = 2, 3, ...`` is dominated by the first
+        (H_hat decays at least Gaussian-fast); a factor-2 cushion covers
+        it.
+        """
+        if beta < 0:
+            raise ValueError(f"beta must be >= 0, got {beta}")
+        edge, first, second = np.abs(self.h_hat(np.array([0.5, 0.5 + beta, 0.5 + beta + 1.0])))
+        if edge == 0.0:
+            return math.inf
+        return float((2.0 * first + 2.0 * second) / edge)
+
+    def truncation_width(self, eps_trunc: float) -> int:
+        """Smallest even ``B`` with ``int_{|t| >= B/2} |H| <= eps_trunc * int |H|``.
+
+        This is the Section-4 definition of the convolution stencil
+        length.  ``B`` is kept even so the stencil splits into whole
+        P-blocks symmetric around the window centre.
+        """
+        if not (0.0 < eps_trunc < 1.0):
+            raise ValueError(f"eps_trunc must be in (0, 1), got {eps_trunc}")
+        t_half = self.time_halfwidth(eps_trunc)
+        b = 2 * math.ceil(t_half)
+        return max(b, 2)
+
     def time_halfwidth(self, eps: float) -> float:
         """Solve the Gaussian-tail bound for T: tail(T) <= eps * integral.
 
@@ -291,8 +287,11 @@ class TauSigmaWindow(ReferenceWindow):
         return hi
 
     def stopband_span(self) -> float:
-        # Cover the erf roll-off: a few Gaussian standard deviations past
-        # the rect edge, expressed in u units.
+        """Grid length (in u) after which the analytic tail bound takes over.
+
+        Covers the erf roll-off: a few Gaussian standard deviations past
+        the rect edge, expressed in u units.
+        """
         return self.tau / 2.0 + 12.0 / math.sqrt(self.sigma)
 
     def stopband_tail(self, a: float) -> float:
@@ -346,39 +345,6 @@ class GaussianWindow(ReferenceWindow):
         t = np.asarray(t, dtype=np.float64)
         amp = math.sqrt(math.pi / self.sigma)
         return amp * np.exp(-np.minimum(np.pi**2 * t**2 / self.sigma, 745.0))
-
-    def kappa(self) -> float:
-        # Closed form: max at u=0 is 1, min at u=+-1/2 is exp(-sigma/4).
-        return math.exp(min(self.sigma / 4.0, 700.0))
-
-    def time_halfwidth(self, eps: float) -> float:
-        # tail(T)/total = erfc(pi T / sqrt(sigma)); invert by bisection.
-        rs = math.sqrt(self.sigma)
-
-        def ratio(t_half: float) -> float:
-            return math.erfc(math.pi * t_half / rs)
-
-        lo, hi = 0.0, 1.0
-        while ratio(hi) > eps and hi < 1e6:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if ratio(mid) > eps:
-                lo = mid
-            else:
-                hi = mid
-        return hi
-
-    def stopband_span(self) -> float:
-        return 12.0 / math.sqrt(self.sigma)
-
-    def stopband_tail(self, a: float) -> float:
-        rs = math.sqrt(self.sigma)
-        z = rs * a
-        if z > 26.0:
-            return 0.0
-        # int_a^inf exp(-sigma u^2) du = sqrt(pi)/(2 rs) erfc(rs a)
-        return math.sqrt(math.pi) / (2.0 * rs) * math.erfc(z)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"GaussianWindow(sigma={self.sigma:.6g})"
@@ -441,67 +407,6 @@ class KaiserBesselWindow(ReferenceWindow):
             out[~pos] = np.where(sn == 0.0, 1.0, np.sin(sn) / np.where(sn == 0, 1, sn))
         return out * 2.0 * self.half_width / np.i0(self.alpha)
 
-    def kappa(self) -> float:
-        # Min of H_hat on [-1/2, 1/2] is at the edges (monotone in |u|).
-        edge = float(self.h_hat(np.array([0.5]))[0])
-        center = float(self.h_hat(np.array([0.0]))[0])
-        if edge == 0.0:
-            return math.inf
-        return center / edge
-
-    def alias_error(self, beta: float) -> float:
-        # Exactly zero once the compact support fits the oversampled band.
-        if self.half_width <= 0.5 + beta + 1e-12:
-            return 0.0
-        return super().alias_error(beta)
-
-    def alias_error_pointwise(self, beta: float) -> float:
-        if self.half_width <= 0.5 + beta + 1e-12:
-            return 0.0
-        return super().alias_error_pointwise(beta)
-
-    def time_halfwidth(self, eps: float) -> float:
-        """Tail bound: beyond |z| > alpha, |H| <= C/|z| (oscillatory decay).
-
-        ``int_T^inf |H| ~ C * log`` diverges logarithmically for the pure
-        1/t envelope, so we bound the *pointwise* envelope instead: pick
-        T with ``|H(T)| <= eps * H(0)`` — the practical criterion used
-        throughout the Kaiser-Bessel gridding literature.
-        """
-        h0 = float(self.h_time(np.array([0.0]))[0])
-        c = 2.0 * self.half_width / float(np.i0(self.alpha))
-        # |H(t)| <= c / sqrt(z^2 - alpha^2); solve c/sqrt(z^2-a^2) = eps*h0.
-        target = eps * h0
-        z = math.sqrt((c / target) ** 2 + self.alpha**2)
-        return z / (2.0 * math.pi * self.half_width)
-
-    def stopband_span(self) -> float:
-        return 0.5  # compact: nothing beyond half_width anyway
-
-    def stopband_tail(self, a: float) -> float:
-        return 0.0 if a >= self.half_width else float(
-            np.trapezoid(
-                np.abs(self.h_hat(np.linspace(a, self.half_width, 513))),
-                dx=(self.half_width - a) / 512.0,
-            )
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"KaiserBesselWindow(alpha={self.alpha:.6g}, half_width={self.half_width:.6g})"
 
-
-def window_from_spec(spec: "str | ReferenceWindow | tuple") -> ReferenceWindow:
-    """Coerce user input to a :class:`ReferenceWindow`.
-
-    Accepts an instance (passed through), a ``(tau, sigma)`` tuple, or a
-    named preset string from :mod:`repro.core.design`.
-    """
-    if isinstance(spec, ReferenceWindow):
-        return spec
-    if isinstance(spec, tuple) and len(spec) == 2:
-        return TauSigmaWindow(*map(float, spec))
-    if isinstance(spec, str):
-        from .design import named_window
-
-        return named_window(spec)
-    raise TypeError(f"cannot interpret window spec {spec!r}")

@@ -11,10 +11,8 @@ complete, self-contained implementation:
   matrix products (``F_R @ X`` for radices up to 32), along the rows
   or, for short lengths such as SOI's ``P``, down fixed-width column
   blocks.
-- :func:`~repro.dft.radix2.fft_radix2` — power-of-two one-shot over
-  the engine.
-- :func:`~repro.dft.mixed_radix.fft_mixed_radix` — one-shot over the
-  engine for arbitrary smooth sizes.
+- :func:`~repro.dft.plan.fft` / :func:`~repro.dft.plan.ifft` — the one
+  public transform: a one-shot over the cached plan for any length.
 - :func:`~repro.dft.bluestein.fft_bluestein` — chirp-z algorithm for
   arbitrary (including prime) sizes via a smooth-length convolution on
   the engine.
@@ -26,16 +24,16 @@ complete, self-contained implementation:
 - :func:`~repro.dft.cache.plan_for` — the process-wide, thread-safe
   LRU plan cache every hot path (backend, one-shots, SOI pipeline)
   routes through.
-- :mod:`~repro.dft.backends` — registry so every higher-level algorithm
-  can run on either this library or ``numpy.fft`` interchangeably.
+- :mod:`~repro.dft.backends` — the two named backends (``"repro"``,
+  ``"numpy"``), so every higher-level algorithm can run on either this
+  library or ``numpy.fft`` interchangeably; an :class:`FftBackend`
+  instance can be passed anywhere a name can.
 
 All transforms follow the NumPy sign convention: forward kernel
 ``exp(-2*pi*i*j*k/N)``, inverse scaled by ``1/N``.
 """
 
 from .naive import dft, idft, dft_matrix
-from .radix2 import fft_radix2, ifft_radix2
-from .mixed_radix import fft_mixed_radix
 from .bluestein import fft_bluestein
 from .real import rfft, irfft
 from .plan import FftPlan, fft, ifft
@@ -43,19 +41,15 @@ from .cache import (
     clear_plan_cache,
     plan_cache_info,
     plan_for,
-    set_plan_cache_limit,
     warm_plan_cache,
 )
-from .backends import FftBackend, get_backend, register_backend, available_backends
+from .backends import FftBackend, get_backend
 from .flops import fft_flops
 
 __all__ = [
     "dft",
     "idft",
     "dft_matrix",
-    "fft_radix2",
-    "ifft_radix2",
-    "fft_mixed_radix",
     "fft_bluestein",
     "rfft",
     "irfft",
@@ -65,11 +59,8 @@ __all__ = [
     "plan_for",
     "clear_plan_cache",
     "plan_cache_info",
-    "set_plan_cache_limit",
     "warm_plan_cache",
     "FftBackend",
     "get_backend",
-    "register_backend",
-    "available_backends",
     "fft_flops",
 ]

@@ -3,7 +3,8 @@
 The paper's implementation uses Intel MKL FFTs "as building blocks"
 (Fig. 2) but nothing in the SOI framework depends on which local FFT is
 used.  We mirror that by routing every local transform in
-:mod:`repro.core` and :mod:`repro.parallel` through a named backend:
+:mod:`repro.core` and :mod:`repro.parallel` through a backend, named
+or passed as an :class:`FftBackend` instance:
 
 - ``"repro"`` — this library's own kernels (:mod:`repro.dft`),
   standing in for a vendor library built from scratch; the serve
@@ -31,9 +32,7 @@ __all__ = [
     "FftBackend",
     "UnknownBackendError",
     "backend_fft_tt",
-    "register_backend",
     "get_backend",
-    "available_backends",
 ]
 
 
@@ -89,35 +88,21 @@ def backend_fft_tt(backend: FftBackend, xt: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(out, 0, 1))
 
 
-_registry: dict[str, FftBackend] = {}
-
-
 class UnknownBackendError(ValueError, KeyError):
-    """No backend of that name is registered.
+    """No backend of that name.
 
     A ``ValueError`` (a bad argument value) that is also a ``KeyError``,
-    which is what a failed registry lookup raised before.
+    which is what a failed name lookup raised before.
     """
 
     def __str__(self) -> str:  # KeyError's would quote the message
         return str(self.args[0])
 
 
-def register_backend(backend: FftBackend, overwrite: bool = False) -> None:
-    """Register *backend* under ``backend.name``.
-
-    Third-party code can hook in an accelerated implementation (the way
-    the paper hooks in MKL) without touching the algorithm code.
-    """
-    if not overwrite and backend.name in _registry:
-        raise ValueError(f"backend {backend.name!r} already registered")
-    _registry[backend.name] = backend
-
-
 def get_backend(name: str | FftBackend = "repro") -> FftBackend:
     """Look up a backend by name (or pass an :class:`FftBackend` through).
 
-    Raises :class:`UnknownBackendError` for an unregistered name and
+    Raises :class:`UnknownBackendError` for an unknown name and
     ``TypeError`` for anything that is neither a name nor a backend.
     """
     if isinstance(name, FftBackend):
@@ -128,17 +113,12 @@ def get_backend(name: str | FftBackend = "repro") -> FftBackend:
             f"got {type(name).__name__}"
         )
     try:
-        return _registry[name]
+        return _BACKENDS[name]
     except KeyError:
         raise UnknownBackendError(
-            f"backend={name!r} is not a registered FFT backend; "
-            f"available: {sorted(_registry)}"
+            f"backend={name!r} is not an FFT backend; "
+            f"available: {sorted(_BACKENDS)}"
         ) from None
-
-
-def available_backends() -> list[str]:
-    """Names of all registered backends."""
-    return sorted(_registry)
 
 
 def _repro_fft(x: np.ndarray) -> np.ndarray:
@@ -155,11 +135,11 @@ def _repro_fft_tt(xt: np.ndarray) -> np.ndarray:
     return plan_for(np.asarray(xt).shape[0]).execute_tt(xt)
 
 
-register_backend(FftBackend("repro", _repro_fft, _repro_ifft, fft_tt=_repro_fft_tt))
 _NUMPY_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 
-register_backend(
-    FftBackend(
+_BACKENDS: dict[str, FftBackend] = {
+    "repro": FftBackend("repro", _repro_fft, _repro_ifft, fft_tt=_repro_fft_tt),
+    "numpy": FftBackend(
         "numpy",
         lambda x: np.fft.fft(np.asarray(x, dtype=np.complex128), axis=-1),
         lambda y: np.fft.ifft(np.asarray(y, dtype=np.complex128), axis=-1),
@@ -170,5 +150,5 @@ register_backend(
         # output before transforming it there, so out=x is exact).
         fft_into=(lambda x, out: np.fft.fft(x, axis=-1, out=out)) if _NUMPY_OUT else None,
         fft_tt_into=(lambda xt, out: np.fft.fft(xt, axis=0, out=out)) if _NUMPY_OUT else None,
-    )
-)
+    ),
+}

@@ -50,12 +50,12 @@ __all__ = [
     "plan_for",
     "clear_plan_cache",
     "plan_cache_info",
-    "set_plan_cache_limit",
     "set_plan_cache_observer",
     "warm_plan_cache",
 ]
 
-_DEFAULT_MAX_PLANS = 64
+#: The LRU bound: distinct (length, dtype) plans kept at once.
+_MAX_PLANS = 64
 
 #: The default compute dtype (see FftPlan._as_compute).
 _COMPUTE_DTYPE = np.dtype(np.complex128)
@@ -65,7 +65,6 @@ _GUARD = "repro.dft.cache._lock"
 
 _lock = threading.Lock()
 _plans: OrderedDict[tuple[int, str], FftPlan] = OrderedDict()
-_max_plans = _DEFAULT_MAX_PLANS
 _hits = 0
 _misses = 0
 _evictions = 0
@@ -129,7 +128,7 @@ def plan_for(n: int, dtype: Any = None, precision: str | None = None) -> FftPlan
         _plans[key] = plan
         _plans.move_to_end(key)
         _misses += 1
-        while len(_plans) > _max_plans:
+        while len(_plans) > _MAX_PLANS:
             _plans.popitem(last=False)
             _evictions += 1
         return plan
@@ -153,22 +152,8 @@ def plan_cache_info() -> dict[str, int]:
             "hits": _hits,
             "misses": _misses,
             "evictions": _evictions,
-            "max_plans": _max_plans,
+            "max_plans": _MAX_PLANS,
         }
-
-
-def set_plan_cache_limit(max_plans: int) -> int:
-    """Set the LRU bound (returns the previous bound); evicts immediately."""
-    global _max_plans, _evictions
-    if max_plans < 1:
-        raise ValueError(f"max_plans must be >= 1, got {max_plans}")
-    with _lock:
-        previous = _max_plans
-        _max_plans = max_plans
-        while len(_plans) > _max_plans:
-            _plans.popitem(last=False)
-            _evictions += 1
-        return previous
 
 
 def warm_plan_cache(shapes: Any) -> dict[str, int]:

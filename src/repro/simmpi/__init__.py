@@ -38,7 +38,7 @@ from .errors import (
 )
 from .des import DesScheduler, DesWorld
 from .faults import FAULT_KINDS, ChaosSchedule, FaultPlan, FaultSpec
-from .nodes import FABRIC_HEADER_BYTES, NodeMap, NodeSharedPool
+from .nodes import FABRIC_HEADER_BYTES, NodeMap
 from .requests import RecvRequest, Request, SendRequest, waitall, waitany
 from .runtime import SpmdResult, run_spmd
 from .stats import PhaseTraffic, TrafficStats
@@ -54,7 +54,6 @@ __all__ = [
     "DesWorld",
     "FABRIC_HEADER_BYTES",
     "NodeMap",
-    "NodeSharedPool",
     "TransportPolicy",
     "Request",
     "SendRequest",

@@ -555,20 +555,17 @@ class DesWorld(World):
 
     def _put(self, key: tuple, item: Any) -> None:
         vt = self._arrival_vt(key, item)
-        src, dst = key[0], key[1]
-        if src != dst and self.nodes.same_node(src, dst):
-            item = self._stage_same_node(src, dst, item)
         with self._cv:
             # One critical section covers the arrival-time append and the
-            # delivery itself (the thread backend's _put/_arrive pair takes
-            # the CV twice; at thousands of ranks that lock traffic shows).
+            # delivery itself: at thousands of ranks a second trip through
+            # the CV shows.
             self._chan_vt.setdefault(key, deque()).append(vt)
             self._arrive_locked(key, item)
         if self.scheduler is not None:
             # A held message never reached _deliver: wake the receiver so
             # its wait loop runs the controller's release hook.
             self.des.notify_key(key)
-            self.des.notify_rank(dst)
+            self.des.notify_rank(key[1])
 
     def _delayed_put(self, key: tuple, item: Any, delay_s: float) -> None:
         holder = [item]
@@ -602,15 +599,6 @@ class DesWorld(World):
         self.des.notify_key(key)
         self.des.notify_rank(key[1])
 
-    def _arrive(self, key: tuple, item: Any) -> None:
-        super()._arrive(key, item)
-        if self.scheduler is not None:
-            # A scheduler-HELD message bypasses _deliver (which notifies on
-            # actual delivery) yet must still wake the receiver so its wait
-            # loop reaches the controller's release hook (the thread
-            # backend gets this from the unconditional notify_all).
-            self.des.notify_key(key)
-            self.des.notify_rank(key[1])
 
     def _next_arrival_locked(self, key: tuple) -> float:
         """Virtual arrival of *key*'s next message (queued or held), else inf."""

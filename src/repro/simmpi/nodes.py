@@ -10,11 +10,12 @@ same-node path that skips the NIC in DES virtual time,
 :meth:`~repro.simmpi.comm.Communicator.split_by_node`, and the
 ``hierarchical`` all-to-all's node aggregation.
 
-Zero-copy is literal here: ranks are threads in one address space, so a
-same-node ndarray "transfer" through :class:`NodeSharedPool` hands the
-receiver a *view* of the sender's buffer (``np.shares_memory`` proves
-it) and charges zero fabric bytes.  The pool records how many transfers
-and bytes rode shared memory, so the saving is measured, not asserted.
+Zero-copy is literal here: ranks are threads in one address space and
+every payload is handed over by reference, so a same-node receiver gets
+the sender's buffer itself (``np.shares_memory`` proves it) and the
+transfer charges zero fabric bytes.  The saving is measured, not
+asserted: :class:`~repro.simmpi.stats.TrafficStats` books same-node
+payload bytes as ``intra_node_bytes``.
 
 ``FABRIC_HEADER_BYTES`` models the per-message envelope a real fabric
 charges (an InfiniBand/MPI header is ~dozens of bytes of match bits,
@@ -27,13 +28,7 @@ what makes that collapse visible in measured inter-node bytes.
 
 from __future__ import annotations
 
-import threading
-import weakref
-from typing import Any
-
-import numpy as np
-
-__all__ = ["FABRIC_HEADER_BYTES", "NodeMap", "NodeSharedPool"]
+__all__ = ["FABRIC_HEADER_BYTES", "NodeMap"]
 
 #: Modelled per-message fabric envelope, charged to inter-node byte
 #: counters only (never to ``bytes_by_pair`` — payload accounting is
@@ -98,75 +93,3 @@ class NodeMap:
             f"ranks_per_node={self.ranks_per_node}, nnodes={self.nnodes})"
         )
 
-
-class NodeSharedPool:
-    """Per-node shared-memory staging for same-node ndarray transfers.
-
-    Ranks are threads, so a node's "shared buffer pool" is the process
-    heap itself; what this class adds is the *proof* and the *meter*.
-    :meth:`stage` hands back a view of the sender's array — sharing the
-    buffer byte-for-byte (checksums, faults and the reliable transport
-    see identical content) without copying — registers the base buffer
-    in the node's live set (weakly, so staging never extends payload
-    lifetime), and counts the transfer against the node.
-
-    Non-ndarray payloads pass through untouched: small control objects
-    are not worth pooling, and their byte accounting already treats
-    them as modelled scalars.
-    """
-
-    def __init__(self, nodes: NodeMap) -> None:
-        self.nodes = nodes
-        self._lock = threading.Lock()
-        self._transfers: dict[int, int] = {}
-        self._bytes: dict[int, int] = {}
-        #: node -> {id(base): weakref} of buffers currently staged at
-        #: least once; dead refs are pruned opportunistically.
-        self._live: dict[int, dict[int, weakref.ref]] = {}
-
-    def stage(self, src: int, dst: int, payload: Any) -> Any:
-        """Route a same-node payload through the node's pool.
-
-        Returns the object to deliver: a no-copy view for ndarrays, the
-        payload itself otherwise.  Self-sends (``src == dst``) are local
-        moves, not pool traffic, and pass through unmetered.
-        """
-        if src == dst or not isinstance(payload, np.ndarray):
-            return payload
-        node = self.nodes.node_of(src)
-        view = payload.view()
-        base = payload if payload.base is None else payload.base
-        with self._lock:
-            self._transfers[node] = self._transfers.get(node, 0) + 1
-            self._bytes[node] = self._bytes.get(node, 0) + int(payload.nbytes)
-            live = self._live.setdefault(node, {})
-            live[id(base)] = weakref.ref(base)
-            if len(live) > 64:
-                for key in [k for k, ref in live.items() if ref() is None]:
-                    del live[key]
-        return view
-
-    def transfers(self, node: int | None = None) -> int:
-        with self._lock:
-            if node is not None:
-                return self._transfers.get(node, 0)
-            return sum(self._transfers.values())
-
-    def bytes_staged(self, node: int | None = None) -> int:
-        with self._lock:
-            if node is not None:
-                return self._bytes.get(node, 0)
-            return sum(self._bytes.values())
-
-    def live_buffers(self, node: int) -> int:
-        """How many distinct staged base buffers are still alive on *node*."""
-        with self._lock:
-            live = self._live.get(node, {})
-            return sum(1 for ref in live.values() if ref() is not None)
-
-    def as_dict(self) -> dict:
-        with self._lock:
-            return {
-                "transfers": dict(sorted(self._transfers.items())),
-                "bytes": dict(sorted(self._bytes.items())),
-            }

@@ -36,7 +36,6 @@ class PhaseTraffic:
         default_factory=lambda: defaultdict(int)
     )
     alltoall_rounds: int = 0
-    pt2pt_rounds: int = 0
     # Topology split (PR 8): every recorded message lands in exactly one
     # of these two byte pools.  ``intra_node_bytes`` counts payload bytes
     # moved inside a node (shared memory: self-sends plus same-node
@@ -104,7 +103,6 @@ class PhaseTraffic:
                 for (s, d), m in sorted(self.messages_by_pair.items())
             },
             "alltoall_rounds": self.alltoall_rounds,
-            "pt2pt_rounds": self.pt2pt_rounds,
             "intra_node_bytes": self.intra_node_bytes,
             "inter_node_bytes": self.inter_node_bytes,
             "inter_node_messages": self.inter_node_messages,
@@ -174,10 +172,6 @@ class TrafficStats:
         """Count one all-to-all round (called once per collective, rank 0)."""
         with self._lock:
             self._phases[phase].alltoall_rounds += 1
-
-    def record_pt2pt_round(self, phase: str) -> None:
-        with self._lock:
-            self._phases[phase].pt2pt_rounds += 1
 
     # ---- reliability events (the cost of recovery, not just the fact) ----
 

@@ -48,7 +48,7 @@ import numpy as np
 from .alltoall import ALGORITHMS
 from .errors import RankFailedError, SimMpiError
 from .faults import FaultPlan, corrupt_payload
-from .nodes import FABRIC_HEADER_BYTES, NodeMap, NodeSharedPool
+from .nodes import FABRIC_HEADER_BYTES, NodeMap
 from .stats import TrafficStats
 
 __all__ = ["World", "TransportPolicy"]
@@ -203,11 +203,9 @@ class World:
         # layer runs concurrent worlds).  See repro.exectx.
         self.ctx_token = next(_WORLD_TOKENS)
         # Node topology: ranks_per_node=None keeps the historical flat
-        # world (every rank its own node).  Same-node messages ride the
-        # shared pool; TrafficStats splits bytes into intra-node vs
-        # inter-node accordingly.
+        # world (every rank its own node).  TrafficStats splits bytes
+        # into intra-node vs inter-node by it.
         self.nodes = NodeMap(nranks, ranks_per_node)
-        self.node_pool = NodeSharedPool(self.nodes)
         self.alltoall_algorithm = alltoall_algorithm
         self.stats = TrafficStats()
         self.stats.configure_topology(self.nodes, header_bytes=FABRIC_HEADER_BYTES)
@@ -296,11 +294,6 @@ class World:
             ch = self._channels[key] = deque()
         ch.append(item)
 
-    def _arrive(self, key: tuple, item: Any) -> None:
-        """Final delivery into the channel (scheduler-aware, takes ``_cv``)."""
-        with self._cv:
-            self._arrive_locked(key, item)
-
     def _arrive_locked(self, key: tuple, item: Any) -> None:
         """Deliver under ``_cv`` (callers that already hold it skip a trip)."""
         if self.scheduler is not None:
@@ -316,22 +309,13 @@ class World:
         self._cv.notify_all()
 
     def _put(self, key: tuple, item: Any) -> None:
-        src, dst = key[0], key[1]
-        if src != dst and self.nodes.same_node(src, dst):
-            # Same-node, different-rank: the payload rides the node's
-            # shared pool (a zero-copy view for ndarrays) — node-local
-            # exchanges are memory moves, not fabric traffic.
-            item = self._stage_same_node(src, dst, item)
-        self._arrive(key, item)
+        """Final delivery into the channel (scheduler-aware, takes ``_cv``).
 
-    def _stage_same_node(self, src: int, dst: int, item: Any) -> Any:
-        """Route a same-node payload through the node shared pool.
-
-        Transport envelopes are re-framed around the staged inner payload
-        (seq/CRC/nbytes unchanged — a view has identical bytes), so the
-        reliable protocol composes with the zero-copy path.
+        Payloads go by reference, on the same node or across nodes
+        alike: ranks are threads sharing one heap.
         """
-        return _reframe(item, lambda payload: self.node_pool.stage(src, dst, payload))
+        with self._cv:
+            self._arrive_locked(key, item)
 
     def _delayed_put(self, key: tuple, item: Any, delay_s: float) -> None:
         holder = [item]  # identity token (payloads may be ndarrays: no ==)

@@ -32,7 +32,7 @@ from .analysis import (
     inflight_profile,
     rollup,
 )
-from .export import aggregate, ascii_timeline, chrome_trace, write_chrome_trace
+from .export import ascii_timeline, chrome_trace, write_chrome_trace
 from .spans import (
     SPAN_KINDS,
     Span,
@@ -52,7 +52,6 @@ __all__ = [
     "critical_path",
     "inflight_profile",
     "rollup",
-    "aggregate",
     "ascii_timeline",
     "chrome_trace",
     "write_chrome_trace",

@@ -13,11 +13,9 @@ from __future__ import annotations
 import json
 from typing import IO, Any
 
-from .analysis import rollup
 from .spans import VirtualTimeline
 
 __all__ = [
-    "aggregate",
     "ascii_timeline",
     "chrome_trace",
     "write_chrome_trace",
@@ -32,11 +30,6 @@ _GLYPHS = {
     "retransmit": "!",
     "collective": "|",
 }
-
-
-def aggregate(tl: VirtualTimeline) -> dict:
-    """The compact aggregate dict (alias of :func:`repro.trace.rollup`)."""
-    return rollup(tl)
 
 
 def chrome_trace(tl: VirtualTimeline) -> dict[str, Any]:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import SoiPlan
+from repro.dft import get_backend
 
 # ---------------------------------------------------------------------------
 # Shared accuracy floors (SNR in dB against numpy.fft): the full window
@@ -33,6 +34,23 @@ SNR_DIGITS10_DB = 190.0   # the digits10 window preset
 
 #: Absolute tolerance for forward/inverse roundtrips of the full window.
 ROUNDTRIP_ATOL = 1e-12
+
+#: The named backends as the library built them, before any test ran.
+_BACKENDS_AT_IMPORT = {name: get_backend(name) for name in ("numpy", "repro")}
+
+
+@pytest.fixture(autouse=True)
+def _named_backends_unchanged():
+    """Fail the test that leaves a named backend swapped for another object.
+
+    Every module collected later would otherwise run the default
+    pipeline on that object (a backend without ``fft_tt_into`` silently
+    takes the out-of-place fft-p path).  Checked after each test, so the
+    failure names the test that did it.
+    """
+    yield
+    for name, backend in _BACKENDS_AT_IMPORT.items():
+        assert get_backend(name) is backend, f"a test replaced the {name!r} backend"
 
 
 class SeqDistHarness:

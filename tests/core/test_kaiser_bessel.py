@@ -48,21 +48,29 @@ class TestFourierPair:
 
 
 class TestDesignMetrics:
+    """What the design metrics would read, taken off the profile itself."""
+
     def test_zero_alias_when_support_fits(self):
-        assert KB.alias_error(0.25) == 0.0
-        assert KB.alias_error_pointwise(0.25) == 0.0
+        # The whole stop band |u| >= 1/2 + beta is outside the support.
+        u = 0.75 + np.linspace(0.0, 4.0, 401)
+        np.testing.assert_array_equal(KB.h_hat(u), 0.0)
+        np.testing.assert_array_equal(KB.h_hat(-u), 0.0)
 
     def test_nonzero_alias_when_support_exceeds(self):
         wide = KaiserBesselWindow(alpha=30.0, half_width=0.9)
-        assert wide.alias_error_pointwise(0.25) > 0.0
+        assert wide.h_hat(np.array([0.75]))[0] > 0.0
 
     def test_kappa_grows_with_alpha(self):
-        k1 = KaiserBesselWindow(10.0, 0.75).kappa()
-        k2 = KaiserBesselWindow(30.0, 0.75).kappa()
-        assert k2 > k1 > 1.0
+        """kappa = H_hat(0) / H_hat(1/2): the profile falls monotonically
+        in |u|, so the pass-band extremes are the centre and the edge."""
 
-    def test_truncation_width_shrinks_with_eps(self):
-        assert KB.truncation_width(1e-6) < KB.truncation_width(1e-13)
+        def kappa(win):
+            centre, edge = win.h_hat(np.array([0.0, 0.5]))
+            return centre / edge
+
+        k1 = kappa(KaiserBesselWindow(10.0, 0.75))
+        k2 = kappa(KaiserBesselWindow(30.0, 0.75))
+        assert k2 > k1 > 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -9,10 +9,8 @@ from repro.core import _erf
 from repro.core._erf import erf
 from repro.core.windows import (
     GaussianWindow,
-    KaiserBesselWindow,
     TauSigmaWindow,
     _simpson,
-    window_from_spec,
 )
 
 FULL = TauSigmaWindow(0.93, 412.167)  # the frozen "full" preset window
@@ -62,6 +60,12 @@ class TestTauSigmaFrequencyProfile:
             )
             direct /= win.tau
             assert win.h_hat(np.array([u]))[0] == pytest.approx(direct, rel=1e-10)
+
+    def test_tau_sigma_validation(self):
+        with pytest.raises(ValueError):
+            TauSigmaWindow(0.0, 10.0)
+        with pytest.raises(ValueError):
+            TauSigmaWindow(1.0, -1.0)
 
 
 class TestTauSigmaTimeProfile:
@@ -179,7 +183,11 @@ class TestWTime:
 
 class TestGaussianWindow:
     def test_kappa_closed_form(self):
-        assert GaussianWindow(40.0).kappa() == pytest.approx(math.exp(10.0))
+        """Its pass-band condition number is ``H_hat(0) / H_hat(1/2) =
+        exp(sigma/4)`` (the profile is monotone in ``|u|``)."""
+        win = GaussianWindow(40.0)
+        centre, edge = win.h_hat(np.array([0.0, 0.5]))
+        assert centre / edge == pytest.approx(math.exp(10.0))
 
     def test_h_hat_value(self):
         win = GaussianWindow(10.0)
@@ -193,52 +201,38 @@ class TestGaussianWindow:
         integral = np.sum(win.h_hat(u) * np.exp(2j * np.pi * u * t)) * du
         assert integral.real == pytest.approx(float(win.h_time(np.array([t]))[0]), abs=1e-9)
 
-    def test_truncation_width(self):
-        b = GaussianWindow(40.0).truncation_width(1e-12)
-        assert b % 2 == 0 and 2 <= b < 60
-
     def test_accuracy_limitation_vs_tausigma(self):
         """Section 8: at beta=1/4 the Gaussian window cannot reach the
-        kappa/alias combination the two-parameter window reaches."""
+        kappa/alias combination the two-parameter window reaches.
+
+        Both quantities are read off the profile: the pointwise alias
+        ratio is ``2 (H_hat(3/4) + H_hat(7/4)) / H_hat(1/2)`` and the
+        Gaussian's kappa is ``H_hat(0) / H_hat(1/2)``; their product
+        bottoms out near 1e-10 whatever sigma is.  (End to end the same
+        ceiling is pinned by the window-family ablation benchmark.)
+        """
         beta = 0.25
-        # Pick the Gaussian sigma that minimises (pointwise alias * 1) +
-        # kappa * eps — any sigma: product of constraints bottoms out ~1e-10.
+
+        def pointwise_alias(win):
+            edge, first, second = win.h_hat(np.array([0.5, 0.5 + beta, 1.5 + beta]))
+            return (2.0 * first + 2.0 * second) / edge
+
+        def gaussian_kappa(win):
+            centre, edge = win.h_hat(np.array([0.0, 0.5]))
+            return centre / edge
+
         best = min(
-            GaussianWindow(s).alias_error_pointwise(beta) * GaussianWindow(s).kappa()
+            pointwise_alias(GaussianWindow(s)) * gaussian_kappa(GaussianWindow(s))
             for s in np.linspace(10, 120, 56)
         )
         assert best > 1e-12  # cannot reach full double precision
         # while the tuned two-parameter window can:
-        ts = FULL.alias_error_pointwise(beta) * 1.0  # kappa ~ 6 handled in design
-        assert ts < 1e-14
+        assert pointwise_alias(FULL) == FULL.alias_error_pointwise(beta)
+        assert FULL.alias_error_pointwise(beta) < 1e-14
 
     def test_validation(self):
         with pytest.raises(ValueError):
             GaussianWindow(0.0)
-
-
-class TestWindowFromSpec:
-    def test_instance_passthrough(self):
-        assert window_from_spec(FULL) is FULL
-
-    def test_tuple(self):
-        win = window_from_spec((0.8, 100.0))
-        assert isinstance(win, TauSigmaWindow)
-        assert win.tau == 0.8 and win.sigma == 100.0
-
-    def test_preset_name(self):
-        win = window_from_spec("digits10")
-        assert isinstance(win, TauSigmaWindow)
-
-    def test_rejects_garbage(self):
-        with pytest.raises(TypeError):
-            window_from_spec(42)
-
-    def test_tau_sigma_validation(self):
-        with pytest.raises(ValueError):
-            TauSigmaWindow(0.0, 10.0)
-        with pytest.raises(ValueError):
-            TauSigmaWindow(1.0, -1.0)
 
 
 def _ulps(got: np.ndarray, want: np.ndarray) -> np.ndarray:
@@ -299,8 +293,6 @@ WINDOWS = [
     FULL,
     TauSigmaWindow(0.3, 2.0),
     TauSigmaWindow(1.3, 1e5),
-    GaussianWindow(60.0),
-    KaiserBesselWindow(8.0),
 ]
 
 
@@ -312,14 +304,29 @@ class TestEvenProfile:
         u = np.linspace(-0.5, 0.5, 4097)
         full = np.abs(win.h_hat(u))
         np.testing.assert_array_equal(win.h_hat(-u), win.h_hat(u))
-        if not isinstance(win, KaiserBesselWindow):  # its kappa is closed-form
-            assert win.kappa() == full.max() / full.min()
+        assert win.kappa() == full.max() / full.min()
         assert win.passband_integral() == _simpson(full, float(u[1] - u[0]))
 
-    @pytest.mark.parametrize("win", WINDOWS[:3], ids=repr)
+    @pytest.mark.parametrize("win", WINDOWS, ids=repr)
     def test_pointwise_alias_reads_the_three_points_separately(self, win):
         beta = 0.25
         edge, first, second = (
             float(np.abs(win.h_hat(np.array([u])))[0]) for u in (0.5, 0.5 + beta, 0.5 + beta + 1.0)
         )
         assert win.alias_error_pointwise(beta) == (2.0 * first + 2.0 * second) / edge
+
+
+class TestSimpson:
+    """The quadrature under the design metrics, on grids short enough to
+    check by hand."""
+
+    def test_one_point_spans_no_interval(self):
+        assert _simpson(np.array([5.0]), 0.5) == 0.0
+
+    def test_two_points_are_the_trapezoid(self):
+        assert _simpson(np.array([1.0, 3.0]), 0.5) == 1.0  # 0.5 * 0.5 * (1 + 3)
+
+    def test_four_points_add_a_trapezoid_on_the_last_interval(self):
+        # Simpson on [1, 2, 3] gives 4, the trapezoid on [3, 4] gives 3.5:
+        # 7.5, the exact integral of 1 + u on [0, 3].
+        assert _simpson(np.array([1.0, 2.0, 3.0, 4.0]), 1.0) == 7.5

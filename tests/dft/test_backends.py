@@ -1,15 +1,16 @@
-"""Tests for the FFT backend registry."""
+"""Tests for the two named FFT backends and their lookup."""
 
 import numpy as np
 import pytest
 
-from repro.dft import FftBackend, available_backends, get_backend, register_backend
+from repro.dft import FftBackend, get_backend
 
 
 class TestRegistry:
     def test_builtin_backends_present(self):
-        names = available_backends()
-        assert "repro" in names and "numpy" in names
+        for name in ("repro", "numpy"):
+            be = get_backend(name)
+            assert isinstance(be, FftBackend) and be.name == name
 
     def test_get_by_name(self):
         assert get_backend("numpy").name == "numpy"
@@ -34,16 +35,6 @@ class TestRegistry:
     def test_non_name_raises_type_error(self, bad):
         with pytest.raises(TypeError, match="backend"):
             get_backend(bad)
-
-    def test_register_duplicate_rejected(self):
-        be = get_backend("numpy")
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(FftBackend("numpy", be.fft, be.ifft))
-
-    def test_register_overwrite_allowed(self):
-        be = get_backend("numpy")
-        register_backend(FftBackend("numpy", be.fft, be.ifft), overwrite=True)
-        assert get_backend("numpy").fft is be.fft
 
 
 class TestBackendAgreement:

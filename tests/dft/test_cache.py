@@ -16,9 +16,9 @@ from repro.dft import (
     ifft,
     plan_cache_info,
     plan_for,
-    set_plan_cache_limit,
     warm_plan_cache,
 )
+from repro.dft import cache
 from repro.simmpi import run_spmd
 
 
@@ -43,22 +43,16 @@ class TestCacheBasics:
         assert info["hits"] == 1
         assert info["evictions"] == 0
 
-    def test_lru_eviction_drops_oldest(self):
-        previous = set_plan_cache_limit(2)
-        try:
-            first = plan_for(8)
-            plan_for(16)
-            plan_for(32)  # evicts the length-8 plan
-            info = plan_cache_info()
-            assert info["entries"] == 2
-            assert info["evictions"] == 1
-            assert plan_for(8) is not first  # rebuilt after eviction
-        finally:
-            set_plan_cache_limit(previous)
-
-    def test_limit_must_be_positive(self):
-        with pytest.raises(ValueError, match="max_plans"):
-            set_plan_cache_limit(0)
+    def test_lru_eviction_drops_oldest(self, monkeypatch):
+        monkeypatch.setattr(cache, "_MAX_PLANS", 2)
+        first = plan_for(8)
+        plan_for(16)
+        plan_for(32)  # evicts the length-8 plan
+        info = plan_cache_info()
+        assert info["entries"] == 2
+        assert info["evictions"] == 1
+        assert info["max_plans"] == 2
+        assert plan_for(8) is not first  # rebuilt after eviction
 
     def test_clear_resets_counters(self):
         plan_for(64)
@@ -225,19 +219,19 @@ class TestThreadSafety:
 
 
 class TestEvictionUnderConcurrency:
-    """``set_plan_cache_limit(1)`` *while* P=4 ranks execute transforms.
+    """A one-plan LRU bound *while* P=4 ranks execute transforms.
 
     The worst case for the LRU: a bound of one entry with four sizes in
     flight means nearly every lookup evicts what another rank just
-    built, while other ranks concurrently widen and re-shrink the
-    bound.  The cache must neither deadlock nor change a single output
+    built.  The cache must neither deadlock nor change a single output
     bit — evictions may only ever cost rebuild time.
     """
 
     SIZES = [32, 64, 128, 256]
     NRANKS = 4
 
-    def test_limit_thrash_is_deadlock_free_and_bitwise_stable(self):
+    def test_limit_thrash_is_deadlock_free_and_bitwise_stable(self, monkeypatch):
+        monkeypatch.setattr(cache, "_MAX_PLANS", 1)
         for seed in range(10):
             gen = np.random.default_rng(1000 + seed)
             xs = {
@@ -253,18 +247,11 @@ class TestEvictionUnderConcurrency:
                 np.random.default_rng(seed * 31 + comm.rank).shuffle(order)
                 out = {}
                 for _ in range(4):
-                    # Even ranks keep slamming the bound down to one
-                    # entry; odd ranks keep widening it mid-flight.
-                    set_plan_cache_limit(1 if comm.rank % 2 == 0 else 8)
                     for n in order:
                         out[n] = fft(xs[n])
                 return out
 
-            previous = set_plan_cache_limit(1)
-            try:
-                res = run_spmd(self.NRANKS, body, timeout=30)
-            finally:
-                set_plan_cache_limit(previous)
+            res = run_spmd(self.NRANKS, body, timeout=30)
             for per_rank in res.values:
                 for n in self.SIZES:
                     np.testing.assert_array_equal(per_rank[n], expected[n])

@@ -11,7 +11,7 @@ row transform.
 import numpy as np
 import pytest
 
-from repro.dft import clear_plan_cache, fft_radix2, ifft_radix2, plan_for
+from repro.dft import clear_plan_cache, fft, ifft, plan_for
 from repro.dft.engine import GemmStockham, radix_schedule
 from repro.dft.twiddle import twiddles
 from repro.utils import bit_reverse_indices
@@ -55,28 +55,29 @@ class TestBitIdentityToSeedKernel:
     @pytest.mark.parametrize("shape", [(3, 64), (16, 256), (2, 5, 32)])
     def test_batched(self, shape, rng):
         x = _complex(rng, shape)
-        got = fft_radix2(x)
+        got = fft(x)
         _close(got, _seed_dit_core(x, -1))
         rows = x.reshape(-1, shape[-1])
         np.testing.assert_array_equal(
-            got.reshape(rows.shape), np.stack([fft_radix2(r) for r in rows])
+            got.reshape(rows.shape), np.stack([fft(r) for r in rows])
         )
 
     def test_public_radix2_wrappers(self, rng):
+        """The public one-shots at a power-of-two length are the plan."""
         x = _complex(rng, (7, 128))
         plan = plan_for(128)
-        np.testing.assert_array_equal(fft_radix2(x), plan.execute(x))
-        np.testing.assert_array_equal(ifft_radix2(x), plan.execute(x, inverse=True))
-        _close(fft_radix2(x), _seed_dit_core(x, -1))
-        _close(ifft_radix2(x) * 128, _seed_dit_core(x, +1))
+        np.testing.assert_array_equal(fft(x), plan.execute(x))
+        np.testing.assert_array_equal(ifft(x), plan.execute(x, inverse=True))
+        _close(fft(x), _seed_dit_core(x, -1))
+        _close(ifft(x) * 128, _seed_dit_core(x, +1))
 
     def test_repeated_calls_do_not_clobber_earlier_results(self, rng):
         # The engine pools scratch buffers per context; a returned array
         # must never alias a buffer a later same-size call writes into.
         x1, x2 = _complex(rng, (8, 64)), _complex(rng, (8, 64))
-        y1 = fft_radix2(x1)
+        y1 = fft(x1)
         snapshot = y1.copy()
-        fft_radix2(x2)
+        fft(x2)
         np.testing.assert_array_equal(y1, snapshot)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dft import fft, fft_bluestein, fft_mixed_radix, ifft
+from repro.dft import fft, fft_bluestein, ifft
 
 sizes = st.integers(min_value=1, max_value=256)
 pow2_sizes = st.sampled_from([1, 2, 4, 8, 16, 32, 64, 128])
@@ -74,10 +74,10 @@ def test_modulation_theorem(n, seed, f):
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 200), seed=seeds)
 def test_bluestein_agrees_with_mixed_radix(n, seed):
+    """Chirp-z against the size-dispatching plan (the GEMM engine on
+    smooth sizes, itself Bluestein past the engine's dense prime limit)."""
     x = vec(n, seed)
-    np.testing.assert_allclose(
-        fft_bluestein(x), fft_mixed_radix(x), atol=1e-7 * max(n, 1)
-    )
+    np.testing.assert_allclose(fft_bluestein(x), fft(x), atol=1e-7 * max(n, 1))
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,6 +1,5 @@
-"""Tests for node topology: :class:`NodeMap`, the zero-copy
-:class:`NodeSharedPool`, the link-pump bypass for same-node traffic,
-and the topology-aware intra/inter split in :class:`TrafficStats`."""
+"""Tests for node topology: :class:`NodeMap`, the zero-copy same-node
+path, and the topology-aware intra/inter split in :class:`TrafficStats`."""
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ import pytest
 from repro.simmpi import (
     FABRIC_HEADER_BYTES,
     NodeMap,
-    NodeSharedPool,
     run_spmd,
 )
 from repro.trace import TraceCostModel
@@ -60,47 +58,6 @@ class TestNodeMap:
             "ranks_per_node": 4,
             "nnodes": 2,
         }
-
-
-class TestNodeSharedPool:
-    def test_stage_returns_zero_copy_view(self):
-        pool = NodeSharedPool(NodeMap(4, 2))
-        arr = np.arange(8.0)
-        got = pool.stage(0, 1, arr)
-        assert got is not arr
-        assert np.shares_memory(got, arr)
-        np.testing.assert_array_equal(got, arr)
-        assert pool.transfers(0) == 1
-        assert pool.bytes_staged(0) == arr.nbytes
-
-    def test_self_send_and_non_ndarray_pass_through_unmetered(self):
-        pool = NodeSharedPool(NodeMap(4, 2))
-        arr = np.arange(4.0)
-        assert pool.stage(1, 1, arr) is arr
-        obj = {"k": 1}
-        assert pool.stage(0, 1, obj) is obj
-        assert pool.transfers() == 0
-        assert pool.bytes_staged() == 0
-
-    def test_per_node_counters(self):
-        pool = NodeSharedPool(NodeMap(4, 2))
-        pool.stage(0, 1, np.zeros(2))
-        pool.stage(2, 3, np.zeros(4))
-        assert pool.transfers(0) == 1
-        assert pool.transfers(1) == 1
-        assert pool.bytes_staged(1) == 32
-        assert pool.as_dict() == {
-            "transfers": {0: 1, 1: 1},
-            "bytes": {0: 16, 1: 32},
-        }
-
-    def test_live_registry_does_not_extend_payload_lifetime(self):
-        pool = NodeSharedPool(NodeMap(2, 2))
-        arr = np.arange(16.0)
-        pool.stage(0, 1, arr)
-        assert pool.live_buffers(0) == 1
-        del arr
-        assert pool.live_buffers(0) == 0
 
 
 class TestSameNodeTransferPath:

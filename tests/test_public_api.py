@@ -1,6 +1,7 @@
 """Integration tests of the top-level public API (the README quickstart)."""
 
 import dataclasses
+import importlib
 import inspect
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import repro
 from repro import (
@@ -59,8 +61,21 @@ class TestPublicSurface:
             ("repro.perf", "measure_kernel_rates"),
             ("repro.parallel", "scatter_blocks"),
             ("repro.utils", "next_power_of_two"),
+            ("repro.dft", "fft_radix2"),
+            ("repro.dft", "ifft_radix2"),
+            ("repro.dft", "fft_mixed_radix"),
+            ("repro.dft", "register_backend"),
+            ("repro.dft", "available_backends"),
+            ("repro.dft", "set_plan_cache_limit"),
+            ("repro.trace", "aggregate"),
+            ("repro.core", "SoiWindowSpec"),
+            ("repro.core", "window_from_spec"),
+            ("repro.simmpi", "NodeSharedPool"),
         ]:
             assert not hasattr(__import__(module, fromlist=[name]), name), name
+        for module in ("repro.dft.radix2", "repro.dft.mixed_radix"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
 
     def test_quickstart_from_docstring(self):
         """The exact flow promised in the package docstring."""
@@ -72,7 +87,7 @@ class TestPublicSurface:
 
     def test_window_classes_exported(self):
         assert TauSigmaWindow(0.8, 100.0).kappa() > 1.0
-        assert GaussianWindow(40.0).kappa() > 1.0
+        assert GaussianWindow(40.0).h_hat(np.array([0.5]))[0] > 0.0
 
     def test_design_window_exported(self):
         assert design_window(8.0).b > 0

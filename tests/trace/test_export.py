@@ -8,10 +8,8 @@ import numpy as np
 from repro.simmpi import run_spmd
 from repro.trace import (
     TraceRecorder,
-    aggregate,
     ascii_timeline,
     chrome_trace,
-    rollup,
     write_chrome_trace,
 )
 
@@ -74,10 +72,6 @@ class TestChromeTrace:
         write_chrome_trace(tl, buf)
         assert on_disk == json.loads(buf.getvalue())
         assert on_disk["traceEvents"]
-
-    def test_aggregate_matches_rollup(self):
-        tl = _traced(2)
-        assert aggregate(tl) == rollup(tl)
 
 
 class TestAsciiTimeline:

@@ -14,6 +14,9 @@ and the lines they span, and checks that every ``repro`` name that
     python3 tools/reach.py --json reach.json    # also write the result as JSON
     python3 tools/reach.py --baseline old.json  # functions deleted since old.json
 
+``@abstractmethod`` stubs are left out of the function list: no call
+can enter one, so they would read as unreached forever.
+
 ``--baseline`` reads a document an earlier run wrote with ``--json`` and
 lists the functions it knew that are gone now, flagging any a driver
 reached then, and the functions a driver reached then that none reaches
@@ -116,8 +119,18 @@ def run_drivers(skip: set[str]) -> set[tuple[str, int]]:
     return reached
 
 
+def _abstract(node: ast.AST) -> bool:
+    """Whether a function definition is decorated ``@abstractmethod``."""
+    return any(
+        (isinstance(d, ast.Name) and d.id == "abstractmethod")
+        or (isinstance(d, ast.Attribute) and d.attr == "abstractmethod")
+        for d in node.decorator_list
+    )
+
+
 def functions() -> list[dict]:
-    """Every function and method of ``src/``, nested ones included."""
+    """Every function and method of ``src/``, nested ones included; each
+    marked ``abstract`` when it is an ``@abstractmethod`` stub."""
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -129,7 +142,7 @@ def functions() -> list[dict]:
                     first = min([child.lineno] + [d.lineno for d in child.decorator_list])
                     found.append({"file": rel, "abs": str(path), "name": prefix + child.name,
                                   "first": first, "def": child.lineno,
-                                  "last": child.end_lineno})
+                                  "last": child.end_lineno, "abstract": _abstract(child)})
                     walk(child, prefix + child.name + ".")
                 elif isinstance(child, ast.ClassDef):
                     walk(child, prefix + child.name + ".")
@@ -230,10 +243,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--baseline", metavar="PATH",
                         help="a --json document of an earlier tree: list what was deleted")
     args = parser.parse_args(argv)
-    funcs = functions()
+    everything = functions()
+    funcs = [f for f in everything if not f["abstract"]]
     result = report(funcs, run_drivers(set(args.skip)))
     if args.baseline:
-        deleted_since(json.loads(Path(args.baseline).read_text()), funcs)
+        # Abstract stubs still exist: a baseline that listed them has not
+        # seen them deleted.
+        deleted_since(json.loads(Path(args.baseline).read_text()), everything)
     broken = check_imports()
     print(f"driver imports: {len(broken)} broken")
     for line in broken:
