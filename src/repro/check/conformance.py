@@ -50,6 +50,7 @@ from ..core.plan import SoiPlan
 from ..core.soi import soi_fft, soi_fft2, soi_ifft, soi_segment
 from ..dft import FftPlan, irfft, plan_for, rfft
 from ..dft import fft as dft_fft
+from ..dft.backends import DEFAULT_BACKEND
 from ..dft import ifft as dft_ifft
 from ..nufft import nudft1, nudft2, nufft1, nufft2, NufftPlan
 from ..parallel.distribution import split_blocks
@@ -728,11 +729,13 @@ def _serve_rows(report: ConformanceReport, n: int) -> None:
     Zero-tolerance rows in two tiers.  The ``execute_batch`` tier calls
     the batcher directly (deterministic batch composition) and compares
     a K-request coalesced dispatch against per-request *direct library
-    calls* for every backend.  The server tier drives a live
-    :class:`~repro.serve.TransformServer` under a batch-formation
-    window, checks that coalescing actually happened, and compares the
-    served outputs against direct execution and against a
-    ``max_batch=1`` server (the one-at-a-time baseline).
+    calls* for every backend; the dft, SOI and six-step rows run on both
+    libraries (``numpy``, the default, and the ``repro`` opt-in).  The
+    server tier drives a live :class:`~repro.serve.TransformServer`
+    under a batch-formation window, checks that coalescing actually
+    happened, and compares the served outputs against direct execution
+    (``repro``, and ``numpy.fft`` for a request without ``library=``)
+    and against a ``max_batch=1`` server (the one-at-a-time baseline).
     """
     from ..dft import plan_for
     from ..serve import ServeConfig, TransformServer
@@ -770,48 +773,50 @@ def _serve_rows(report: ConformanceReport, n: int) -> None:
             detail="one coalesced kernel dispatch == per-request library calls",
         )
 
-    def soi_compute():
-        from ..core.plan import soi_plan_for
+    # Both libraries: numpy.fft is the default, repro the opt-in.
+    for library in ("numpy", "repro"):
+        def soi_compute(library=library):
+            from ..core.plan import soi_plan_for
 
-        xs = [_signal(f"serve-soi-{i}", n) for i in range(3)]
-        got = np.stack(execute_batch(reqs("soi", "forward", "numpy", xs)))
-        plan = soi_plan_for(n, 8, beta=Fraction(1, 4), window="full")
-        ref = np.stack([soi_fft(x, plan, backend="numpy") for x in xs])
-        return got, ref
+            xs = [_signal(f"serve-soi-{i}", n) for i in range(3)]
+            got = np.stack(execute_batch(reqs("soi", "forward", library, xs)))
+            plan = soi_plan_for(n, 8, beta=Fraction(1, 4), window="full")
+            ref = np.stack([soi_fft(x, plan, backend=library) for x in xs])
+            return got, ref
 
-    _bitwise_row(
-        report, f"serve.execute_batch[soi,forward,K=3][n={n}]", "serve", n,
-        soi_compute,
-        detail="served SOI batch == per-request soi_fft through the shared plan cache",
-    )
+        _bitwise_row(
+            report, f"serve.execute_batch[soi,forward,{library},K=3][n={n}]",
+            "serve", n, soi_compute,
+            detail="served SOI batch == per-request soi_fft through the shared plan cache",
+        )
 
-    def transpose_compute():
-        nranks = 4
-        block = n // nranks
-        xs = [_signal(f"serve-transpose-{i}", n) for i in range(3)]
-        batch = reqs("transpose", "forward", "numpy", xs, nranks=nranks)
-        got = np.stack(execute_batch(batch))
+        def transpose_compute(library=library):
+            nranks = 4
+            block = n // nranks
+            xs = [_signal(f"serve-transpose-{i}", n) for i in range(3)]
+            batch = reqs("transpose", "forward", library, xs, nranks=nranks)
+            got = np.stack(execute_batch(batch))
 
-        def solo(x):
-            res = run_spmd(
-                nranks,
-                lambda comm: transpose_fft_distributed(
-                    comm,
-                    x[comm.rank * block : (comm.rank + 1) * block],
-                    n,
-                    backend="numpy",
-                ),
-            )
-            return np.concatenate(res.values)
+            def solo(x):
+                res = run_spmd(
+                    nranks,
+                    lambda comm: transpose_fft_distributed(
+                        comm,
+                        x[comm.rank * block : (comm.rank + 1) * block],
+                        n,
+                        backend=library,
+                    ),
+                )
+                return np.concatenate(res.values)
 
-        ref = np.stack([solo(x) for x in xs])
-        return got, ref
+            ref = np.stack([solo(x) for x in xs])
+            return got, ref
 
-    _bitwise_row(
-        report, f"serve.execute_batch[transpose,K=3][n={n}]", "serve", n,
-        transpose_compute,
-        detail="one SPMD world, three shared all-to-alls == three solo worlds",
-    )
+        _bitwise_row(
+            report, f"serve.execute_batch[transpose,{library},K=3][n={n}]",
+            "serve", n, transpose_compute,
+            detail="one SPMD world, three shared all-to-alls == three solo worlds",
+        )
 
     def nufft_compute():
         k_modes = 128
@@ -832,16 +837,16 @@ def _serve_rows(report: ConformanceReport, n: int) -> None:
         detail="shared-plan dispatch group == per-request nufft1 calls",
     )
 
-    def served(batched: bool):
+    def served(batched: bool, library: str | None = "repro"):
         xs = [_signal(f"serve-live-{i}", n) for i in range(6)]
         cfg = ServeConfig(
             workers=1, max_batch=16 if batched else 1,
             batch_linger_s=0.05 if batched else 0.0,
-            default_library="repro",
         )
         with TransformServer(cfg) as srv:
             tickets = [
-                srv.submit(x, backend="dft", priority="interactive") for x in xs
+                srv.submit(x, backend="dft", library=library, priority="interactive")
+                for x in xs
             ]
             out = np.stack([t.result(timeout=30.0) for t in tickets])
         # Read spans only after stop() joined the workers: tickets
@@ -866,6 +871,21 @@ def _serve_rows(report: ConformanceReport, n: int) -> None:
         report, f"serve.server[coalesced==direct,K=6][n={n}]", "serve", n,
         live_compute,
         detail="live server under a linger window coalesces AND matches direct calls",
+    )
+
+    def default_compute():
+        out, max_bs = served(True, library=None)
+        if max_bs < 2:
+            raise RuntimeError(
+                f"server formed no coalesced batch (max batch size {max_bs})"
+            )
+        ref = np.stack([np.fft.fft(_signal(f"serve-live-{i}", n)) for i in range(6)])
+        return out, ref
+
+    _bitwise_row(
+        report, f"serve.server[default_library==numpy.fft,K=6][n={n}]", "serve", n,
+        default_compute,
+        detail="a request without library= runs numpy.fft, coalesced, bit for bit",
     )
 
     def onoff_compute():
@@ -1182,7 +1202,7 @@ CONFORMANCE_GROUPS = (
 def run_conformance(
     size: str = "default",
     *,
-    edge_backend: str = "numpy",
+    edge_backend: str = DEFAULT_BACKEND,
     groups: tuple[str, ...] | list[str] | None = None,
 ) -> ConformanceReport:
     """Execute the registry (or a subset of groups) and return the report.

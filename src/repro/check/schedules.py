@@ -48,6 +48,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
+from ..dft.backends import DEFAULT_BACKEND
 from ..simmpi.faults import _uniform
 from ..simmpi.runtime import run_spmd
 from ..trace.spans import TraceRecorder
@@ -384,7 +385,7 @@ def fuzz_distributed_soi(
     n: int = 4096,
     p: int = 8,
     nranks: int = 4,
-    backend: str = "numpy",
+    backend: str = DEFAULT_BACKEND,
     schedules: int = 25,
     seed: Any = 0,
     window: Any = "full",

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dft.backends import FftBackend, get_backend
+from ..dft.backends import DEFAULT_BACKEND, FftBackend, get_backend
 from ..utils import as_complex_vector
 from . import cores
 from .plan import SoiPlan
@@ -128,7 +128,7 @@ def soi_convolve(x: np.ndarray, plan: SoiPlan) -> np.ndarray:
 def soi_fft(
     x: np.ndarray,
     plan: SoiPlan,
-    backend: str | FftBackend = "numpy",
+    backend: str | FftBackend = DEFAULT_BACKEND,
 ) -> np.ndarray:
     """Full in-order N-point SOI FFT (sequential reference).
 
@@ -140,8 +140,9 @@ def soi_fft(
     batch of vectors under two fft-p panels shares them across CPUs).
 
     The *backend* names the node-local FFT used as the building block
-    (``"numpy"`` standing in for MKL, ``"repro"`` for this library's
-    own kernels) — the algorithm is backend-agnostic, as in the paper.
+    (``"numpy"``, the default, standing in for MKL; ``"repro"`` for
+    this library's own kernels) — the algorithm is backend-agnostic, as
+    in the paper.
     """
     return _transform(get_backend(backend), plan, _as_batched(x, plan), False)
 
@@ -208,7 +209,7 @@ def _segment_ffts(
 def soi_ifft(
     y: np.ndarray,
     plan: SoiPlan,
-    backend: str | FftBackend = "numpy",
+    backend: str | FftBackend = DEFAULT_BACKEND,
 ) -> np.ndarray:
     """Inverse SOI transform: approximates ``numpy.fft.ifft``.
 
@@ -227,7 +228,7 @@ def soi_fft2(
     x: np.ndarray,
     plan_rows: SoiPlan,
     plan_cols: SoiPlan | None = None,
-    backend: str | FftBackend = "numpy",
+    backend: str | FftBackend = DEFAULT_BACKEND,
 ) -> np.ndarray:
     """2-D SOI FFT (the paper's 'generalize to higher dimensions' item).
 
@@ -260,7 +261,7 @@ def soi_segment(
     x: np.ndarray,
     plan: SoiPlan,
     s: int,
-    backend: str | FftBackend = "numpy",
+    backend: str | FftBackend = DEFAULT_BACKEND,
 ) -> np.ndarray:
     """Compute only segment *s*: ``y[s*M : (s+1)*M]`` (Section 5).
 

@@ -6,13 +6,16 @@ used.  We mirror that by routing every local transform in
 :mod:`repro.core` and :mod:`repro.parallel` through a backend, named
 or passed as an :class:`FftBackend` instance:
 
-- ``"repro"`` — this library's own kernels (:mod:`repro.dft`),
-  standing in for a vendor library built from scratch; the serve
-  layer's default library;
 - ``"numpy"`` — ``numpy.fft`` (pocketfft), standing in for MKL/FFTW as
-  an independent high-quality implementation; the default of
-  ``soi_fft`` / ``soi_fft_distributed`` and the other pipeline entry
-  points.
+  an independent high-quality implementation; :data:`DEFAULT_BACKEND`,
+  the default of every entry point with a ``backend=`` and of the
+  serve layer's ``ServeConfig.default_library``;
+- ``"repro"`` — this library's own kernels (:mod:`repro.dft`),
+  standing in for a vendor library built from scratch; opt in by name.
+
+One default, picked by measurement: ``numpy.fft`` beats the repro
+engine at every complex128 shape the serve layer runs (EXPERIMENTS.md
+"One default library").
 
 Tests run the full pipeline under both backends; agreement between them
 is itself a strong correctness check.
@@ -26,9 +29,14 @@ from typing import Callable
 import numpy as np
 
 from .cache import plan_for
-from .plan import FftPlan
+
+#: The node-local FFT library every entry point uses unless told
+#: otherwise.  Signature defaults hold this plain string, so
+#: ``inspect.signature(fn).parameters["backend"].default`` names it.
+DEFAULT_BACKEND = "numpy"
 
 __all__ = [
+    "DEFAULT_BACKEND",
     "FftBackend",
     "UnknownBackendError",
     "backend_fft_tt",
@@ -99,7 +107,7 @@ class UnknownBackendError(ValueError, KeyError):
         return str(self.args[0])
 
 
-def get_backend(name: str | FftBackend = "repro") -> FftBackend:
+def get_backend(name: str | FftBackend) -> FftBackend:
     """Look up a backend by name (or pass an :class:`FftBackend` through).
 
     Raises :class:`UnknownBackendError` for an unknown name and

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dft.backends import FftBackend, get_backend
+from ..dft.backends import DEFAULT_BACKEND, FftBackend, get_backend
 from .plan import NufftPlan
 
 __all__ = ["nufft1", "nufft2", "nudft1", "nudft2"]
@@ -35,7 +35,7 @@ def nufft1(
     t: np.ndarray,
     a: np.ndarray,
     plan: NufftPlan,
-    backend: str | FftBackend = "numpy",
+    backend: str | FftBackend = DEFAULT_BACKEND,
 ) -> np.ndarray:
     """Type-1 NUFFT: Fourier modes of scattered point masses.
 
@@ -56,7 +56,7 @@ def nufft2(
     t: np.ndarray,
     c: np.ndarray,
     plan: NufftPlan,
-    backend: str | FftBackend = "numpy",
+    backend: str | FftBackend = DEFAULT_BACKEND,
 ) -> np.ndarray:
     """Type-2 NUFFT: evaluate a K-mode Fourier series at scattered points.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dft.backends import FftBackend, get_backend
+from ..dft.backends import DEFAULT_BACKEND, FftBackend, get_backend
 from ..simmpi.comm import Communicator
 from ..utils import require
 
@@ -24,7 +24,7 @@ def allgather_fft_distributed(
     comm: Communicator,
     x_local: np.ndarray,
     n: int,
-    backend: str | FftBackend = "numpy",
+    backend: str | FftBackend = DEFAULT_BACKEND,
 ) -> np.ndarray:
     """In-order FFT where every rank replicates the full input.
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.plan import SoiPlan
-from ..dft.backends import FftBackend
+from ..dft.backends import DEFAULT_BACKEND, FftBackend
 from ..dft.twiddle import twiddles
 from ..simmpi.comm import Communicator
 from ..utils import require
@@ -44,7 +44,7 @@ def rfft_distributed(
     comm: Communicator,
     x_local: np.ndarray,
     plan: SoiPlan,
-    backend: str | FftBackend = "numpy",
+    backend: str | FftBackend = DEFAULT_BACKEND,
     **soi_kwargs,
 ) -> np.ndarray:
     """Distributed real-input FFT; *plan* is for the HALF length ``N/2``.

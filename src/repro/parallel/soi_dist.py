@@ -40,7 +40,7 @@ import numpy as np
 
 from ..core.plan import SoiPlan
 from ..core.soi import _plan_fft
-from ..dft.backends import FftBackend, get_backend
+from ..dft.backends import DEFAULT_BACKEND, FftBackend, get_backend
 from ..dft.flops import fft_flops, soi_convolution_flops
 from ..simmpi.comm import Communicator
 from ..simmpi.errors import RankFailedError
@@ -142,7 +142,7 @@ def soi_fft_distributed(
     comm: Communicator,
     x_local: np.ndarray,
     plan: SoiPlan,
-    backend: str | FftBackend = "numpy",
+    backend: str | FftBackend = DEFAULT_BACKEND,
     trace: TraceRecorder | None = None,
     overlap: bool = False,
     overlap_groups: int = 2,
@@ -407,7 +407,7 @@ def soi_ifft_distributed(
     comm: Communicator,
     y_local: np.ndarray,
     plan: SoiPlan,
-    backend: str | FftBackend = "numpy",
+    backend: str | FftBackend = DEFAULT_BACKEND,
     trace: TraceRecorder | None = None,
     overlap: bool = False,
     overlap_groups: int = 2,

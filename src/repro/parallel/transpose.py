@@ -26,11 +26,13 @@ order is to be preserved".
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..dft.backends import FftBackend, get_backend
+from ..dft.backends import DEFAULT_BACKEND, FftBackend, get_backend
 from ..dft.flops import fft_flops
 from ..simmpi.comm import Communicator
 from ..utils import check_positive_int, require
@@ -39,6 +41,34 @@ if TYPE_CHECKING:
     from ..trace.spans import TraceRecorder
 
 __all__ = ["transpose_fft_distributed", "distributed_transpose", "choose_grid"]
+
+#: The LRU bound: distinct ``(n, n1, n2)`` twiddle tables kept at once.
+_MAX_TWIDDLES = 16
+
+_twiddle_lock = threading.Lock()
+_twiddles: OrderedDict[tuple[int, int, int], np.ndarray] = OrderedDict()
+
+
+def _twiddle_table(n: int, n1: int, n2: int) -> np.ndarray:
+    """The read-only ``(N2, N1)`` step-3 table ``w_N^(j2*k1)``, built once.
+
+    Every rank of a world (and every later call) shares one table and
+    slices its own ``N2/R`` rows.  The exponent is reduced exactly in
+    integers, which avoids argument-reduction noise at large N.
+    """
+    key = (n, n1, n2)
+    with _twiddle_lock:
+        table = _twiddles.get(key)
+        if table is None:
+            j2 = np.arange(n2, dtype=np.int64)[:, None]
+            k1 = np.arange(n1, dtype=np.int64)[None, :]
+            table = np.exp(-2j * np.pi * ((j2 * k1) % n) / n)
+            table.flags.writeable = False
+            _twiddles[key] = table
+            while len(_twiddles) > _MAX_TWIDDLES:
+                _twiddles.popitem(last=False)
+        _twiddles.move_to_end(key)
+        return table
 
 
 def choose_grid(n: int, nranks: int) -> tuple[int, int]:
@@ -110,7 +140,7 @@ def transpose_fft_distributed(
     comm: Communicator,
     x_local: np.ndarray,
     n: int,
-    backend: str | FftBackend = "numpy",
+    backend: str | FftBackend = DEFAULT_BACKEND,
     grid: tuple[int, int] | None = None,
     trace: TraceRecorder | None = None,
 ) -> np.ndarray:
@@ -170,11 +200,12 @@ def transpose_fft_distributed(
     bt = be.fft(at)
     comm.trace_compute("fft-n1", bsz * (n2 // r) * fft_flops(n1))
 
-    # 3. twiddle w_N^(j2*k1), j2 global row; exact integer reduction of
-    # the exponent avoids argument-reduction noise at large N.
-    j2 = (comm.rank * (n2 // r) + np.arange(n2 // r, dtype=np.int64))[:, None]
-    k1 = np.arange(n1, dtype=np.int64)[None, :]
-    bt = bt * np.exp(-2j * np.pi * ((j2 * k1) % n) / n)
+    # 3. twiddle w_N^(j2*k1), j2 global row: this rank's rows of the
+    # shared table.  Not a fresh temporary: NumPy would elide a >= 256
+    # KiB temporary into the output, swapping the complex product's
+    # operands (and its last bits) in unbatched calls only.
+    rows = n2 // r
+    bt = bt * _twiddle_table(n, n1, n2)[comm.rank * rows : (comm.rank + 1) * rows]
     comm.trace_compute("twiddle", 8.0 * bsz * (n2 // r) * n1, kind="conv")
 
     # 4. transpose-2: back to rows k1.

@@ -10,9 +10,9 @@ the batcher optimises freely.
 
 Per backend:
 
-- ``dft``   — stacked ``FftPlan.execute`` (``library="repro"``) or
-  ``numpy.fft`` (``library="numpy"``, the MKL/FFTW stand-in, exactly
-  the paper's "vendor library as building block" role).
+- ``dft``   — stacked ``numpy.fft`` (``library="numpy"``, the default:
+  the MKL/FFTW stand-in, exactly the paper's "vendor library as
+  building block" role) or ``FftPlan.execute`` (``library="repro"``).
 - ``soi``   — :func:`repro.core.soi.soi_fft` / ``soi_ifft`` through
   the shared :func:`repro.core.plan.soi_plan_for` cache, one request
   at a time (a stacked ``soi_fft`` runs its rows through the same

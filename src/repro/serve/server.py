@@ -32,6 +32,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from ..dft.backends import DEFAULT_BACKEND
 from ..dft.cache import warm_plan_cache
 from ..utils import check_positive_int
 from .admission import AdmissionController
@@ -61,8 +62,12 @@ class ServeConfig:
     #: coalesced batches under closed-loop load; 0 dispatches eagerly.
     batch_linger_s: float = 0.0
     age_promote_s: float = 0.05
-    default_library: str = "repro"
-    #: Lengths (or ``(n, dtype)`` pairs) to warm the dft plan cache with.
+    #: Node-local FFT library of a request without ``library=``: the
+    #: one default every entry point shares (``numpy.fft``, picked by
+    #: measurement); ``library="repro"`` opts in to this repo's engine.
+    default_library: str = DEFAULT_BACKEND
+    #: Lengths (or ``(n, dtype)`` pairs) to warm the dft plan cache with
+    #: (the plans ``library="repro"`` requests run on).
     warm_shapes: Sequence = ()
     #: SOI configurations ``(n, p)`` to warm the SOI plan cache with.
     warm_soi: Sequence[tuple[int, int]] = ()
@@ -174,7 +179,9 @@ class TransformServer:
         and :class:`ServerClosed` when the server is not running.
         Backend-specific parameters ride in ``params`` (SOI:
         ``p``/``beta``/``window``; transpose: ``nranks``;
-        NUFFT: ``points``/``k_modes``/``kind``).
+        NUFFT: ``points``/``k_modes``/``kind``).  *library* names the
+        node-local FFT (``"numpy"`` or ``"repro"``); ``None`` takes
+        ``config.default_library``.
         """
         req = self._build_request(
             x, direction, backend, library, priority, deadline_s, params

@@ -134,3 +134,80 @@ class TestSixStepFft:
         ref = np.fft.fft(x)
         for r in range(nranks):
             assert snr_db(res[r], ref[r * 512 : (r + 1) * 512]) > 290.0
+
+    def test_batch_is_its_rows_bitwise(self):
+        """A stack of K blocks gives each transform the bits of a solo call,
+        also where one rank's twiddle rows pass 256 KiB (n = 2^16 on 4
+        ranks), the size at which a per-call temporary would let NumPy
+        swap the operands of the complex product."""
+        n, nranks = 65536, 4
+        xs = np.stack([random_complex(n, seed) for seed in (8, 9)])
+        block = n // nranks
+
+        def run(x):
+            res = run_spmd(nranks, lambda comm: transpose_fft_distributed(
+                comm, x[..., comm.rank * block : (comm.rank + 1) * block], n
+            ))
+            return np.concatenate(res.values, axis=-1)
+
+        batched = run(xs)
+        for x, row in zip(xs, batched):
+            np.testing.assert_array_equal(row, run(x))
+
+
+class TestTwiddleTable:
+    def test_one_read_only_table_per_shape(self):
+        from repro.parallel.transpose import _twiddle_table
+
+        table = _twiddle_table(4096, 64, 64)
+        assert table is _twiddle_table(4096, 64, 64)
+        assert table.shape == (64, 64) and not table.flags.writeable
+        j2 = np.arange(64, dtype=np.int64)[:, None]
+        k1 = np.arange(64, dtype=np.int64)[None, :]
+        np.testing.assert_array_equal(
+            table, np.exp(-2j * np.pi * ((j2 * k1) % 4096) / 4096)
+        )
+
+    def test_concurrent_callers_share_one_table(self, monkeypatch):
+        """Rank threads race for the same shapes: each shape is built once
+        and every caller gets that one object."""
+        import sys
+        import threading
+
+        import repro.parallel.transpose as six_step
+
+        monkeypatch.setattr(six_step, "_twiddles", type(six_step._twiddles)())
+        shapes = [(256, 16, 16), (1024, 32, 32), (4096, 64, 64)]
+        seen = [[] for _ in range(8)]
+
+        def worker(out):
+            for _ in range(50):
+                for shape in shapes:
+                    out.append((shape, id(six_step._twiddle_table(*shape))))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(out,)) for out in seen]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        ids = {}
+        for shape, ident in (pair for out in seen for pair in out):
+            ids.setdefault(shape, set()).add(ident)
+        assert {shape: len(v) for shape, v in ids.items()} == dict.fromkeys(shapes, 1)
+
+    def test_lru_bound(self, monkeypatch):
+        import repro.parallel.transpose as six_step
+
+        monkeypatch.setattr(six_step, "_MAX_TWIDDLES", 2)
+        monkeypatch.setattr(six_step, "_twiddles", type(six_step._twiddles)())
+        first = six_step._twiddle_table(256, 16, 16)
+        six_step._twiddle_table(1024, 32, 32)
+        six_step._twiddle_table(4096, 64, 64)
+        assert list(six_step._twiddles) == [(1024, 32, 32), (4096, 64, 64)]
+        assert six_step._twiddle_table(256, 16, 16) is not first

@@ -114,6 +114,36 @@ class TestResults:
         assert [s.status for s in srv.metrics.spans()] == ["error"]
 
 
+class TestDefaultLibrary:
+    """A request without ``library=`` runs numpy.fft in every executor;
+    ``library="repro"`` still runs the repro engine."""
+
+    def test_defaults_are_numpy_bitwise(self):
+        from fractions import Fraction
+
+        from repro.core import soi_fft, soi_plan_for
+        from repro.dft import plan_for
+        from repro.parallel import split_blocks, transpose_fft_distributed
+        from repro.simmpi import run_spmd
+
+        x = _signal(1024)
+        with TransformServer(ServeConfig(workers=1)) as srv:
+            dft = srv.submit(x).result(timeout=10.0)
+            soi = srv.submit(x, backend="soi", p=8).result(timeout=30.0)
+            six = srv.submit(x, backend="transpose", nranks=4).result(timeout=30.0)
+            opt_in = srv.submit(x, library="repro").result(timeout=10.0)
+        assert {s.library for s in srv.metrics.spans()} == {"numpy", "repro"}
+        np.testing.assert_array_equal(dft, np.fft.fft(x))
+        plan = soi_plan_for(1024, 8, beta=Fraction(1, 4), window="full")
+        np.testing.assert_array_equal(soi, soi_fft(x, plan, backend="numpy"))
+        blocks = split_blocks(x, 4)
+        res = run_spmd(4, lambda comm: transpose_fft_distributed(
+            comm, blocks[comm.rank], 1024, backend="numpy"
+        ))
+        np.testing.assert_array_equal(six, np.concatenate(res.values))
+        np.testing.assert_array_equal(opt_in, plan_for(1024).execute(x))
+
+
 class TestSubmitValidation:
     """Argument validation happens before the running-state check, so an
     unstarted server is enough to pin every rejection."""

@@ -77,6 +77,33 @@ class TestPublicSurface:
             with pytest.raises(ModuleNotFoundError):
                 importlib.import_module(module)
 
+    def test_one_default_fft_library(self):
+        """Every public function with a ``backend`` parameter defaults to
+        ``DEFAULT_BACKEND`` (a plain string), and so does the server."""
+        import pkgutil
+
+        from repro.dft.backends import DEFAULT_BACKEND
+        from repro.serve import ServeConfig
+
+        assert DEFAULT_BACKEND == "numpy"
+        defaults = {}
+        for info in pkgutil.iter_modules(repro.__path__):
+            module = importlib.import_module(f"repro.{info.name}")
+            for name in getattr(module, "__all__", ()):
+                obj = getattr(module, name)
+                if inspect.isfunction(obj):
+                    param = inspect.signature(obj).parameters.get("backend")
+                    if param is not None:
+                        defaults[obj.__name__] = param.default
+        assert {
+            "soi_fft", "soi_ifft", "soi_fft2", "soi_segment",
+            "soi_fft_distributed", "soi_ifft_distributed",
+            "transpose_fft_distributed", "rfft_distributed",
+            "allgather_fft_distributed", "nufft1", "nufft2",
+        } <= set(defaults), sorted(defaults)
+        assert {name: d for name, d in defaults.items() if d != DEFAULT_BACKEND} == {}
+        assert ServeConfig().default_library == DEFAULT_BACKEND
+
     def test_quickstart_from_docstring(self):
         """The exact flow promised in the package docstring."""
         n, p = 4096, 8

@@ -77,8 +77,9 @@ TIMING_DEPENDENT = {
 }
 
 
-def drivers() -> dict[str, list[str]]:
-    """Driver name -> command line, run from the repository root."""
+def drivers(tmp: Path) -> dict[str, list[str]]:
+    """Driver name -> command line, run from the repository root; files a
+    driver writes go under *tmp*."""
     py = sys.executable
     out = {f"example:{p.stem}": [py, str(p)] for p in sorted((ROOT / "examples").glob("*.py"))}
     # Timings off: pytest-benchmark's calibration pauses every profiler
@@ -91,6 +92,8 @@ def drivers() -> dict[str, list[str]]:
                                     "--trace", "1", "--quick"]
     for s in SECTIONS:
         out[s] = [py, "-m", "repro", s]
+    # Only the flag reaches the Chrome-trace export.
+    out["trace"] += ["--trace-out", str(tmp / "soi.trace.json")]
     return out
 
 
@@ -105,7 +108,7 @@ def run_drivers(skip: set[str]) -> set[tuple[str, int]]:
         (site / "sitecustomize.py").write_text(_RECORDER)
         env = dict(os.environ, REACH_OUT=str(out), REACH_SRC=str(SRC),
                    PYTHONPATH=os.pathsep.join([str(site), str(SRC)]))
-        for name, cmd in drivers().items():
+        for name, cmd in drivers(Path(tmp)).items():
             if name in skip or name.split(":")[0] in skip:
                 continue
             t0 = time.perf_counter()
