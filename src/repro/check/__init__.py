@@ -9,17 +9,16 @@ compute what they claim, identically, under every interleaving):
   statistics and trace-span structure.  :mod:`repro.check.hb` rides
   along, flagging happens-before races on shared state (the plan
   caches) via vector clocks.
-- :mod:`repro.check.conformance` — a differential registry running
-  every transform entry point (one-shot/planned, forward/inverse,
-  sequential/distributed, transport/``trace=``) against its NumPy
-  oracle and the Theorem-2 accuracy budget.
+- :mod:`repro.check.conformance` — a differential table of typed rows
+  (entry point, world, library, dtype, options, oracle, tolerance kind)
+  holding every transform entry point to its oracle: NumPy within an
+  ulp or Theorem-2 budget, or the sequential/plain run bit for bit.
 
 ``python -m repro check`` runs both and emits one JSON report; the CI
-``check-smoke`` job gates on it.
+``check`` job gates on it.
 """
 
 from .conformance import (
-    CONFORMANCE_GROUPS,
     ConformanceReport,
     ConformanceRow,
     EXACT_ULP_FACTOR,
@@ -40,7 +39,6 @@ from .schedules import (
 
 __all__ = [
     "Access",
-    "CONFORMANCE_GROUPS",
     "ConformanceReport",
     "ConformanceRow",
     "EXACT_ULP_FACTOR",

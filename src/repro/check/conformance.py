@@ -1,16 +1,18 @@
-"""Differential conformance registry: every transform path vs its oracle.
+"""Differential conformance: every transform path vs its oracle, one table.
 
-The repo's transform surface has grown to many entry points — one-shot
-and planned, forward and inverse, three execute layouts, sequential and
-distributed, the reliable transport and ``trace=`` on and off.  Each
-one carries the same promise: it approximates the NumPy oracle within a
-*modelled* bound (Theorem 2 for SOI paths, an ulp budget for the
-exact-FFT kernels), and the distributed paths are additionally
-*bitwise* equal to their sequential counterparts.  This module turns
-that promise into a machine-checkable registry: :func:`run_conformance`
-executes every registered entry point against its oracle and emits a
-JSON-safe report (``python -m repro check`` and the CI ``check-smoke``
-job consume it).
+The paper's contract has two parts: SOI stays within the Theorem-2
+error budget (Section 4), and the distributed program, with its one
+all-to-all, gives the same bits as the sequential one.  Each row of the
+table is a typed record (:class:`ConformanceRow`) whose name is
+generated from its fields, unset ones left out::
+
+    entry[n=N,engine=E,schedule=S,rpn=R,library=L,dtype=D,
+          <option>=V,...,oracle=O,tol_kind=K]
+
+so a name parses back to its fields.  The crosses over engines,
+schedules, libraries and options are generated over one world runner
+(:class:`_World`).  :func:`run_conformance` runs the table;
+``python -m repro check`` and the CI ``check`` job read its JSON report.
 
 Tolerances
 ----------
@@ -37,16 +39,18 @@ contract, not closeness.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
 
-from ..core.accuracy import error_budget
+from ..core.accuracy import error_budget, relative_l2_error
 from ..core.design import preset_design
-from ..core.plan import SoiPlan
+from ..core.plan import SoiPlan, soi_plan_for
 from ..core.soi import soi_fft, soi_fft2, soi_ifft, soi_segment
 from ..dft import FftPlan, irfft, plan_for, rfft
 from ..dft import fft as dft_fft
@@ -105,12 +109,20 @@ def soi_tolerance(plan: SoiPlan) -> float:
     return SOI_BUDGET_SAFETY * error_budget(plan)["modelled_relative_error"]
 
 
-def _rel_err(got: np.ndarray, ref: np.ndarray) -> float:
-    """Relative l2 error, the metric of the paper's accuracy model."""
-    denom = float(np.linalg.norm(ref))
-    if denom == 0.0:
-        return float(np.linalg.norm(got))
-    return float(np.linalg.norm(np.asarray(got) - np.asarray(ref)) / denom)
+#: Each tolerance kind's bound, from the row's n and (SOI rows) its plan.
+_TOLERANCES: dict[str, Callable[[int, SoiPlan | None], float]] = {
+    "bitwise": lambda n, plan: 0.0,
+    "exact": lambda n, plan: exact_tolerance(n),
+    "single": lambda n, plan: single_tolerance(n),
+    "theorem2": lambda n, plan: soi_tolerance(plan),
+    # 2-D: combined window error of two passes -> sum the budgets.
+    "theorem2-2d": lambda n, plan: 2.0 * soi_tolerance(plan),
+    # The "full" window is designed for ~14.5 digits; 1e-12 is the
+    # established accuracy-ladder bound for it (tests/nufft).
+    "ladder": lambda n, plan: 1e-12,
+}
+
+_LIBRARIES = ("numpy", "repro")
 
 
 def _rng(label: str) -> np.random.Generator:
@@ -126,27 +138,54 @@ def _signal(label: str, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConformanceRow:
-    """One entry-point-vs-oracle result."""
+    """One entry point checked against its oracle.
 
-    name: str
+    The fields up to ``options`` say what ran: the entry point, its
+    group, n, the world (engine, all-to-all schedule, ranks per node),
+    the FFT library, the input dtype and the options (``overlap``,
+    ``transport``, ``trace``, ``resilience``, ``kill``, the geometry,
+    ...); with the oracle and tolerance kind they generate :attr:`name`.
+    ``error``, ``tolerance``, ``passed`` and ``detail`` are the verdict.
+    """
+
+    entry: str
     group: str
     n: int
-    error: float
-    tolerance: float
-    passed: bool
+    oracle: str
+    tol_kind: str
+    engine: str | None = None
+    schedule: str | None = None
+    rpn: int | None = None
+    library: str | None = None
+    dtype: str = "complex128"
+    options: dict = field(default_factory=dict)
+    error: float = math.inf
+    tolerance: float = 0.0
+    passed: bool = False
     detail: str = ""
+
+    def fields(self) -> dict:
+        """The set fields the name is generated from, in name order."""
+        world = ("n", "engine", "schedule", "rpn", "library", "dtype")
+        out = {**{k: getattr(self, k) for k in world}, **self.options,
+               "oracle": self.oracle, "tol_kind": self.tol_kind}
+        return {k: v for k, v in out.items() if v is not None}
+
+    @property
+    def name(self) -> str:
+        fields = ",".join(f"{k}={v}" for k, v in self.fields().items())
+        return f"{self.entry}[{fields}]"
 
     def as_dict(self) -> dict:
         # Coerce numpy scalars (a size computed from a design table can
         # arrive as int64) so the payload is json.dumps-safe.
         return {
+            **asdict(self),
             "name": self.name,
-            "group": self.group,
             "n": int(self.n),
             "error": float(self.error),
             "tolerance": float(self.tolerance),
             "passed": bool(self.passed),
-            "detail": self.detail,
         }
 
 
@@ -156,9 +195,6 @@ class ConformanceReport:
     def __init__(self, size: str) -> None:
         self.size = size
         self.rows: list[ConformanceRow] = []
-
-    def add(self, row: ConformanceRow) -> None:
-        self.rows.append(row)
 
     @property
     def ok(self) -> bool:
@@ -179,7 +215,7 @@ class ConformanceReport:
 
     def as_dict(self) -> dict:
         return {
-            "schema": "repro.check.conformance/1",
+            "schema": "repro.check.conformance/2",
             "size": self.size,
             "ok": self.ok,
             "summary": self.summary(),
@@ -190,69 +226,45 @@ class ConformanceReport:
         return [r for r in self.rows if not r.passed]
 
 
-def _oracle_row(
+def _row(
     report: ConformanceReport,
-    name: str,
-    group: str,
-    n: int,
-    tolerance: float,
     compute: Callable[[], tuple[np.ndarray, np.ndarray]],
+    *,
+    plan: SoiPlan | None = None,
     detail: str = "",
+    **fields,
 ) -> None:
-    """Run *compute* -> (got, oracle) and record the relative error."""
+    """Run *compute* -> (got, oracle) and add the row with *fields*.
+
+    Every row needs the oracle's shape.  A ``bitwise`` row then needs
+    its dtype and bits; any other row a relative l2 error within its
+    tolerance kind's bound (``_TOLERANCES``).
+    """
+    tolerance = _TOLERANCES[fields["tol_kind"]](fields["n"], plan)
     try:
         got, ref = compute()
-        err = _rel_err(got, ref)
-        report.add(
-            ConformanceRow(
-                name, group, n, err, float(tolerance), bool(err <= tolerance), detail
-            )
-        )
+        if got.shape != ref.shape:
+            err, passed = math.inf, False
+            detail = f"shape {got.shape} != oracle shape {ref.shape}"
+        elif fields["tol_kind"] == "bitwise":
+            passed = got.dtype == ref.dtype and bool(np.array_equal(got, ref))
+            err = 0.0 if passed else relative_l2_error(got, ref)
+        else:
+            err = relative_l2_error(got, ref)
+            passed = err <= tolerance
     except Exception as exc:  # a crash is a conformance failure, not a skip
-        report.add(
-            ConformanceRow(
-                name, group, n, float("inf"), tolerance, False, f"raised: {exc!r}"
-            )
-        )
+        err, passed, detail = math.inf, False, f"raised: {exc!r}"
+    report.rows.append(ConformanceRow(
+        **fields, error=err, tolerance=tolerance, passed=bool(passed), detail=detail
+    ))
 
 
-def _bitwise_row(
-    report: ConformanceReport,
-    name: str,
-    group: str,
-    n: int,
-    compute: Callable[[], tuple[np.ndarray, np.ndarray]],
-    detail: str = "",
-) -> None:
-    """Run *compute* -> (got, ref) and require bit-for-bit equality."""
-    try:
-        got, ref = compute()
-        same = (
-            got.shape == ref.shape
-            and got.dtype == ref.dtype
-            and bool(np.array_equal(got, ref))
-        )
-        err = 0.0 if same else _rel_err(got, ref)
-        report.add(ConformanceRow(name, group, n, err, 0.0, same, detail))
-    except Exception as exc:
-        report.add(
-            ConformanceRow(name, group, n, float("inf"), 0.0, False, f"raised: {exc!r}")
-        )
+_EDGE_WINDOWS = ("full", "digits10", "digits6")
+_EDGE_BETAS = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))
+_EDGE_SEGMENT_COUNTS = (3, 5, 7)
 
 
-# --------------------------------------------------------------------------
-# edge geometries (satellite: odd segment counts, every beta, minimal N)
-# --------------------------------------------------------------------------
-
-def edge_geometries(
-    windows: tuple[str, ...] = ("full", "digits10", "digits6"),
-    betas: tuple[Fraction, ...] = (
-        Fraction(1, 8),
-        Fraction(1, 4),
-        Fraction(1, 2),
-    ),
-    segment_counts: tuple[int, ...] = (3, 5, 7),
-) -> Iterator[dict]:
+def edge_geometries() -> Iterator[dict]:
     """Every boundary SOI geometry: minimal N per (window, beta, odd P).
 
     The minimal admissible segment length is ``M = nu * ceil(B / nu)``
@@ -262,44 +274,17 @@ def edge_geometries(
     or Bluestein kernels) and minimal N maximises the halo-to-block
     ratio — the regime where truncation error is least flattered.
     """
-    for window in windows:
-        for beta in betas:
-            nu = (Fraction(beta) + 1).denominator
+    for window in _EDGE_WINDOWS:
+        for beta in _EDGE_BETAS:
+            nu = (beta + 1).denominator
             b = preset_design(window, beta=float(beta)).b
             m = nu * math.ceil(b / nu)
-            for p in segment_counts:
+            for p in _EDGE_SEGMENT_COUNTS:
                 yield {
-                    "window": window,
-                    "beta": beta,
-                    "p": p,
-                    "n": m * p,
-                    "b": b,
+                    "window": window, "beta": beta, "p": p, "n": m * p, "b": b,
                     "nu": nu,
                 }
 
-
-def _edge_rows(report: ConformanceReport, backend: str) -> None:
-    for geo in edge_geometries():
-        plan = SoiPlan(n=geo["n"], p=geo["p"], beta=geo["beta"], window=geo["window"])
-        label = (
-            f"soi_fft[{geo['window']},beta={geo['beta']},P={geo['p']},"
-            f"n={geo['n']},{backend}]"
-        )
-        x = _signal(label, plan.n)
-        _oracle_row(
-            report,
-            label,
-            "soi-edge",
-            plan.n,
-            soi_tolerance(plan),
-            lambda x=x, plan=plan: (soi_fft(x, plan, backend=backend), np.fft.fft(x)),
-            detail=f"minimal-N geometry, B={geo['b']}, nu={geo['nu']}",
-        )
-
-
-# --------------------------------------------------------------------------
-# the registry
-# --------------------------------------------------------------------------
 
 _SIZES = {
     # soi_n must satisfy: p=8 segments, nu=4 (beta=1/4), 4 ranks ->
@@ -325,28 +310,24 @@ _DIST_P = 8
 
 
 def _dft_rows(report: ConformanceReport) -> None:
+    row = partial(_row, report, group="dft", library="repro", oracle="numpy.fft",
+                  tol_kind="exact")
     # One-shot helpers (radix-2 dispatch) against the NumPy oracle.
     x256 = _signal("dft.fft[256]", 256)
-    _oracle_row(report, "dft.fft[n=256,radix2]", "dft", 256, exact_tolerance(256),
-                lambda: (dft_fft(x256), np.fft.fft(x256)))
-    _oracle_row(report, "dft.ifft[n=256,radix2]", "dft", 256, exact_tolerance(256),
-                lambda: (dft_ifft(x256), np.fft.ifft(x256)))
+    for fn, ref in ((dft_fft, np.fft.fft), (dft_ifft, np.fft.ifft)):
+        row(lambda fn=fn, ref=ref: (fn(x256), ref(x256)),
+            entry=f"dft.{fn.__name__}", n=256, options={"kernel": "radix2"})
 
     # Planned execution, one row per kernel and direction.
     for n, kernel in ((360, "mixed_radix"), (97, "bluestein")):
         plan = FftPlan(n)
         assert plan.kernel == kernel
         x = _signal(f"dft.plan[{n}]", n)
-        _oracle_row(
-            report, f"FftPlan.execute[n={n},{kernel}]", "dft", n,
-            exact_tolerance(n),
-            lambda plan=plan, x=x: (plan.execute(x), np.fft.fft(x)),
-        )
-        _oracle_row(
-            report, f"FftPlan.execute[n={n},{kernel},inverse]", "dft", n,
-            exact_tolerance(n),
-            lambda plan=plan, x=x: (plan.execute(x, inverse=True), np.fft.ifft(x)),
-        )
+        for inverse, ref in ((False, np.fft.fft), (True, np.fft.ifft)):
+            row(lambda plan=plan, x=x, inverse=inverse, ref=ref: (
+                    plan.execute(x, inverse=inverse), ref(x)),
+                entry="FftPlan.execute", n=n,
+                options={"kernel": kernel, **({"inverse": True} if inverse else {})})
 
     # Column layout: oracle accuracy plus the documented bitwise
     # equivalence to execute() with explicit transposes, for a length
@@ -354,53 +335,40 @@ def _dft_rows(report: ConformanceReport) -> None:
     for n in (64, 512):
         plan = FftPlan(n)
         xt = _signal(f"dft.execute_tt[{n}]", 4 * n).reshape(n, 4)
-        _oracle_row(
-            report, f"FftPlan.execute_tt[n={n},radix2]", "dft", n,
-            exact_tolerance(n),
-            lambda plan=plan, xt=xt: (plan.execute_tt(xt), np.fft.fft(xt.T).T),
-        )
-        _bitwise_row(
-            report, f"FftPlan.execute_tt==execute(.T).T[n={n}]", "dft", n,
-            lambda plan=plan, xt=xt: (
-                plan.execute_tt(xt),
-                np.ascontiguousarray(plan.execute(xt.T).T),
-            ),
-        )
+        row(lambda plan=plan, xt=xt: (plan.execute_tt(xt), np.fft.fft(xt.T).T),
+            entry="FftPlan.execute_tt", n=n, options={"kernel": "radix2"})
+        row(lambda plan=plan, xt=xt: (
+                plan.execute_tt(xt), np.ascontiguousarray(plan.execute(xt.T).T)),
+            entry="FftPlan.execute_tt", n=n, oracle="execute(.T).T",
+            tol_kind="bitwise")
 
-    # Real-input pair.
+    # Real-input pair; odd lengths take the full-transform fallback.
     xr = _rng("dft.rfft[512]").standard_normal(512)
-    _oracle_row(report, "dft.rfft[n=512]", "dft", 512, exact_tolerance(512),
-                lambda: (rfft(xr), np.fft.rfft(xr)))
     spec = np.fft.rfft(xr)
-    _oracle_row(report, "dft.irfft[n=512]", "dft", 512, exact_tolerance(512),
-                lambda: (irfft(spec, n=512), np.fft.irfft(spec, n=512)))
     xodd = _rng("dft.rfft[255]").standard_normal(255)
-    _oracle_row(report, "dft.rfft[n=255,odd]", "dft", 255,
-                exact_tolerance(255),
-                lambda: (rfft(xodd), np.fft.rfft(xodd)),
-                detail="odd lengths take the full-transform fallback")
-    _oracle_row(report, "dft.irfft[n=255,odd]", "dft", 255,
-                exact_tolerance(255),
-                lambda: (irfft(np.fft.rfft(xodd), n=255), xodd))
+    row(lambda: (rfft(xr), np.fft.rfft(xr)), entry="dft.rfft", n=512,
+        dtype="float64")
+    row(lambda: (irfft(spec, n=512), np.fft.irfft(spec, n=512)),
+        entry="dft.irfft", n=512)
+    row(lambda: (rfft(xodd), np.fft.rfft(xodd)), entry="dft.rfft", n=255,
+        dtype="float64", detail="odd lengths take the full-transform fallback")
+    row(lambda: (irfft(np.fft.rfft(xodd), n=255), xodd), entry="dft.irfft", n=255,
+        oracle="input")
 
     # The explicit single-precision opt-in: native complex64 kernels,
     # held to a float32 ulp budget.
     x64 = _signal("dft.c64[1024]", 1024).astype(np.complex64)
-    _oracle_row(
-        report, "plan_for[single].execute[n=1024]", "dft", 1024,
-        single_tolerance(1024),
-        lambda: (plan_for(1024, precision="single").execute(x64),
+    row(lambda: (plan_for(1024, precision="single").execute(x64),
                  np.fft.fft(x64.astype(np.complex128))),
-    )
+        entry="FftPlan.execute", n=1024, dtype="complex64", tol_kind="single",
+        options={"kernel": "radix2"})
 
-    # Dtype normalisation at the plan-cache boundary (satellite 1): a
-    # float32 caller must execute the identical complex128 kernel.
+    # Dtype normalisation at the plan-cache boundary: a float32 caller
+    # must execute the identical complex128 kernel.
     xf32 = _rng("dft.fft[f32]").standard_normal(256).astype(np.float32)
-    _bitwise_row(
-        report, "dft.fft[float32]==fft[complex128-of-f32]", "dft", 256,
-        lambda: (dft_fft(xf32), dft_fft(xf32.astype(np.complex128))),
-        detail="shared plan-cache entry, cast at the plan boundary",
-    )
+    row(lambda: (dft_fft(xf32), dft_fft(xf32.astype(np.complex128))),
+        entry="dft.fft", n=256, dtype="float32", oracle="complex128",
+        tol_kind="bitwise", detail="shared plan-cache entry, cast at the plan boundary")
 
 
 def _nufft_rows(report: ConformanceReport, k_modes: int) -> None:
@@ -408,441 +376,336 @@ def _nufft_rows(report: ConformanceReport, k_modes: int) -> None:
     t = _rng(f"nufft.t[{k_modes}]").uniform(0.0, 1.0, size=3 * k_modes)
     a = _signal(f"nufft.a[{k_modes}]", t.size)
     c = _signal(f"nufft.c[{k_modes}]", k_modes)
-    # The "full" window is designed for ~14.5 digits; 1e-12 is the
-    # established accuracy-ladder bound for it (tests/nufft).
-    _oracle_row(report, f"nufft1[K={k_modes},full]", "nufft", k_modes, 1e-12,
-                lambda: (nufft1(t, a, plan), nudft1(t, a, k_modes)))
-    _oracle_row(report, f"nufft2[K={k_modes},full]", "nufft", k_modes, 1e-12,
-                lambda: (nufft2(t, c, plan), nudft2(t, c, k_modes)))
+    for fn, oracle, v in ((nufft1, nudft1, a), (nufft2, nudft2, c)):
+        _row(report, lambda fn=fn, oracle=oracle, v=v: (
+                 fn(t, v, plan), oracle(t, v, k_modes)),
+             group="nufft", entry=fn.__name__, n=k_modes, library=DEFAULT_BACKEND,
+             options={"window": "full"}, oracle="nudft", tol_kind="ladder")
 
 
-def _soi_seq_rows(report: ConformanceReport, n: int) -> None:
+def _soi_rows(report: ConformanceReport, n: int) -> None:
+    """The sequential SOI entry points, then the 27-geometry edge sweep."""
     plan = SoiPlan(n=n, p=_DIST_P)
-    tol = soi_tolerance(plan)
     x = _signal(f"soi.seq[{n}]", n)
-    for backend in ("numpy", "repro"):
-        _oracle_row(
-            report, f"soi_fft[n={n},P={_DIST_P},{backend}]", "soi", n, tol,
-            lambda backend=backend: (soi_fft(x, plan, backend=backend), np.fft.fft(x)),
-        )
-    _oracle_row(report, f"soi_ifft[n={n},P={_DIST_P},numpy]", "soi", n, tol,
-                lambda: (soi_ifft(x, plan), np.fft.ifft(x)))
-    _oracle_row(
-        report, f"soi_segment[n={n},s=1]", "soi", n, tol,
-        lambda: (soi_segment(x, plan, 1), np.fft.fft(x)[plan.m : 2 * plan.m]),
-        detail="single-segment pursuit (Section 5)",
-    )
-    # 2-D: combined window error of two passes -> sum the budgets.
+    row = partial(_row, report, group="soi", n=n, plan=plan, library=DEFAULT_BACKEND,
+                  options={"P": _DIST_P}, oracle="numpy.fft", tol_kind="theorem2")
+    for lib in _LIBRARIES:
+        row(lambda lib=lib: (soi_fft(x, plan, backend=lib), np.fft.fft(x)),
+            entry="soi_fft", library=lib)
+    row(lambda: (soi_ifft(x, plan), np.fft.ifft(x)), entry="soi_ifft")
+    row(lambda: (soi_segment(x, plan, 1), np.fft.fft(x)[plan.m : 2 * plan.m]),
+        entry="soi_segment", options={"P": _DIST_P, "s": 1},
+        detail="single-segment pursuit (Section 5)")
     # 512 is the smallest power of two that fits the full window's
     # stencil (B*P = 312) with P=4 segments.
     n2 = 512
     plan2 = SoiPlan(n=n2, p=4)
     x2 = _signal(f"soi.fft2[{n2}]", n2 * n2).reshape(n2, n2)
-    _oracle_row(
-        report, f"soi_fft2[{n2}x{n2}]", "soi", n2, 2.0 * soi_tolerance(plan2),
-        lambda: (soi_fft2(x2, plan2), np.fft.fft2(x2)),
-    )
+    row(lambda: (soi_fft2(x2, plan2), np.fft.fft2(x2)), entry="soi_fft2", n=n2,
+        plan=plan2, options={"P": 4}, tol_kind="theorem2-2d")
+
+    for geo in edge_geometries():
+        w, beta, p = geo["window"], geo["beta"], geo["p"]
+        plan = SoiPlan(n=geo["n"], p=p, beta=beta, window=w)
+        label = f"soi_fft[{w},beta={beta},P={p},n={plan.n},{DEFAULT_BACKEND}]"
+        x = _signal(label, plan.n)
+        row(lambda x=x, plan=plan: (
+                soi_fft(x, plan, backend=DEFAULT_BACKEND), np.fft.fft(x)),
+            group="soi-edge", entry="soi_fft", n=plan.n, plan=plan,
+            options={"window": w, "beta": str(beta), "P": p},
+            detail=f"minimal-N geometry, B={geo['b']}, nu={geo['nu']}")
 
 
-def _dist_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
-    plan = SoiPlan(n=n, p=_DIST_P)
-    x = _signal(f"dist.soi[{n}]", n)
-    blocks = split_blocks(x, _DIST_RANKS)
+_SOI, _ISOI, _SIX = (
+    "soi_fft_distributed", "soi_ifft_distributed", "transpose_fft_distributed"
+)
 
-    def dist(fn, transport=None, **kwargs):
+
+class _World:
+    """The one world every distributed row runs in.
+
+    :meth:`run` runs an entry (``_SOI``, ``_ISOI`` or ``_SIX``) on
+    ``_DIST_RANKS`` ranks over its fixed input: the ``dist.soi[n]``
+    signal (``dist.c64[n]`` for ``dtype="complex64"``) under a P=8 SOI
+    plan, or the ``dist.transpose[tn]`` signal.  A thread-engine run
+    with no options is the reference many rows compare with, so it runs
+    once per report.
+    """
+
+    def __init__(self, n: int, tn: int) -> None:
+        self.n, self.tn = n, tn
+        self.x = {
+            "complex128": _signal(f"dist.soi[{n}]", n),
+            "complex64": _signal(f"dist.c64[{n}]", n).astype(np.complex64),
+        }
+        self.plan = {
+            "complex128": SoiPlan(n=n, p=_DIST_P),
+            "complex64": SoiPlan(n=n, p=_DIST_P, dtype=np.complex64),
+        }
+        self.xt = _signal(f"dist.transpose[{tn}]", tn)
+        self._plain: dict = {}
+
+    def run(self, entry, options=None, engine="thread", schedule="pairwise",
+            rpn=None, library=DEFAULT_BACKEND, dtype="complex128"):
+        """(out, res, recorder) of *entry* run with a row's fields.
+
+        ``transport``, ``overlap``, ``trace`` and ``resilience`` become
+        the entry's keywords; a traced run must record events, and
+        isend spans when pipelined.  ``kill`` kills rank 1 at that
+        phase: ``out`` is then the survivors' blocks plus the buddy's
+        reconstruction of rank 1's.
+        """
+        options = options or {}
+        key = (entry, schedule, rpn, library, dtype)
+        plain = engine == "thread" and not options
+        if plain and key in self._plain:
+            return self._plain[key]
+        kw: dict = {"overlap": True} if options.get("overlap") else {}
+        if options.get("trace"):
+            kw["trace"] = TraceRecorder()
+        if options.get("resilience"):
+            kw["resilience"] = SoiResilience()
+        kill = options.get("kill")
+        if entry == _SIX:
+            fn, x, arg = transpose_fft_distributed, self.xt, self.tn
+        else:
+            fn = soi_fft_distributed if entry == _SOI else soi_ifft_distributed
+            x, arg = self.x[dtype], self.plan[dtype]
+        blocks = split_blocks(x, _DIST_RANKS)
         res = run_spmd(
             _DIST_RANKS,
-            lambda comm: fn(comm, blocks[comm.rank], plan, **kwargs),
-            transport=transport,
+            lambda comm: fn(comm, blocks[comm.rank], arg, backend=library, **kw),
+            timeout=60.0, faults=FaultPlan().kill(1, phase=kill) if kill else None,
+            transport=TransportPolicy() if options.get("transport") else None,
+            resilient="resilience" in kw, ranks_per_node=rpn,
+            alltoall_algorithm=schedule, engine=engine,
         )
-        return np.concatenate(res.values)
-
-    for backend in ("numpy", "repro"):
-        _oracle_row(
-            report, f"soi_fft_distributed[n={n},{backend}]", "dist", n,
-            soi_tolerance(plan),
-            lambda backend=backend: (
-                dist(soi_fft_distributed, backend=backend), np.fft.fft(x)),
-        )
-        _bitwise_row(
-            report, f"soi_fft_distributed==soi_fft[n={n},{backend}]", "dist", n,
-            lambda backend=backend: (
-                dist(soi_fft_distributed, backend=backend),
-                soi_fft(x, plan, backend=backend),
-            ),
-            detail="seq/dist bitwise invariant",
-        )
-    _bitwise_row(
-        report, f"soi_ifft_distributed==soi_ifft[n={n}]", "dist", n,
-        lambda: (dist(soi_ifft_distributed), soi_ifft(x, plan)),
-    )
-    baseline = dist(soi_fft_distributed)
-    _bitwise_row(
-        report, f"soi_fft_distributed[transport=TransportPolicy()][n={n}]",
-        "dist", n,
-        lambda: (
-            dist(soi_fft_distributed, transport=TransportPolicy()), baseline
-        ),
-        detail="the reliable transport is bit-transparent",
-    )
-
-    def traced():
-        rec = TraceRecorder()
-        out = dist(soi_fft_distributed, trace=rec)
-        if rec.nevents == 0:
+        rec = kw.get("trace")
+        if rec is not None and rec.nevents == 0:
             raise RuntimeError("trace recorder captured no events")
-        return out, baseline
-
-    _bitwise_row(
-        report, f"soi_fft_distributed[trace=][n={n}]", "dist", n, traced,
-        detail="tracing is bit-transparent",
-    )
-
-    # Pipelined (overlap=True) path: the restructured schedule must be
-    # bit-for-bit the blocking pipeline — same flops in the same order —
-    # and stay transparent under the transport and trace= and equal in
-    # traffic.
-    for backend in ("numpy", "repro"):
-        _bitwise_row(
-            report,
-            f"soi_fft_distributed[overlap=True,{backend}][n={n}]", "dist", n,
-            lambda backend=backend: (
-                dist(soi_fft_distributed, overlap=True, backend=backend),
-                dist(soi_fft_distributed, backend=backend),
-            ),
-            detail="pipelined == blocking, zero tolerance",
-        )
-    _bitwise_row(
-        report, f"soi_ifft_distributed[overlap=True][n={n}]", "dist", n,
-        lambda: (
-            dist(soi_ifft_distributed, overlap=True),
-            dist(soi_ifft_distributed),
-        ),
-        detail="pipelined inverse == blocking inverse",
-    )
-    _bitwise_row(
-        report,
-        f"soi_fft_distributed[overlap=True,transport=TransportPolicy()][n={n}]",
-        "dist", n,
-        lambda: (
-            dist(soi_fft_distributed, overlap=True, transport=TransportPolicy()),
-            baseline,
-        ),
-        detail="the reliable transport is bit-transparent on the pipelined path",
-    )
-
-    def traced_overlap():
-        rec = TraceRecorder()
-        out = dist(soi_fft_distributed, overlap=True, trace=rec)
-        if rec.nevents == 0:
-            raise RuntimeError("trace recorder captured no events")
-        tl = rec.timeline()
-        if not any(s.kind == "isend" for s in tl.spans):
+        if rec is not None and "overlap" in kw and not any(
+            s.kind == "isend" for s in rec.timeline().spans
+        ):
             raise RuntimeError("pipelined trace recorded no isend spans")
-        return out, baseline
+        if kill:
+            if [f[0] for f in res.failures] != [1]:
+                raise RuntimeError(f"expected rank 1 casualty, got {res.failures!r}")
+            recovered = kw["resilience"].recovered_blocks
+            if 1 not in recovered:
+                raise RuntimeError("buddy published no recovered block")
+            out = np.concatenate([res.values[0], recovered[1][1], *res.values[2:]])
+        else:
+            out = np.concatenate(res.values)
+        if plain:
+            self._plain[key] = out, res, rec
+        return out, res, rec
 
-    _bitwise_row(
-        report, f"soi_fft_distributed[overlap=True,trace=][n={n}]", "dist", n,
-        traced_overlap,
-        detail="tracing is bit-transparent on the pipelined path",
-    )
 
-    def overlap_traffic():
-        def totals(**kwargs):
-            rows = []
+def _engine_bytes(out, res, rec) -> np.ndarray:
+    """Outputs and the full traffic accounting (the per-rank span
+    structure when traced) as one byte row."""
+    meta = span_structure(rec) if rec is not None else res.stats.as_dict()
+    return np.concatenate([
+        np.ascontiguousarray(out).view(np.uint8),
+        np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
+    ])
 
-            def body(comm):
-                out = soi_fft_distributed(comm, blocks[comm.rank], plan, **kwargs)
-                if comm.rank == 0:
-                    for name in sorted(comm.stats.phases()):
-                        ph = comm.stats.phase(name)
-                        rows.append((ph.total_bytes, ph.alltoall_rounds))
-                return out
 
-            run_spmd(_DIST_RANKS, body)
-            return np.array(rows, dtype=np.int64)
+def _phase_traffic(res) -> np.ndarray:
+    """Per-phase byte totals and all-to-all rounds of a joined run."""
+    phases = [res.stats.phase(p) for p in sorted(res.stats.phases())]
+    return np.array([(ph.total_bytes, ph.alltoall_rounds) for ph in phases], np.int64)
 
-        return totals(overlap=True), totals()
 
-    _bitwise_row(
-        report, f"soi_overlap_traffic==blocking[n={n}]", "dist", n,
-        overlap_traffic,
-        detail="per-phase byte totals and alltoall rounds are invariant",
-    )
+def _world_pair(w: _World, entry: str, where: dict, options: dict, oracle: str):
+    """(got, ref) of a world row: *entry* run with its fields, and the
+    oracle's reference.  ``plain`` is the same run with no options, the
+    pairwise schedule and the thread engine; ``flat`` is that run with
+    no node structure; ``thread`` reruns the row on the thread engine,
+    and ``repeat`` on its own (DES: the same virtual makespan too)."""
+    out, res, rec = w.run(entry, options, **where)
+    if oracle in ("thread", "repeat"):
+        ref = w.run(entry, options, **{**where, "engine": "thread"}
+                    if oracle == "thread" else where)
+        if oracle == "repeat" and not res.virtual_time_s == ref[1].virtual_time_s > 0:
+            raise RuntimeError(f"virtual time not reproducible: "
+                               f"{res.virtual_time_s} vs {ref[1].virtual_time_s}")
+        return _engine_bytes(out, res, rec), _engine_bytes(*ref)
+    if oracle == "plain-traffic":
+        return _phase_traffic(res), _phase_traffic(w.run(entry)[1])
+    lib, dtype = where["library"], where.get("dtype", "complex128")
+    if oracle == "numpy.fft":
+        return out, np.fft.fft(w.xt if entry == _SIX else w.x[dtype])
+    if oracle == "sequential":
+        seq = soi_fft if entry == _SOI else soi_ifft
+        return out, seq(w.x[dtype], w.plan[dtype], backend=lib)
+    rpn = where.get("rpn") if oracle == "plain" else None
+    return out, w.run(entry, library=lib, dtype=dtype, rpn=rpn)[0]
 
-    # The six-step baseline is an *exact* transform: oracle tolerance.
-    xt = _signal(f"dist.transpose[{transpose_n}]", transpose_n)
-    tblocks = split_blocks(xt, _DIST_RANKS)
-    _oracle_row(
-        report, f"transpose_fft_distributed[n={transpose_n}]", "dist",
-        transpose_n, exact_tolerance(transpose_n),
-        lambda: (
-            np.concatenate(
-                run_spmd(
-                    _DIST_RANKS,
-                    lambda comm: transpose_fft_distributed(
-                        comm, tblocks[comm.rank], transpose_n
-                    ),
-                ).values
-            ),
-            np.fft.fft(xt),
-        ),
-    )
+
+_WORLD_DETAIL = {
+    "numpy.fft": "the distributed transform meets its oracle bound",
+    "sequential": "seq/dist bitwise invariant",
+    "plain": "options and schedule move no bit (a kill: survivors + rebuilt block)",
+    "plain-traffic": "per-phase byte totals and alltoall rounds are invariant",
+    "flat": "the zero-copy intra-node path is bit-transparent",
+    "thread": "bitwise outputs + byte-identical TrafficStats across engines",
+    "repeat": "identical outputs, stats and virtual makespan across repeats",
+}
+
+
+def _world_rows(report: ConformanceReport, w: _World) -> None:
+    """The distributed rows, one generated table over the world.
+
+    * ``dist`` — the Theorem-2 (six-step: exact) oracle, seq == dist
+      (on the float32 wire too), and the reliable transport, ``trace=``
+      and the pipelined ``overlap=True`` schedule (same flops in the
+      same order) bit-transparent alone and composed.
+    * ``resilience`` — fault-free, ``resilience=`` is bit-transparent
+      (the replica's prefix IS the halo).  After one injected kill the
+      survivors' blocks and the buddy's reconstruction of the casualty's
+      block (same FP schedule replayed) are bitwise the fault-free run,
+      and the spectrum meets the fault-free Theorem-2 bound.
+    * ``a2a`` — 4 ranks as 2 nodes x 2 ranks: the zero-copy intra-node
+      path, and SOI's ONE all-to-all and the six-step's three transposes
+      rescheduled ``hierarchical``, move the same bytes bit for bit.
+    * ``des`` — the discrete-event engine must give the thread engine's
+      outputs AND full traffic accounting (:meth:`TrafficStats.as_dict`)
+      for every schedule and composition (a traced row: each rank's
+      span structure, event for event), and repeat itself exactly.
+    """
+    trans, trace, ovl = {"transport": True}, {"trace": True}, {"overlap": True}
+    hier = {"schedule": "hierarchical", "rpn": 2}
+    table = [
+        *(("dist", _SOI, {"library": lib}, {}, "numpy.fft") for lib in _LIBRARIES),
+        ("dist", _SIX, {}, {}, "numpy.fft"),
+        *(("dist", e, {"library": lib, "dtype": dt}, {}, "sequential")
+          for e, lib, dt in (
+              (_SOI, "numpy", "complex128"), (_SOI, "repro", "complex128"),
+              (_ISOI, "numpy", "complex128"), (_SOI, "repro", "complex64"))),
+        *(("dist", _SOI, {}, o, "plain")
+          for o in (trans, trace, ovl, {**ovl, **trans}, {**ovl, **trace})),
+        ("dist", _SOI, {"library": "repro"}, ovl, "plain"),
+        ("dist", _ISOI, {}, ovl, "plain"),
+        ("dist", _SOI, {}, ovl, "plain-traffic"),
+        *(("resilience", _SOI, {}, {"resilience": True, **o}, "plain")
+          for o in ({}, {"kill": "fft-p"}, {"kill": "alltoall"}, ovl,
+                    {**ovl, "kill": "alltoall"})),
+        ("resilience", _SOI, {}, {"resilience": True, "kill": "alltoall"}, "numpy.fft"),
+        ("a2a", _SOI, {"rpn": 2}, {}, "flat"),
+        *(("a2a", e, hier, o, "plain")
+          for e, o in ((_SOI, {}), (_SOI, trans), (_SOI, trace), (_SIX, {}))),
+        *(("des", e, {**hier, "schedule": s}, {}, "thread")
+          for e in (_SOI, _SIX) for s in ALGORITHMS),
+        ("des", _SOI, hier, trans, "thread"),
+        ("des", _SOI, {**hier, "schedule": "pairwise"}, ovl, "thread"),
+        ("des", _SOI, hier, trace, "thread"),
+        ("des", _ISOI, hier, {}, "thread"),
+        ("des", _SOI, hier, {}, "repeat"),
+    ]
+    for group, entry, where, options, oracle in table:
+        where = {"engine": "des" if group == "des" else "thread",
+                 "schedule": "pairwise", "library": DEFAULT_BACKEND, **where}
+        kind = ("bitwise" if oracle != "numpy.fft"
+                else "exact" if entry == _SIX else "theorem2")
+        _row(report, partial(_world_pair, w, entry, where, options, oracle),
+             group=group, entry=entry, n=w.tn if entry == _SIX else w.n,
+             options=options, oracle=oracle, tol_kind=kind,
+             plan=w.plan[where.get("dtype", "complex128")],
+             detail=_WORLD_DETAIL[oracle], **where)
 
     # Distributed real-input FFT: half-length packed trick vs the
     # NumPy oracle.  The half-length plan's halo is size-independent,
     # so small sizes only admit 2 ranks (block >= halo).
-    half = n // 2
-    hplan = SoiPlan(n=half, p=_DIST_P)
-    ranks = _DIST_RANKS if half // _DIST_RANKS >= hplan.halo else 2
-    xr = _rng(f"dist.rfft_dist[{n}]").standard_normal(n)
+    hplan = SoiPlan(n=w.n // 2, p=_DIST_P)
+    ranks = _DIST_RANKS if hplan.n // _DIST_RANKS >= hplan.halo else 2
+    xr = _rng(f"dist.rfft_dist[{w.n}]").standard_normal(w.n)
     rblocks = split_blocks(xr, ranks)
-
-    def rdist() -> np.ndarray:
-        res = run_spmd(
-            ranks,
-            lambda comm: rfft_distributed(comm, rblocks[comm.rank], hplan),
-        )
-        return np.concatenate(res.values)
-
-    _oracle_row(
-        report, f"rfft_distributed[n={n},R={ranks}]", "dist", n,
-        soi_tolerance(hplan),
-        lambda: (rdist(), np.fft.rfft(xr)),
-        detail="one half-volume all-to-all plus the O(N) untangle",
-    )
+    _row(report, lambda: (
+             np.concatenate(run_spmd(ranks, lambda comm: rfft_distributed(
+                 comm, rblocks[comm.rank], hplan)).values),
+             np.fft.rfft(xr)),
+         group="dist", entry="rfft_distributed", n=w.n, engine="thread",
+         schedule="pairwise", library=DEFAULT_BACKEND, dtype="float64",
+         options={"R": ranks}, oracle="numpy.fft", tol_kind="theorem2", plan=hplan,
+         detail="one half-volume all-to-all plus the O(N) untangle")
 
     # complex64 tier: held to the single-precision ulp budget.
-    tol32 = single_tolerance(n)
-    x64 = _signal(f"dist.c64[{n}]", n).astype(np.complex64)
-    oracle64 = np.fft.fft(x64.astype(np.complex128))
-    plan64 = SoiPlan(n=n, p=_DIST_P, dtype=np.complex64)
-    _oracle_row(
-        report, f"soi_fft[c64,n={n},P={_DIST_P},repro]", "dist", n, tol32,
-        lambda: (soi_fft(x64, plan64, backend="repro"), oracle64),
-    )
-    blocks64 = split_blocks(x64, _DIST_RANKS)
-
-    def dist64() -> np.ndarray:
-        res = run_spmd(
-            _DIST_RANKS,
-            lambda comm: soi_fft_distributed(
-                comm, blocks64[comm.rank], plan64, backend="repro"),
-        )
-        return np.concatenate(res.values)
-
-    _bitwise_row(
-        report, f"soi_fft_distributed[c64]==sequential[n={n}]", "dist", n,
-        lambda: (dist64(), soi_fft(x64, plan64, backend="repro")),
-        detail="the float32 wire keeps the seq==dist bitwise contract",
-    )
-
-
-def _resilience_rows(report: ConformanceReport, n: int) -> None:
-    """The survivable path's contract rows (PR 6).
-
-    Fault-free, ``resilience=`` must be bit-transparent (the replica's
-    prefix IS the halo, so the FP schedule is unchanged).  After a
-    single injected kill, the survivors' blocks must stay bitwise equal
-    to the fault-free run, the buddy's reconstructed block must be
-    bitwise the casualty's fault-free block (same FP schedule replayed),
-    and the assembled full spectrum must still meet the same Theorem-2
-    oracle bound as the fault-free transform.  The ``overlap=True`` rows
-    hold the same contract on the pipelined chunk-group exchange.
-    """
-    plan = SoiPlan(n=n, p=_DIST_P)
-    x = _signal(f"dist.soi[{n}]", n)  # same signal family as _dist_rows
-    blocks = split_blocks(x, _DIST_RANKS)
-
-    baseline = np.concatenate(
-        run_spmd(
-            _DIST_RANKS,
-            lambda comm: soi_fft_distributed(comm, blocks[comm.rank], plan),
-        ).values
-    )
-
-    def resilient(faults=None, overlap=False):
-        res = SoiResilience()
-        out = run_spmd(
-            _DIST_RANKS,
-            lambda comm: soi_fft_distributed(
-                comm, blocks[comm.rank], plan, resilience=res, overlap=overlap
-            ),
-            resilient=True,
-            faults=faults,
-            timeout=60.0,
-        )
-        return out, res
-
-    _bitwise_row(
-        report, f"soi_fft_distributed[resilience=,fault-free][n={n}]",
-        "resilience", n,
-        lambda: (np.concatenate(resilient()[0].values), baseline),
-        detail="ABFT replication/checksums are bit-transparent fault-free",
-    )
-
-    def recovered(kill_phase: str, overlap: bool = False):
-        out, res = resilient(FaultPlan().kill(1, phase=kill_phase), overlap)
-        if not out.degraded or [f[0] for f in out.failures] != [1]:
-            raise RuntimeError(f"expected rank 1 casualty, got {out.failures!r}")
-        if 1 not in res.recovered_blocks:
-            raise RuntimeError("buddy published no recovered block")
-        parts = list(out.values)
-        parts[1] = res.recovered_blocks[1][1]
-        return np.concatenate(parts)
-
-    for kill_phase in ("fft-p", "alltoall"):
-        _bitwise_row(
-            report,
-            f"soi_fft_distributed[resilience=,kill@{kill_phase}][n={n}]",
-            "resilience", n,
-            lambda kill_phase=kill_phase: (recovered(kill_phase), baseline),
-            detail="survivors + reconstructed block == fault-free run",
-        )
-    # The ABFT hook rides the per-group piece exchange, so it composes
-    # with overlap=: pipelined chunk groups, same bits, same recovery.
-    _bitwise_row(
-        report, f"soi_fft_distributed[resilience=,overlap=True,fault-free][n={n}]",
-        "resilience", n,
-        lambda: (np.concatenate(resilient(overlap=True)[0].values), baseline),
-        detail="resilience= composes with overlap=, bit-transparent fault-free",
-    )
-    _bitwise_row(
-        report,
-        f"soi_fft_distributed[resilience=,overlap=True,kill@alltoall][n={n}]",
-        "resilience", n,
-        lambda: (recovered("alltoall", overlap=True), baseline),
-        detail="pipelined survivors + reconstructed block == fault-free run",
-    )
-    _oracle_row(
-        report,
-        f"soi_fft_distributed[resilience=,kill@alltoall,oracle][n={n}]",
-        "resilience", n, soi_tolerance(plan),
-        lambda: (recovered("alltoall"), np.fft.fft(x)),
-        detail="recovered spectrum meets the fault-free Theorem-2 bound",
-    )
+    x64 = w.x["complex64"]
+    _row(report, lambda: (soi_fft(x64, w.plan["complex64"], backend="repro"),
+                          np.fft.fft(x64.astype(np.complex128))),
+         group="dist", entry="soi_fft", n=w.n, library="repro", dtype="complex64",
+         options={"P": _DIST_P}, oracle="numpy.fft", tol_kind="single")
 
 
 def _serve_rows(report: ConformanceReport, n: int) -> None:
-    """Serving satellite: coalescing may never change a result bit.
+    """Serving: coalescing may never change a result bit.
 
-    Zero-tolerance rows in two tiers.  The ``execute_batch`` tier calls
-    the batcher directly (deterministic batch composition) and compares
-    a K-request coalesced dispatch against per-request *direct library
-    calls* for every backend; the dft, SOI and six-step rows run on both
-    libraries (``numpy``, the default, and the ``repro`` opt-in).  The
-    server tier drives a live :class:`~repro.serve.TransformServer`
-    under a batch-formation window, checks that coalescing actually
-    happened, and compares the served outputs against direct execution
-    (``repro``, and ``numpy.fft`` for a request without ``library=``)
-    and against a ``max_batch=1`` server (the one-at-a-time baseline).
+    Zero-tolerance rows in two tiers.  ``serve.execute_batch`` rows call
+    the batcher directly (deterministic batch composition) and compare a
+    K-request coalesced dispatch with per-request *direct library calls*
+    for every backend; dft, SOI and the six-step run on both libraries
+    (``numpy``, the default, and the ``repro`` opt-in).  ``serve.server``
+    rows drive a live :class:`~repro.serve.TransformServer` under a
+    batch-formation window, check that coalescing actually happened, and
+    compare the served outputs with direct calls (``repro``, and
+    ``numpy.fft`` for a request without ``library=``) and with a
+    ``max_batch=1`` server (the one-at-a-time baseline).
     """
-    from ..dft import plan_for
     from ..serve import ServeConfig, TransformServer
     from ..serve.batcher import execute_batch
 
+    row = partial(_row, report, group="serve", n=n, oracle="direct", tol_kind="bitwise")
     # Never started: used purely as the request factory, so these rows
     # exercise the exact validation + batch-key path ``submit`` uses.
     builder = TransformServer(ServeConfig())
+    soi_plan = soi_plan_for(n, 8, beta=Fraction(1, 4), window="full")
+    points = _rng(f"serve-nufft[{n}]").uniform(0.0, 1.0, size=n)
+    params = {
+        "transpose": {"nranks": 4},
+        "nufft": {"points": points, "k_modes": 128, "kind": 1},
+    }
 
-    def reqs(backend, direction, library, xs, **params):
-        return [
+    def direct(kind, x, lib, inverse):
+        if kind == "dft" and lib == "numpy":
+            return (np.fft.ifft if inverse else np.fft.fft)(x)
+        if kind == "dft":
+            return plan_for(n, np.complex128).execute(x, inverse=inverse)
+        if kind == "soi":
+            return soi_fft(x, soi_plan, backend=lib)
+        if kind == "nufft":
+            return nufft1(points, x, NufftPlan(128), backend=lib)
+        blocks = split_blocks(x, 4)
+        return np.concatenate(run_spmd(4, lambda comm: transpose_fft_distributed(
+            comm, blocks[comm.rank], n, backend=lib)).values)
+
+    def batch(lib, opts):
+        kind, inverse = opts["backend"], bool(opts.get("inverse"))
+        direction = "inverse" if inverse else "forward"
+        label = f"serve-dft-{direction}-{lib}" if kind == "dft" else f"serve-{kind}"
+        xs = [_signal(f"{label}-{i}", n) for i in range(opts["K"])]
+        got = execute_batch([
             builder._build_request(
-                x, direction, backend, library, "batch", None, params
-            )
+                x, direction, kind, lib, "batch", None, params.get(kind, {}))
             for x in xs
-        ]
+        ])
+        return np.stack(got), np.stack([direct(kind, x, lib, inverse) for x in xs])
 
-    for direction, library in (("forward", "repro"), ("inverse", "numpy")):
-        def dft_compute(direction=direction, library=library):
-            xs = [_signal(f"serve-dft-{direction}-{library}-{i}", n) for i in range(4)]
-            got = np.stack(execute_batch(reqs("dft", direction, library, xs)))
-            inverse = direction == "inverse"
-            if library == "numpy":
-                fn = np.fft.ifft if inverse else np.fft.fft
-                ref = np.stack([fn(x) for x in xs])
-            else:
-                plan = plan_for(n, np.complex128)
-                ref = np.stack([plan.execute(x, inverse=inverse) for x in xs])
-            return got, ref
+    for lib, opts in [
+        ("repro", {"backend": "dft", "K": 4}),
+        ("numpy", {"backend": "dft", "inverse": True, "K": 4}),
+        *((lib, {"backend": kind, "K": 3})
+          for kind in ("soi", "transpose") for lib in _LIBRARIES),
+        ("numpy", {"backend": "nufft", "kind": 1, "K": 3}),
+    ]:
+        row(partial(batch, lib, opts), entry="serve.execute_batch", library=lib,
+            options=opts, detail="one coalesced dispatch == per-request library calls")
 
-        _bitwise_row(
-            report,
-            f"serve.execute_batch[dft,{direction},{library},K=4][n={n}]",
-            "serve", n, dft_compute,
-            detail="one coalesced kernel dispatch == per-request library calls",
-        )
+    xs = [_signal(f"serve-live-{i}", n) for i in range(6)]
 
-    # Both libraries: numpy.fft is the default, repro the opt-in.
-    for library in ("numpy", "repro"):
-        def soi_compute(library=library):
-            from ..core.plan import soi_plan_for
-
-            xs = [_signal(f"serve-soi-{i}", n) for i in range(3)]
-            got = np.stack(execute_batch(reqs("soi", "forward", library, xs)))
-            plan = soi_plan_for(n, 8, beta=Fraction(1, 4), window="full")
-            ref = np.stack([soi_fft(x, plan, backend=library) for x in xs])
-            return got, ref
-
-        _bitwise_row(
-            report, f"serve.execute_batch[soi,forward,{library},K=3][n={n}]",
-            "serve", n, soi_compute,
-            detail="served SOI batch == per-request soi_fft through the shared plan cache",
-        )
-
-        def transpose_compute(library=library):
-            nranks = 4
-            block = n // nranks
-            xs = [_signal(f"serve-transpose-{i}", n) for i in range(3)]
-            batch = reqs("transpose", "forward", library, xs, nranks=nranks)
-            got = np.stack(execute_batch(batch))
-
-            def solo(x):
-                res = run_spmd(
-                    nranks,
-                    lambda comm: transpose_fft_distributed(
-                        comm,
-                        x[comm.rank * block : (comm.rank + 1) * block],
-                        n,
-                        backend=library,
-                    ),
-                )
-                return np.concatenate(res.values)
-
-            ref = np.stack([solo(x) for x in xs])
-            return got, ref
-
-        _bitwise_row(
-            report, f"serve.execute_batch[transpose,{library},K=3][n={n}]",
-            "serve", n, transpose_compute,
-            detail="one SPMD world, three shared all-to-alls == three solo worlds",
-        )
-
-    def nufft_compute():
-        k_modes = 128
-        points = _rng(f"serve-nufft[{n}]").uniform(0.0, 1.0, size=n)
-        xs = [_signal(f"serve-nufft-{i}", n) for i in range(3)]
-        batch = reqs(
-            "nufft", "forward", "numpy", xs,
-            points=points, k_modes=k_modes, kind=1,
-        )
-        got = np.stack(execute_batch(batch))
-        plan = NufftPlan(k_modes)
-        ref = np.stack([nufft1(points, x, plan, backend="numpy") for x in xs])
-        return got, ref
-
-    _bitwise_row(
-        report, f"serve.execute_batch[nufft,kind=1,K=3][n={n}]", "serve", n,
-        nufft_compute,
-        detail="shared-plan dispatch group == per-request nufft1 calls",
-    )
-
-    def served(batched: bool, library: str | None = "repro"):
-        xs = [_signal(f"serve-live-{i}", n) for i in range(6)]
-        cfg = ServeConfig(
-            workers=1, max_batch=16 if batched else 1,
-            batch_linger_s=0.05 if batched else 0.0,
-        )
+    def served(library, batched=True):
+        cfg = ServeConfig(workers=1, max_batch=16 if batched else 1,
+                          batch_linger_s=0.05 if batched else 0.0)
         with TransformServer(cfg) as srv:
             tickets = [
                 srv.submit(x, backend="dft", library=library, priority="interactive")
@@ -851,73 +714,36 @@ def _serve_rows(report: ConformanceReport, n: int) -> None:
             out = np.stack([t.result(timeout=30.0) for t in tickets])
         # Read spans only after stop() joined the workers: tickets
         # resolve before the batch's metrics are recorded.
-        sizes = [s.batch_size for s in srv.metrics.spans()]
-        return out, max(sizes) if sizes else 0
-
-    def live_compute():
-        out, max_bs = served(True)
-        if max_bs < 2:
+        max_bs = max((s.batch_size for s in srv.metrics.spans()), default=0)
+        if batched and max_bs < 2:
             raise RuntimeError(
                 f"server formed no coalesced batch (max batch size {max_bs})"
             )
-        plan = plan_for(n, np.complex128)
-        ref = np.stack([
-            plan.execute(_signal(f"serve-live-{i}", n), inverse=False)
-            for i in range(6)
-        ])
-        return out, ref
+        return out
 
-    _bitwise_row(
-        report, f"serve.server[coalesced==direct,K=6][n={n}]", "serve", n,
-        live_compute,
-        detail="live server under a linger window coalesces AND matches direct calls",
-    )
-
-    def default_compute():
-        out, max_bs = served(True, library=None)
-        if max_bs < 2:
-            raise RuntimeError(
-                f"server formed no coalesced batch (max batch size {max_bs})"
-            )
-        ref = np.stack([np.fft.fft(_signal(f"serve-live-{i}", n)) for i in range(6)])
-        return out, ref
-
-    _bitwise_row(
-        report, f"serve.server[default_library==numpy.fft,K=6][n={n}]", "serve", n,
-        default_compute,
-        detail="a request without library= runs numpy.fft, coalesced, bit for bit",
-    )
-
-    def onoff_compute():
-        on, max_bs = served(True)
-        if max_bs < 2:
-            raise RuntimeError(
-                f"server formed no coalesced batch (max batch size {max_bs})"
-            )
-        off, _ = served(False)
-        return on, off
-
-    _bitwise_row(
-        report, f"serve.server[coalesce_on==off,K=6][n={n}]", "serve", n,
-        onoff_compute,
-        detail="coalescing server == max_batch=1 one-at-a-time baseline",
-    )
+    live = partial(row, entry="serve.server", library="repro",
+                   options={"backend": "dft", "K": 6})
+    live(lambda: (served("repro"),
+                  np.stack([plan_for(n, np.complex128).execute(x) for x in xs])),
+         detail="live server under a linger window coalesces AND matches direct calls")
+    live(lambda: (served(None), np.stack([np.fft.fft(x) for x in xs])),
+         library="numpy", options={"backend": "dft", "default_library": True, "K": 6},
+         detail="a request without library= runs numpy.fft, coalesced, bit for bit")
+    live(lambda: (served("repro"), served("repro", batched=False)),
+         oracle="one_at_a_time",
+         detail="coalescing server == max_batch=1 one-at-a-time baseline")
 
 
-def _a2a_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
-    """Topology-aware all-to-all satellite (PR 8).
-
-    The world's schedule (``pairwise``/``hierarchical``) and the
-    zero-copy intra-node path move the *same payload bytes* through
-    different message patterns, so every row here is zero-tolerance:
-    raw exchanges, SOI's one all-to-all, all three six-step transposes,
-    and the transport/``trace=`` compositions must be bit-for-bit the
-    pairwise reference.  One analytic row pins the measured inter-node
-    message counts to the schedule model
-    (:func:`repro.simmpi.predicted_inter_node_messages`) — the quantity
-    the hierarchical schedule exists to shrink.
+def _a2a_rows(report: ConformanceReport) -> None:
+    """Topology-aware all-to-all on the raw exchange (the transform rows
+    are in :func:`_world_rows`): the ``hierarchical`` schedule moves the
+    *same payload bytes* as ``pairwise``, bit for bit, and one analytic
+    row pins the measured inter-node message counts to the schedule
+    model (:func:`repro.simmpi.predicted_inter_node_messages`) — the
+    quantity the hierarchical schedule exists to shrink.
     """
-    # -- raw exchange: hierarchical bitwise == pairwise ----------------
+    row = partial(_row, report, group="a2a", engine="thread", tol_kind="bitwise")
+
     def raw(algorithm, rpn):
         def body(comm):
             gen = np.random.default_rng(1234 + comm.rank)
@@ -928,15 +754,12 @@ def _a2a_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
         return np.stack(res.values)
 
     for rpn in (4, 3):
-        _bitwise_row(
-            report,
-            f"alltoall_matrix[hierarchical,P=8,rpn={rpn}]==pairwise", "a2a", 8,
-            lambda rpn=rpn: (raw("hierarchical", rpn), raw("pairwise", rpn)),
+        row(lambda rpn=rpn: (raw("hierarchical", rpn), raw("pairwise", rpn)),
+            entry="Communicator.alltoall_matrix", n=8, schedule="hierarchical",
+            rpn=rpn, oracle="pairwise",
             detail="schedule choice is bitwise-invisible on the raw exchange"
-            + (" (ragged tail node)" if rpn == 3 else ""),
-        )
+            + (" (ragged tail node)" if rpn == 3 else ""))
 
-    # -- measured inter-node message counts == the analytic model ------
     def message_counts():
         measured, predicted = [], []
         for algorithm in ALGORITHMS:
@@ -950,299 +773,24 @@ def _a2a_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
             predicted.append(predicted_inter_node_messages(8, 4, algorithm))
         return np.asarray(measured), np.asarray(predicted)
 
-    _bitwise_row(
-        report, "alltoall.inter_node_messages[P=8,rpn=4]==predicted", "a2a", 8,
-        message_counts,
-        detail="measured TrafficStats counts match the schedule model exactly",
-    )
-
-    # -- SOI: its ONE all-to-all under each schedule -------------------
-    plan = SoiPlan(n=n, p=_DIST_P)
-    x = _signal(f"dist.soi[{n}]", n)  # same signal family as _dist_rows
-    blocks = split_blocks(x, _DIST_RANKS)
-    rpn = 2  # 4 ranks as 2 nodes x 2 ranks
-
-    def dist(algorithm="pairwise", ranks_per_node=rpn, transport=None, **kwargs):
-        res = run_spmd(
-            _DIST_RANKS,
-            lambda comm: soi_fft_distributed(
-                comm, blocks[comm.rank], plan, **kwargs
-            ),
-            ranks_per_node=ranks_per_node,
-            transport=transport,
-            alltoall_algorithm=algorithm,
-        )
-        return np.concatenate(res.values)
-
-    baseline = dist()
-    _bitwise_row(
-        report, f"soi_fft_distributed[pairwise,rpn={rpn}]==flat[n={n}]", "a2a", n,
-        lambda: (baseline, dist(ranks_per_node=None)),
-        detail="the zero-copy intra-node path is bit-transparent",
-    )
-    _bitwise_row(
-        report,
-        f"soi_fft_distributed[hierarchical,rpn={rpn}][n={n}]", "a2a", n,
-        lambda: (dist("hierarchical"), baseline),
-        detail="SOI's one all-to-all reschedules without moving a bit",
-    )
-    _bitwise_row(
-        report,
-        f"soi_fft_distributed[hierarchical,transport=TransportPolicy()][n={n}]",
-        "a2a", n,
-        lambda: (dist("hierarchical", transport=TransportPolicy()), baseline),
-        detail="the reliable transport composes with the hierarchical schedule",
-    )
-
-    def traced():
-        rec = TraceRecorder()
-        out = dist("hierarchical", trace=rec)
-        if rec.nevents == 0:
-            raise RuntimeError("trace recorder captured no events")
-        return out, baseline
-
-    _bitwise_row(
-        report, f"soi_fft_distributed[hierarchical,trace=][n={n}]", "a2a", n,
-        traced,
-        detail="tracing is bit-transparent under the hierarchical schedule",
-    )
-
-    # -- six-step: all THREE transposes under each schedule ------------
-    xt = _signal(f"dist.transpose[{transpose_n}]", transpose_n)
-    tblocks = split_blocks(xt, _DIST_RANKS)
-
-    def transpose(algorithm):
-        res = run_spmd(
-            _DIST_RANKS,
-            lambda comm: transpose_fft_distributed(
-                comm, tblocks[comm.rank], transpose_n
-            ),
-            ranks_per_node=rpn,
-            alltoall_algorithm=algorithm,
-        )
-        return np.concatenate(res.values)
-
-    _bitwise_row(
-        report,
-        f"transpose_fft_distributed[hierarchical,rpn={rpn}][n={transpose_n}]",
-        "a2a", transpose_n,
-        lambda: (transpose("hierarchical"), transpose("pairwise")),
-        detail="all three six-step transposes reschedule bitwise-identically",
-    )
+    row(message_counts, entry="TrafficStats.total_inter_node_messages", n=8, rpn=4,
+        oracle="predicted", detail="measured counts match the schedule model exactly")
 
 
-def _des_rows(report: ConformanceReport, n: int, transpose_n: int) -> None:
-    """Discrete-event engine differential layer (PR 9).
-
-    The DES engine replaces OS threads with one deterministic virtual-
-    time scheduler behind the *same* ``Communicator`` API, so every row
-    here is zero-tolerance: a run under ``engine="des"`` must produce
-    bitwise-identical outputs AND byte-identical per-phase traffic
-    accounting (pair maps, intra/inter-node counters, rounds — the full
-    :meth:`TrafficStats.as_dict`) to the thread engine, for every
-    all-to-all schedule and for the transport/``trace=``/``overlap=``
-    compositions.  The trace row additionally requires the per-rank
-    span *structure* to match event-for-event: the two engines may
-    interleave ranks differently in wall time, but each rank's logical
-    timeline is pinned.
-    """
-    import json
-
-    plan = SoiPlan(n=n, p=_DIST_P)
-    x = _signal(f"dist.soi[{n}]", n)  # same signal family as _dist_rows
-    blocks = split_blocks(x, _DIST_RANKS)
-    rpn = 2  # 4 ranks as 2 nodes x 2 ranks: exercises the node-aware paths
-
-    def _stats_bytes(stats) -> np.ndarray:
-        payload = json.dumps(stats.as_dict(), sort_keys=True).encode()
-        return np.frombuffer(payload, dtype=np.uint8)
-
-    def _with_stats(out: np.ndarray, res) -> np.ndarray:
-        """Outputs and the full traffic accounting as one byte row."""
-        return np.concatenate(
-            [np.ascontiguousarray(out).view(np.uint8), _stats_bytes(res.stats)]
-        )
-
-    def soi(engine, algorithm="pairwise", fn=soi_fft_distributed,
-            transport=None, **kwargs):
-        res = run_spmd(
-            _DIST_RANKS,
-            lambda comm: fn(comm, blocks[comm.rank], plan, **kwargs),
-            ranks_per_node=rpn,
-            engine=engine,
-            transport=transport,
-            alltoall_algorithm=algorithm,
-        )
-        return np.concatenate(res.values), res
-
-    # -- SOI forward: every schedule, outputs + stats ------------------
-    for algorithm in ALGORITHMS:
-        def pair(algorithm=algorithm):
-            got, rd = soi("des", algorithm)
-            ref, rt = soi("thread", algorithm)
-            return _with_stats(got, rd), _with_stats(ref, rt)
-
-        _bitwise_row(
-            report, f"soi_fft[des==thread,{algorithm},rpn={rpn}][n={n}]",
-            "des", n, pair,
-            detail="bitwise outputs + byte-identical TrafficStats across engines",
-        )
-
-    # -- compositions: the reliable transport, overlap= ----------------
-    def reliable():
-        got, rd = soi("des", "hierarchical", transport=TransportPolicy())
-        ref, rt = soi("thread", "hierarchical", transport=TransportPolicy())
-        return _with_stats(got, rd), _with_stats(ref, rt)
-
-    _bitwise_row(
-        report,
-        f"soi_fft[des==thread,hierarchical,transport=TransportPolicy()][n={n}]",
-        "des", n, reliable,
-        detail="transport control traffic is engine-invariant",
-    )
-
-    def overlapped():
-        got, rd = soi("des", overlap=True)
-        ref, rt = soi("thread", overlap=True)
-        return _with_stats(got, rd), _with_stats(ref, rt)
-
-    _bitwise_row(
-        report, f"soi_fft[des==thread,overlap=True][n={n}]",
-        "des", n, overlapped,
-        detail="nonblocking overlap pipeline is engine-invariant",
-    )
-
-    # -- trace=: per-rank span structure is pinned span-for-span -------
-    def traced():
-        rec_d, rec_t = TraceRecorder(), TraceRecorder()
-        got, _ = soi("des", "hierarchical", trace=rec_d)
-        ref, _ = soi("thread", "hierarchical", trace=rec_t)
-        if rec_d.nevents == 0:
-            raise RuntimeError("DES trace recorder captured no events")
-        sd = json.dumps(span_structure(rec_d)).encode()
-        st = json.dumps(span_structure(rec_t)).encode()
-        return (
-            np.concatenate([np.ascontiguousarray(got).view(np.uint8),
-                            np.frombuffer(sd, dtype=np.uint8)]),
-            np.concatenate([np.ascontiguousarray(ref).view(np.uint8),
-                            np.frombuffer(st, dtype=np.uint8)]),
-        )
-
-    _bitwise_row(
-        report, f"soi_fft[des==thread,hierarchical,trace=][n={n}]",
-        "des", n, traced,
-        detail="per-rank logical timelines match event-for-event",
-    )
-
-    # -- SOI inverse ---------------------------------------------------
-    def inverse():
-        got, rd = soi("des", "hierarchical", fn=soi_ifft_distributed)
-        ref, rt = soi("thread", "hierarchical", fn=soi_ifft_distributed)
-        return _with_stats(got, rd), _with_stats(ref, rt)
-
-    _bitwise_row(
-        report, f"soi_ifft[des==thread,hierarchical,rpn={rpn}][n={n}]",
-        "des", n, inverse,
-        detail="inverse transform is engine-invariant too",
-    )
-
-    # -- six-step transpose: every schedule ----------------------------
-    xt = _signal(f"dist.transpose[{transpose_n}]", transpose_n)
-    tblocks = split_blocks(xt, _DIST_RANKS)
-
-    def transpose(engine, algorithm):
-        res = run_spmd(
-            _DIST_RANKS,
-            lambda comm: transpose_fft_distributed(
-                comm, tblocks[comm.rank], transpose_n
-            ),
-            ranks_per_node=rpn,
-            engine=engine,
-            alltoall_algorithm=algorithm,
-        )
-        return np.concatenate(res.values), res
-
-    for algorithm in ALGORITHMS:
-        def tpair(algorithm=algorithm):
-            got, rd = transpose("des", algorithm)
-            ref, rt = transpose("thread", algorithm)
-            return _with_stats(got, rd), _with_stats(ref, rt)
-
-        _bitwise_row(
-            report,
-            f"transpose_fft[des==thread,{algorithm},rpn={rpn}][n={transpose_n}]",
-            "des", transpose_n, tpair,
-            detail="three-transpose six-step pipeline is engine-invariant",
-        )
-
-    # -- determinism: a DES run is a pure function of its inputs -------
-    def deterministic():
-        got1, r1 = soi("des", "hierarchical")
-        got2, r2 = soi("des", "hierarchical")
-        if r1.virtual_time_s != r2.virtual_time_s or not r1.virtual_time_s > 0:
-            raise RuntimeError(
-                f"virtual time not reproducible: "
-                f"{r1.virtual_time_s} vs {r2.virtual_time_s}"
-            )
-        return _with_stats(got1, r1), _with_stats(got2, r2)
-
-    _bitwise_row(
-        report, f"soi_fft[des,repeat==repeat][n={n}]", "des", n, deterministic,
-        detail="identical outputs, stats and virtual makespan across repeats",
-    )
-
-
-#: Row-builder groups selectable via ``run_conformance(groups=...)``.
-CONFORMANCE_GROUPS = (
-    "dft", "nufft", "soi", "soi-edge", "dist", "resilience", "serve", "a2a",
-    "des",
-)
-
-
-def run_conformance(
-    size: str = "default",
-    *,
-    edge_backend: str = DEFAULT_BACKEND,
-    groups: tuple[str, ...] | list[str] | None = None,
-) -> ConformanceReport:
-    """Execute the registry (or a subset of groups) and return the report.
+def run_conformance(size: str = "default") -> ConformanceReport:
+    """Run the whole table and return the report.
 
     *size* is ``"default"`` (the acceptance configuration) or
-    ``"small"`` (CI smoke: same coverage, smaller transforms).
-    *edge_backend* selects the node-local FFT for the edge-geometry
-    sweep; the Theorem-2 bound holds for either, and the seq/dist rows
-    already cover both backends, so one sweep per run suffices.
-    *groups* restricts the run to the named row groups (see
-    :data:`CONFORMANCE_GROUPS`) — e.g. ``groups=("serve",)`` for the CI
-    serve-smoke job; ``None`` runs everything.
+    ``"small"`` (the same rows over smaller transforms).
     """
     if size not in _SIZES:
         raise ValueError(f"size must be one of {sorted(_SIZES)}, got {size!r}")
     cfg = _SIZES[size]
-    want = set(CONFORMANCE_GROUPS) if groups is None else set(groups)
-    unknown = want - set(CONFORMANCE_GROUPS)
-    if unknown:
-        raise ValueError(
-            f"unknown conformance groups {sorted(unknown)}; "
-            f"known: {list(CONFORMANCE_GROUPS)}"
-        )
     report = ConformanceReport(size)
-    if "dft" in want:
-        _dft_rows(report)
-    if "nufft" in want:
-        _nufft_rows(report, cfg["nufft_k"])
-    if "soi" in want:
-        _soi_seq_rows(report, cfg["soi_n"])
-    if "soi-edge" in want:
-        _edge_rows(report, edge_backend)
-    if "dist" in want:
-        _dist_rows(report, cfg["dist_n"], cfg["transpose_n"])
-    if "resilience" in want:
-        _resilience_rows(report, cfg["dist_n"])
-    if "serve" in want:
-        _serve_rows(report, cfg["serve_n"])
-    if "a2a" in want:
-        _a2a_rows(report, cfg["dist_n"], cfg["transpose_n"])
-    if "des" in want:
-        _des_rows(report, cfg["dist_n"], cfg["transpose_n"])
+    _dft_rows(report)
+    _nufft_rows(report, cfg["nufft_k"])
+    _soi_rows(report, cfg["soi_n"])
+    _serve_rows(report, cfg["serve_n"])
+    _a2a_rows(report)
+    _world_rows(report, _World(cfg["dist_n"], cfg["transpose_n"]))
     return report

@@ -162,7 +162,9 @@ class TestCheckSection:
         assert "clean: True" in out
         doc = json.loads(path.read_text(encoding="utf-8"))
         assert doc["ok"] is True
+        assert doc["conformance"]["schema"] == "repro.check.conformance/2"
         assert doc["conformance"]["summary"]["entry_points"] >= 12
+        assert {"entry", "oracle", "options"} <= set(doc["conformance"]["rows"][0])
         assert doc["fuzz"]["schedules"] == 3
         assert doc["hb"]["clean"] is True
 

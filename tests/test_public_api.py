@@ -37,7 +37,8 @@ class TestPublicSurface:
     def test_option_surface_is_pinned(self):
         """``run_spmd`` takes 12 keyword options and ``ServeConfig`` 8
         fields; surfaces that no driver reached stay deleted, and the
-        all-to-all schedule is set only by ``run_spmd``."""
+        all-to-all schedule is set only by ``run_spmd``.  The conformance
+        table's only setting is its size."""
         from repro.serve import ServeConfig
         from repro.simmpi import Communicator
 
@@ -51,6 +52,11 @@ class TestPublicSurface:
         for fn in (soi_fft_distributed, transpose_fft_distributed):
             assert "alltoall_algorithm" not in inspect.signature(fn).parameters
         assert not hasattr(Communicator, "ialltoall")
+        # The conformance table's whole surface is its size.
+        from repro.check import edge_geometries, run_conformance
+
+        assert list(inspect.signature(run_conformance).parameters) == ["size"]
+        assert not inspect.signature(edge_geometries).parameters
         assert not hasattr(SoiPlan, "convolve_fft_p")
         assert not hasattr(repro.serve.TransformServer, "timeline")
         for module, name in [
@@ -71,6 +77,7 @@ class TestPublicSurface:
             ("repro.core", "SoiWindowSpec"),
             ("repro.core", "window_from_spec"),
             ("repro.simmpi", "NodeSharedPool"),
+            ("repro.check", "CONFORMANCE_GROUPS"),
         ]:
             assert not hasattr(__import__(module, fromlist=[name]), name), name
         for module in ("repro.dft.radix2", "repro.dft.mixed_radix"):
