@@ -2,7 +2,7 @@
 
 from .runner import FigureResult, measured_traffic, run_figure_sweep, trace_rollups
 from .tables import bar_chart, format_series, format_table
-from .workloads import chirp_signal, multitone, noisy_tones, random_complex, random_real
+from .workloads import chirp_signal, multitone, noisy_tones, random_complex
 
 __all__ = [
     "FigureResult",
@@ -16,5 +16,4 @@ __all__ = [
     "multitone",
     "noisy_tones",
     "random_complex",
-    "random_real",
 ]

@@ -11,7 +11,6 @@ import numpy as np
 
 __all__ = [
     "random_complex",
-    "random_real",
     "multitone",
     "chirp_signal",
     "noisy_tones",
@@ -22,12 +21,6 @@ def random_complex(n: int, seed: int = 0) -> np.ndarray:
     """Standard-normal complex vector (the paper's benchmark payload)."""
     rng = np.random.default_rng(seed)
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-def random_real(n: int, seed: int = 0) -> np.ndarray:
-    """Standard-normal real vector (as complex dtype, for FFT input)."""
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(n).astype(np.complex128)
 
 
 def multitone(n: int, freqs: list[int], amps: list[float] | None = None) -> np.ndarray:

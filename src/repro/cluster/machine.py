@@ -36,10 +36,6 @@ class NodeSpec:
     def cores(self) -> int:
         return self.sockets * self.cores_per_socket
 
-    @property
-    def hw_threads(self) -> int:
-        return self.cores * self.smt
-
     def table_rows(self) -> list[tuple[str, str]]:
         """(field, value) rows matching the paper's Table 1 layout."""
         return [

@@ -14,13 +14,11 @@ Submodules
 """
 
 from .windows import ReferenceWindow, TauSigmaWindow, GaussianWindow
-from .design import WindowDesign, design_window, named_window, preset_design, NAMED_PRESETS
+from .design import WindowDesign, design_window, preset_design, NAMED_PRESETS
 from .plan import SoiPlan, clear_soi_plan_cache, soi_plan_cache_info, soi_plan_for
 from .soi import soi_fft, soi_ifft, soi_fft2, soi_segment, soi_convolve
 from .accuracy import (
     snr_db,
-    digits_from_snr,
-    snr_from_digits,
     relative_l2_error,
     error_budget,
     parseval_check,
@@ -32,7 +30,6 @@ __all__ = [
     "GaussianWindow",
     "WindowDesign",
     "design_window",
-    "named_window",
     "preset_design",
     "NAMED_PRESETS",
     "SoiPlan",
@@ -45,8 +42,6 @@ __all__ = [
     "soi_segment",
     "soi_convolve",
     "snr_db",
-    "digits_from_snr",
-    "snr_from_digits",
     "relative_l2_error",
     "error_budget",
     "parseval_check",

@@ -14,8 +14,6 @@ import numpy as np
 
 __all__ = [
     "snr_db",
-    "digits_from_snr",
-    "snr_from_digits",
     "relative_l2_error",
     "error_budget",
     "parseval_check",
@@ -39,16 +37,6 @@ def snr_db(computed: np.ndarray, reference: np.ndarray) -> float:
     if noise == 0.0:
         return math.inf
     return 10.0 * math.log10(signal / noise)
-
-
-def digits_from_snr(snr: float) -> float:
-    """Decimal digits of accuracy corresponding to an SNR in dB (20 dB/digit)."""
-    return snr / 20.0
-
-
-def snr_from_digits(digits: float) -> float:
-    """SNR in dB corresponding to a digit count (inverse of above)."""
-    return 20.0 * digits
 
 
 def relative_l2_error(computed: np.ndarray, reference: np.ndarray) -> float:

@@ -22,7 +22,7 @@ For a target of ``d`` digits the search enforces
 - ``eps_trunc = 10^-d / (2 * kappa)``.
 
 :func:`design_window` runs the (offline, cheap) two-parameter search;
-:func:`named_window` serves frozen presets, including the paper's
+:func:`preset_design` serves frozen presets, including the paper's
 full-accuracy operating point (B = 72 at beta = 1/4, SNR ~ 290 dB).
 """
 
@@ -36,7 +36,7 @@ import numpy as np
 
 from .windows import TauSigmaWindow
 
-__all__ = ["WindowDesign", "design_window", "named_window", "NAMED_PRESETS", "UnknownWindowError"]
+__all__ = ["WindowDesign", "design_window", "NAMED_PRESETS", "UnknownWindowError"]
 
 # Modelled relative rounding error of the underlying double-precision
 # FFT building block.  One ulp models the L2-aggregate per-bin noise of
@@ -74,11 +74,6 @@ class WindowDesign:
         if total <= 0.0:
             return 16.0
         return min(-math.log10(total), 16.0)
-
-    @property
-    def predicted_snr_db(self) -> float:
-        """Modelled SNR in dB (20 dB per decimal digit)."""
-        return 20.0 * self.predicted_digits
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -260,8 +255,3 @@ def preset_design(name: str, beta: float = 0.25) -> WindowDesign:
         eps_target / (2.0 * kappa),
         win.alias_error_pointwise(beta),
     )
-
-
-def named_window(name: str) -> TauSigmaWindow:
-    """The reference window of a named preset (see :data:`NAMED_PRESETS`)."""
-    return preset_design(name).window

@@ -39,7 +39,6 @@ import numpy as np
 from ..utils import check_positive_int, is_power_of_two
 from .bluestein import ChirpZ
 from .engine import GemmStockham, inverse_from_forward, is_smooth
-from .flops import fft_flops
 
 __all__ = ["FftPlan", "fft", "ifft"]
 
@@ -179,14 +178,6 @@ class FftPlan:
         out = self._columns(np.asarray(arr, dtype=self.compute_dtype))
         self._count(arr.shape[1])
         return out
-
-    def __call__(self, x: np.ndarray, inverse: bool | None = None) -> np.ndarray:
-        return self.execute(x, inverse=inverse)
-
-    @property
-    def flops_per_execution(self) -> float:
-        """Nominal ``5 n log2 n`` flops of one transform through this plan."""
-        return fft_flops(self.n)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FftPlan(n={self.n}, kernel={self.kernel!r}, executions={self.executions})"

@@ -170,9 +170,3 @@ class WeakScalingModel:
             t_comm=self.comm_time(nodes),
             t_halo=self.halo_time(nodes),
         )
-
-    def time(self, nodes: int) -> float:
-        return self.breakdown(nodes).total
-
-    def gflops(self, nodes: int) -> float:
-        return self.breakdown(nodes).gflops

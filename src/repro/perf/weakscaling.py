@@ -38,9 +38,6 @@ class WeakScalingSweep:
     libraries: list[str]
     points: dict[tuple[str, int], SweepPoint] = field(default_factory=dict)
 
-    def gflops_series(self, library: str) -> list[float]:
-        return [self.points[(library, n)].gflops for n in self.node_counts]
-
     def speedup_series(self, over: str = "MKL") -> list[float]:
         """SOI speedup over *over* (the Fig. 5/6/8 line graph)."""
         return [
@@ -54,21 +51,6 @@ class WeakScalingSweep:
             self.points[(library, n)].breakdown.comm_fraction
             for n in self.node_counts
         ]
-
-    def as_rows(self) -> list[dict]:
-        """Flat records for table printers / EXPERIMENTS.md."""
-        rows = []
-        for n in self.node_counts:
-            row: dict = {"nodes": n, "N": self.points[(self.libraries[0], n)].breakdown.n_total}
-            for lib in self.libraries:
-                row[f"{lib}_gflops"] = self.points[(lib, n)].gflops
-            if "SOI" in self.libraries and "MKL" in self.libraries:
-                row["speedup_soi_over_mkl"] = (
-                    self.points[("MKL", n)].breakdown.total
-                    / self.points[("SOI", n)].breakdown.total
-                )
-            rows.append(row)
-        return rows
 
 
 def run_sweep(

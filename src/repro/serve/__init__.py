@@ -7,9 +7,9 @@ transform requests (size, dtype, forward/inverse, dft/SOI/transpose/
 NUFFT backend, priority class, deadline), coalesces same-shape requests
 into single batched kernel executes on warm plan caches, and degrades
 *structurally* under overload — bounded queue, priority-then-deadline
-shedding with typed errors, backpressure — while attributing every
-request's latency (queue wait / batch formation / execute) into
-SLO-style p50/p95/p99 reports.
+shedding with typed errors that carry the queue load — while
+attributing every request's latency (queue wait / batch formation /
+execute) into SLO-style p50/p95/p99 reports.
 
 Quickstart::
 

@@ -73,23 +73,6 @@ class RequestSpan:
     def total_s(self) -> float:
         return max(0.0, self.t_done - self.t_submit)
 
-    def as_dict(self) -> dict:
-        return {
-            "rid": self.rid,
-            "backend": self.backend,
-            "library": self.library,
-            "n": self.n,
-            "priority": self.priority,
-            "status": self.status,
-            "worker": self.worker,
-            "batch_id": self.batch_id,
-            "batch_size": self.batch_size,
-            "queue_wait_s": self.queue_wait_s,
-            "batch_wait_s": self.batch_wait_s,
-            "execute_s": self.execute_s,
-            "total_s": self.total_s,
-        }
-
 
 @dataclass
 class _BatchRecord:
@@ -174,11 +157,6 @@ class MetricsLog:
     def batches(self) -> list[_BatchRecord]:
         with self._lock:
             return list(self._batches)
-
-    @property
-    def t_start(self) -> float:
-        with self._lock:
-            return self._t_start or 0.0
 
     # -- aggregation --------------------------------------------------
     def slo_report(self, admission_counters: dict[str, int] | None = None) -> dict:

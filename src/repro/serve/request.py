@@ -144,9 +144,6 @@ class Ticket:
         self._result: np.ndarray | None = None
         self._error: BaseException | None = None
 
-    def done(self) -> bool:
-        return self._event.is_set()
-
     def exception(self) -> BaseException | None:
         """The recorded failure, or ``None`` (not done / succeeded)."""
         return self._error
@@ -172,7 +169,7 @@ class Ticket:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = (
-            "pending" if not self.done()
+            "pending" if not self._event.is_set()
             else ("failed" if self._error is not None else "done")
         )
         return f"Ticket(rid={self.rid}, priority={self.priority}, {state})"

@@ -6,11 +6,11 @@ request-loop shape, in-process)::
     callers ──submit()──► AdmissionController ──select()──► workers
        ▲                   (bounded priority      │   (coalesced
        │                    queue, deadline       │    execute_batch)
-       └──Ticket.result()◄── forwarding map ◄─────┘
+       └──Ticket.result()◄──── fulfil ◄───────────┘
 
 - ``submit`` validates, builds a :class:`TransformRequest`, offers it
   to the admission controller under the server's one condition lock,
-  registers the ticket in the forwarding map, and wakes a worker.
+  and wakes a worker.
 - Each worker loops: wait for work (or the earliest queued deadline, so
   expiry never needs polling), form a coalesced batch, execute it
   OUTSIDE the lock, fulfil every ticket, record metrics.
@@ -94,9 +94,6 @@ class TransformServer:
             age_promote_s=self.config.age_promote_s,
             on_shed=self._on_shed,
         )
-        #: The forwarding map: rid -> live ticket (panda-yoda's
-        #: forwarding_map role — route a completion to its requester).
-        self._inflight: dict[int, Ticket] = {}
         self._workers: list[threading.Thread] = []
         self._next_rid = 0
         self._next_batch = 0
@@ -198,7 +195,6 @@ class TransformServer:
                     self.metrics.span_for(req, "rejected", time.monotonic())
                 )
                 raise
-            self._inflight[req.rid] = req.ticket
             self._cond.notify()
         return req.ticket
 
@@ -315,10 +311,7 @@ class TransformServer:
         except Exception as exc:
             outputs, error = [], exc
         t_exec1 = time.monotonic()
-        with self._cond:
-            for req in batch:
-                self._inflight.pop(req.rid, None)
-        # Fulfil outside the lock: Event.set never blocks, and waking
+        # Fulfil without the lock: Event.set never blocks, and waking
         # K callers from one batch is the throughput-critical path.
         status = "ok" if error is None else "error"
         if error is None:
@@ -346,28 +339,16 @@ class TransformServer:
         # Called by the admission controller with the lock held.
         from .errors import DeadlineExceeded
 
-        self._inflight.pop(req.rid, None)
         status = "deadline" if isinstance(err, DeadlineExceeded) else "shed"
         self.metrics.record(self.metrics.span_for(req, status, time.monotonic()))
 
     def _finish_unexecuted(
         self, req: TransformRequest, err: Exception, status: str, now: float
     ) -> None:
-        self._inflight.pop(req.rid, None)
         req.ticket._fail(err)
         self.metrics.record(self.metrics.span_for(req, status, now))
 
     # -- observability ------------------------------------------------
-    def backpressure(self) -> float:
-        """Queue occupancy in [0, 1]; >= 1.0 means sheds are imminent."""
-        with self._cond:
-            return self._admission.load()
-
-    def inflight(self) -> int:
-        """Requests admitted but not yet resolved (forwarding-map size)."""
-        with self._cond:
-            return len(self._inflight)
-
     def admission_counters(self) -> dict[str, int]:
         with self._cond:
             return self._admission.counters()

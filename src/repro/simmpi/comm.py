@@ -11,10 +11,9 @@ point-to-point ``send``/``recv``/``sendrecv`` and their nonblocking
 timeout so mismatched communication surfaces as a :class:`DeadlockError`
 instead of a hung test run.
 
-Derived communicators — :meth:`Communicator.split`,
-:meth:`Communicator.split_by_node` and the survivors' communicator of
-:meth:`Communicator.shrink` — are all one class, :class:`SubCommunicator`:
-an ordered tuple of world-rank members plus a context tag.  It overrides
+The one derived communicator is the survivors' communicator of
+:meth:`Communicator.shrink`, a :class:`SubCommunicator`: an ordered
+tuple of world-rank members plus a context tag.  It overrides
 point-to-point only; every collective is written once, here, on top of
 it.
 """
@@ -588,79 +587,12 @@ class Communicator:
         result = self.reduce(obj, op=op, root=0)
         return self.bcast(result, root=0)
 
-    # ---- communicator splits (MPI_Comm_split) ----------------------------
-
-    def split(
-        self, color: Any, key: int | None = None
-    ) -> "SubCommunicator | None":
-        """Partition this communicator by *color* (MPI's ``MPI_Comm_split``).
-
-        Collective: every member must call it (one allgather of the
-        ``(color, key)`` pairs — that coordination traffic is real and
-        charged to the current phase).  Ranks sharing a color form a new
-        :class:`SubCommunicator`, ordered by ``(key, old rank)`` (*key*
-        defaults to the old rank, preserving relative order);
-        ``color=None`` opts out and returns ``None``.  Each split gets a
-        fresh context id, so its tag space is disjoint from the parent's
-        and from every sibling's.  Nested splits compose.  A *key* that
-        is not an int (a bool, float or str) raises :class:`TypeError`.
-        """
-        key = self.rank if key is None else check_int(key, "key")
-        self._split_count = getattr(self, "_split_count", 0) + 1
-        entries = self.allgather((color, key))
-        if color is None:
-            return None
-        members = [
-            self.members[i]
-            for _, i in sorted(
-                (k, i) for i, (c, k) in enumerate(entries) if c == color
-            )
-        ]
-        # Deterministic without negotiation: every member executes the
-        # same split sequence in lockstep, so (inherited ctx, ordinal,
-        # color) is globally unique per sub-communicator.
-        ctx = self.ctx + (("split", self._split_count, color),)
-        return SubCommunicator(self.world, members, self.world_rank, ctx)
-
-    def split_by_node(
-        self,
-    ) -> tuple["SubCommunicator", "SubCommunicator | None"]:
-        """Split along the world's node topology: ``(node_comm, leader_comm)``.
-
-        ``node_comm`` spans this communicator's members on the local
-        node (world-rank order); ``leader_comm`` spans the per-node
-        leaders (each group's first member) and is ``None`` on
-        non-leaders — the pyuvsim/MPI ``split_type=SHARED`` idiom.
-        Membership is pure arithmetic on the world's :class:`NodeMap`:
-        no coordination traffic, so it is free to call inside a
-        communication phase.
-        """
-        nodes = self.world.nodes
-        groups = self.node_groups()
-        my_group = next(g for g in groups if self.rank in g)
-        my_node = nodes.node_of(self.world_rank)
-        node_comm = SubCommunicator(
-            self.world,
-            [self.members[i] for i in my_group],
-            self.world_rank,
-            self.ctx + (("node", my_node),),
-        )
-        leader_comm = None
-        if self.rank == my_group[0]:
-            leader_comm = SubCommunicator(
-                self.world,
-                [self.members[g[0]] for g in groups],
-                self.world_rank,
-                self.ctx + (("leaders",),),
-            )
-        return node_comm, leader_comm
-
     def node_groups(self) -> list[list[int]]:
         """This communicator's local ranks grouped by node, node-ascending.
 
         Each group lists local ranks in ascending order; the first entry
-        of each group is its leader.  The hierarchical all-to-all and
-        :meth:`split_by_node` both derive their structure from this.
+        of each group is its leader.  The hierarchical all-to-all derives
+        its structure from this.
 
         Memoised: membership and the node map are immutable, and the
         O(P) walk would otherwise repeat per rank per collective —
@@ -693,8 +625,8 @@ class Communicator:
         """A communicator over the surviving ranks (ULFM's ``MPI_Comm_shrink``).
 
         Membership is the world's current alive set in world-rank order,
-        renumbered ``0..size-1`` like any split; collective lists are
-        indexed by that member position.  *epoch* (an int) separates
+        renumbered ``0..size-1``; collective lists are indexed by that
+        member position.  *epoch* (an int) separates
         successive shrink generations (protocol retry rounds) by context,
         so traffic from an abandoned earlier round — or from a full-world
         collective a peer sent into before dying — can never be mistaken
@@ -712,23 +644,22 @@ class Communicator:
 class SubCommunicator(Communicator):
     """Communicator over an ordered subset of world ranks.
 
-    The one derived communicator: :meth:`Communicator.split`,
-    :meth:`Communicator.split_by_node` and :meth:`Communicator.shrink`
-    all return it.  It follows MPI semantics fully: members are
-    RENUMBERED ``0..size-1`` in member order, and every point-to-point
-    and collective operation addresses peers by the new local ranks.
+    The one derived communicator: :meth:`Communicator.shrink` returns
+    it.  It follows MPI semantics fully: members are RENUMBERED
+    ``0..size-1`` in member order, and every point-to-point and
+    collective operation addresses peers by the new local ranks.
 
     Tag isolation: every wire message carries the communicator's
     context tuple inside the channel tag (``("sub", ctx, tag)``), so two
-    sub-communicators — even ones with identical membership — can never
-    consume each other's messages, nor the parent's.  Channel tags are
-    any-hashable, so this costs nothing.
+    sub-communicators — even ones with identical membership, such as two
+    shrink epochs — can never consume each other's messages, nor the
+    parent's.  Channel tags are any-hashable, so this costs nothing.
 
     All wire effects delegate to an internal world-rank communicator:
-    traffic statistics, tracing, fault injection, schedule fuzzing, the
-    reliable transport and the zero-copy node pool all observe WORLD
-    ranks, exactly as if the user had hand-translated the ranks, and
-    traffic is charged to the world rank's current phase.  Inherited
+    traffic statistics, tracing, fault injection, schedule fuzzing and
+    the reliable transport all observe WORLD ranks, exactly as if the
+    user had hand-translated the ranks, and traffic is charged to the
+    world rank's current phase.  Inherited
     collectives (bcast/gather/.../alltoall under either schedule) work
     unchanged on top of the overridden point-to-point; only
     :meth:`barrier` differs, because the world barrier spans everyone.
@@ -803,8 +734,7 @@ class SubCommunicator(Communicator):
 
     def shrink(self, epoch: int = 0) -> "SubCommunicator":
         raise NotImplementedError(
-            "shrink() operates on world communicators; shrink the parent "
-            "and re-split"
+            "shrink() operates on world communicators; shrink the parent"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

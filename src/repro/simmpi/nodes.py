@@ -6,9 +6,9 @@ historical simmpi world is flat — every rank its own node — which makes
 every cross-rank byte a fabric byte.  :class:`NodeMap` gives the world
 a shape (``ranks_per_node``), and everything topology-aware hangs off
 it: the traffic split into intra-node vs inter-node bytes, the
-same-node path that skips the NIC in DES virtual time,
-:meth:`~repro.simmpi.comm.Communicator.split_by_node`, and the
-``hierarchical`` all-to-all's node aggregation.
+same-node path that skips the NIC in DES virtual time, and the
+``hierarchical`` all-to-all's node aggregation
+(:meth:`~repro.simmpi.comm.Communicator.node_groups`).
 
 Zero-copy is literal here: ranks are threads in one address space and
 every payload is handed over by reference, so a same-node receiver gets
@@ -57,35 +57,13 @@ class NodeMap:
         self.ranks_per_node = min(rpn, self.nranks)
         self.nnodes = -(-self.nranks // self.ranks_per_node)  # ceil
 
-    @property
-    def flat(self) -> bool:
-        """Whether this is the historical one-rank-per-node world."""
-        return self.ranks_per_node == 1
-
     def node_of(self, rank: int) -> int:
         if not 0 <= rank < self.nranks:
             raise ValueError(f"rank {rank} out of range [0, {self.nranks})")
         return rank // self.ranks_per_node
 
-    def ranks_on(self, node: int) -> tuple[int, ...]:
-        if not 0 <= node < self.nnodes:
-            raise ValueError(f"node {node} out of range [0, {self.nnodes})")
-        lo = node * self.ranks_per_node
-        return tuple(range(lo, min(lo + self.ranks_per_node, self.nranks)))
-
-    def leader_of(self, node: int) -> int:
-        """The node's leader rank (its lowest world rank)."""
-        return self.ranks_on(node)[0]
-
     def same_node(self, a: int, b: int) -> bool:
         return a // self.ranks_per_node == b // self.ranks_per_node
-
-    def as_dict(self) -> dict:
-        return {
-            "nranks": self.nranks,
-            "ranks_per_node": self.ranks_per_node,
-            "nnodes": self.nnodes,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -83,11 +83,6 @@ class PhaseTraffic:
         """Bytes between distinct ranks (self-sends model local copies)."""
         return sum(b for (s, d), b in self.bytes_by_pair.items() if s != d)
 
-    def max_pair_bytes(self) -> int:
-        """Heaviest single src->dst flow (drives bisection-limited time)."""
-        off = [b for (s, d), b in self.bytes_by_pair.items() if s != d]
-        return max(off, default=0)
-
     def as_dict(self) -> dict:
         """JSON-safe export: tuple pair keys become ``"src->dst"`` strings.
 

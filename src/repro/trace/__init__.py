@@ -29,7 +29,6 @@ from .analysis import (
     CriticalPath,
     alltoall_epochs,
     critical_path,
-    inflight_profile,
     rollup,
 )
 from .export import ascii_timeline, chrome_trace, write_chrome_trace
@@ -50,7 +49,6 @@ __all__ = [
     "CriticalPath",
     "alltoall_epochs",
     "critical_path",
-    "inflight_profile",
     "rollup",
     "ascii_timeline",
     "chrome_trace",

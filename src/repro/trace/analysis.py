@@ -27,7 +27,6 @@ __all__ = [
     "CriticalPath",
     "alltoall_epochs",
     "critical_path",
-    "inflight_profile",
     "rollup",
 ]
 
@@ -164,50 +163,6 @@ def critical_path(tl: VirtualTimeline) -> CriticalPath:
         network_s=network,
         bridged_wait_s=dict(bridged),
     )
-
-
-def inflight_profile(tl: VirtualTimeline) -> dict[str, dict]:
-    """In-flight message depth over virtual time, per sending phase.
-
-    A message is in flight from its (i)send span's start until its
-    matching recv span ends; a sweep over those intervals yields, per
-    phase, the maximum simultaneous depth and the seconds spent at each
-    nonzero depth.  The pipelined SOI shows depth > 1 in the
-    ``alltoall`` phase — the overlap made visible — while the blocking
-    path's one-at-a-time exchanges stay at depth <= P-1 only inside the
-    collective.
-    """
-    by_uid = tl.by_uid()
-    intervals: dict[str, list[tuple[float, float]]] = defaultdict(list)
-    for s in tl.spans:
-        if s.kind != "recv" or s.cause is None:
-            continue
-        snd = by_uid.get(s.cause)
-        if snd is not None and snd.kind in ("send", "isend"):
-            intervals[snd.phase].append((snd.t0, s.t1))
-    out: dict[str, dict] = {}
-    for phase, pairs in sorted(intervals.items()):
-        edges = sorted(
-            [(t0, 1) for t0, _ in pairs] + [(t1, -1) for _, t1 in pairs]
-        )  # at equal times the -1 sorts first: back-to-back != overlapped
-        depth = 0
-        max_depth = 0
-        prev: float | None = None
-        time_at: dict[int, float] = defaultdict(float)
-        for t, step in edges:
-            if prev is not None and t > prev and depth > 0:
-                time_at[depth] += t - prev
-            depth += step
-            max_depth = max(max_depth, depth)
-            prev = t
-        out[phase] = {
-            "messages": len(pairs),
-            "max_depth": max_depth,
-            "time_at_depth_s": {
-                str(d): time_at[d] for d in sorted(time_at)
-            },
-        }
-    return out
 
 
 def rollup(tl: VirtualTimeline) -> dict:

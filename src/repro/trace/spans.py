@@ -231,10 +231,6 @@ class TraceRecorder:
             ):
                 state.clear()
 
-    def clear(self) -> None:
-        """Alias of :meth:`new_run` for standalone reuse."""
-        self.new_run()
-
     @property
     def nevents(self) -> int:
         with self._lock:

@@ -8,7 +8,6 @@ from repro.bench.workloads import (
     multitone,
     noisy_tones,
     random_complex,
-    random_real,
 )
 
 
@@ -22,11 +21,6 @@ class TestRandom:
     def test_complex_has_both_parts(self):
         x = random_complex(1000, 3)
         assert np.std(x.real) > 0.5 and np.std(x.imag) > 0.5
-
-    def test_real_is_complex_dtype_zero_imag(self):
-        x = random_real(100, 4)
-        assert x.dtype == np.complex128
-        np.testing.assert_array_equal(x.imag, 0.0)
 
 
 class TestMultitone:

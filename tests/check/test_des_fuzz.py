@@ -120,7 +120,7 @@ class TestLivenessSweepsUnderDes:
 
         def body(comm):
             for round_ in range(3):
-                sub = comm.split(color=(comm.rank + round_) % 2, key=comm.rank)
+                sub = comm.shrink(epoch=round_)
                 sub.allgather(comm.rank)
                 comm.barrier(timeout=GUARD_S)
             return "done"

@@ -17,7 +17,6 @@ class TestNodeSpec:
 
     def test_derived_counts(self):
         assert XEON_E5_2670_NODE.cores == 16
-        assert XEON_E5_2670_NODE.hw_threads == 32
 
     def test_table_rows_match_paper_format(self):
         rows = dict(XEON_E5_2670_NODE.table_rows())

@@ -7,12 +7,10 @@ import pytest
 
 from repro.core import SoiPlan, soi_fft
 from repro.core.accuracy import (
-    digits_from_snr,
     error_budget,
     parseval_check,
     relative_l2_error,
     snr_db,
-    snr_from_digits,
 )
 from repro.core.windows import TauSigmaWindow
 
@@ -39,9 +37,6 @@ class TestSnrDb:
     def test_zero_reference(self):
         with pytest.raises(ValueError):
             snr_db(np.ones(3), np.zeros(3))
-
-    def test_digit_conversions_roundtrip(self):
-        assert digits_from_snr(snr_from_digits(12.5)) == 12.5
 
 
 class TestRelativeL2:

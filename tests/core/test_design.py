@@ -6,7 +6,6 @@ from repro.core.design import (
     NAMED_PRESETS,
     WindowDesign,
     design_window,
-    named_window,
     preset_design,
 )
 from repro.core.windows import TauSigmaWindow
@@ -57,10 +56,6 @@ class TestDesignWindow:
         with pytest.raises(ValueError):
             design_window(10.0, beta=2.0)
 
-    def test_snr_property(self):
-        des = design_window(10.0)
-        assert des.predicted_snr_db == pytest.approx(20.0 * des.predicted_digits)
-
 
 class TestPresets:
     def test_all_presets_resolve(self):
@@ -72,7 +67,7 @@ class TestPresets:
         assert preset_design("full") is preset_design("full")
 
     def test_named_window_returns_window(self):
-        assert isinstance(named_window("digits10"), TauSigmaWindow)
+        assert isinstance(preset_design("digits10").window, TauSigmaWindow)
 
     def test_unknown_preset(self):
         with pytest.raises(KeyError, match="available"):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.dft import FftPlan, fft, ifft
-from repro.dft.flops import fft_flops
 
 
 class TestKernelDispatch:
@@ -48,11 +47,6 @@ class TestExecution:
         plan = FftPlan(16, inverse=True)
         np.testing.assert_allclose(plan.execute(x, inverse=False), np.fft.fft(x), atol=1e-11)
 
-    def test_callable_shorthand(self, rng):
-        x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        plan = FftPlan(8)
-        np.testing.assert_array_equal(plan(x), plan.execute(x))
-
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="length 16"):
             FftPlan(16).execute(np.zeros(8))
@@ -83,9 +77,6 @@ class TestAccounting:
         out = plan.execute(np.zeros((0, n)))
         assert out.shape == (0, n) and out.dtype == np.complex128
         assert plan.executions == 0
-
-    def test_flops_per_execution(self):
-        assert FftPlan(1024).flops_per_execution == fft_flops(1024)
 
 
 class TestOneShotHelpers:

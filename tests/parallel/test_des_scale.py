@@ -61,7 +61,9 @@ def _run_soi_des(P: int, rpn: int):
 
 def _cross_node_pairs(P: int, rpn: int) -> int:
     nm = NodeMap(P, rpn)
-    per_node = [len(nm.ranks_on(node)) for node in range(nm.nnodes)]
+    per_node = [0] * nm.nnodes
+    for rank in range(P):
+        per_node[nm.node_of(rank)] += 1
     total = sum(per_node)
     assert total == P
     return sum(r * (total - r) for r in per_node)

@@ -44,13 +44,8 @@ class TestFig5Shape:
             assert 1.1 < s < 2.0
 
     def test_gflops_grow_with_node_count(self, endeavor_sweep):
-        series = endeavor_sweep.gflops_series("SOI")
+        series = [endeavor_sweep.points[("SOI", n)].gflops for n in NODES]
         assert all(b > a for a, b in zip(series, series[1:]))
-
-    def test_rows_export(self, endeavor_sweep):
-        rows = endeavor_sweep.as_rows()
-        assert len(rows) == len(NODES)
-        assert "speedup_soi_over_mkl" in rows[0]
 
 
 class TestFig6Shape:

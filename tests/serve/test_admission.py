@@ -105,7 +105,7 @@ class TestSheddingOrder:
             victim.ticket.result(timeout=0.0)
         assert exc.value.shed is True
         assert exc.value.priority == 2
-        assert keeper.ticket.done() is False
+        assert keeper.ticket.exception() is None
         counters = ctrl.counters()
         assert counters["shed_capacity"] == 1
         assert counters["admitted"] == 3
@@ -119,7 +119,7 @@ class TestSheddingOrder:
         ctrl.offer(tight, now=0.0)
         ctrl.offer(mk(3, priority=1, deadline=1.0), now=0.0)
         assert isinstance(lax.ticket.exception(), AdmissionRejected)
-        assert tight.ticket.done() is False
+        assert tight.ticket.exception() is None
 
     def test_within_class_latest_deadline_is_shed_first(self):
         ctrl = AdmissionController(max_queue=2, age_promote_s=0.0)
@@ -129,7 +129,7 @@ class TestSheddingOrder:
         ctrl.offer(soon, now=0.0)
         ctrl.offer(mk(3, priority=1, deadline=1.0), now=0.0)
         assert isinstance(late.ticket.exception(), AdmissionRejected)
-        assert soon.ticket.done() is False
+        assert soon.ticket.exception() is None
 
     def test_full_of_more_urgent_work_rejects_synchronously(self):
         ctrl = AdmissionController(max_queue=1, age_promote_s=0.0)
@@ -142,7 +142,7 @@ class TestSheddingOrder:
         assert exc.value.queue_depth == 1
         assert exc.value.max_queue == 1
         assert exc.value.load == 1.0
-        assert queued.ticket.done() is False  # untouched
+        assert queued.ticket.exception() is None  # untouched
         assert ctrl.counters()["rejected"] == 1
 
     def test_equal_urgency_rejects_the_newcomer(self):

@@ -59,12 +59,6 @@ class TestRequestSpanAttribution:
         assert s.execute_s == 0.0
         assert s.total_s == pytest.approx(0.5)
 
-    def test_as_dict_is_json_shaped(self):
-        d = span(batch_size=3).as_dict()
-        assert d["rid"] == 1
-        assert d["batch_size"] == 3
-        assert {"queue_wait_s", "batch_wait_s", "execute_s", "total_s"} <= set(d)
-
 
 class TestMetricsLog:
     def test_record_many_equals_repeated_record(self):
@@ -75,13 +69,14 @@ class TestMetricsLog:
         many = MetricsLog()
         many.record_many(spans)
         assert one.spans() == many.spans()
-        assert one.t_start == many.t_start == 0.0
+        assert one.slo_report() == many.slo_report()
 
     def test_t_start_is_the_earliest_submission(self):
         log = MetricsLog()
         log.record(span(rid=2, t_submit=5.0, t_done=6.0))
         log.record(span(rid=1, t_submit=2.0, t_done=3.0))
-        assert log.t_start == 2.0
+        # The report's wall clock runs from there to the last completion.
+        assert log.slo_report()["wall_s"] == 4.0
 
     def test_slo_report_counts_every_status(self):
         log = MetricsLog()

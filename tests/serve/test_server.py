@@ -66,7 +66,6 @@ class TestLifecycle:
         for ticket in tickets:
             with pytest.raises(ServerClosed):
                 ticket.result(timeout=0.0)
-        assert srv.inflight() == 0
         statuses = [s.status for s in srv.metrics.spans()]
         assert statuses.count("closed") == 4
 
@@ -305,15 +304,13 @@ class TestOverloadPaths:
 
 
 class TestObservability:
-    def test_warmup_backpressure_and_report(self):
+    def test_warmup_and_report(self):
         cfg = ServeConfig(workers=1, warm_shapes=(64,), default_library="repro")
         with TransformServer(cfg) as srv:
             assert srv.warmup_info()["shapes"]["requested"] == 1
-            assert 0.0 <= srv.backpressure() <= 1.0
             srv.submit(_signal(64)).result(timeout=10.0)
             report = srv.metrics_report()
         assert report["completed"] == 1
         assert set(report["classes"]) == {"batch"}
         assert "plan_cache" in report and "soi_plan_cache" in report
         assert report["admission"]["admitted"] == 1
-        assert srv.inflight() == 0

@@ -1,7 +1,7 @@
 """Composition suite for the discrete-event engine (PR 9).
 
 ``run_spmd(..., engine="des")`` must execute unchanged rank programs —
-point-to-point, nonblocking requests, splits, fault injection,
+point-to-point, nonblocking requests, shrunk communicators, fault injection,
 collective timeouts, shrink/ULFM recovery, tracing — with the same
 *semantics* as the thread engine, deterministically, in virtual time.
 The bitwise output/traffic identity lives in the ``des`` conformance
@@ -25,6 +25,7 @@ from repro.simmpi import (
     waitany,
 )
 from repro.trace import TraceCostModel, TraceRecorder
+from tests.simmpi.test_split import _survivors
 
 GUARD_S = 8.0
 
@@ -113,35 +114,26 @@ class TestNonblockingUnderDes:
 class TestSplitsUnderDes:
     def test_split_and_subcomm_exchange(self):
         def body(comm):
-            sub = comm.split(color=comm.rank % 2, key=comm.rank)
-            return sub.allgather(comm.rank)
+            return _survivors(comm).allgather(comm.rank)
 
-        res = run_spmd(6, body, engine="des")
-        assert res.values[0] == [0, 2, 4]
-        assert res.values[1] == [1, 3, 5]
-
-    def test_split_by_node_leaders(self):
-        def body(comm):
-            node_comm, leaders = comm.split_by_node()
-            local = node_comm.allgather(comm.rank)
-            return local, leaders is not None
-
-        res = run_spmd(6, body, ranks_per_node=3, engine="des")
-        assert res.values[0][0] == [0, 1, 2]
-        assert res.values[3][0] == [3, 4, 5]
-        # Exactly the node leaders get the leader communicator.
-        assert [v[1] for v in res.values] == [True, False, False] * 2
+        res = run_spmd(
+            6, body, engine="des", resilient=True,
+            faults=FaultPlan().kill(1, phase="doom"), timeout=GUARD_S,
+        )
+        for rank in (0, 2, 3, 4, 5):
+            assert res.values[rank] == [0, 2, 3, 4, 5]
 
     @pytest.mark.parametrize("engine", ["thread", "des"])
     def test_waitany_on_subcomm_ialltoall(self, engine):
         """A derived communicator's request waits run the WORLD rank's
-        progress engine and park the world rank's fiber: local rank 1 of
-        the odd split is world rank 3, not world rank 1.  The exchange is
-        an all-to-all of sub-communicator ``isend``/``irecv`` requests,
-        drained by ``waitany``."""
+        progress engine and park the world rank's fiber: with world rank
+        1 dead, local rank 1 of the shrunk communicator is world rank 2,
+        not world rank 1.  The exchange is an all-to-all of
+        sub-communicator ``isend``/``irecv`` requests, drained by
+        ``waitany``."""
 
         def body(comm):
-            sub = comm.split(comm.rank % 2, key=-comm.rank)
+            sub = _survivors(comm)
             peers = [d for d in range(sub.size) if d != sub.rank]
             sends = [
                 sub.isend(np.full(3, 10.0 * comm.rank + d), d, tag=5) for d in peers
@@ -156,10 +148,13 @@ class TestSplitsUnderDes:
             waitall(sends, timeout=GUARD_S)
             return [int(got[d]) for d in range(sub.size)]
 
-        res = run_spmd(6, body, engine=engine, timeout=GUARD_S)
-        # Members in key order: evens (4, 2, 0), odds (5, 3, 1).
-        assert res.values[0] == [42, 22, 2]
-        assert res.values[3] == [51, 31, 11]
+        res = run_spmd(
+            6, body, engine=engine, resilient=True,
+            faults=FaultPlan().kill(1, phase="doom"), timeout=GUARD_S,
+        )
+        # Members 0, 2, 3, 4, 5: world rank w sends 10 * w + (local dest).
+        assert res.values[0] == [0, 20, 30, 40, 50]
+        assert res.values[3] == [2, 22, 32, 42, 52]
 
 
 class TestFaultInjectionUnderDes:
@@ -186,12 +181,13 @@ class TestFaultInjectionUnderDes:
         structured RankFailedError, not a hang."""
 
         def body(comm):
-            sub = comm.split(color=comm.rank % 2, key=comm.rank)
+            sub = comm.shrink()
+            sub.barrier()  # every rank shrinks before rank 2 dies
             with comm.phase("doom"):
                 pass
             try:
-                # rank 2 (color 0) dies; its sub-comm peers 0 and 4 must
-                # see the structured failure on the sub-comm collective.
+                # rank 2 dies; its sub-comm peers must see the structured
+                # failure on the sub-comm collective.
                 got = sub.allgather(comm.rank)
             except RankFailedError as exc:
                 return ("failed", exc.ranks)
@@ -202,10 +198,9 @@ class TestFaultInjectionUnderDes:
             faults=FaultPlan().kill(2, phase="doom"), timeout=GUARD_S,
         )
         assert dict(res.failures).keys() == {2}
-        for rank in (0, 4):
+        for rank in (0, 1, 3, 4, 5):
             kind, ranks = res.values[rank]
             assert kind == "failed" and 2 in ranks
-        # The odd color never talks to rank 2 inside its sub-comm.
 
     def test_shrink_and_recover_under_des(self):
         def body(comm):

@@ -15,32 +15,28 @@ from repro.trace import TraceCostModel
 class TestNodeMap:
     def test_flat_default_every_rank_its_own_node(self):
         nm = NodeMap(4)
-        assert nm.flat
+        assert nm.ranks_per_node == 1
         assert nm.nnodes == 4
         assert nm.same_node(2, 2)
         assert not nm.same_node(0, 1)
 
     def test_contiguous_blocks(self):
         nm = NodeMap(8, 4)
-        assert not nm.flat
         assert nm.nnodes == 2
         assert nm.node_of(3) == 0
-        assert nm.node_of(4) == 1
-        assert nm.ranks_on(1) == (4, 5, 6, 7)
-        assert nm.leader_of(1) == 4
+        assert [nm.node_of(r) for r in range(4, 8)] == [1, 1, 1, 1]
         assert nm.same_node(4, 7)
         assert not nm.same_node(3, 4)
 
     def test_ragged_tail_node(self):
         nm = NodeMap(8, 3)
         assert nm.nnodes == 3
-        assert nm.ranks_on(2) == (6, 7)
-        assert nm.leader_of(2) == 6
+        assert [nm.node_of(r) for r in range(5, 8)] == [1, 2, 2]
 
     def test_ranks_per_node_clamped_to_world_size(self):
         nm = NodeMap(2, 16)
         assert nm.nnodes == 1
-        assert nm.ranks_on(0) == (0, 1)
+        assert nm.node_of(0) == nm.node_of(1) == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -49,15 +45,6 @@ class TestNodeMap:
             NodeMap(4, 0)
         with pytest.raises(ValueError):
             NodeMap(4, 2).node_of(4)
-        with pytest.raises(ValueError):
-            NodeMap(4, 2).ranks_on(2)
-
-    def test_as_dict(self):
-        assert NodeMap(8, 4).as_dict() == {
-            "nranks": 8,
-            "ranks_per_node": 4,
-            "nnodes": 2,
-        }
 
 
 class TestSameNodeTransferPath:

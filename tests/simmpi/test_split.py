@@ -1,5 +1,7 @@
-"""Tests for communicator splitting: ``split``, ``split_by_node``,
-nested splits, tag-space isolation, and failure/fuzzing behaviour."""
+"""Tests for the derived communicator: :class:`SubCommunicator`, which
+``shrink`` splits off the world — renumbering, tag-space isolation from
+the parent and between epochs, the member barrier, world-rank traffic
+accounting — and the node grouping the hierarchical all-to-all uses."""
 
 import numpy as np
 import pytest
@@ -14,71 +16,46 @@ from repro.simmpi import (
 GUARD_S = 30.0
 
 
-class TestSplitSemantics:
-    def test_split_partitions_by_color(self):
-        def body(comm):
-            sub = comm.split(comm.rank % 2)
-            return (sub.rank, sub.size, sub.allgather(comm.rank))
+def _survivors(comm, epoch=0):
+    """Wait out the kill in phase ``doom``, then shrink to the survivors."""
+    with comm.phase("doom"):
+        pass
+    try:
+        comm.barrier()
+    except RankFailedError:
+        pass
+    return comm.shrink(epoch)
 
-        res = run_spmd(4, body)
-        assert res.values[0] == (0, 2, [0, 2])
-        assert res.values[2] == (1, 2, [0, 2])
-        assert res.values[1] == (0, 2, [1, 3])
-        assert res.values[3] == (1, 2, [1, 3])
 
-    def test_key_orders_members(self):
-        def body(comm):
-            # Reverse key: highest old rank becomes local rank 0.
-            sub = comm.split(0, key=-comm.rank)
-            return (sub.rank, sub.allgather(comm.rank))
-
-        res = run_spmd(4, body)
-        assert res.values[3] == (0, [3, 2, 1, 0])
-        assert res.values[0] == (3, [3, 2, 1, 0])
-
-    @pytest.mark.parametrize(
-        "bad", [True, 1.0, "1"], ids=["bool", "float", "str"]
+def _run_with_dead_rank(nranks, body, dead=1, **kw):
+    return run_spmd(
+        nranks, body, resilient=True,
+        faults=FaultPlan().kill(dead, phase="doom"), timeout=GUARD_S, **kw,
     )
-    def test_non_integer_key_rejected(self, bad):
-        def body(comm):
-            with pytest.raises(TypeError, match="key"):
-                comm.split(0, key=bad)
-            # The refusal happens before the coordination allgather, so
-            # the communicator stays usable for a well-formed split.
-            return comm.split(0, key=-comm.rank).allgather(comm.rank)
 
-        res = run_spmd(2, body)
-        assert res.values == [[1, 0], [1, 0]]
 
-    def test_color_none_opts_out(self):
-        def body(comm):
-            sub = comm.split(None if comm.rank == 0 else "rest")
-            if comm.rank == 0:
-                return sub
-            return sub.allgather(comm.rank)
-
-        res = run_spmd(3, body)
-        assert res.values[0] is None
-        assert res.values[1] == [1, 2]
-
-    def test_nested_split(self):
-        def body(comm):
-            half = comm.split(comm.rank // 2)  # {0,1} and {2,3}
-            solo = half.split(half.rank)       # singletons
-            return (half.size, solo.size, solo.allgather(comm.rank))
-
-        res = run_spmd(4, body)
-        for rank in range(4):
-            assert res.values[rank] == (2, 1, [rank])
-
+class TestSplitSemantics:
     def test_split_is_a_subcommunicator_with_world_rank(self):
-        def body(comm):
-            sub = comm.split(comm.rank % 2)
-            assert isinstance(sub, SubCommunicator)
-            return sub.world_rank
+        """Local ranks renumber the survivors 0..size-1; point-to-point
+        addresses local ranks and lands on the survivors' world ranks."""
 
-        res = run_spmd(4, body)
-        assert res.values == [0, 1, 2, 3]
+        def body(comm):
+            sub = _survivors(comm)
+            assert isinstance(sub, SubCommunicator)
+            right, left = (sub.rank + 1) % sub.size, (sub.rank - 1) % sub.size
+            sub.send(("blocking", comm.rank), right, tag=1)
+            got = sub.recv(left, tag=1)
+            req = sub.isend(("nonblocking", comm.rank), right, tag=2)
+            igot = sub.irecv(left, tag=2).wait()
+            req.wait()
+            return sub.rank, sub.world_rank, sub.members, got, igot
+
+        res = _run_with_dead_rank(4, body)
+        assert dict(res.failures).keys() == {1}
+        # World ranks 0, 2, 3 are local ranks 0, 1, 2.
+        assert res.values[0] == (0, 0, (0, 2, 3), ("blocking", 3), ("nonblocking", 3))
+        assert res.values[2] == (1, 2, (0, 2, 3), ("blocking", 0), ("nonblocking", 0))
+        assert res.values[3] == (2, 3, (0, 2, 3), ("blocking", 2), ("nonblocking", 2))
 
     def test_nonmember_construction_rejected(self):
         def body(comm):
@@ -91,71 +68,48 @@ class TestSplitSemantics:
 
 
 class TestSplitByNode:
-    def test_node_and_leader_communicators(self):
-        def body(comm):
-            node_comm, leader_comm = comm.split_by_node()
-            members = node_comm.allgather(comm.rank)
-            leaders = (
-                leader_comm.allgather(comm.rank) if leader_comm else None
-            )
-            return members, leaders
+    def test_node_groups(self):
+        """A shrunk communicator groups its LOCAL ranks by the survivors'
+        nodes: world ranks 2 and 3 (local 1 and 2) share node 1."""
 
-        res = run_spmd(8, body, ranks_per_node=4)
-        for rank in range(8):
-            members, leaders = res.values[rank]
-            assert members == ([0, 1, 2, 3] if rank < 4 else [4, 5, 6, 7])
-            if rank in (0, 4):
-                assert leaders == [0, 4]
-            else:
-                assert leaders is None
+        def body(comm):
+            return _survivors(comm).node_groups()
+
+        res = _run_with_dead_rank(4, body, ranks_per_node=2)
+        for rank in (0, 2, 3):
+            assert res.values[rank] == [[0], [1, 2]]
 
     def test_flat_world_every_rank_leads_itself(self):
-        def body(comm):
-            node_comm, leader_comm = comm.split_by_node()
-            return node_comm.size, leader_comm.allgather(comm.rank)
-
-        res = run_spmd(3, body)
+        res = run_spmd(3, lambda comm: comm.node_groups())
         for rank in range(3):
-            assert res.values[rank] == (1, [0, 1, 2])
+            assert res.values[rank] == [[0], [1], [2]]
 
     def test_ragged_tail_node(self):
-        def body(comm):
-            node_comm, _ = comm.split_by_node()
-            return node_comm.allgather(comm.rank)
-
-        res = run_spmd(5, body, ranks_per_node=2)
-        assert res.values[4] == [4]
-        assert res.values[0] == [0, 1]
-
-    def test_node_groups(self):
-        def body(comm):
-            return comm.node_groups()
-
-        res = run_spmd(5, body, ranks_per_node=2)
+        res = run_spmd(5, lambda comm: comm.node_groups(), ranks_per_node=2)
         assert res.values[0] == [[0, 1], [2, 3], [4]]
 
 
 class TestTagSpaceIsolation:
     def test_sibling_splits_do_not_cross_talk(self):
-        # Both halves run identically-tagged traffic concurrently; the
-        # per-split context must keep the channels apart.
+        # Two epochs with the same members run identically-tagged
+        # traffic side by side; the per-epoch context keeps them apart.
         def body(comm):
-            sub = comm.split(comm.rank % 2)
-            peer = 1 - sub.rank
-            sub.send(("split", comm.rank), dest=peer, tag=7)
-            return sub.recv(source=peer, tag=7)
+            first, second = comm.shrink(epoch=0), comm.shrink(epoch=1)
+            right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+            first.send(("first", comm.rank), dest=right, tag=7)
+            second.send(("second", comm.rank), dest=right, tag=7)
+            return second.recv(source=left, tag=7), first.recv(source=left, tag=7)
 
         res = run_spmd(4, body)
-        assert res.values[0] == ("split", 2)
-        assert res.values[2] == ("split", 0)
-        assert res.values[1] == ("split", 3)
-        assert res.values[3] == ("split", 1)
+        for rank in range(4):
+            left = (rank - 1) % 4
+            assert res.values[rank] == (("second", left), ("first", left))
 
     def test_parent_and_child_tags_are_disjoint(self):
         # Same (src, dst, tag) triple on the parent and the child:
         # each message must land on the communicator it was sent on.
         def body(comm):
-            sub = comm.split(0)  # same membership as the parent
+            sub = comm.shrink()  # same membership as the parent
             if comm.rank == 0:
                 comm.send("parent", dest=1, tag=3)
                 sub.send("child", dest=1, tag=3)
@@ -172,8 +126,8 @@ class TestTagSpaceIsolation:
 
     def test_successive_splits_get_fresh_contexts(self):
         def body(comm):
-            first = comm.split(0)
-            second = comm.split(0)
+            first = comm.shrink(epoch=0)
+            second = comm.shrink(epoch=1)
             if comm.rank == 0:
                 first.send("one", dest=1)
                 second.send("two", dest=1)
@@ -186,38 +140,41 @@ class TestTagSpaceIsolation:
         assert res.values[1] == ("one", "two")
 
     def test_subcommunicator_collectives_and_barrier(self):
+        """The member barrier completes without the dead rank (the world
+        barrier would raise), and the inherited collectives span the
+        survivors only."""
+
         def body(comm):
-            sub = comm.split(comm.rank // 2)
+            sub = _survivors(comm)
             total = sub.allreduce(comm.rank)
             sub.barrier()
             objs = [np.full(2, comm.rank, dtype=float) for _ in range(sub.size)]
             pieces = sub.alltoall(objs)
             return total, np.stack(pieces)
 
-        res = run_spmd(4, body)
-        assert res.values[0][0] == 1
-        assert res.values[2][0] == 5
-        np.testing.assert_array_equal(
-            res.values[3][1], np.array([[2.0, 2.0], [3.0, 3.0]])
-        )
+        res = _run_with_dead_rank(4, body)
+        for rank in (0, 2, 3):
+            total, pieces = res.values[rank]
+            assert total == 5
+            np.testing.assert_array_equal(pieces[:, 0], [0.0, 2.0, 3.0])
 
     def test_traffic_charged_at_world_ranks(self):
         def body(comm):
-            sub = comm.split(comm.rank % 2)
-            peer = 1 - sub.rank
-            sub.send(np.zeros(4), dest=peer)
-            sub.recv(source=peer)
+            sub = _survivors(comm)
+            with comm.phase("sub"):
+                # Local ranks 0 and 1 are world ranks 0 and 2.
+                if sub.rank == 0:
+                    sub.send(np.zeros(4), dest=1)
+                elif sub.rank == 1:
+                    sub.recv(source=0)
 
-        res = run_spmd(4, body)
-        pairs = res.stats.phase("default").bytes_by_pair
-        # Split coordination (allgather) plus the payload exchanges all
-        # sit on world-rank pairs; local sub-ranks never appear as keys.
-        assert (0, 2) in pairs and (2, 0) in pairs
-        assert (1, 3) in pairs and (3, 1) in pairs
+        res = _run_with_dead_rank(4, body)
+        pairs = res.stats.phase("sub").bytes_by_pair
+        assert pairs == {(0, 2): 32}
 
     def test_shrink_on_subcommunicator_raises(self):
         def body(comm):
-            sub = comm.split(0)
+            sub = comm.shrink()
             with pytest.raises(NotImplementedError):
                 sub.shrink()
 
@@ -229,19 +186,18 @@ class TestSplitUnderAdversity:
         from repro.check import ScheduleController
 
         def body(comm):
-            sub = comm.split(comm.rank % 2, key=-comm.rank)
+            sub = _survivors(comm)
             gathered = sub.allgather(("v", comm.rank))
             buf = np.full((sub.size, 4), comm.rank, dtype=float)
             return gathered, sub.alltoall_matrix(buf)
 
-        baseline = run_spmd(4, body, ranks_per_node=2, alltoall_algorithm="hierarchical")
+        kw = dict(ranks_per_node=2, alltoall_algorithm="hierarchical")
+        baseline = _run_with_dead_rank(4, body, **kw)
         for seed in range(5):
-            fuzzed = run_spmd(
-                4, body, ranks_per_node=2, alltoall_algorithm="hierarchical",
-                schedule=ScheduleController(seed=seed),
-                timeout=GUARD_S,
+            fuzzed = _run_with_dead_rank(
+                4, body, schedule=ScheduleController(seed=seed), **kw
             )
-            for rank in range(4):
+            for rank in (0, 2, 3):
                 assert fuzzed.values[rank][0] == baseline.values[rank][0]
                 assert np.array_equal(
                     fuzzed.values[rank][1], baseline.values[rank][1]
@@ -249,7 +205,8 @@ class TestSplitUnderAdversity:
 
     def test_kill_inside_subcommunicator_collective_is_structured(self):
         def body(comm):
-            sub = comm.split(comm.rank % 2)
+            sub = comm.shrink()
+            sub.barrier()  # every rank shrinks before rank 2 dies
             with comm.phase("doom"):
                 pass
             try:
@@ -265,8 +222,5 @@ class TestSplitUnderAdversity:
             timeout=GUARD_S,
         )
         assert dict(res.failures).keys() == {2}
-        # Rank 0 shares sub-communicator {0, 2} with the casualty.
-        assert res.values[0] == ("failed", (2,))
-        # The sibling {1, 3} is untouched.
-        assert res.values[1] == ("ok", None)
-        assert res.values[3] == ("ok", None)
+        for rank in (0, 1, 3):
+            assert res.values[rank] == ("failed", (2,))

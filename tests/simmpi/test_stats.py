@@ -28,18 +28,6 @@ class TestByteAccounting:
         assert ph.offnode_bytes() == 160
         assert ph.total_bytes == 320
 
-    def test_max_pair_bytes(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.send(np.zeros(4), dest=1)
-                comm.send(np.zeros(100), dest=1)
-            elif comm.rank == 1:
-                comm.recv(source=0)
-                comm.recv(source=0)
-
-        res = run_spmd(2, prog)
-        assert res.stats.phase("default").max_pair_bytes() == 832  # 32 + 800
-
 
 class TestPhases:
     def test_phase_labels_partition_traffic(self):

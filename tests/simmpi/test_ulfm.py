@@ -160,9 +160,10 @@ class TestFailedRanksAndShrink:
 
     @pytest.mark.parametrize("engine", ["thread", "des"])
     def test_splits_of_survivors_span_survivors(self, engine):
-        """split() and split_by_node() of a shrunk communicator map its
-        local ranks to the SURVIVORS' world ranks: dead rank 1 is in no
-        derived communicator and rank 3 is in every one it belongs to."""
+        """A shrunk communicator maps its local ranks to the SURVIVORS'
+        world ranks: dead rank 1 is in none of its collectives, and its
+        node groups are the survivors' (world ranks 2 and 3, local ranks
+        1 and 2, share node 1)."""
 
         def body(comm):
             with comm.phase("doom"):
@@ -172,14 +173,10 @@ class TestFailedRanksAndShrink:
             except RankFailedError:
                 pass
             shrunk = comm.shrink()
-            sub = shrunk.split(0)
-            node, leaders = shrunk.split_by_node()
             return (
-                sub.members,
-                sub.allgather(comm.rank),
-                node.members,
-                node.allgather(comm.rank),
-                None if leaders is None else leaders.allgather(comm.rank),
+                shrunk.members,
+                shrunk.allgather(comm.rank),
+                shrunk.node_groups(),
             )
 
         out = run_spmd(
@@ -192,9 +189,8 @@ class TestFailedRanksAndShrink:
             timeout=GUARD_S,
         )
         assert dict(out.failures).keys() == {1}
-        assert out.values[0] == ((0, 2, 3), [0, 2, 3], (0,), [0], [0, 2])
-        assert out.values[2] == ((0, 2, 3), [0, 2, 3], (2, 3), [2, 3], [0, 2])
-        assert out.values[3] == ((0, 2, 3), [0, 2, 3], (2, 3), [2, 3], None)
+        for rank in (0, 2, 3):
+            assert out.values[rank] == ((0, 2, 3), [0, 2, 3], [[0], [1, 2]])
 
     @pytest.mark.parametrize(
         "bad",

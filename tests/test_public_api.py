@@ -84,6 +84,58 @@ class TestPublicSurface:
             with pytest.raises(ModuleNotFoundError):
                 importlib.import_module(module)
 
+    def test_unreached_surface_stays_deleted(self):
+        """Communicator splits and the getters no driver read are gone;
+        ``shrink`` is the one producer of a ``SubCommunicator``."""
+        from repro.cluster.machine import NodeSpec
+        from repro.core import WindowDesign
+        from repro.dft import FftPlan
+        from repro.perf.model import WeakScalingModel
+        from repro.perf.weakscaling import WeakScalingSweep
+        from repro.serve import MetricsLog, RequestSpan, Ticket, TransformServer
+        from repro.simmpi import Communicator, NodeMap
+        from repro.simmpi.stats import PhaseTraffic
+        from repro.trace import TraceRecorder
+
+        for cls, name in [
+            (Communicator, "split"),
+            (Communicator, "split_by_node"),
+            (NodeMap, "flat"),
+            (NodeMap, "ranks_on"),
+            (NodeMap, "leader_of"),
+            (NodeMap, "as_dict"),
+            (PhaseTraffic, "max_pair_bytes"),
+            (WindowDesign, "predicted_snr_db"),
+            (FftPlan, "__call__"),
+            (FftPlan, "flops_per_execution"),
+            (WeakScalingSweep, "gflops_series"),
+            (WeakScalingSweep, "as_rows"),
+            (WeakScalingModel, "time"),
+            (WeakScalingModel, "gflops"),
+            (TransformServer, "backpressure"),
+            (TransformServer, "inflight"),
+            (TraceRecorder, "clear"),
+            (RequestSpan, "as_dict"),
+            (MetricsLog, "t_start"),
+            (Ticket, "done"),
+            (NodeSpec, "hw_threads"),
+        ]:
+            assert name not in dir(cls), (cls.__name__, name)
+        for module, name in [
+            ("repro.trace", "inflight_profile"),
+            ("repro.trace.analysis", "inflight_profile"),
+            ("repro.core", "digits_from_snr"),
+            ("repro.core", "snr_from_digits"),
+            ("repro.core.accuracy", "digits_from_snr"),
+            ("repro.core", "named_window"),
+            ("repro.core.design", "named_window"),
+            ("repro.bench", "random_real"),
+            ("repro.bench.workloads", "random_real"),
+        ]:
+            mod = importlib.import_module(module)
+            assert not hasattr(mod, name), (module, name)
+            assert name not in getattr(mod, "__all__", ()), (module, name)
+
     def test_one_default_fft_library(self):
         """Every public function with a ``backend`` parameter defaults to
         ``DEFAULT_BACKEND`` (a plain string), and so does the server."""

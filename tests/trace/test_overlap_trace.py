@@ -1,6 +1,5 @@
 """Tests for nonblocking sends on the DES clock, claim-time receive
-recording, in-flight depth profiling, and stall attribution on the
-critical path."""
+recording, and stall attribution on the critical path."""
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from repro.trace import (
     TraceCostModel,
     TraceRecorder,
     critical_path,
-    inflight_profile,
     rollup,
 )
 
@@ -141,46 +139,6 @@ class TestClaimTimeRecording:
         assert last_recv.t0 >= busy.t1 - 1e-12
 
 
-class TestInflightProfile:
-    def test_depth_counts_overlapping_messages(self):
-        prof = inflight_profile(_des(2, _two_isends, _wire_heavy()))
-        assert prof["ph"]["messages"] == 2
-        # Both posted before either is claimed: depth 2 is reached.
-        assert prof["ph"]["max_depth"] == 2
-        assert set(prof["ph"]["time_at_depth_s"]) <= {"1", "2"}
-        assert all(isinstance(k, str) for k in prof["ph"]["time_at_depth_s"])
-
-    def test_back_to_back_blocking_sends_stay_depth_one(self):
-        """With zero latency and an empty ack the second send departs
-        exactly when the first recv completes: the tie must NOT count
-        as depth 2."""
-        cost = TraceCostModel(latency_s=0.0, delivery_s=0.0, post_overhead_s=0.0)
-
-        def prog(comm):
-            peer = 1 - comm.rank
-            for _ in range(2):
-                if comm.rank == 0:
-                    with comm.phase("ph"):
-                        comm.send(_kb(1), dest=peer)
-                    with comm.phase("ack"):
-                        comm.recv(source=peer)
-                else:
-                    with comm.phase("ph"):
-                        comm.recv(source=peer)
-                    with comm.phase("ack"):
-                        comm.send(_kb(0), dest=peer)
-
-        tl = _des(2, prog, cost)
-        ph = sorted((s for s in tl.spans if s.phase == "ph"), key=lambda s: s.t0)
-        recv1 = [s for s in ph if s.kind == "recv"][0]
-        send2 = [s for s in ph if s.kind == "send"][1]
-        assert send2.t0 == recv1.t1  # the tie the sweep must not count
-        assert inflight_profile(tl)["ph"]["max_depth"] == 1
-
-    def test_empty_timeline(self):
-        assert inflight_profile(TraceRecorder().timeline()) == {}
-
-
 def _exchange_after(work_flops, nbytes, nonblocking=False):
     """Rank 0 computes *work_flops* then sends *nbytes* to rank 1 (as an
     isend whose compute follows the post when *nonblocking*)."""
@@ -224,8 +182,8 @@ class TestStallAttribution:
     def soi_des(self):
         """Blocking and pipelined distributed SOI on the DES, under a
         5 MB/s injection NIC plus 300 us latency. Maps ``overlap`` to
-        (makespan, all-to-all stall on the critical path, in-flight
-        max depth of the all-to-all)."""
+        (makespan, all-to-all stall on the critical path, deepest queue
+        of outstanding all-to-all requests on any rank)."""
         from repro.bench.workloads import random_complex
         from repro.cluster.topology import FatTree
         from repro.core import SoiPlan
@@ -239,18 +197,20 @@ class TestStallAttribution:
         blocks = random_complex(plan.n, seed=plan.n % 9973).reshape(nranks, -1)
         runs = {}
         for overlap in (False, True):
-            tl = _des(
+            rec = TraceRecorder()
+            res = run_spmd(
                 nranks,
                 lambda comm: soi_fft_distributed(
                     comm, blocks[comm.rank], plan,
                     overlap=overlap, overlap_groups=2,
                 ),
-                cost,
+                engine="des", cost_model=cost, trace=rec,
             )
+            tl = rec.timeline()
             runs[overlap] = (
                 tl.makespan,
                 critical_path(tl).wait_by_phase_s().get("alltoall", 0.0),
-                inflight_profile(tl)["alltoall"]["max_depth"],
+                res.stats.phase("alltoall").max_outstanding,
             )
         return runs
 

@@ -17,6 +17,14 @@ and the lines they span, and checks that every ``repro`` name that
 ``@abstractmethod`` stubs are left out of the function list: no call
 can enter one, so they would read as unreached forever.
 
+Each unreached function is sorted into a class: ``failure`` (a path
+only a fault, a rank death, an overload or a refused input takes),
+``oracle`` (a reference implementation, or substrate API only tests call
+as a harness), ``cosmetic`` (``__repr__``/``__str__``) or ``other``,
+which is everything else: code no driver and no failure needs, the list
+a deletion round works from. ``CLASSES`` holds the first two, by file or
+by qualified name; the report prints the function-lines per class.
+
 ``--baseline`` reads a document an earlier run wrote with ``--json`` and
 lists the functions it knew that are gone now, flagging any a driver
 reached then, and the functions a driver reached then that none reaches
@@ -75,6 +83,93 @@ TIMING_DEPENDENT = {
     ("src/repro/simmpi/transport.py", "World._in_flight"): _RETRY,
     ("src/repro/simmpi/transport.py", "_carries"): _RETRY,
 }
+
+#: "file" or "file::qualified.name" -> the class of its unreached
+#: functions. A qualified name also covers the functions nested in it.
+CLASSES = {
+    # Fault injection, retransmission, rank death and recovery.
+    "src/repro/simmpi/faults.py": "failure",
+    "src/repro/simmpi/errors.py": "failure",
+    "src/repro/parallel/resilience.py": "failure",
+    "src/repro/serve/errors.py": "failure",
+    "src/repro/simmpi/comm.py::Communicator._request_redelivery": "failure",
+    # A SubCommunicator exists only once shrink() has dropped a dead rank.
+    "src/repro/simmpi/comm.py::SubCommunicator": "failure",
+    "src/repro/simmpi/des.py::DesScheduler.notify_all": "failure",
+    "src/repro/simmpi/des.py::DesScheduler.add_callback_timer": "failure",
+    "src/repro/simmpi/des.py::DesBarrier.abort": "failure",
+    "src/repro/simmpi/des.py::DesWorld._delayed_put": "failure",
+    "src/repro/simmpi/des.py::DesWorld.mark_failed": "failure",
+    "src/repro/simmpi/des.py::DesWorld.abort": "failure",
+    "src/repro/simmpi/transport.py::_reframe": "failure",
+    "src/repro/simmpi/transport.py::World._delayed_put": "failure",
+    "src/repro/simmpi/transport.py::World.abort": "failure",
+    "src/repro/simmpi/transport.py::World._corrupt": "failure",
+    "src/repro/simmpi/transport.py::World.request_retransmit": "failure",
+    "src/repro/simmpi/stats.py::TrafficStats.record_retransmit": "failure",
+    "src/repro/simmpi/stats.py::TrafficStats.record_duplicate": "failure",
+    "src/repro/simmpi/stats.py::TrafficStats.record_corrupt": "failure",
+    "src/repro/simmpi/stats.py::TrafficStats.total_retransmit_bytes": "failure",
+    "src/repro/simmpi/stats.py::TrafficStats.total_corrupt_detected": "failure",
+    "src/repro/simmpi/stats.py::TrafficStats.total_duplicates_discarded": "failure",
+    "src/repro/simmpi/stats.py::TrafficStats.total_recovery_bytes": "failure",
+    "src/repro/simmpi/stats.py::TrafficStats.total_recovery_flops": "failure",
+    "src/repro/simmpi/stats.py::TrafficStats.total_detected_failures": "failure",
+    "src/repro/simmpi/runtime.py::SpmdResult.degraded": "failure",
+    "src/repro/simmpi/runtime.py::_default_restartable": "failure",
+    "src/repro/simmpi/runtime.py::_run_once.is_secondary": "failure",
+    "src/repro/trace/spans.py::TraceRecorder.degraded": "failure",
+    "src/repro/trace/spans.py::TraceRecorder.failed_ranks": "failure",
+    "src/repro/trace/spans.py::TraceRecorder.record_retransmit": "failure",
+    "src/repro/trace/spans.py::TraceRecorder.record_failure": "failure",
+    "src/repro/trace/spans.py::TraceRecorder.record_recovery": "failure",
+    "src/repro/check/schedules.py::ScheduleController.held_items": "failure",
+    "src/repro/core/accuracy.py::parseval_check": "failure",
+    # Serve overload: shedding, deadlines and drain.
+    "src/repro/serve/admission.py::AdmissionController.load": "failure",
+    "src/repro/serve/admission.py::AdmissionController._shed_badness": "failure",
+    "src/repro/serve/admission.py::AdmissionController._victim": "failure",
+    "src/repro/serve/admission.py::AdmissionController.drain": "failure",
+    "src/repro/serve/server.py::TransformServer._on_shed": "failure",
+    "src/repro/serve/server.py::TransformServer._finish_unexecuted": "failure",
+    "src/repro/serve/metrics.py::MetricsLog.record": "failure",
+    "src/repro/serve/request.py::Ticket.exception": "failure",
+    "src/repro/serve/request.py::Ticket._fail": "failure",
+    # References the fast paths are tested against, and the race detector.
+    "src/repro/core/matrices.py": "oracle",
+    "src/repro/core/theory.py": "oracle",
+    "src/repro/dft/naive.py": "oracle",
+    "src/repro/check/hb.py": "oracle",
+    "src/repro/core/windows.py::ReferenceWindow.w_time": "oracle",
+    "src/repro/utils/intmath.py::bit_reverse_indices": "oracle",
+    # MPI substrate API no rank program calls; tests drive it as a harness.
+    "src/repro/simmpi/comm.py::Communicator.bcast": "oracle",
+    "src/repro/simmpi/comm.py::Communicator.gather": "oracle",
+    "src/repro/simmpi/comm.py::Communicator.scatter": "oracle",
+    "src/repro/simmpi/comm.py::Communicator.reduce": "oracle",
+    "src/repro/simmpi/comm.py::Communicator.allreduce": "oracle",
+    # Tests index a run's result as res[rank] and iterate it.
+    "src/repro/simmpi/runtime.py::SpmdResult.__iter__": "oracle",
+    "src/repro/simmpi/runtime.py::SpmdResult.__getitem__": "oracle",
+    # The world barrier under the DES, a tracer or a fuzzing scheduler.
+    "src/repro/simmpi/des.py::DesBarrier.wait": "oracle",
+    "src/repro/trace/spans.py::TraceRecorder.record_barrier": "oracle",
+    "src/repro/check/schedules.py::ScheduleController.on_barrier_enter": "oracle",
+    "src/repro/check/schedules.py::ScheduleController.on_barrier_exit": "oracle",
+}
+CLASS_ORDER = ("failure", "oracle", "cosmetic", "other")
+
+
+def classify(file: str, name: str) -> str:
+    """The class of function *name* of *file* (see ``CLASSES``)."""
+    if name.rsplit(".", 1)[-1] in ("__repr__", "__str__"):
+        return "cosmetic"
+    parts = name.split(".")
+    for i in range(len(parts), 0, -1):
+        key = f"{file}::{'.'.join(parts[:i])}"
+        if key in CLASSES:
+            return CLASSES[key]
+    return CLASSES.get(file, "other")
 
 
 def drivers(tmp: Path) -> dict[str, list[str]]:
@@ -162,6 +257,7 @@ def report(funcs: list[dict], reached: set[tuple[str, int]]) -> dict:
     for f in funcs:
         f["reached"] = (f["abs"], f["first"]) in reached or (f["abs"], f["def"]) in reached
         f["timing_dependent"] = (f["file"], f["name"]) in TIMING_DEPENDENT
+        f["class"] = classify(f["file"], f["name"])
     by_file: dict[str, list[dict]] = {}
     for f in funcs:
         if not f["timing_dependent"]:
@@ -178,19 +274,29 @@ def report(funcs: list[dict], reached: set[tuple[str, int]]) -> dict:
     for rel, nlines, missing in sorted(rows, key=lambda r: -r[1]):
         print(f"{rel}: {nlines} unreached function-lines")
         for f in missing:
-            print(f"    {f['name']} ({f['last'] - f['first'] + 1} lines, line {f['first']})")
+            print(f"    {f['name']} ({f['last'] - f['first'] + 1} lines, "
+                  f"line {f['first']}) [{f['class']}]")
     counted = [f for f in funcs if not f["timing_dependent"]]
     print(f"total: {total} unreached function-lines in {len(rows)} files, "
           f"{sum(1 for f in counted if not f['reached'])} of {len(counted)} functions")
+    # Per class, a line counts once however deeply its functions nest.
+    per_class = {}
+    for c in CLASS_ORDER:
+        mine = [f for f in counted if not f["reached"] and f["class"] == c]
+        lines = {(f["file"], n) for f in mine for n in range(f["first"], f["last"] + 1)}
+        per_class[c] = {"lines": len(lines), "functions": len(mine)}
+    print("by class: " + ", ".join(
+        f"{c} {v['lines']} lines in {v['functions']} functions" for c, v in per_class.items()))
     timed = [f for f in funcs if f["timing_dependent"]]
     print(f"timing-dependent (not counted): {len(timed)} functions")
     for f in timed:
         state = "reached" if f["reached"] else "not reached"
         print(f"    {f['file']}::{f['name']} ({state} this sweep): "
               f"{TIMING_DEPENDENT[f['file'], f['name']]}")
-    keys = ("file", "name", "first", "last", "reached", "timing_dependent")
+    keys = ("file", "name", "first", "last", "reached", "timing_dependent", "class")
     return {"total_unreached_lines": total,
             "per_file": {rel: nlines for rel, nlines, _ in rows},
+            "per_class": per_class,
             "functions": [{k: f[k] for k in keys} for f in funcs]}
 
 
