@@ -54,7 +54,7 @@ from ..core.plan import SoiPlan, soi_plan_for
 from ..core.soi import soi_fft, soi_fft2, soi_ifft, soi_segment
 from ..dft import FftPlan, irfft, plan_for, rfft
 from ..dft import fft as dft_fft
-from ..dft.backends import DEFAULT_BACKEND
+from ..dft.backends import DEFAULT_BACKEND, get_backend
 from ..dft import ifft as dft_ifft
 from ..nufft import nudft1, nudft2, nufft1, nufft2, NufftPlan
 from ..parallel.distribution import split_blocks
@@ -355,10 +355,10 @@ def _dft_rows(report: ConformanceReport) -> None:
     row(lambda: (irfft(np.fft.rfft(xodd), n=255), xodd), entry="dft.irfft", n=255,
         oracle="input")
 
-    # The explicit single-precision opt-in: native complex64 kernels,
-    # held to a float32 ulp budget.
+    # complex64 input to the repro backend: its native single-precision
+    # kernel plan, held to a float32 ulp budget.
     x64 = _signal("dft.c64[1024]", 1024).astype(np.complex64)
-    row(lambda: (plan_for(1024, precision="single").execute(x64),
+    row(lambda: (get_backend("repro").fft(x64),
                  np.fft.fft(x64.astype(np.complex128))),
         entry="FftPlan.execute", n=1024, dtype="complex64", tol_kind="single",
         options={"kernel": "radix2"})
@@ -449,9 +449,9 @@ class _World:
             rpn=None, library=DEFAULT_BACKEND, dtype="complex128"):
         """(out, res, recorder) of *entry* run with a row's fields.
 
-        ``transport``, ``overlap``, ``trace`` and ``resilience`` become
-        the entry's keywords; a traced run must record events, and
-        isend spans when pipelined.  ``kill`` kills rank 1 at that
+        ``overlap`` and ``resilience`` become the entry's keywords,
+        ``transport`` and ``trace`` the world's; a traced run must record
+        events, and isend spans when pipelined.  ``kill`` kills rank 1 at that
         phase: ``out`` is then the survivors' blocks plus the buddy's
         reconstruction of rank 1's.
         """
@@ -461,8 +461,7 @@ class _World:
         if plain and key in self._plain:
             return self._plain[key]
         kw: dict = {"overlap": True} if options.get("overlap") else {}
-        if options.get("trace"):
-            kw["trace"] = TraceRecorder()
+        rec = TraceRecorder() if options.get("trace") else None
         if options.get("resilience"):
             kw["resilience"] = SoiResilience()
         kill = options.get("kill")
@@ -478,9 +477,8 @@ class _World:
             timeout=60.0, faults=FaultPlan().kill(1, phase=kill) if kill else None,
             transport=TransportPolicy() if options.get("transport") else None,
             resilient="resilience" in kw, ranks_per_node=rpn,
-            alltoall_algorithm=schedule, engine=engine,
+            alltoall_algorithm=schedule, engine=engine, trace=rec,
         )
-        rec = kw.get("trace")
         if rec is not None and rec.nevents == 0:
             raise RuntimeError("trace recorder captured no events")
         if rec is not None and "overlap" in kw and not any(

@@ -228,6 +228,10 @@ class ScheduleController:
         Two replays with different fingerprints provably exercised
         different message interleavings; the fuzzer counts distinct
         fingerprints to show the schedule space is actually explored.
+
+        A seed replays an interleaving (same seed, same fingerprint) only
+        on the DES engine.  On threads a seed names a *policy*: its draws
+        follow a step counter that advances in thread-timing order.
         """
         blob = "|".join(map(repr, self._delivery_log)).encode()
         return hashlib.blake2b(blob, digest_size=12).hexdigest()
@@ -246,7 +250,12 @@ class ScheduleController:
 
 @dataclass(frozen=True)
 class ReplayMismatch:
-    """One divergence between a fuzzed replay and the reference run."""
+    """One divergence between a fuzzed replay and the reference run.
+
+    *schedule_seed* replays the interleaving only on the DES engine; a
+    thread-engine seed names a policy (:meth:`ScheduleController.fingerprint`),
+    so replay a thread-engine mismatch with ``run_kwargs={"engine": "des"}``.
+    """
 
     schedule_seed: str
     field: str  # "outputs" | "stats" | "trace"

@@ -305,10 +305,11 @@ class SoiPlan:
         return self._convolver()(rows, rows[:0], n, q0).reshape(self.p, n, self.mu)
 
     def _fft_p(self, backend: "str | FftBackend"):
-        """The plan-precision column transform the kernel runs per panel,
-        in place where the backend can (the panel is pooled scratch)."""
+        """The column transform the kernel runs per panel, at the panel's
+        (the plan's) precision and in place where the backend can (the
+        panel is pooled scratch)."""
         be = get_backend(backend)
-        return lambda zt: _plan_fft_tt(be, zt, self, out=zt)
+        return lambda zt: backend_fft_tt(be, zt, out=zt)
 
     def window_view(self, vec: np.ndarray, tail: np.ndarray, nchunks: int) -> np.ndarray:
         """Stencil windows ``(nchunks, B, P)`` over ``vec ++ tail``, zero-copy.
@@ -435,26 +436,6 @@ def _beta_fraction(beta) -> Fraction:
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta!r}")
     return as_fraction(beta)
-
-
-def _plan_fft_tt(
-    be: FftBackend, xt: np.ndarray, plan: SoiPlan, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Column-wise forward FFT (fused layout) at the plan's precision.
-
-    The column twin of :func:`repro.core.soi._plan_fft`: double-precision
-    plans write into *out* (which may be *xt* itself) when the backend
-    has ``fft_tt_into``; the result array is returned either way.
-    """
-    if plan.dtype != np.complex64:
-        if out is not None and be.fft_tt_into is not None:
-            return be.fft_tt_into(xt, out)
-        return backend_fft_tt(be, xt)
-    if be.name == "repro":
-        from ..dft.cache import plan_for
-
-        return plan_for(xt.shape[0], precision="single").execute_tt(xt)
-    return backend_fft_tt(be, xt).astype(np.complex64)
 
 
 # ----------------------------------------------------------------------

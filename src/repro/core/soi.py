@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dft.backends import DEFAULT_BACKEND, FftBackend, get_backend
+from ..dft.backends import DEFAULT_BACKEND, FftBackend, backend_fft, get_backend
 from ..utils import as_complex_vector
 from . import cores
 from .plan import SoiPlan
@@ -77,31 +77,6 @@ def _as_batched(x: np.ndarray, plan: SoiPlan) -> np.ndarray:
 def _check_plan(plan, name: str = "plan") -> None:
     if not isinstance(plan, SoiPlan):
         raise TypeError(f"{name} must be a SoiPlan, got {type(plan).__name__}")
-
-
-def _plan_fft(
-    be: FftBackend, z: np.ndarray, plan: SoiPlan, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Backend forward FFT over the last axis at the plan's precision.
-
-    Double-precision plans use the backend verbatim (the historical
-    bit-exact path), writing into *out* (which may be *z* itself) when
-    the backend has ``fft_into``; the result array is returned either
-    way.  For complex64 plans the repro backend executes a native
-    single-precision kernel plan; other backends compute at their own
-    precision and round once to complex64 — the distributed pipeline
-    routes through this same helper, so sequential and distributed stay
-    bit-for-bit equal at either precision.
-    """
-    if plan.dtype != np.complex64:
-        if out is not None and be.fft_into is not None:
-            return be.fft_into(z, out)
-        return be.fft(z)
-    if be.name == "repro":
-        from ..dft.cache import plan_for
-
-        return plan_for(z.shape[-1], precision="single").execute(z, inverse=False)
-    return be.fft(z).astype(np.complex64)
 
 
 def soi_convolve(x: np.ndarray, plan: SoiPlan) -> np.ndarray:
@@ -195,7 +170,7 @@ def _segment_ffts(
 
     def rows(ws, block: tuple[int, int]) -> None:
         r0, r1 = block
-        yt = _plan_fft(be, segments[r0:r1], plan, out=segments[r0:r1])
+        yt = backend_fft(be, segments[r0:r1], out=segments[r0:r1])
         np.multiply(yt[:, : plan.m], plan.demod_recip, out=out[r0:r1])
 
     kernel = plan._convolver()
@@ -283,5 +258,5 @@ def soi_segment(
     modulated = (vec.reshape(plan.m, plan.p) * phase).reshape(plan.n)
     z = soi_convolve(modulated, plan)
     x_tilde = z.sum(axis=1)          # DFT bin 0 across the P-axis
-    yt = _plan_fft(be, x_tilde, plan)
+    yt = backend_fft(be, x_tilde)
     return yt[: plan.m] * plan.demod_recip

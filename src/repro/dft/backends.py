@@ -17,6 +17,11 @@ One default, picked by measurement: ``numpy.fft`` beats the repro
 engine at every complex128 shape the serve layer runs (EXPERIMENTS.md
 "One default library").
 
+This module is the one place that decides which library runs and at
+what precision: a backend's callables return their result at the
+input's precision (see :class:`FftBackend`), so callers above
+:mod:`repro.dft` pass arrays and never name a backend or a precision.
+
 Tests run the full pipeline under both backends; agreement between them
 is itself a strong correctness check.
 """
@@ -39,6 +44,7 @@ __all__ = [
     "DEFAULT_BACKEND",
     "FftBackend",
     "UnknownBackendError",
+    "backend_fft",
     "backend_fft_tt",
     "get_backend",
 ]
@@ -51,27 +57,31 @@ class FftBackend:
     Both callables must follow NumPy conventions (forward unscaled,
     inverse scaled by 1/n) and accept arbitrary batch shapes.
 
+    **Precision contract.**  Every callable answers at its input's
+    precision: complex64 in gives complex64 out (``"numpy"`` computes in
+    complex128 and rounds once; ``"repro"`` runs its single-precision
+    kernel plan), any other input gives complex128.
+
     ``fft_tt`` is an optional column-layout kernel: the forward
     transform of each column of a 2-D ``(n, cols)`` array, in the same
     layout.  Backends whose short transforms run down the columns
     natively (``"repro"``: fixed-width GEMM blocks, see
-    :mod:`repro.dft.engine`) provide it to skip two transposes; others
-    leave it ``None`` and :func:`backend_fft_tt` transposes around
-    ``fft``.  Every backend's column transform must compute each column
-    on its own: a column slice must get exactly the bits the whole
-    array gets.  The SOI convolution relies on that to run this stage
-    panel by panel (:mod:`repro.core.convolve`).
+    :mod:`repro.dft.engine`) provide it to skip two transposes.  Every
+    backend's column transform must compute each column on its own: a
+    column slice must get exactly the bits the whole array gets.  The
+    SOI convolution relies on that to run this stage panel by panel
+    (:mod:`repro.core.convolve`).
 
     ``fft_into`` is optional too: ``fft_into(x, out)`` writes ``fft(x)``
     into *out* (which may be *x* itself) and returns *out*, bit-identical
-    to ``fft``.  The SOI pipeline runs its segment FFTs in place with it.
-    ``fft_tt_into(xt, out)`` is its column twin: it writes ``fft_tt(xt)``
-    into *out* (which may be *xt* itself, a column slice of a wider
-    buffer included) and returns *out*, bit-identical to ``fft_tt``.
-    The SOI convolution transforms each of its pooled panels in place
-    with it, so the transform writes no fresh array the copy-out would
-    then read cold (:mod:`repro.core.convolve`).  ``fft_tt`` itself
-    never writes its input.
+    to ``fft``.  ``fft_tt_into(xt, out)`` is its column twin: it writes
+    ``fft_tt(xt)`` into *out* (which may be *xt* itself, a column slice
+    of a wider buffer included) and returns *out*.  The SOI pipeline
+    runs its segment FFTs and pooled fft-p panels in place with them,
+    so the transform writes no fresh array the copy-out would then read
+    cold (:mod:`repro.core.convolve`).  ``fft_tt`` itself never writes
+    its input.  Call the optional fields through :func:`backend_fft`
+    and :func:`backend_fft_tt`, which fall back when one is missing.
     """
 
     name: str
@@ -82,14 +92,31 @@ class FftBackend:
     fft_tt_into: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
-def backend_fft_tt(backend: FftBackend, xt: np.ndarray) -> np.ndarray:
+def backend_fft(
+    backend: FftBackend, x: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Forward transform over the last axis, written into *out* (which
+    may be *x* itself) where the backend transforms in place; the
+    result array is returned either way."""
+    if out is not None and backend.fft_into is not None:
+        return backend.fft_into(x, out)
+    return backend.fft(x)
+
+
+def backend_fft_tt(
+    backend: FftBackend, xt: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Column-wise forward transform of 2-D *xt*, output in the same layout.
 
     The zero-transpose pipeline step: the SOI convolution emits its
-    output pre-transposed (one transform per column).  Backends without
-    a fused ``fft_tt`` pay the two transposes the unfused pipeline
-    always paid (values bit-identical either way).
+    output pre-transposed (one transform per column).  Written into
+    *out* (which may be *xt* itself) where the backend has
+    ``fft_tt_into``; backends without a fused ``fft_tt`` pay the two
+    transposes the unfused pipeline always paid (values bit-identical
+    either way).  The result array is returned.
     """
+    if out is not None and backend.fft_tt_into is not None:
+        return backend.fft_tt_into(xt, out)
     if backend.fft_tt is not None:
         return backend.fft_tt(xt)
     out = backend.fft(np.ascontiguousarray(np.swapaxes(xt, 0, 1)))
@@ -129,18 +156,50 @@ def get_backend(name: str | FftBackend) -> FftBackend:
         ) from None
 
 
-def _repro_fft(x: np.ndarray) -> np.ndarray:
+def _repro_plan(x: np.ndarray, n: int):
     # The cached-plan hit path: repeated same-size transforms (the SOI
     # pipeline's length-P and length-M' batches) skip plan construction.
-    return plan_for(np.asarray(x).shape[-1]).execute(x, inverse=False)
+    # complex64 input runs the single-precision kernel plan.
+    return plan_for(n, precision="single" if x.dtype == np.complex64 else None)
+
+
+def _repro_fft(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x)
+    return _repro_plan(x, x.shape[-1]).execute(x, inverse=False)
 
 
 def _repro_ifft(y: np.ndarray) -> np.ndarray:
-    return plan_for(np.asarray(y).shape[-1]).execute(y, inverse=True)
+    y = np.asarray(y)
+    return _repro_plan(y, y.shape[-1]).execute(y, inverse=True)
 
 
 def _repro_fft_tt(xt: np.ndarray) -> np.ndarray:
-    return plan_for(np.asarray(xt).shape[0]).execute_tt(xt)
+    xt = np.asarray(xt)
+    return _repro_plan(xt, xt.shape[0]).execute_tt(xt)
+
+
+def _numpy(transform, axis: int):
+    """``transform`` (``np.fft.fft`` or ``ifft``) along *axis*, computed
+    in complex128 and rounded once for complex64 input."""
+
+    def call(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        y = transform(np.asarray(x, dtype=np.complex128), axis=axis)
+        return y.astype(np.complex64) if x.dtype == np.complex64 else y
+
+    return call
+
+
+def _numpy_into(axis: int):
+    def call(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if x.dtype == np.complex64:
+            out[...] = np.fft.fft(np.asarray(x, dtype=np.complex128), axis=axis)
+            return out
+        # numpy >= 2.0 copies each input vector into the output before
+        # transforming it there, so out=x is exact.
+        return np.fft.fft(x, axis=axis, out=out)
+
+    return call
 
 
 _NUMPY_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
@@ -149,14 +208,13 @@ _BACKENDS: dict[str, FftBackend] = {
     "repro": FftBackend("repro", _repro_fft, _repro_ifft, fft_tt=_repro_fft_tt),
     "numpy": FftBackend(
         "numpy",
-        lambda x: np.fft.fft(np.asarray(x, dtype=np.complex128), axis=-1),
-        lambda y: np.fft.ifft(np.asarray(y, dtype=np.complex128), axis=-1),
+        _numpy(np.fft.fft, -1),
+        _numpy(np.fft.ifft, -1),
         # pocketfft along axis 0 runs the same per-vector kernel as
         # axis -1 plus transpose (bit-identical, verified in tests).
-        fft_tt=lambda xt: np.fft.fft(np.asarray(xt, dtype=np.complex128), axis=0),
-        # numpy >= 2.0 takes out= (and copies each input vector into the
-        # output before transforming it there, so out=x is exact).
-        fft_into=(lambda x, out: np.fft.fft(x, axis=-1, out=out)) if _NUMPY_OUT else None,
-        fft_tt_into=(lambda xt, out: np.fft.fft(xt, axis=0, out=out)) if _NUMPY_OUT else None,
+        fft_tt=_numpy(np.fft.fft, 0),
+        # numpy >= 2.0 takes out=.
+        fft_into=_numpy_into(-1) if _NUMPY_OUT else None,
+        fft_tt_into=_numpy_into(0) if _NUMPY_OUT else None,
     ),
 }

@@ -39,8 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..core.plan import SoiPlan
-from ..core.soi import _plan_fft
-from ..dft.backends import DEFAULT_BACKEND, FftBackend, get_backend
+from ..dft.backends import DEFAULT_BACKEND, FftBackend, backend_fft, get_backend
 from ..dft.flops import fft_flops, soi_convolution_flops
 from ..simmpi.comm import Communicator
 from ..simmpi.errors import RankFailedError
@@ -49,7 +48,6 @@ from ..simmpi.transport import _payload_bytes
 from ..utils import require
 
 if TYPE_CHECKING:
-    from ..trace.spans import TraceRecorder
     from .resilience import SoiResilience
 
 __all__ = [
@@ -143,7 +141,6 @@ def soi_fft_distributed(
     x_local: np.ndarray,
     plan: SoiPlan,
     backend: str | FftBackend = DEFAULT_BACKEND,
-    trace: TraceRecorder | None = None,
     overlap: bool = False,
     overlap_groups: int = 2,
     resilience: SoiResilience | None = None,
@@ -174,11 +171,10 @@ def soi_fft_distributed(
     output is bitwise the fault-free one.  :func:`repro.core.parseval_check`
     screens a gathered result against the plan's error budget.
 
-    With ``trace=`` (a shared :class:`~repro.trace.TraceRecorder`, or
-    one already attached via ``run_spmd(trace=...)``) every phase lands
-    on the rank's virtual timeline: compute spans carry the Section-5
-    flop counts, communication spans the exchanged bytes.  Tracing is
-    bit-transparent — output and traffic statistics are identical with
+    Traced (a :class:`~repro.trace.TraceRecorder` passed as
+    ``run_spmd(trace=...)``), every phase lands on the rank's timeline:
+    compute spans carry the Section-5 flop counts, communication spans
+    the exchanged bytes.  Tracing is bit-transparent — output and traffic statistics are identical with
     and without it.
 
     With ``resilience=`` (a shared :class:`SoiResilience`, one instance
@@ -196,8 +192,6 @@ def soi_fft_distributed(
     isend/irecv schedule (its sends ARE the exchange).
     """
     be = get_backend(backend)
-    if trace is not None:
-        trace.attach(comm.world)
     layout = soi_rank_layout(plan, comm.size)
     block = layout["block"]
     vec = np.ascontiguousarray(x_local, dtype=plan.dtype)
@@ -301,7 +295,7 @@ class _Rank:
         place, as the sequential back half does: every caller passes
         segments it owns and reads no more."""
         plan = self.plan
-        yt = _plan_fft(self.be, segs, plan, out=segs)
+        yt = backend_fft(self.be, segs, out=segs)
         self.comm.trace_compute("fft-m", self.s_per * fft_flops(plan.m_over))
         y = np.empty((self.s_per, plan.m), dtype=plan.dtype)
         np.multiply(yt[:, : plan.m], plan.demod_recip, out=y)
@@ -408,7 +402,6 @@ def soi_ifft_distributed(
     y_local: np.ndarray,
     plan: SoiPlan,
     backend: str | FftBackend = DEFAULT_BACKEND,
-    trace: TraceRecorder | None = None,
     overlap: bool = False,
     overlap_groups: int = 2,
     resilience: SoiResilience | None = None,
@@ -429,7 +422,7 @@ def soi_ifft_distributed(
     """
     vec = np.ascontiguousarray(y_local, dtype=plan.dtype)
     forward = soi_fft_distributed(
-        comm, np.conj(vec), plan, backend=backend, trace=trace,
+        comm, np.conj(vec), plan, backend=backend,
         overlap=overlap, overlap_groups=overlap_groups,
         resilience=resilience,
     )

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,9 +35,6 @@ from ..dft.backends import DEFAULT_BACKEND, FftBackend, get_backend
 from ..dft.flops import fft_flops
 from ..simmpi.comm import Communicator
 from ..utils import check_positive_int, require
-
-if TYPE_CHECKING:
-    from ..trace.spans import TraceRecorder
 
 __all__ = ["transpose_fft_distributed", "distributed_transpose", "choose_grid"]
 
@@ -142,7 +138,6 @@ def transpose_fft_distributed(
     n: int,
     backend: str | FftBackend = DEFAULT_BACKEND,
     grid: tuple[int, int] | None = None,
-    trace: TraceRecorder | None = None,
 ) -> np.ndarray:
     """In-order N-point FFT, block-distributed, via the six-step algorithm.
 
@@ -164,9 +159,9 @@ def transpose_fft_distributed(
     pays one: the paper's communication argument extended to
     reliability cost.
 
-    With ``trace=`` the run lands on a virtual timeline whose three
-    all-to-all epochs contrast with SOI's one (see :mod:`repro.trace`);
-    tracing is bit-transparent.
+    Traced (``run_spmd(trace=)``), the run lands on a virtual timeline
+    whose three all-to-all epochs contrast with SOI's one (see
+    :mod:`repro.trace`); tracing is bit-transparent.
 
     The world's exchange schedule (``run_spmd(alltoall_algorithm=)``)
     applies to all THREE transposes — six-step pays the schedule choice
@@ -174,8 +169,6 @@ def transpose_fft_distributed(
     way.
     """
     be = get_backend(backend)
-    if trace is not None:
-        trace.attach(comm.world)
     r = comm.size
     n1, n2 = grid if grid is not None else choose_grid(n, r)
     require(n1 * n2 == n, f"grid {n1}x{n2} != n={n}")

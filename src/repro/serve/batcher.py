@@ -10,9 +10,10 @@ the batcher optimises freely.
 
 Per backend:
 
-- ``dft``   — stacked ``numpy.fft`` (``library="numpy"``, the default:
-  the MKL/FFTW stand-in, exactly the paper's "vendor library as
-  building block" role) or ``FftPlan.execute`` (``library="repro"``).
+- ``dft``   — one stacked call of the request's backend
+  (``library="numpy"``, the default: the MKL/FFTW stand-in, exactly the
+  paper's "vendor library as building block" role; or
+  ``library="repro"``).
 - ``soi``   — :func:`repro.core.soi.soi_fft` / ``soi_ifft`` through
   the shared :func:`repro.core.plan.soi_plan_for` cache, one request
   at a time (a stacked ``soi_fft`` runs its rows through the same
@@ -33,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..dft import plan_for
+from ..dft.backends import get_backend
 from .request import TransformRequest
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,24 +60,13 @@ def _nufft_plan(k_modes: int) -> "NufftPlan":
 
 
 def _execute_dft(requests: list[TransformRequest]) -> list[np.ndarray]:
+    # The backend computes at the payload's precision (complex64 in,
+    # complex64 out); the batch key carries the payload dtype, so a
+    # batch is homogeneous.
     head = requests[0]
+    be = get_backend(head.library)
     xs = np.stack([r.payload for r in requests])
-    inverse = head.direction == "inverse"
-    # complex64 requests ride the float32 pipeline end to end (the batch
-    # key carries the payload dtype, so a batch is homogeneous); every
-    # other dtype keeps the historical complex128 compute contract.
-    single = np.dtype(head.payload.dtype) == np.complex64
-    if head.library == "numpy":
-        xs = np.ascontiguousarray(
-            xs, dtype=np.complex64 if single else np.complex128
-        )
-        out = np.fft.ifft(xs, axis=-1) if inverse else np.fft.fft(xs, axis=-1)
-    else:
-        plan = plan_for(
-            head.n, head.payload.dtype, precision="single" if single else None
-        )
-        out = plan.execute(xs, inverse=inverse)
-    return list(out)
+    return list(be.ifft(xs) if head.direction == "inverse" else be.fft(xs))
 
 
 def _execute_soi(requests: list[TransformRequest]) -> list[np.ndarray]:

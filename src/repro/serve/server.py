@@ -32,7 +32,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..dft.backends import DEFAULT_BACKEND
+from ..dft.backends import DEFAULT_BACKEND, UnknownBackendError, get_backend
 from ..dft.cache import warm_plan_cache
 from ..utils import check_positive_int
 from .admission import AdmissionController
@@ -176,9 +176,9 @@ class TransformServer:
         and :class:`ServerClosed` when the server is not running.
         Backend-specific parameters ride in ``params`` (SOI:
         ``p``/``beta``/``window``; transpose: ``nranks``;
-        NUFFT: ``points``/``k_modes``/``kind``).  *library* names the
-        node-local FFT (``"numpy"`` or ``"repro"``); ``None`` takes
-        ``config.default_library``.
+        NUFFT: ``points``/``k_modes``/``kind``).  *library* is the name
+        of the node-local FFT backend (``"numpy"`` or ``"repro"``);
+        ``None`` takes ``config.default_library``.
         """
         req = self._build_request(
             x, direction, backend, library, priority, deadline_s, params
@@ -206,8 +206,12 @@ class TransformServer:
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         lib = library or self.config.default_library
-        if lib not in ("repro", "numpy"):
-            raise ValueError(f"library must be repro|numpy, got {lib!r}")
+        if not isinstance(lib, str):
+            raise TypeError(f"library must be a backend name, got {type(lib).__name__}")
+        try:
+            get_backend(lib)
+        except UnknownBackendError as exc:
+            raise UnknownBackendError(f"library={lib!r}: {exc}") from None
         arr = np.asarray(x)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError(f"payload must be a non-empty 1-D array, got {arr.shape}")

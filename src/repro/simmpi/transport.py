@@ -171,6 +171,42 @@ class _RecvState:
     since: float | None = None  # clock() when the patience window opened
 
 
+class _Barrier:
+    """``threading.Barrier`` whose ``abort`` breaks only the generation
+    still filling: a waiter a completed generation released returns even
+    if it wakes after the abort.  A timeout breaks it for everyone."""
+
+    def __init__(self, parties: int) -> None:
+        self.parties = parties
+        self._cond = threading.Condition()
+        self._count = 0
+        self._gen = 0
+        self._broken = False
+
+    def wait(self, timeout: float | None = None) -> None:
+        with self._cond:
+            if self._broken:
+                raise threading.BrokenBarrierError
+            gen = self._gen
+            self._count += 1
+            if self._count == self.parties:
+                self._count = 0
+                self._gen += 1
+                self._cond.notify_all()
+                return
+            self._cond.wait_for(lambda: self._gen != gen or self._broken, timeout)
+            if self._gen != gen:
+                return
+            self._broken = True
+            self._cond.notify_all()
+            raise threading.BrokenBarrierError
+
+    def abort(self) -> None:
+        with self._cond:
+            self._broken = True
+            self._cond.notify_all()
+
+
 class World:
     """Shared state of one SPMD execution: channels, barrier, stats.
 
@@ -223,7 +259,7 @@ class World:
         self._cv = threading.Condition()
         self._channels: dict[tuple, deque] = {}
         self._pending_delays: dict[tuple, list] = {}
-        self._barrier = threading.Barrier(nranks)
+        self._barrier = _Barrier(nranks)
         self.abort_event = threading.Event()
         # Optional span recorder (repro.trace.TraceRecorder).  Hooks fire
         # only when set; they read payload *sizes* and never touch the
@@ -469,7 +505,8 @@ class World:
         its in-flight messages drain) and raise :class:`RankFailedError`.
         Otherwise this degrades to the historical whole-world abort.
         The world barrier is broken permanently either way — a full-world
-        barrier can never complete once a member is dead; survivors use
+        barrier can never complete once a member is dead (a generation
+        that already completed still releases its waiters); survivors use
         :meth:`~repro.simmpi.comm.Communicator.shrink` for post-failure
         synchronisation.
         """

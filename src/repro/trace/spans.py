@@ -184,8 +184,8 @@ class TraceRecorder:
     """Thread-safe per-rank span recorder (see module docstring).
 
     One recorder instance is shared by every rank of a run — attach it
-    via ``run_spmd(..., trace=recorder)`` or the ``trace=`` option of
-    the distributed FFTs.  After the run, :meth:`timeline` returns the
+    via ``run_spmd(..., trace=recorder)``, which sets tracing for the
+    whole world.  After the run, :meth:`timeline` returns the
     recorded spans as a :class:`VirtualTimeline`.
     """
 

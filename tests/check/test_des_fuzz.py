@@ -32,6 +32,16 @@ class TestFuzzedSoiUnderDes:
         assert report.ok, report.as_dict()["mismatches"]
         assert report.distinct_interleavings > 1
 
+    def test_a_seed_replays_its_interleavings_on_des(self):
+        """Two DES fuzz runs of one seed realise the same delivery
+        orders: the fingerprints a report names can be replayed."""
+        runs = [
+            fuzz_distributed_soi(schedules=4, run_kwargs={"engine": "des"})
+            for _ in range(2)
+        ]
+        assert all(r.ok for r in runs)
+        assert runs[0].fingerprints == runs[1].fingerprints
+
     def test_hierarchical_schedule_fuzzes_clean_under_des(self):
         report = fuzz_distributed_soi(
             n=4096, p=8, nranks=4, schedules=4, seed="des-hier",

@@ -22,9 +22,7 @@ import pytest
 import repro.core.convolve as convolve
 import repro.parallel.soi_dist as soi_dist
 from repro.core import SoiPlan, TauSigmaWindow, soi_fft, soi_ifft
-from repro.core.plan import _plan_fft_tt
 from repro.dft.backends import backend_fft_tt, get_backend
-from repro.dft.cache import plan_for
 from repro.parallel import soi_fft_distributed, split_blocks
 from repro.simmpi import run_spmd
 
@@ -59,7 +57,7 @@ def _fused(plan, winb, q0=0, backend="numpy"):
 def _staged(plan, winb, q0, be):
     """The reference: the whole convolution output, then one transform."""
     z_t = plan.contract_windows_t(winb, q0).reshape(plan.p, -1)
-    return _plan_fft_tt(be, z_t, plan)
+    return backend_fft_tt(be, z_t)
 
 
 def _plan_with_steps(p, beta, b, dtype, steps):
@@ -179,10 +177,7 @@ class TestTheFactsTheFusionRestsOn:
         """pocketfft along axis 0 and the engine's column blocks (every P
         here) both transform each column on its own."""
         be = get_backend(backend)
-        if dtype == np.complex64 and backend == "repro":
-            fft_tt = plan_for(p, precision="single").execute_tt
-        else:
-            fft_tt = lambda xt: backend_fft_tt(be, xt)  # noqa: E731
+        fft_tt = lambda xt: backend_fft_tt(be, xt)  # noqa: E731
         xt = (rng.standard_normal((p, 1500)) + 1j * rng.standard_normal((p, 1500))).astype(dtype)
         full = fft_tt(xt)
         for a, b in [(0, 1), (0, 640), (7, 1500), (320, 960), (1499, 1500)]:

@@ -8,6 +8,9 @@ be able to form a shrunken communicator and keep running collectives
 over the remaining membership.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -108,6 +111,60 @@ class TestFailedRanksAndShrink:
         for rank, got in enumerate(out.values):
             if rank != 2:
                 assert got == (2,)
+
+    def test_a_completed_barrier_survives_a_later_death(self):
+        """A rank that a completed world barrier released never sees a
+        peer that died after leaving it as a barrier failure: the death
+        surfaces in the next operation that needs the dead rank."""
+
+        def body(comm):
+            sub = comm.shrink()
+            comm.barrier()
+            with comm.phase("doom"):
+                pass
+            try:
+                sub.allgather(comm.rank)
+            except RankFailedError as exc:
+                return ("failed", exc.ranks)
+            return ("ok", None)
+
+        for _ in range(40):
+            out = run_spmd(
+                4,
+                body,
+                resilient=True,
+                faults=FaultPlan().kill(2, phase="doom"),
+                timeout=GUARD_S,
+            )
+            assert dict(out.failures).keys() == {2}
+            for rank in (0, 1, 3):
+                assert out.values[rank] == ("failed", (2,))
+
+    def test_abort_spares_a_released_waiter_that_has_not_woken(self):
+        """The waiter wakes only after the abort (the releasing rank
+        holds the barrier's lock through both), and still returns."""
+        from repro.simmpi.transport import _Barrier
+
+        barrier, outcome = _Barrier(2), []
+
+        def waiter():
+            try:
+                barrier.wait(timeout=GUARD_S)
+                outcome.append("released")
+            except threading.BrokenBarrierError:
+                outcome.append("broken")
+
+        t = threading.Thread(target=waiter)
+        t.start()
+        while barrier._count < 1:
+            time.sleep(1e-3)
+        with barrier._cond:
+            barrier.wait()
+            barrier.abort()
+        t.join(GUARD_S)
+        assert outcome == ["released"]
+        with pytest.raises(threading.BrokenBarrierError):
+            barrier.wait()
 
     def test_shrink_collectives_span_only_survivors(self):
         def body(comm):

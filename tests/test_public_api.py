@@ -37,7 +37,7 @@ class TestPublicSurface:
     def test_option_surface_is_pinned(self):
         """``run_spmd`` takes 12 keyword options and ``ServeConfig`` 8
         fields; surfaces that no driver reached stay deleted, and the
-        all-to-all schedule is set only by ``run_spmd``.  The conformance
+        all-to-all schedule and tracing are set only by ``run_spmd``.  The conformance
         table's only setting is its size."""
         from repro.serve import ServeConfig
         from repro.simmpi import Communicator
@@ -49,8 +49,12 @@ class TestPublicSurface:
         fields = [f.name for f in dataclasses.fields(ServeConfig)]
         assert len(fields) == 8 and "warmup_path" not in fields
         assert "alltoall_algorithm" not in fields
-        for fn in (soi_fft_distributed, transpose_fft_distributed):
-            assert "alltoall_algorithm" not in inspect.signature(fn).parameters
+        # The schedule and tracing are set once, by the world.
+        from repro.parallel import soi_ifft_distributed
+
+        for fn in (soi_fft_distributed, soi_ifft_distributed, transpose_fft_distributed):
+            params = inspect.signature(fn).parameters
+            assert "alltoall_algorithm" not in params and "trace" not in params
         assert not hasattr(Communicator, "ialltoall")
         # The conformance table's whole surface is its size.
         from repro.check import edge_geometries, run_conformance
