@@ -367,7 +367,10 @@ def _serve(args: argparse.Namespace) -> dict:
 def _check(args: argparse.Namespace) -> dict:
     """Correctness audit: conformance registry + schedule fuzzing + HB scan."""
     from .bench import format_table
-    from .check import HbTracker, fuzz_distributed_soi, install_cache_observers, run_conformance
+    from .check import (
+        HbTracker, fuzz_distributed_soi, install_cache_observers, run_conformance, touch_caches,
+    )
+    from .simmpi import run_spmd
 
     size = getattr(args, "check_size", None) or "default"
     schedules = getattr(args, "schedules", None)
@@ -402,6 +405,10 @@ def _check(args: argparse.Namespace) -> dict:
             backend="repro",
             controller_kwargs={"hb": hb},
         )
+        # The fuzzed program reaches only the dft plan cache.  This world
+        # enters all five, with no controller: no edge orders its
+        # accesses, so only the caches' own locks keep it clean.
+        run_spmd(hb.nranks, touch_caches)
     finally:
         restore()
     hb_report = hb.report()

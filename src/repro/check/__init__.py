@@ -7,8 +7,8 @@ compute what they claim, identically, under every interleaving):
   simulated cluster: permutes message-delivery and thread-wakeup order
   across replays and asserts bitwise-identical outputs, traffic
   statistics and trace-span structure.  :mod:`repro.check.hb` rides
-  along, flagging happens-before races on shared state (the plan
-  caches) via vector clocks.
+  along, flagging happens-before races on shared state (the plan and
+  table caches) via vector clocks.
 - :mod:`repro.check.conformance` — a differential table of typed rows
   (entry point, world, library, dtype, options, oracle, tolerance kind)
   holding every transform entry point to its oracle: NumPy within an
@@ -28,7 +28,7 @@ from .conformance import (
     run_conformance,
     soi_tolerance,
 )
-from .hb import Access, HbTracker, install_cache_observers
+from .hb import Access, HbTracker, install_cache_observers, touch_caches
 from .schedules import (
     FuzzReport,
     ReplayMismatch,
@@ -54,4 +54,5 @@ __all__ = [
     "replay_interleavings",
     "run_conformance",
     "soi_tolerance",
+    "touch_caches",
 ]

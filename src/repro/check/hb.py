@@ -3,9 +3,9 @@
 simmpi ranks are threads, so "distributed" code can accidentally share
 mutable Python state — exactly the bug class the bitwise seq≡dist
 invariant is most vulnerable to.  The legitimate shared structures
-(the :mod:`repro.dft.cache` plan cache, the SOI plan cache in
-:mod:`repro.core.plan`) are lock-guarded; this module provides the
-audit that proves it and flags anything that is not.
+(the five process-wide plan and table caches, each a
+:class:`repro.utils.cache.LruCache`) are lock-guarded; this module
+provides the audit that proves it and flags anything that is not.
 
 :class:`HbTracker` maintains one vector clock per rank, advanced by the
 runtime's only synchronisation edges:
@@ -17,9 +17,9 @@ runtime's only synchronisation edges:
   participant (a barrier is an all-to-all synchronisation edge).
 
 Shared-state accesses are reported through :meth:`HbTracker.note_access`
-— either directly from test programs or via the zero-cost observer
-hooks the plan caches expose (``set_plan_cache_observer`` /
-``set_soi_plan_cache_observer``).  Two accesses *race* when they touch
+— either directly from test programs or via the one cache observer
+that :func:`install_cache_observers` sets (:func:`touch_caches` enters
+all five caches from a rank).  Two accesses *race* when they touch
 the same state from different ranks, at least one writes, neither
 happens-before the other (vector clocks incomparable), and they are not
 both protected by the same named guard.  Accesses from threads outside
@@ -40,7 +40,7 @@ from typing import Any
 
 from ..simmpi.runtime import current_rank
 
-__all__ = ["Access", "HbTracker", "install_cache_observers"]
+__all__ = ["Access", "HbTracker", "install_cache_observers", "touch_caches"]
 
 #: Bound on recorded accesses per state: the race scan is O(n^2) per
 #: state and cache-hammering tests can log tens of thousands of hits.
@@ -160,14 +160,6 @@ class HbTracker:
                 return
             log.append(Access(state, rank, kind, guard, tuple(clk)))
 
-    def observer(self) -> Any:
-        """A ``(state, kind, guard)`` callable for the cache observer hooks."""
-
-        def observe(state: str, kind: str, guard: str | None) -> None:
-            self.note_access(state, kind, guard)
-
-        return observe
-
     # ---- race scan --------------------------------------------------------
 
     def findings(self) -> list[dict]:
@@ -223,21 +215,36 @@ class HbTracker:
 
 
 def install_cache_observers(tracker: HbTracker):
-    """Point both plan caches' observer hooks at *tracker*.
+    """Point the cache observer (every cache's accesses) at *tracker*.
 
-    Returns a zero-argument function restoring the previous observers —
+    Returns a zero-argument function restoring the previous observer —
     use in a try/finally (or the tests' fixture) so the zero-cost
     default is re-established.
     """
-    from ..core import plan as soi_plan_mod
-    from ..dft import cache as dft_cache_mod
+    from ..utils import cache
 
-    obs = tracker.observer()
-    prev_dft = dft_cache_mod.set_plan_cache_observer(obs)
-    prev_soi = soi_plan_mod.set_soi_plan_cache_observer(obs)
+    previous = cache.observer
+    cache.observer = tracker.note_access
 
     def restore() -> None:
-        dft_cache_mod.set_plan_cache_observer(prev_dft)
-        soi_plan_mod.set_soi_plan_cache_observer(prev_soi)
+        cache.observer = previous
 
     return restore
+
+
+def touch_caches(comm: Any) -> None:
+    """A rank program entering all five process-wide caches, each through
+    the code that owns it (*comm*'s size must divide 16)."""
+    import numpy as np
+
+    from ..core.plan import soi_plan_for
+    from ..dft.cache import plan_for
+    from ..dft.twiddle import twiddles
+    from ..parallel.transpose import transpose_fft_distributed
+    from ..serve.batcher import _nufft_plan
+
+    plan_for(64)
+    twiddles(64)
+    soi_plan_for(1024, 4)
+    transpose_fft_distributed(comm, np.ones(256 // comm.size, np.complex128), 256)
+    _nufft_plan(128)

@@ -37,6 +37,7 @@ import numpy as np
 from ..dft.backends import FftBackend, backend_fft_tt, get_backend
 from ..exectx import execution_context
 from ..utils import as_fraction, check_positive_int, require
+from ..utils.cache import LruCache
 from .convolve import ConvolveKernel
 from .design import WindowDesign, design_window, preset_design
 from .windows import ReferenceWindow
@@ -46,7 +47,6 @@ __all__ = [
     "soi_plan_for",
     "clear_soi_plan_cache",
     "soi_plan_cache_info",
-    "set_soi_plan_cache_observer",
 ]
 
 
@@ -438,23 +438,10 @@ def _beta_fraction(beta) -> Fraction:
     return as_fraction(beta)
 
 
-# ----------------------------------------------------------------------
-# SOI plan cache — the SoiPlan analogue of repro.dft.cache.plan_for.
-# ----------------------------------------------------------------------
-
 # Plans hold the (mu, B, P) tables and, once used, a banded kernel table
 # several times that size (soi_plan_cache_info()["table_bytes"]); the
 # cache bounds plans, not bytes, so keep the set small.
-_SOI_CACHE_MAX = 16
-_soi_cache: "OrderedDict[tuple, SoiPlan]" = None  # type: ignore[assignment]
-_soi_lock = threading.Lock()
-_soi_hits = 0
-_soi_misses = 0
-_soi_evictions = 0
-_soi_observer = None  # (state, kind, guard) callable; see repro.check.hb
-
-#: Name of the lock guarding the cache, declared to the HB checker.
-_SOI_GUARD = "repro.core.plan._soi_lock"
+_SOI_PLANS = LruCache("core.soi_plan_cache", 16)
 
 
 def soi_plan_for(
@@ -475,74 +462,22 @@ def soi_plan_for(
     cached; exotic specs fall through to a fresh plan.  Safe to call
     concurrently from simmpi rank threads.
     """
-    global _soi_cache, _soi_hits, _soi_misses, _soi_evictions
     if not isinstance(window, (str, float, int)) or isinstance(window, bool):
         return SoiPlan(n=n, p=p, beta=beta, window=window, b=b, dtype=dtype)
-    obs = _soi_observer
-    if obs is not None:
-        obs("core.soi_plan_cache", "rw", _SOI_GUARD)
     if not isinstance(window, str):
         window = float(window)  # 14 and 14.0 are one design and one key
     key = (n, p, _beta_fraction(beta), window, b, np.dtype(dtype).str)
-    with _soi_lock:
-        if _soi_cache is None:
-            from collections import OrderedDict
-
-            _soi_cache = OrderedDict()
-        plan = _soi_cache.get(key)
-        if plan is not None:
-            _soi_cache.move_to_end(key)
-            _soi_hits += 1
-            return plan
-    built = SoiPlan(n=n, p=p, beta=beta, window=window, b=b, dtype=dtype)
-    with _soi_lock:
-        plan = _soi_cache.setdefault(key, built)
-        if plan is built:
-            _soi_misses += 1
-        else:
-            _soi_hits += 1  # another thread built it first; share theirs
-        _soi_cache.move_to_end(key)
-        while len(_soi_cache) > _SOI_CACHE_MAX:
-            _soi_cache.popitem(last=False)
-            _soi_evictions += 1
-    return plan
+    return _SOI_PLANS.get(
+        key, lambda: SoiPlan(n=n, p=p, beta=beta, window=window, b=b, dtype=dtype)
+    )
 
 
 def clear_soi_plan_cache() -> None:
     """Drop all cached SOI plans and reset the hit/miss/eviction counters."""
-    global _soi_cache, _soi_hits, _soi_misses, _soi_evictions
-    with _soi_lock:
-        if _soi_cache is not None:
-            _soi_cache.clear()
-        _soi_hits = 0
-        _soi_misses = 0
-        _soi_evictions = 0
+    _SOI_PLANS.clear()
 
 
 def soi_plan_cache_info() -> dict[str, int]:
-    """Cache statistics: entries, hits, misses, evictions, max_plans and
+    """Cache statistics: entries, hits, misses, evictions, maxsize and
     the table bytes the cached plans hold (:attr:`SoiPlan.table_bytes`)."""
-    with _soi_lock:
-        plans = [] if _soi_cache is None else list(_soi_cache.values())
-        return {
-            "plans": len(plans),
-            "table_bytes": sum(plan.table_bytes for plan in plans),
-            "hits": _soi_hits,
-            "misses": _soi_misses,
-            "evictions": _soi_evictions,
-            "max_plans": _SOI_CACHE_MAX,
-        }
-
-
-def set_soi_plan_cache_observer(observer):
-    """Install a cache access observer; returns the previous one.
-
-    Called as ``observer("core.soi_plan_cache", "rw", guard)`` on every
-    cached :func:`soi_plan_for` lookup, outside the cache lock — the
-    declaration hook for :class:`repro.check.hb.HbTracker`.  Zero-cost
-    (one global read) when no observer is installed.
-    """
-    global _soi_observer
-    previous = _soi_observer
-    _soi_observer = observer
-    return previous
+    return {**_SOI_PLANS.info(), "table_bytes": sum(p.table_bytes for p in _SOI_PLANS.values())}

@@ -156,11 +156,15 @@ def get_backend(name: str | FftBackend) -> FftBackend:
         ) from None
 
 
+def _repro_precision(dtype: np.dtype) -> str | None:
+    """complex64 input runs the single-precision plan, any other the double one."""
+    return "single" if dtype == np.complex64 else None
+
+
 def _repro_plan(x: np.ndarray, n: int):
     # The cached-plan hit path: repeated same-size transforms (the SOI
     # pipeline's length-P and length-M' batches) skip plan construction.
-    # complex64 input runs the single-precision kernel plan.
-    return plan_for(n, precision="single" if x.dtype == np.complex64 else None)
+    return plan_for(n, precision=_repro_precision(x.dtype))
 
 
 def _repro_fft(x: np.ndarray) -> np.ndarray:

@@ -13,16 +13,13 @@ heap.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
 import numpy as np
+
+from ..utils.cache import LruCache
 
 __all__ = ["twiddles", "clear_twiddle_cache"]
 
-_CACHE_MAX_ENTRIES = 256
-_cache: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
-_lock = threading.Lock()
+_TWIDDLES = LruCache("dft.twiddles", 256)
 
 
 def twiddles(n: int, sign: int = -1) -> np.ndarray:
@@ -36,25 +33,15 @@ def twiddles(n: int, sign: int = -1) -> np.ndarray:
         raise ValueError(f"n must be positive, got {n}")
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign}")
-    key = (n, sign)
-    with _lock:
-        cached = _cache.get(key)
-        if cached is not None:
-            _cache.move_to_end(key)
-            return cached
-    # Compute outside the lock: trig is the expensive part and the worst
-    # case of two threads racing is a redundant computation.
-    values = np.exp(sign * 2j * np.pi * np.arange(n) / n)
-    values.setflags(write=False)
-    with _lock:
-        _cache[key] = values
-        _cache.move_to_end(key)
-        while len(_cache) > _CACHE_MAX_ENTRIES:
-            _cache.popitem(last=False)
-    return values
+
+    def build() -> np.ndarray:
+        values = np.exp(sign * 2j * np.pi * np.arange(n) / n)
+        values.setflags(write=False)
+        return values
+
+    return _TWIDDLES.get((n, sign), build)
 
 
 def clear_twiddle_cache() -> None:
     """Drop every cached twiddle array (used by tests and benchmarks)."""
-    with _lock:
-        _cache.clear()
+    _TWIDDLES.clear()

@@ -26,23 +26,18 @@ order is to be preserved".
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
 import numpy as np
 
 from ..dft.backends import DEFAULT_BACKEND, FftBackend, get_backend
 from ..dft.flops import fft_flops
 from ..simmpi.comm import Communicator
 from ..utils import check_positive_int, require
+from ..utils.cache import LruCache
 
 __all__ = ["transpose_fft_distributed", "distributed_transpose", "choose_grid"]
 
-#: The LRU bound: distinct ``(n, n1, n2)`` twiddle tables kept at once.
-_MAX_TWIDDLES = 16
-
-_twiddle_lock = threading.Lock()
-_twiddles: OrderedDict[tuple[int, int, int], np.ndarray] = OrderedDict()
+#: Distinct ``(n, n1, n2)`` step-3 twiddle tables kept at once.
+_TABLES = LruCache("parallel.twiddle_tables", 16)
 
 
 def _twiddle_table(n: int, n1: int, n2: int) -> np.ndarray:
@@ -52,19 +47,15 @@ def _twiddle_table(n: int, n1: int, n2: int) -> np.ndarray:
     slices its own ``N2/R`` rows.  The exponent is reduced exactly in
     integers, which avoids argument-reduction noise at large N.
     """
-    key = (n, n1, n2)
-    with _twiddle_lock:
-        table = _twiddles.get(key)
-        if table is None:
-            j2 = np.arange(n2, dtype=np.int64)[:, None]
-            k1 = np.arange(n1, dtype=np.int64)[None, :]
-            table = np.exp(-2j * np.pi * ((j2 * k1) % n) / n)
-            table.flags.writeable = False
-            _twiddles[key] = table
-            while len(_twiddles) > _MAX_TWIDDLES:
-                _twiddles.popitem(last=False)
-        _twiddles.move_to_end(key)
+
+    def build() -> np.ndarray:
+        j2 = np.arange(n2, dtype=np.int64)[:, None]
+        k1 = np.arange(n1, dtype=np.int64)[None, :]
+        table = np.exp(-2j * np.pi * ((j2 * k1) % n) / n)
+        table.flags.writeable = False
         return table
+
+    return _TABLES.get((n, n1, n2), build)
 
 
 def choose_grid(n: int, nranks: int) -> tuple[int, int]:

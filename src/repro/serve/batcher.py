@@ -24,17 +24,17 @@ Per backend:
   the fixed distributed-transform costs are what coalescing amortises,
   which is where the serve bench's headline speedup comes from.
 - ``nufft`` — per-request NUFFT inside one dispatch group (point sets
-  differ per request; the plan is shared via a small keyed cache).
+  differ per request; the plan is shared via a bounded keyed cache).
 """
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..dft.backends import get_backend
+from ..utils.cache import LruCache
 from .request import TransformRequest
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,21 +42,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["execute_batch"]
 
-#: Small keyed cache of NufftPlan objects (window spread tables are
-#: expensive to rebuild per request).
-_nufft_plans: dict[tuple, "NufftPlan"] = {}
-_nufft_lock = threading.Lock()
+#: NufftPlans by ``k_modes`` (window spread tables are expensive to
+#: rebuild per request); bounded, since ``k_modes`` comes from requests.
+_NUFFT_PLANS = LruCache("serve.nufft_plans", 16)
 
 
 def _nufft_plan(k_modes: int) -> "NufftPlan":
     from ..nufft import NufftPlan
 
-    key = (k_modes,)
-    with _nufft_lock:
-        plan = _nufft_plans.get(key)
-        if plan is None:
-            plan = _nufft_plans[key] = NufftPlan(k_modes)
-        return plan
+    return _NUFFT_PLANS.get(k_modes, lambda: NufftPlan(k_modes))
 
 
 def _execute_dft(requests: list[TransformRequest]) -> list[np.ndarray]:

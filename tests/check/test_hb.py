@@ -10,7 +10,7 @@ fuzzed distributed SOI run and requires a clean bill.
 import numpy as np
 import pytest
 
-from repro.check import HbTracker, ScheduleController, install_cache_observers
+from repro.check import HbTracker, ScheduleController, install_cache_observers, touch_caches
 from repro.simmpi import run_spmd
 
 
@@ -172,9 +172,33 @@ class TestPlanCacheAudit:
         assert report["clean"], report["findings"]
 
     def test_install_cache_observers_restores_previous(self):
-        from repro.dft import cache as dft_cache
+        from repro.utils import cache
 
         hb = HbTracker(2)
         restore = install_cache_observers(hb)
+        assert cache.observer is not None
         restore()
-        assert dft_cache.set_plan_cache_observer(None) is None
+        assert cache.observer is None
+
+    def test_one_world_audits_every_cache(self):
+        """touch_caches enters all five caches from every rank at once;
+        with no controller no edge orders the accesses, so only the
+        caches' own locks keep the audit clean."""
+        hb = HbTracker(4)
+        restore = install_cache_observers(hb)
+        try:
+            run_spmd(4, touch_caches)
+        finally:
+            restore()
+        report = hb.report()
+        assert report["states_audited"] == dict.fromkeys(
+            [
+                "core.soi_plan_cache",
+                "dft.plan_cache",
+                "dft.twiddles",
+                "parallel.twiddle_tables",
+                "serve.nufft_plans",
+            ],
+            4,
+        )
+        assert report["clean"], report["findings"]

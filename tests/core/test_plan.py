@@ -123,7 +123,7 @@ class TestWindowResolution:
         clear_soi_plan_cache()
         plan = soi_plan_for(2048, 4, window=9)
         assert soi_plan_for(2048, 4, window=9.0) is plan
-        assert soi_plan_cache_info()["plans"] == 1
+        assert soi_plan_cache_info()["entries"] == 1
         assert plan.b == SoiPlan(n=2048, p=4, window=9.0).b
 
     def test_bool_target_rejected(self):

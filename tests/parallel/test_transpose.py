@@ -168,7 +168,7 @@ class TestTwiddleTable:
             table, np.exp(-2j * np.pi * ((j2 * k1) % 4096) / 4096)
         )
 
-    def test_concurrent_callers_share_one_table(self, monkeypatch):
+    def test_concurrent_callers_share_one_table(self):
         """Rank threads race for the same shapes: each shape is built once
         and every caller gets that one object."""
         import sys
@@ -176,7 +176,7 @@ class TestTwiddleTable:
 
         import repro.parallel.transpose as six_step
 
-        monkeypatch.setattr(six_step, "_twiddles", type(six_step._twiddles)())
+        six_step._TABLES.clear()
         shapes = [(256, 16, 16), (1024, 32, 32), (4096, 64, 64)]
         seen = [[] for _ in range(8)]
 
@@ -200,14 +200,3 @@ class TestTwiddleTable:
         for shape, ident in (pair for out in seen for pair in out):
             ids.setdefault(shape, set()).add(ident)
         assert {shape: len(v) for shape, v in ids.items()} == dict.fromkeys(shapes, 1)
-
-    def test_lru_bound(self, monkeypatch):
-        import repro.parallel.transpose as six_step
-
-        monkeypatch.setattr(six_step, "_MAX_TWIDDLES", 2)
-        monkeypatch.setattr(six_step, "_twiddles", type(six_step._twiddles)())
-        first = six_step._twiddle_table(256, 16, 16)
-        six_step._twiddle_table(1024, 32, 32)
-        six_step._twiddle_table(4096, 64, 64)
-        assert list(six_step._twiddles) == [(1024, 32, 32), (4096, 64, 64)]
-        assert six_step._twiddle_table(256, 16, 16) is not first

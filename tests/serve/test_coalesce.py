@@ -91,6 +91,26 @@ class TestExecuteBatchBitwise:
             )
         _assert_batch_equals_solo(reqs)
 
+    def test_nufft_plan_cache_is_bounded(self):
+        """Requests choose ``k_modes``: more distinct values than the
+        bound leave the bound's worth of plans, not one per value."""
+        from repro.serve.batcher import _NUFFT_PLANS
+
+        _NUFFT_PLANS.clear()
+        points = np.random.default_rng(3).uniform(0.0, 1.0, size=16)
+        try:
+            for i in range(_NUFFT_PLANS.maxsize + 4):
+                k_modes = 64 * (i + 2)
+                (x,) = _signals(1, k_modes, seed=i)
+                execute_batch([
+                    _request(x, backend="nufft", points=points, k_modes=k_modes, kind=2)
+                ])
+            info = _NUFFT_PLANS.info()
+            assert info["entries"] == _NUFFT_PLANS.maxsize
+            assert info["evictions"] == 4
+        finally:
+            _NUFFT_PLANS.clear()
+
     def test_priorities_and_deadlines_do_not_affect_outputs(self):
         xs = _signals(4, 256)
         plain = [_request(x, priority="batch") for x in xs]

@@ -46,6 +46,20 @@ class TestSinglePrecisionRequests:
         rel = np.linalg.norm(out - ref) / np.linalg.norm(ref)
         assert rel < 64 * np.finfo(np.float32).eps * np.log2(512)
 
+    def test_warmed_complex64_request_adds_no_miss(self):
+        """A ``(n, complex64)`` warm shape builds the single-precision
+        plan the repro backend runs a complex64 payload on."""
+        from repro.dft import clear_plan_cache, plan_cache_info
+
+        clear_plan_cache()
+        cfg = ServeConfig(workers=1, warm_shapes=((1024, np.complex64),))
+        with TransformServer(cfg) as srv:
+            misses = plan_cache_info()["misses"]
+            x = _signal(1024, seed=9, dtype=np.complex64)
+            out = srv.submit(x, library="repro").result(timeout=10.0)
+        assert out.dtype == np.complex64
+        assert plan_cache_info()["misses"] == misses == 1
+
     def test_complex128_contract_unchanged(self):
         x = _signal(512, seed=8)
         with TransformServer(ServeConfig(workers=1)) as srv:
